@@ -1,10 +1,4 @@
-"""Hot Monte Carlo kernels: a numba-compiled path and a pure-numpy twin.
-
-Setting the environment variable NPDSHARE_NO_NUMBA=1 (before import) forces
-the numpy path even when numba is installed.  Both paths consume the same
-counter-based draws and accumulate floating-point terms in the same order,
-so their outputs are bit-identical; the test suite asserts this and
-benchmarks/bench_kernels.py times the two.
+"""Hot Monte Carlo kernel of the promise automaton, vectorized over replicas.
 
 The kernel simulates the promise-keeping automaton: each period it checks
 the promise against the admissible region {lam . v <= k* + tol, v_i >= -tol},
@@ -13,164 +7,22 @@ bits, and applies the affine continuation update
 v <- v + ((1-delta)/delta) (gamma_base[b] + affine[b] @ (v - u)).
 Replicas that leave the region stop accruing payoff (the halt period is
 recorded), which matches reverting to the all-conceal static equilibrium.
+
+Only replicas still inside the region are carried from period to period, and
+only they draw.  Each draw is addressed by its (period, slot, replica)
+counter, so dropping halted replicas leaves every other draw, and hence
+every replica's trajectory, bit for bit as if it ran alone.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .rng import DOMAIN_PUBLIC, U53_INV, uniforms
-
-_M0 = 0xD2E7470EE14C6C93
-_M1 = 0xCA5A826395121157
-_W0 = 0x9E3779B97F4A7C15
-_W1 = 0xBB67AE8584CAA73B
-
-HAVE_NUMBA = False
-if os.environ.get("NPDSHARE_NO_NUMBA", "") != "1":
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is an install-time choice
-        HAVE_NUMBA = False
+from .rng import DOMAIN_PUBLIC, uniforms
 
 
 def backend_name() -> str:
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-def _promise_mc_numpy(
-    seed, replicas, horizon, delta, v0, u_r, p_zero, gamma_base, affine, lam,
-    k_star, tol,
-):
-    n = v0.shape[0]
-    reps = np.arange(replicas, dtype=np.uint64)
-    v = np.tile(v0, (replicas, 1))
-    totals = np.zeros((replicas, n))
-    halt = np.full(replicas, -1, dtype=np.int64)
-    active = np.ones(replicas, dtype=bool)
-    c = (1.0 - delta) / delta
-    w = 1.0
-    for t in range(horizon):
-        lamdot = v[:, 0] * lam[0]
-        for k in range(1, n):
-            lamdot = lamdot + v[:, k] * lam[k]
-        viol = active & ((lamdot > k_star + tol) | (np.min(v, axis=1) < -tol))
-        halt[viol] = t
-        active = active & ~viol
-        if not np.any(active):
-            break
-        totals[active] += w * u_r
-        idx = np.zeros(replicas, dtype=np.int64)
-        for j in range(n):
-            u = uniforms(seed, DOMAIN_PUBLIC, t, j, reps)
-            idx |= (u >= p_zero[j]).astype(np.int64) << j
-        d = v - u_r
-        shift = gamma_base[idx].copy()
-        for k in range(n):
-            shift += affine[idx, :, k] * d[:, k : k + 1]
-        v = np.where(active[:, None], v + c * shift, v)
-        w = w * delta
-    return totals, halt
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _philox_uniform(period, slot, replica, seed, domain):
-        u64 = np.uint64
-        sh = u64(32)
-        mask = u64(0xFFFFFFFF)
-        m0 = u64(_M0)
-        m1 = u64(_M1)
-        w0 = u64(_W0)
-        w1 = u64(_W1)
-        x0 = u64(period)
-        x1 = u64(slot)
-        x2 = u64(replica)
-        x3 = u64(0)
-        k0 = u64(seed)
-        k1 = u64(domain)
-        for _ in range(10):
-            lo0 = m0 * x0
-            ah = m0 >> sh
-            al = m0 & mask
-            bh = x0 >> sh
-            bl = x0 & mask
-            t = ah * bl + ((al * bl) >> sh)
-            t2 = al * bh + (t & mask)
-            hi0 = ah * bh + (t >> sh) + (t2 >> sh)
-            lo1 = m1 * x2
-            ah = m1 >> sh
-            al = m1 & mask
-            bh = x2 >> sh
-            bl = x2 & mask
-            t = ah * bl + ((al * bl) >> sh)
-            t2 = al * bh + (t & mask)
-            hi1 = ah * bh + (t >> sh) + (t2 >> sh)
-            nx0 = hi1 ^ x1 ^ k0
-            nx2 = hi0 ^ x3 ^ k1
-            x1 = lo1
-            x3 = lo0
-            x0 = nx0
-            x2 = nx2
-            k0 = k0 + w0
-            k1 = k1 + w1
-        return np.float64(x0 >> u64(11)) * U53_INV
-
-    @njit(cache=True)
-    def _promise_mc_numba(
-        seed, replicas, horizon, delta, v0, u_r, p_zero, gamma_base, affine,
-        lam, k_star, tol,
-    ):
-        n = v0.shape[0]
-        totals = np.zeros((replicas, n))
-        halt = np.full(replicas, -1, dtype=np.int64)
-        c = (1.0 - delta) / delta
-        v = np.empty(n)
-        shift = np.empty(n)
-        for r in range(replicas):
-            for i in range(n):
-                v[i] = v0[i]
-            w = 1.0
-            for t in range(horizon):
-                s = v[0] * lam[0]
-                vmin = v[0]
-                for k in range(1, n):
-                    s = s + v[k] * lam[k]
-                    if v[k] < vmin:
-                        vmin = v[k]
-                if s > k_star + tol or vmin < -tol:
-                    halt[r] = t
-                    break
-                for i in range(n):
-                    totals[r, i] += w * u_r[i]
-                idx = 0
-                for j in range(n):
-                    u = _philox_uniform(t, j, r, seed, DOMAIN_PUBLIC)
-                    if u >= p_zero[j]:
-                        idx |= 1 << j
-                for i in range(n):
-                    acc = gamma_base[idx, i]
-                    for k in range(n):
-                        acc += affine[idx, i, k] * (v[k] - u_r[k])
-                    shift[i] = acc
-                for i in range(n):
-                    v[i] = v[i] + c * shift[i]
-                w = w * delta
-        return totals, halt
-
-    def philox_uniform_scalar(period, slot, replica, seed, domain) -> float:
-        """Scalar draw through the numba path (for backend-equality tests)."""
-        return float(_philox_uniform(period, slot, replica, seed, domain))
-
-else:  # pragma: no cover - exercised when NPDSHARE_NO_NUMBA=1
-
-    def philox_uniform_scalar(period, slot, replica, seed, domain) -> float:
-        return float(uniforms(seed, domain, period, slot, replica))
+    return "numpy"
 
 
 def promise_mc(
@@ -187,28 +39,51 @@ def promise_mc(
     k_star: float,
     tol: float = 1e-9,
 ):
-    """Run the promise-automaton Monte Carlo on the selected backend.
+    """Run the promise-automaton Monte Carlo.
 
     Returns (totals, halt_periods): totals[r] is the undiscounted-weighted
     sum over periods of delta^t u(r) accrued while replica r stayed in the
     admissible region; halt_periods[r] is the first period whose promise
     left the region, or -1.
     """
-    args = (
-        int(seed), int(replicas), int(horizon), float(delta),
-        np.ascontiguousarray(v0, dtype=np.float64),
-        np.ascontiguousarray(u_r, dtype=np.float64),
-        np.ascontiguousarray(p_zero, dtype=np.float64),
-        np.ascontiguousarray(gamma_base, dtype=np.float64),
-        np.ascontiguousarray(affine, dtype=np.float64),
-        np.ascontiguousarray(lam, dtype=np.float64),
-        float(k_star), float(tol),
+    seed, replicas, horizon = int(seed), int(replicas), int(horizon)
+    delta, k_star, tol = float(delta), float(k_star), float(tol)
+    v0, u_r, p_zero, gamma_base, affine, lam = (
+        np.asarray(x, dtype=np.float64)
+        for x in (v0, u_r, p_zero, gamma_base, affine, lam)
     )
-    if HAVE_NUMBA:
-        return _promise_mc_numba(*args)
-    return _promise_mc_numpy(*args)
-
-
-def promise_mc_numpy(*args, **kwargs):
-    """Always-numpy variant (reference path for equality tests)."""
-    return _promise_mc_numpy(*args, **kwargs)
+    n = v0.shape[0]
+    # Every live replica has accrued the same sum, so one running sum stands
+    # for all of them and is copied out when a replica halts.
+    accrued = np.zeros(n)
+    totals = np.zeros((replicas, n))
+    halt = np.full(replicas, -1, dtype=np.int64)
+    live = np.arange(replicas)  # indices of the replicas still inside
+    v = np.tile(v0, (replicas, 1))  # their promises, one row per live replica
+    slots = np.arange(n)[:, None]
+    bit_weights = np.int64(1) << np.arange(n)
+    c = (1.0 - delta) / delta
+    w = 1.0
+    for t in range(horizon):
+        lamdot = v[:, 0] * lam[0]
+        for k in range(1, n):
+            lamdot = lamdot + v[:, k] * lam[k]
+        viol = (lamdot > k_star + tol) | (np.min(v, axis=1) < -tol)
+        if np.any(viol):
+            halt[live[viol]] = t
+            totals[live[viol]] = accrued
+            live = live[~viol]
+            v = v[~viol]
+            if live.size == 0:
+                break
+        accrued = accrued + w * u_r
+        u = uniforms(seed, DOMAIN_PUBLIC, t, slots, live[None, :])
+        idx = bit_weights @ (u >= p_zero[:, None])
+        d = v - u_r
+        shift = gamma_base[idx]
+        for k in range(n):
+            shift += affine[idx, :, k] * d[:, k : k + 1]
+        v = v + c * shift
+        w = w * delta
+    totals[live] = accrued
+    return totals, halt

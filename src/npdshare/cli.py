@@ -37,6 +37,7 @@ from .engine import (
     AlwaysDisclose,
     PromiseAutomaton,
     SignalTrigger,
+    _write_trace,
     monte_carlo,
     monte_carlo_promise,
     run_episode,
@@ -367,12 +368,7 @@ def _emit_trace(args, trace) -> None:
     if args.out:
         write_trace_csv(trace, args.out)
     else:
-        import tempfile
-
-        with tempfile.NamedTemporaryFile("w+", suffix=".csv") as tmp:
-            write_trace_csv(trace, tmp.name)
-            tmp.seek(0)
-            sys.stdout.write(tmp.read())
+        _write_trace(trace, sys.stdout)
 
 
 def _emit_mc(args, mc) -> None:

@@ -27,11 +27,15 @@ from . import rng
 from ._kernels import backend_name, promise_mc
 from .decompose import PromiseDecomposition
 from .errors import DiscountTooSmallError, DomainError, ProtocolError
-from .game import GameSpec, profile_payoff
-from .monitoring import belief_kernel
+from .game import GameSpec
 
 REGION_TOL = 1e-9
 RECOMPUTE_TOL = 1e-12
+
+# run_episode draws its uniforms in blocks of this many periods, one rng call
+# per block, so the block holds at most DRAW_CHUNK_PERIODS * N * (N - 1)
+# draws whatever the horizon.
+DRAW_CHUNK_PERIODS = 1024
 
 MODE_PUBLIC = "public"
 MODE_PRIVATE = "private"
@@ -359,6 +363,10 @@ def run_episode(
     Deterministic in (spec, strategies, horizon, seed, mode, replica).  In
     private mode each period opens with the message round; messages become
     the public history that strategies condition on.
+
+    The signal uniforms are drawn DRAW_CHUNK_PERIODS periods at a time, ahead
+    of play; being addressed by (period, slot, replica) they are the same
+    bits a per-period draw would give.
     """
     if mode not in (MODE_PUBLIC, MODE_PRIVATE):
         raise DomainError(f"mode must be '{MODE_PUBLIC}' or '{MODE_PRIVATE}', got {mode!r}")
@@ -382,7 +390,6 @@ def run_episode(
         strategies.append(s)
 
     actions = np.zeros((horizon, n), dtype=np.int8)
-    payoffs = np.zeros((horizon, n))
     public_signals = np.zeros(horizon, dtype=np.int64) if mode == MODE_PUBLIC else None
     private_signals = (
         np.full((horizon, n, n), -1, dtype=np.int8) if mode == MODE_PRIVATE else None
@@ -394,9 +401,27 @@ def run_episode(
     public_history: list = []
     own_actions: list[list[int]] = [[] for _ in range(n)]
     own_signals: list[list[np.ndarray]] = [[] for _ in range(n)]
-    firm_slots = np.arange(n)
+
+    # Draw slots and the firm each slot observes: firm j's public bit in
+    # slot j, or observer i's bit about firm j in slot i * n + j.
+    if mode == MODE_PUBLIC:
+        domain = rng.DOMAIN_PUBLIC
+        observed = np.arange(n)
+        slots = observed
+        p_zero_by_action = np.array([spec.m_alpha, spec.m_epsilon])
+        bit_weights = np.int64(1) << observed
+    else:
+        domain = rng.DOMAIN_PRIVATE
+        observer, observed = np.nonzero(~np.eye(n, dtype=bool))
+        slots = observer * n + observed
+        p_zero_by_action = np.array([spec.alpha, spec.epsilon])
 
     for t in range(horizon):
+        k = t % DRAW_CHUNK_PERIODS
+        if k == 0:
+            periods = np.arange(t, min(t + DRAW_CHUNK_PERIODS, horizon))
+            block = rng.uniforms(seed, domain, periods[:, None], slots[None, :], replica)
+
         if mode == MODE_PRIVATE:
             round_msgs = tuple(
                 _validate_message(
@@ -409,37 +434,31 @@ def run_episode(
             public_history.append(round_msgs)
 
         for i in range(n):
-            actions[t, i] = _validate_action(
+            a = _validate_action(
                 strategies[i].next_action(public_history, own_signals[i]), i, t
             )
+            actions[t, i] = a
+            own_actions[i].append(a)
         if track:
             promises[t] = strategies[0].promise
-        payoffs[t] = profile_payoff(spec, actions[t])
-        for i in range(n):
-            own_actions[i].append(int(actions[t, i]))
 
+        bits = block[k] >= p_zero_by_action[actions[t, observed]]
         if mode == MODE_PUBLIC:
-            p_zero = np.where(actions[t] == 0, spec.m_alpha, spec.m_epsilon)
-            u = rng.uniforms(seed, rng.DOMAIN_PUBLIC, t, firm_slots, replica)
-            bits = (u >= p_zero).astype(np.int64)
-            index = int((bits << firm_slots).sum())
+            index = int(bits @ bit_weights)
             public_signals[t] = index
             public_history.append(index)
         else:
-            pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-            slots = np.array([i * n + j for (i, j) in pairs])
-            p_zero = np.array(
-                [
-                    belief_kernel(int(actions[t, j]), spec.alpha, spec.epsilon)[0]
-                    for (_, j) in pairs
-                ]
-            )
-            u = rng.uniforms(seed, rng.DOMAIN_PRIVATE, t, slots, replica)
-            bits = (u >= p_zero).astype(np.int8)
-            for k, (i, j) in enumerate(pairs):
-                private_signals[t, i, j] = bits[k]
+            private_signals[t, observer, observed] = bits
             for i in range(n):
                 own_signals[i].append(private_signals[t, i].copy())
+
+    # Stage payoffs depend only on a firm's own action and the number of
+    # disclosers: stage[a, x] for x disclosers in total.
+    stage = np.full((2, n + 1), np.nan)
+    for x in range(n):
+        stage[0, x] = spec.conceal_payoff(x)
+        stage[1, x + 1] = spec.disclose_payoff(x + 1)
+    payoffs = stage[actions, actions.sum(axis=1, keepdims=True)]
 
     return EpisodeTrace(
         mode=mode,
@@ -527,9 +546,11 @@ def monte_carlo_promise(
     base_seed: int,
     delta: float | None = None,
 ) -> MonteCarloResult:
-    """Vectorized Monte Carlo of the promise automaton (kernel-backed).
+    """Vectorized Monte Carlo of the promise automaton.
 
-    Replica trajectories are bit-identical to running PromiseAutomaton
+    The numpy kernel in ``_kernels`` steps all replicas still inside the
+    admissible region together, one period at a time.  Replica trajectories
+    are bit-identical to running PromiseAutomaton (``on_exit="concede"``)
     through run_episode with the same seed and replica index.  Replicas
     whose promise leaves the admissible region stop accruing payoff from
     the halt period on (all-conceal continuation); their partial discounted
@@ -585,42 +606,47 @@ def write_trace_csv(trace: EpisodeTrace, path) -> None:
     A leading comment line carries the episode metadata; floats are written
     with full precision so the file round-trips exactly.
     """
-    n = trace.n_firms
     with open(path, "w", newline="") as fh:
-        fh.write(
-            f"# mode={trace.mode} delta={trace.delta!r} seed={trace.seed} "
-            f"replica={trace.replica} u_scale={trace.u_scale!r} n_firms={n}\n"
-        )
-        writer = csv.writer(fh, lineterminator="\n")
-        header = ["period"]
-        header += [f"action_{i + 1}" for i in range(n)]
+        _write_trace(trace, fh)
+
+
+def _write_trace(trace: EpisodeTrace, fh) -> None:
+    """Write the trace CSV of write_trace_csv to an open text stream."""
+    n = trace.n_firms
+    fh.write(
+        f"# mode={trace.mode} delta={trace.delta!r} seed={trace.seed} "
+        f"replica={trace.replica} u_scale={trace.u_scale!r} n_firms={n}\n"
+    )
+    writer = csv.writer(fh, lineterminator="\n")
+    header = ["period"]
+    header += [f"action_{i + 1}" for i in range(n)]
+    if trace.mode == MODE_PUBLIC:
+        header.append("signal_index")
+    else:
+        header += [
+            f"b_{i + 1}_{j + 1}" for i in range(n) for j in range(n) if i != j
+        ]
+        header += [f"message_{i + 1}" for i in range(n)]
+    header += [f"payoff_{i + 1}" for i in range(n)]
+    if trace.promises is not None:
+        header += [f"promise_{i + 1}" for i in range(n)]
+    writer.writerow(header)
+    for t in range(trace.horizon):
+        row = [t] + [int(a) for a in trace.actions[t]]
         if trace.mode == MODE_PUBLIC:
-            header.append("signal_index")
+            row.append(int(trace.public_signals[t]))
         else:
-            header += [
-                f"b_{i + 1}_{j + 1}" for i in range(n) for j in range(n) if i != j
+            row += [
+                int(trace.private_signals[t, i, j])
+                for i in range(n)
+                for j in range(n)
+                if i != j
             ]
-            header += [f"message_{i + 1}" for i in range(n)]
-        header += [f"payoff_{i + 1}" for i in range(n)]
+            row += ["".join(str(b) for b in trace.messages[t][i]) for i in range(n)]
+        row += [repr(float(x)) for x in trace.payoffs[t]]
         if trace.promises is not None:
-            header += [f"promise_{i + 1}" for i in range(n)]
-        writer.writerow(header)
-        for t in range(trace.horizon):
-            row = [t] + [int(a) for a in trace.actions[t]]
-            if trace.mode == MODE_PUBLIC:
-                row.append(int(trace.public_signals[t]))
-            else:
-                row += [
-                    int(trace.private_signals[t, i, j])
-                    for i in range(n)
-                    for j in range(n)
-                    if i != j
-                ]
-                row += ["".join(str(b) for b in trace.messages[t][i]) for i in range(n)]
-            row += [repr(float(x)) for x in trace.payoffs[t]]
-            if trace.promises is not None:
-                row += [repr(float(x)) for x in trace.promises[t]]
-            writer.writerow(row)
+            row += [repr(float(x)) for x in trace.promises[t]]
+        writer.writerow(row)
 
 
 def read_trace_csv(path) -> EpisodeTrace:

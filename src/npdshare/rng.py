@@ -2,9 +2,10 @@
 
 Every draw is addressed by coordinates (seed, domain, period, slot, replica)
 rather than by position in a consumed stream.  This makes traces reproducible
-bit for bit regardless of evaluation order, gives each Monte Carlo replica an
-independent substream by construction, and lets the numba and numpy backends
-produce identical output.
+bit for bit regardless of evaluation order, and gives each Monte Carlo replica
+an independent substream by construction.  A draw made as part of a block
+(many periods, slots or replicas in one call) is bit-identical to the same
+draw made alone, so callers may prefetch and vectorize freely.
 
 The generator is the standard Philox4x64 block cipher with 10 rounds.  The
 counter lanes carry (period, slot, replica, 0) and the key carries

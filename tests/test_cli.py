@@ -201,6 +201,26 @@ def test_simulate_trace_csv_round_trips(spec2_file, capsys, tmp_path):
     assert trace.horizon == 30 and trace.seed == 3
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--strategy", "promise", "--T", "300", "--seed", "6"],
+        ["--strategy", "signal_trigger:3", "--mode", "private", "--T", "40",
+         "--seed", "5"],
+    ],
+)
+def test_simulate_trace_stdout_matches_out_file(spec_file, capsys, tmp_path, extra):
+    spec = spec_file({"n_firms": 2, "gain": {"kind": "linear", "G": 3.0},
+                      "L": 1.0, "alpha": 0.9, "epsilon": 0.1, "delta": 0.999})
+    argv = ["simulate", "--spec", spec, "--replicas", "1"] + extra
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    path = tmp_path / "t.csv"
+    code, out_file, _ = run_cli(argv + ["--out", str(path)], capsys)
+    assert code == 0 and out_file == ""
+    assert out.encode() == path.read_bytes()
+
+
 def test_simulate_seed_env_fallback(spec2_file, capsys, monkeypatch):
     monkeypatch.setenv("NPDSHARE_SEED", "9")
     _, out_env, _ = run_cli(

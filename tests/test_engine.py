@@ -13,11 +13,14 @@ from npdshare import (
     Strategy,
     monte_carlo,
     monte_carlo_promise,
+    profile_payoff,
     public_signal_distribution,
     read_trace_csv,
     run_episode,
     write_trace_csv,
 )
+from npdshare import rng
+from npdshare.engine import DRAW_CHUNK_PERIODS
 from npdshare.errors import DiscountTooSmallError, DomainError, ProtocolError
 
 SURVIVOR_SEED = 6  # stays inside the admissible region for 2000 periods
@@ -202,6 +205,47 @@ def test_public_strategy_ignores_private_history(spec3):
     assert np.array_equal(t1.actions, t2.actions)
 
 
+class _Alternating(Strategy):
+    """Disclose in periods of one parity, shifted by firm."""
+
+    is_public = False
+
+    def next_action(self, public_history, private_history) -> int:
+        return (len(public_history) + self.firm) % 2
+
+
+@pytest.mark.parametrize("mode", ["public", "private"])
+def test_block_draws_match_per_period_draws_bitwise(mode):
+    # A horizon past one draw block, a nonzero replica and a monitor with its
+    # own accuracies: every signal must equal a per-period draw at its
+    # (period, slot, replica) coordinates, and every payoff profile_payoff.
+    spec = GameSpec(3, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9,
+                    monitor_alpha=0.8, monitor_epsilon=0.2)
+    n, seed, replica = 3, 29, 5
+    horizon = DRAW_CHUNK_PERIODS + 37
+    trace = run_episode(
+        spec, [_Alternating() for _ in range(n)], horizon, seed=seed,
+        mode=mode, replica=replica,
+    )
+    firms = np.arange(n)
+    for t in range(horizon):
+        a = trace.actions[t]
+        assert np.array_equal(trace.payoffs[t], profile_payoff(spec, a)), t
+        if mode == "public":
+            u = rng.uniforms(seed, rng.DOMAIN_PUBLIC, t, firms, replica)
+            p_zero = np.where(a == 0, spec.m_alpha, spec.m_epsilon)
+            index = int(((u >= p_zero).astype(np.int64) << firms).sum())
+            assert trace.public_signals[t] == index, t
+        else:
+            for i in range(n):
+                others = firms[firms != i]
+                u = rng.uniforms(seed, rng.DOMAIN_PRIVATE, t, i * n + others, replica)
+                p_zero = np.where(a[others] == 0, spec.alpha, spec.epsilon)
+                bits = (u >= p_zero).astype(np.int8)
+                assert np.array_equal(trace.private_signals[t, i, others], bits), t
+    assert set(trace.actions[:, 0].tolist()) == {0, 1}
+
+
 # ---------------------------------------------------------------------------
 # promise automaton
 
@@ -306,24 +350,28 @@ def test_kernel_matches_strategy_path_bitwise(spec2_patient):
         assert np.array_equal(mc.per_replica[r], trace.discounted_average()), r
 
 
-def test_numba_and_numpy_kernels_agree_bitwise(spec2_patient):
-    from npdshare._kernels import promise_mc_numpy
-    from npdshare.decompose import PromiseDecomposition
-
-    dec = PromiseDecomposition(spec2_patient, (1.0, 1.0))
-    p_zero = np.array([spec2_patient.epsilon, spec2_patient.epsilon])
-    args = dict(
-        seed=77, replicas=32, horizon=300, delta=0.99,
-        v0=np.array([2.0, 2.0]), u_r=dec.u_r, p_zero=p_zero,
-        gamma_base=dec.gamma_base, affine=dec.affine, lam=dec.direction,
-        k_star=dec.k_star, tol=1e-9,
+def test_kernel_matches_strategy_path_when_replicas_halt_apart(spec2_patient):
+    # Replicas halting at different periods leave the kernel's live set one
+    # by one; every row must still match its own step-by-step replay.
+    horizon = 600
+    mc = monte_carlo_promise(
+        spec2_patient, (2.0, 2.0), (1.0, 1.0), replicas=6, horizon=horizon,
+        base_seed=HALTING_SEED,
     )
-    from npdshare._kernels import promise_mc
-
-    t_disp, h_disp = promise_mc(**args)
-    t_ref, h_ref = promise_mc_numpy(*args.values())
-    assert np.array_equal(t_disp, t_ref)
-    assert np.array_equal(h_disp, h_ref)
+    halts = mc.halt_periods
+    assert len(set(halts[halts >= 0].tolist())) >= 3 and np.any(halts < 0)
+    for r in range(6):
+        auto = PromiseAutomaton(
+            spec2_patient, (2.0, 2.0), (1.0, 1.0), on_exit="concede"
+        )
+        trace = run_episode(
+            spec2_patient, [auto, auto.clone()], horizon, seed=HALTING_SEED,
+            replica=r,
+        )
+        assert np.array_equal(mc.per_replica[r], trace.discounted_average()), r
+        on_path = np.all(trace.actions == 1, axis=1)
+        first_off = -1 if on_path.all() else int(np.argmin(on_path))
+        assert first_off == halts[r], r
 
 
 def test_monte_carlo_promise_records_halts(spec2_patient):

@@ -49,15 +49,6 @@ def test_streams_differ_across_coordinates():
     assert base != rng.uniform_scalar(1, rng.DOMAIN_PUBLIC, 0, 0, 1)  # replica
 
 
-def test_kernel_scalar_twin_matches():
-    from npdshare._kernels import philox_uniform_scalar
-
-    for seed in (0, 7, 2**40):
-        for (t, s, c) in [(0, 0, 0), (3, 1, 2), (1999, 5, 9999)]:
-            assert philox_uniform_scalar(t, s, c, seed, rng.DOMAIN_PUBLIC) == \
-                rng.uniform_scalar(seed, rng.DOMAIN_PUBLIC, t, s, c)
-
-
 def test_uniforms_cover_unit_interval_evenly():
     u = rng.uniforms(5, rng.DOMAIN_PUBLIC, np.arange(20000), 0, 0)
     assert u.min() >= 0.0 and u.max() < 1.0
