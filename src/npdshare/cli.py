@@ -21,11 +21,7 @@ import sys
 
 import numpy as np
 
-from .conditions import (
-    individual_full_rank,
-    pairwise_full_rank,
-    theorem_preconditions,
-)
+from .conditions import rank_reports, theorem_preconditions
 from .decompose import (
     kappa,
     k_star,
@@ -44,7 +40,7 @@ from .engine import (
     write_trace_csv,
 )
 from .errors import DiscountTooSmallError, DomainError, NpdShareError
-from .game import check_assumptions, extreme_profiles, minmax, profile_payoff
+from .game import check_assumptions, extreme_profiles, profile_payoff
 from .specfile import MAX_SEED, load_game_spec
 
 _STRATEGY_NAMES = ("always_disclose", "always_conceal", "signal_trigger:K", "promise")
@@ -151,16 +147,9 @@ def cmd_rank(args) -> int:
     try:
         blocks = []
         ok = True
-        for i in range(spec.n_firms):
-            rep = individual_full_rank(spec, minmax(spec, i).profile, i)
+        for rep in rank_reports(spec, extreme_profiles(spec)):
             blocks.append(rep.to_text())
             ok = ok and rep.holds
-        for r in extreme_profiles(spec):
-            for i in range(spec.n_firms):
-                for j in range(i + 1, spec.n_firms):
-                    rep = pairwise_full_rank(spec, r, i, j)
-                    blocks.append(rep.to_text())
-                    ok = ok and rep.holds
         _print(out, "\n\n".join(blocks) + "\n")
         print(
             f"rank: individual and pairwise full-rank conditions "

@@ -16,6 +16,14 @@ others; (C3) jointly, the others' signal geometry separates the two suspects
 (no positive collinearity of the deviation displacement directions).  C2 and
 C3 quantify over firms outside the pair and are undefined for N = 2.
 
+Every marginal compared here is a product-Bernoulli measure on one label
+set, so C1 and C2 decide detectability from the per-bit kernels: two
+marginals differ exactly when some bit's P(bit = 0) differs, and the reported
+gaps (``signal_gap``, ``deviation_marginals_gap``,
+``equilibrium_to_intersection_gap``) are max per-bit |delta P(bit = 0)|.  C3
+uses exact factored inner products.  No check expands the 2**bits outcome
+table.
+
 Reports serialize to an indented key-value text document via ``to_text``.
 """
 
@@ -36,13 +44,12 @@ from .game import (
 )
 from .monitoring import (
     FactoredBernoulli,
-    DENSE_CAP_BITS,
     marginal_excluding,
     public_profile_distribution_raw,
 )
 
 RANK_TOL = 1e-9  # pivot threshold, relative to the largest entry
-COND_TOL = 1e-9  # distribution distance threshold for C1-C3
+COND_TOL = 1e-9  # per-bit (C1, C2) and L2 (C3) distance threshold
 COLLINEAR_TOL = 1e-9  # cosines above 1 - this count as positively collinear
 
 
@@ -203,22 +210,36 @@ def pairwise_full_rank(spec: GameSpec, profile, firm_i: int, firm_j: int) -> Con
     )
 
 
+def rank_reports(spec: GameSpec, extremes):
+    """Individual rank at each firm's minmax profile, then pairwise rank at
+    every profile of ``extremes`` for every pair, in that order."""
+    for i in range(spec.n_firms):
+        yield individual_full_rank(spec, minmax(spec, i).profile, i)
+    for r in extremes:
+        for i in range(spec.n_firms):
+            for j in range(i + 1, spec.n_firms):
+                yield pairwise_full_rank(spec, r, i, j)
+
+
 # ---------------------------------------------------------------------------
 # private-monitoring conditions
 
 
-def _marginal_gap(p: FactoredBernoulli, q: FactoredBernoulli) -> tuple[float, str]:
-    """Distance between marginals: sup-norm when the dense space fits,
-    otherwise the exact factored L2 norm (both compared against COND_TOL;
-    the distances of interest are either 0 or of order alpha - epsilon)."""
-    if p.n_bits <= DENSE_CAP_BITS:
-        return p.sup_diff(q), "sup"
-    return p.l2_diff(q), "l2"
+def _marginal_gap(p: FactoredBernoulli, q: FactoredBernoulli) -> float:
+    """max_k |P(bit k = 0) - Q(bit k = 0)|: zero exactly when P == Q.
+
+    Compared against COND_TOL; the gaps of interest are either 0 or of
+    order alpha - epsilon.
+    """
+    p._check_same_space(q)
+    return float(np.max(np.abs(p.p_zero - q.p_zero)))
 
 
 def check_c1(spec: GameSpec, minmaxed_firm: int) -> ConditionReport:
     """Deviations from the minmax profile are detectable or unprofitable.
 
+    A deviation by j is detectable when the marginal of the firms other
+    than j moves; ``signal_gap`` is its max per-bit |delta P(bit = 0)|.
     Mixed deviations reduce to the pure check: signal marginals and stage
     payoffs are both affine in a firm's mixing probability, so a mixed
     deviation is undetectable-and-profitable only if the pure one is.
@@ -235,7 +256,7 @@ def check_c1(spec: GameSpec, minmaxed_firm: int) -> ConditionReport:
         dev = base.copy()
         dev[j] = 1 - dev[j]
         q = marginal_excluding(spec, dev, excluded=(j,))
-        gap, metric = _marginal_gap(p, q)
+        gap = _marginal_gap(p, q)
         detectable = gap > COND_TOL
         gain = profile_payoff(spec, dev)[j] - base_payoff[j]
         unprofitable = gain <= STRICT_TOL
@@ -246,8 +267,7 @@ def check_c1(spec: GameSpec, minmaxed_firm: int) -> ConditionReport:
                 "firm": j + 1,
                 "holds": ok,
                 "clause": "detectable" if detectable else ("unprofitable" if unprofitable else "none"),
-                "signal_gap": float(gap),
-                "gap_metric": metric,
+                "signal_gap": gap,
                 "deviation_gain": float(gain),
             }
         )
@@ -285,21 +305,21 @@ def check_c2(spec: GameSpec, profile, firm_i: int, firm_j: int) -> ConditionRepo
     With binary actions each suspect reaches exactly one alternative
     marginal, so the convex hulls are singletons: the intersection is
     nonempty only if both suspects induce the same marginal, and C2 then
-    requires the equilibrium marginal to differ from it.
+    requires the equilibrium marginal to differ from it.  Both gaps
+    (``deviation_marginals_gap``, ``equilibrium_to_intersection_gap``) are
+    max per-bit |delta P(bit = 0)| between the marginals.
     """
     p, q_i, q_j = _pair_marginals(spec, profile, firm_i, firm_j)
-    gap_ij, metric = _marginal_gap(q_i, q_j)
+    gap_ij = _marginal_gap(q_i, q_j)
     intersection_empty = gap_ij > COND_TOL
     if intersection_empty:
         holds = True
         gap_p = None
     else:
-        g, _ = _marginal_gap(p, q_i)
-        gap_p = float(g)
-        holds = g > COND_TOL
+        gap_p = _marginal_gap(p, q_i)
+        holds = gap_p > COND_TOL
     evidence = {
-        "deviation_marginals_gap": float(gap_ij),
-        "gap_metric": metric,
+        "deviation_marginals_gap": gap_ij,
         "intersection_empty": intersection_empty,
     }
     if gap_p is not None:
@@ -379,12 +399,7 @@ def theorem_preconditions(spec: GameSpec, theorem: str) -> ConditionReport:
     subs.append(report_a2)
     extremes = extreme_profiles(spec)
     if theorem == "flm":
-        for i in range(spec.n_firms):
-            subs.append(individual_full_rank(spec, minmax(spec, i).profile, i))
-        for r in extremes:
-            for i in range(spec.n_firms):
-                for j in range(i + 1, spec.n_firms):
-                    subs.append(pairwise_full_rank(spec, r, i, j))
+        subs.extend(rank_reports(spec, extremes))
     else:
         if spec.n_firms <= 2:
             return ConditionReport(

@@ -86,6 +86,19 @@ def _kernel_p0(actions: np.ndarray, alpha: float, epsilon: float) -> np.ndarray:
     return np.where(actions == 1, epsilon, alpha)
 
 
+def _product_expansion(p_zero: np.ndarray) -> np.ndarray:
+    """Outcome table of independent bits, bit 0 least significant.
+
+    Equal bit for bit to the kron chain over (p0, 1 - p0) pairs from the
+    last bit to the first: each outer-product entry is the same product,
+    taken in the same order.
+    """
+    probs = np.array([1.0])
+    for k in range(len(p_zero) - 1, -1, -1):
+        probs = (probs[:, None] * np.array([p_zero[k], 1.0 - p_zero[k]])).ravel()
+    return probs
+
+
 def public_profile_distribution_raw(
     actions, alpha: float, epsilon: float
 ) -> np.ndarray:
@@ -98,12 +111,8 @@ def public_profile_distribution_raw(
     actions = np.asarray(actions, dtype=np.int64)
     if not (0 <= epsilon <= 1 and 0 <= alpha <= 1):
         raise DomainError("kernel probabilities must lie in [0, 1]")
-    p0 = _kernel_p0(actions, alpha, epsilon)
-    probs = np.array([1.0])
-    # kron chains so that firm 1 varies fastest (least significant bit)
-    for j in range(len(actions) - 1, -1, -1):
-        probs = np.kron(probs, np.array([p0[j], 1.0 - p0[j]]))
-    return probs
+    # firm 1 varies fastest (least significant bit)
+    return _product_expansion(_kernel_p0(actions, alpha, epsilon))
 
 
 def public_signal_distribution(spec: GameSpec, profile) -> SignalDistribution:
@@ -122,10 +131,12 @@ class FactoredBernoulli:
     """Product distribution of labelled independent bits.
 
     ``labels`` lists (observer, observed) pairs in a fixed order; ``p_zero``
-    gives P(bit = 0) for each.  Dense expansion uses the signal-index
-    convention with labels[0] as least significant bit.  Inner products of
-    product measures factor across bits, which keeps geometry tests on these
-    distributions exact without enumerating the joint space.
+    gives P(bit = 0) for each.  Two such measures on the same labels are
+    equal exactly when their ``p_zero`` vectors are, and inner products
+    factor across bits, so comparisons and geometry tests stay exact without
+    enumerating the joint space.  ``dense`` (with ``sup_diff`` on top of it)
+    is a small-N oracle for tests: it expands all 2**n_bits outcomes, with
+    labels[0] as the least significant bit of the signal index.
     """
 
     labels: tuple[tuple[int, int], ...]
@@ -153,10 +164,7 @@ class FactoredBernoulli:
                 f"dense expansion of {self.n_bits} bits exceeds the "
                 f"2**{DENSE_CAP_BITS} outcome cap"
             )
-        probs = np.array([1.0])
-        for k in range(self.n_bits - 1, -1, -1):
-            probs = np.kron(probs, np.array([self.p_zero[k], 1.0 - self.p_zero[k]]))
-        return probs
+        return _product_expansion(self.p_zero)
 
     def dot(self, other: "FactoredBernoulli") -> float:
         """<P, Q> = prod_k (p0 q0 + p1 q1), exact for product measures."""
@@ -204,21 +212,9 @@ def marginal_excluding(spec: GameSpec, profile, excluded) -> FactoredBernoulli:
     if not observers:
         raise DomainError("marginal_excluding: at least one observer must remain")
     labels = _private_labels(spec.n_firms, observers)
-    p0 = np.array([_kernel_p0(r[l], spec.alpha, spec.epsilon) for (_, l) in labels])
+    observed = np.array([l for (_, l) in labels], dtype=np.int64)
+    p0 = _kernel_p0(r[observed], spec.alpha, spec.epsilon)
     return FactoredBernoulli(labels=labels, p_zero=p0)
-
-
-def deviation_set(spec: GameSpec, profile, deviator: int, excluded) -> list[FactoredBernoulli]:
-    """Marginals reachable by the deviator's unilateral action changes.
-
-    Binary actions leave a single alternative, so the list has one entry.
-    """
-    r = validate_profile(spec, profile)
-    if not 0 <= deviator < spec.n_firms:
-        raise DomainError(f"deviator index {deviator} out of range")
-    alt = r.copy()
-    alt[deviator] = 1 - alt[deviator]
-    return [marginal_excluding(spec, alt, excluded)]
 
 
 def cross_observation_reduction(

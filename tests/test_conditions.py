@@ -4,18 +4,25 @@ import numpy as np
 import pytest
 
 from npdshare import (
+    FactoredBernoulli,
     GameSpec,
     LinearGain,
+    all_profiles,
     check_c1,
     check_c2,
     check_c3,
+    extreme_profiles,
     individual_full_rank,
+    marginal_excluding,
     minmax,
     numeric_rank,
     pairwise_full_rank,
     theorem_preconditions,
 )
 from npdshare.conditions import (
+    COND_TOL,
+    _marginal_gap,
+    rank_reports,
     signal_matrix_individual_raw,
     signal_matrix_pairwise,
 )
@@ -92,6 +99,70 @@ def test_c2_c3_hold_for_three_and_four_firms():
             rep2 = check_c2(spec, r, 0, 1)
             rep3 = check_c3(spec, r, 0, 1)
             assert rep2.holds and rep3.holds, (n, r)
+
+
+KERNELS = [(0.9, 0.1), (0.6, 0.4), (0.501, 0.499), (0.99, 0.01), (0.75, 0.3)]
+
+
+def test_per_bit_gap_decides_like_dense_oracle():
+    for n in (3, 4):
+        for alpha, epsilon in KERNELS:
+            spec = GameSpec(n, LinearGain(3.0), 1.0, alpha, epsilon, 0.9)
+            for excluded in ((0,), (0, 1)):  # the C1 and C2 label sets
+                for r in all_profiles(n):
+                    p = marginal_excluding(spec, r, excluded=excluded)
+                    seen = {l for (_, l) in p.labels}
+                    for r2 in all_profiles(n):
+                        q = marginal_excluding(spec, r2, excluded=excluded)
+                        gap = _marginal_gap(p, q)
+                        moved = any(r[l] != r2[l] for l in seen)
+                        assert (gap > COND_TOL) == moved
+                        assert (p.sup_diff(q) > COND_TOL) == moved
+
+
+def test_per_bit_gap_zero_for_uninformative_kernel(spec3):
+    # alpha == epsilon: both actions induce the same bit law, so the
+    # marginals of different profiles coincide under either measure
+    labels = marginal_excluding(spec3, (1, 1, 1), excluded=(0,)).labels
+    observed = np.array([l for (_, l) in labels])
+
+    def marginal(profile):
+        actions = np.asarray(profile)[observed]
+        return FactoredBernoulli(labels=labels, p_zero=np.where(actions == 1, 0.3, 0.3))
+
+    p, q = marginal((1, 1, 1)), marginal((0, 1, 0))
+    assert _marginal_gap(p, q) == 0.0
+    assert p.sup_diff(q) == 0.0
+
+
+def test_reported_gaps_are_per_bit_kernel_gaps():
+    # a deviation by one firm moves only the bits about that firm, each by
+    # alpha - epsilon
+    spec = GameSpec(4, LinearGain(3.0), 1.0, 0.8, 0.15, 0.9)
+    kernel_gap = abs(spec.alpha - spec.epsilon)
+    for firm in range(4):
+        for entry in check_c1(spec, firm).evidence["deviators"]:
+            assert entry["signal_gap"] == kernel_gap
+            assert "gap_metric" not in entry
+    ev = check_c2(spec, (1, 0, 1, 1), 1, 2).evidence
+    assert ev["deviation_marginals_gap"] == kernel_gap
+    assert "gap_metric" not in ev
+
+
+def test_km_preconditions_hold_for_six_firms():
+    spec6 = GameSpec(6, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9)
+    assert theorem_preconditions(spec6, "km").holds
+
+
+def test_rank_reports_are_the_flm_rank_checks(spec3):
+    reports = list(rank_reports(spec3, extreme_profiles(spec3)))
+    flm_ranks = [
+        rep
+        for rep in theorem_preconditions(spec3, "flm").evidence["checks"]
+        if rep.condition_id.endswith("_full_rank")
+    ]
+    assert [r.to_text() for r in reports] == [r.to_text() for r in flm_ranks]
+    assert [r.condition_id for r in reports[:3]] == ["individual_full_rank"] * 3
 
 
 def test_c2_rejects_two_firm_games(spec2):

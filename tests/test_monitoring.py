@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from npdshare import (
+    FactoredBernoulli,
     GameSpec,
     LinearGain,
     belief_kernel,
@@ -69,6 +70,28 @@ def test_raw_distribution_allows_degenerate_kernel():
     p = public_profile_distribution_raw((1, 0), 0.3, 0.3)
     assert abs(p.sum() - 1.0) <= DIST_TOL
     assert np.allclose(p, [0.09, 0.21, 0.21, 0.49])
+
+
+def _kron_chain(p_zero):
+    probs = np.array([1.0])
+    for p0 in reversed(p_zero):
+        probs = np.kron(probs, np.array([p0, 1.0 - p0]))
+    return probs
+
+
+def test_expansions_match_kron_chain_bitwise():
+    gen = np.random.default_rng(2024)
+    for n in range(1, 9):
+        for _ in range(25):
+            alpha, epsilon = gen.uniform(0.0, 1.0, size=2)
+            actions = gen.integers(0, 2, size=n)
+            want = _kron_chain([epsilon if a == 1 else alpha for a in actions])
+            got = public_profile_distribution_raw(actions, alpha, epsilon)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, actions)
+            p_zero = gen.uniform(0.0, 1.0, size=n)
+            fb = FactoredBernoulli(labels=tuple((0, k) for k in range(n)), p_zero=p_zero)
+            dense = fb.dense()
+            assert np.array_equal(dense.view(np.uint64), _kron_chain(p_zero).view(np.uint64))
 
 
 def test_factored_dense_agrees_with_kron(spec3):
