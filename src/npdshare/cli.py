@@ -473,7 +473,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon-grid", required=True, help="min:max:steps in (0, 1/2)")
     p.add_argument("--L", dest="loss", type=float, default=1.0)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -119,7 +119,9 @@ def numeric_rank(matrix: np.ndarray, tol: float = RANK_TOL) -> int:
     """Row-reduction rank with partial pivoting.
 
     A pivot counts iff its magnitude exceeds ``tol`` times the largest
-    absolute entry of the original matrix.
+    absolute entry of the original matrix.  The scan stops once no entry
+    right of and below the last pivot exceeds that threshold, since no
+    later column could then pivot.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2:
@@ -132,8 +134,6 @@ def numeric_rank(matrix: np.ndarray, tol: float = RANK_TOL) -> int:
     rank = 0
     row = 0
     for col in range(cols):
-        if row >= rows:
-            break
         pivot = row + int(np.argmax(np.abs(a[row:, col])))
         if abs(a[pivot, col]) <= threshold:
             continue
@@ -142,6 +142,8 @@ def numeric_rank(matrix: np.ndarray, tol: float = RANK_TOL) -> int:
         a[row + 1 :] -= factors[:, None] * a[row]
         rank += 1
         row += 1
+        if row == rows or not np.any(np.abs(a[row:, col + 1 :]) > threshold):
+            break
     return rank
 
 
@@ -153,14 +155,27 @@ def signal_matrix_individual_raw(
     actions, firm: int, alpha: float, epsilon: float
 ) -> np.ndarray:
     """Rows: public-signal distribution under each action of ``firm`` (0, then 1)."""
-    actions = np.asarray(actions, dtype=np.int64)
-    if not 0 <= firm < len(actions):
-        raise DomainError(f"firm index {firm} out of range")
+    return _action_rows(np.asarray(actions, dtype=np.int64), (firm,), alpha, epsilon)
+
+
+def _action_rows(actions: np.ndarray, firms, alpha: float, epsilon: float) -> np.ndarray:
+    """Signal distributions under each action (0, then 1) of each firm in turn.
+
+    A firm's prescribed-action row is the equilibrium distribution, built
+    once and shared by every firm.
+    """
+    eq = public_profile_distribution_raw(actions, alpha, epsilon)
     rows = []
-    for a in (0, 1):
-        prof = actions.copy()
-        prof[firm] = a
-        rows.append(public_profile_distribution_raw(prof, alpha, epsilon))
+    for firm in firms:
+        if not 0 <= firm < len(actions):
+            raise DomainError(f"firm index {firm} out of range")
+        for a in (0, 1):
+            if a == actions[firm]:
+                rows.append(eq)
+                continue
+            prof = actions.copy()
+            prof[firm] = a
+            rows.append(public_profile_distribution_raw(prof, alpha, epsilon))
     return np.asarray(rows)
 
 
@@ -183,12 +198,8 @@ def individual_full_rank(spec: GameSpec, profile, firm: int) -> ConditionReport:
 def signal_matrix_pairwise(spec: GameSpec, profile, firm_i: int, firm_j: int) -> np.ndarray:
     if firm_i == firm_j:
         raise DomainError("pairwise matrix needs two distinct firms")
-    return np.vstack(
-        [
-            signal_matrix_individual(spec, profile, firm_i),
-            signal_matrix_individual(spec, profile, firm_j),
-        ]
-    )
+    r = validate_profile(spec, profile)
+    return _action_rows(r, (firm_i, firm_j), spec.m_alpha, spec.m_epsilon)
 
 
 def pairwise_full_rank(spec: GameSpec, profile, firm_i: int, firm_j: int) -> ConditionReport:

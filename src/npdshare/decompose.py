@@ -20,6 +20,10 @@ constraints are verified as slack inequalities instead, with an LP
 feasibility fallback.  Underdetermined systems are resolved by pinning
 gamma_bar at the all-ones signal to zero and taking the minimum-norm
 solution.
+
+``solve_enforceability`` builds the orthogonality, consistency and
+deviation rows once per call; the equality solve, the orthogonal
+feasibility LP and the general LP each stack a subset of those rows.
 """
 
 from __future__ import annotations
@@ -123,7 +127,6 @@ def solve_enforceability(
     direction,
     orthogonal: bool = True,
     target=None,
-    pin_signal: int | None = None,
 ) -> EnforceabilityResult:
     """Solve for a continuation map enforcing ``profile`` on ``direction``.
 
@@ -140,56 +143,97 @@ def solve_enforceability(
     if not np.any(lam != 0):
         raise DomainError("direction must be nonzero")
     gains = u_dev - u_r
-    profitable = gains > STRICT_TOL
-    if pin_signal is None:
-        pin_signal = s - 1
-    if not 0 <= pin_signal < s:
-        raise DomainError(f"pin signal index {pin_signal} out of range")
+    action = tuple(int(a) for a in r)
 
-    if orthogonal:
-        if target is None:
-            v = u_r.copy()
-        else:
-            v = np.asarray(target, dtype=float)
-            if v.shape != (n,):
-                raise DomainError(f"target payoff must have length {n}")
-        if abs(float(lam @ v) - float(lam @ u_r)) > SOLVE_TOL * max(
-            1.0, float(np.abs(lam @ u_r))
-        ):
-            return _failure(
-                r, lam, v, orthogonal,
-                "target is off the supporting hyperplane lambda.v = lambda.u(r)",
-            )
-        res = _solve_equality(n, s, pi_eq, pi_dev, gains, u_r, u_dev, lam, v,
-                              pin_signal, profitable)
-        if res is not None:
-            gamma, residual, binding = res
+    # One row system over x = gamma_bar.T.ravel() (firm-major blocks of s
+    # signals): orth[b] . x = lambda . gamma_bar(b), cons[i] . x =
+    # E[gamma_bar_i | r] and dev[i] . x = E[gamma_bar_i | dev_i].  The rows
+    # are built by assignment, so every entry outside a block is +0.0.
+    nv = n * s
+    firms = np.arange(n)
+    orth = np.zeros((s, nv))
+    orth.reshape(s, n, s)[np.arange(s), :, np.arange(s)] = lam
+    cons = np.zeros((n, nv))
+    cons.reshape(n, n, s)[firms, firms] = pi_eq
+    dev = np.zeros((n, nv))
+    dev.reshape(n, n, s)[firms, firms] = pi_dev
+    incentives = dev - cons  # incentives @ x <= -gains
+    free = [(None, None)] * nv
+
+    if not orthogonal:
+        res = linprog(
+            c=-(lam[:, None] * pi_eq).ravel(), A_ub=np.vstack([incentives, orth]),
+            b_ub=np.concatenate([-gains, np.zeros(s)]), bounds=free, method="highs",
+        )
+        if not res.success:
+            return _failure(r, lam, None, orthogonal, "no enforceable continuation map")
+        gamma = res.x.reshape(n, s).T
+        return EnforceabilityResult(
+            feasible=True, gamma_bar=gamma,
+            k_star=float(lam @ u_r) - float(res.fun), orthogonal=False,
+            mode="lp_general", action=action, direction=tuple(lam), target=None,
+            binding=_binding(_ic_slacks(pi_eq, pi_dev, gains, gamma)), residual=None,
+        )
+
+    if target is None:
+        v = u_r.copy()
+    else:
+        v = np.asarray(target, dtype=float)
+        if v.shape != (n,):
+            raise DomainError(f"target payoff must have length {n}")
+    if abs(float(lam @ v) - float(lam @ u_r)) > SOLVE_TOL * max(
+        1.0, float(np.abs(lam @ u_r))
+    ):
+        return _failure(
+            r, lam, v, orthogonal,
+            "target is off the supporting hyperplane lambda.v = lambda.u(r)",
+        )
+
+    # Equality solve: profitable deviations bind, the all-ones signal is
+    # pinned.  The tests read "not >" so that NaN residuals and slacks are
+    # accepted here rather than handed to HiGHS, which rejects NaN input.
+    profitable = gains > STRICT_TOL
+    pin = np.zeros((n, nv))
+    pin[firms, firms * s + s - 1] = 1.0
+    a = np.vstack([orth, cons, dev[profitable], pin])
+    rhs = np.concatenate([np.zeros(s), v - u_r, (v - u_dev)[profitable], np.zeros(n)])
+    x, *_ = np.linalg.lstsq(a, rhs, rcond=None)
+    residual = float(np.max(np.abs(a @ x - rhs)))
+    if not residual > SOLVE_TOL * max(1.0, float(np.max(np.abs(rhs)))):
+        gamma = x.reshape(n, s).T
+        slacks = _ic_slacks(pi_eq, pi_dev, gains, gamma)
+        if not np.min(slacks) < -SOLVE_TOL:
             return EnforceabilityResult(
                 feasible=True, gamma_bar=gamma, k_star=float(lam @ v),
-                orthogonal=True, mode="equality", action=tuple(int(a) for a in r),
-                direction=tuple(lam), target=tuple(v), binding=binding,
+                orthogonal=True, mode="equality", action=action,
+                direction=tuple(lam), target=tuple(v), binding=_binding(slacks),
                 residual=residual,
             )
-        gamma = _solve_orthogonal_lp(n, s, pi_eq, pi_dev, gains, u_r, lam, v)
-        if gamma is not None:
-            binding = _binding_flags(n, pi_eq, pi_dev, gains, gamma)
-            return EnforceabilityResult(
-                feasible=True, gamma_bar=gamma, k_star=float(lam @ v),
-                orthogonal=True, mode="lp_feasibility",
-                action=tuple(int(a) for a in r), direction=tuple(lam),
-                target=tuple(v), binding=binding, residual=None,
-            )
-        return _failure(r, lam, v, orthogonal, "orthogonal enforcement infeasible")
 
-    gamma, value = _solve_general_lp(n, s, pi_eq, pi_dev, gains, u_r, lam)
-    if gamma is None:
-        return _failure(r, lam, None, orthogonal, "no enforceable continuation map")
-    binding = _binding_flags(n, pi_eq, pi_dev, gains, gamma)
-    return EnforceabilityResult(
-        feasible=True, gamma_bar=gamma, k_star=float(value), orthogonal=False,
-        mode="lp_general", action=tuple(int(a) for a in r), direction=tuple(lam),
-        target=None, binding=binding, residual=None,
+    res = linprog(
+        c=np.zeros(nv), A_eq=np.vstack([orth, cons]),
+        b_eq=np.concatenate([np.zeros(s), v - u_r]), A_ub=incentives, b_ub=-gains,
+        bounds=free, method="highs",
     )
+    if not res.success:
+        return _failure(r, lam, v, orthogonal, "orthogonal enforcement infeasible")
+    gamma = res.x.reshape(n, s).T
+    return EnforceabilityResult(
+        feasible=True, gamma_bar=gamma, k_star=float(lam @ v), orthogonal=True,
+        mode="lp_feasibility", action=action, direction=tuple(lam),
+        target=tuple(v), binding=_binding(_ic_slacks(pi_eq, pi_dev, gains, gamma)),
+        residual=None,
+    )
+
+
+def _ic_slacks(pi_eq, pi_dev, gains, gamma) -> np.ndarray:
+    return np.array(
+        [float((pi_eq - pi_dev[i]) @ gamma[:, i]) - gains[i] for i in range(len(gains))]
+    )
+
+
+def _binding(slacks) -> tuple[bool, ...]:
+    return tuple(bool(abs(sl) <= SOLVE_TOL) for sl in slacks)
 
 
 def _failure(r, lam, v, orthogonal, reason) -> EnforceabilityResult:
@@ -200,121 +244,6 @@ def _failure(r, lam, v, orthogonal, reason) -> EnforceabilityResult:
         target=None if v is None else tuple(np.asarray(v, dtype=float)),
         binding=None, residual=None, failure_reason=reason,
     )
-
-
-def _solve_equality(n, s, pi_eq, pi_dev, gains, u_r, u_dev, lam, v, pin, profitable):
-    """Pin + minimum-norm solve of the orthogonal equality system.
-
-    Returns (gamma_bar, residual, binding) or None if the system is
-    inconsistent or a slack incentive constraint fails at the solution.
-    """
-    nv = n * s
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    for b in range(s):
-        row = np.zeros(nv)
-        row[np.arange(n) * s + b] = lam
-        rows.append(row)
-        rhs.append(0.0)
-    for i in range(n):
-        row = np.zeros(nv)
-        row[i * s : (i + 1) * s] = pi_eq
-        rows.append(row)
-        rhs.append(v[i] - u_r[i])
-    for i in range(n):
-        if profitable[i]:
-            row = np.zeros(nv)
-            row[i * s : (i + 1) * s] = pi_dev[i]
-            rows.append(row)
-            rhs.append(v[i] - u_dev[i])
-    for i in range(n):
-        row = np.zeros(nv)
-        row[i * s + pin] = 1.0
-        rows.append(row)
-        rhs.append(0.0)
-    a = np.asarray(rows)
-    b_vec = np.asarray(rhs)
-    x, *_ = np.linalg.lstsq(a, b_vec, rcond=None)
-    residual = float(np.max(np.abs(a @ x - b_vec)))
-    if residual > SOLVE_TOL * max(1.0, float(np.max(np.abs(b_vec)))):
-        return None
-    gamma = x.reshape(n, s).T  # (signal, firm)
-    slacks = _ic_slacks(n, pi_eq, pi_dev, gains, gamma)
-    if np.min(slacks) < -SOLVE_TOL:
-        return None
-    binding = tuple(bool(abs(sl) <= SOLVE_TOL) for sl in slacks)
-    return gamma, residual, binding
-
-
-def _ic_slacks(n, pi_eq, pi_dev, gains, gamma):
-    return np.array(
-        [float((pi_eq - pi_dev[i]) @ gamma[:, i]) - gains[i] for i in range(n)]
-    )
-
-
-def _binding_flags(n, pi_eq, pi_dev, gains, gamma):
-    return tuple(bool(abs(sl) <= SOLVE_TOL) for sl in _ic_slacks(n, pi_eq, pi_dev, gains, gamma))
-
-
-def _solve_orthogonal_lp(n, s, pi_eq, pi_dev, gains, u_r, lam, v):
-    """Feasibility LP: orthogonality + consistency equalities, ICs slack."""
-    nv = n * s
-    a_eq = []
-    b_eq = []
-    for b in range(s):
-        row = np.zeros(nv)
-        row[np.arange(n) * s + b] = lam
-        a_eq.append(row)
-        b_eq.append(0.0)
-    for i in range(n):
-        row = np.zeros(nv)
-        row[i * s : (i + 1) * s] = pi_eq
-        a_eq.append(row)
-        b_eq.append(v[i] - u_r[i])
-    a_ub = []
-    b_ub = []
-    for i in range(n):
-        row = np.zeros(nv)
-        row[i * s : (i + 1) * s] = pi_dev[i] - pi_eq
-        a_ub.append(row)
-        b_ub.append(-gains[i])
-    res = linprog(
-        c=np.zeros(nv), A_eq=np.asarray(a_eq), b_eq=np.asarray(b_eq),
-        A_ub=np.asarray(a_ub), b_ub=np.asarray(b_ub),
-        bounds=[(None, None)] * nv, method="highs",
-    )
-    if not res.success:
-        return None
-    return res.x.reshape(n, s).T
-
-
-def _solve_general_lp(n, s, pi_eq, pi_dev, gains, u_r, lam):
-    """max lambda . v subject to incentives and lambda . gamma_bar(b) <= 0."""
-    nv = n * s
-    c = np.zeros(nv)
-    for i in range(n):
-        c[i * s : (i + 1) * s] = -lam[i] * pi_eq
-    a_ub = []
-    b_ub = []
-    for i in range(n):
-        row = np.zeros(nv)
-        row[i * s : (i + 1) * s] = pi_dev[i] - pi_eq
-        a_ub.append(row)
-        b_ub.append(-gains[i])
-    for b in range(s):
-        row = np.zeros(nv)
-        row[np.arange(n) * s + b] = lam
-        a_ub.append(row)
-        b_ub.append(0.0)
-    res = linprog(
-        c=c, A_ub=np.asarray(a_ub), b_ub=np.asarray(b_ub),
-        bounds=[(None, None)] * nv, method="highs",
-    )
-    if not res.success:
-        return None, None
-    gamma = res.x.reshape(n, s).T
-    value = float(lam @ u_r) - float(res.fun)
-    return gamma, value
 
 
 # ---------------------------------------------------------------------------

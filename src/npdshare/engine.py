@@ -30,7 +30,6 @@ from .errors import DiscountTooSmallError, DomainError, ProtocolError
 from .game import GameSpec
 
 REGION_TOL = 1e-9
-RECOMPUTE_TOL = 1e-12
 
 # run_episode draws its uniforms in blocks of this many periods, one rng call
 # per block, so the block holds at most DRAW_CHUNK_PERIODS * N * (N - 1)
@@ -128,24 +127,6 @@ class SignalTrigger(Strategy):
             self._zeros += self._count_zero_bits(public_history[self._seen])
             self._seen += 1
         return 0 if self._zeros >= self.threshold else 1
-
-
-def baseline_strategies() -> dict:
-    """Catalog of the built-in strategy constructors."""
-    return {
-        "always_disclose": AlwaysDisclose,
-        "always_conceal": AlwaysConceal,
-        "signal_trigger": SignalTrigger,
-    }
-
-
-def truthful_report_strategy() -> Strategy:
-    """Cooperative strategy with the truthful-communication rule.
-
-    Every Strategy inherits truthful reporting by default; this helper names
-    the rule for callers that only care about the message protocol.
-    """
-    return AlwaysDisclose()
 
 
 class PromiseAutomaton(Strategy):

@@ -31,12 +31,6 @@ class ProtocolError(NpdShareError):
     """Simulation protocol violated (e.g. message emitted in public mode)."""
 
 
-class EnforceabilityError(NpdShareError):
-    """Raised when a caller requires an enforceable decomposition and none
-    exists.  Solvers normally report infeasibility in their result object;
-    this error is used by paths that cannot proceed without a solution."""
-
-
 class DiscountTooSmallError(NpdShareError):
     """Promise update left the admissible payoff region.
 

@@ -214,10 +214,6 @@ def profile_payoff(spec: GameSpec, profile: Iterable[int]) -> np.ndarray:
     return out
 
 
-def social_welfare(spec: GameSpec, profile: Iterable[int]) -> float:
-    return float(profile_payoff(spec, profile).sum())
-
-
 # ---------------------------------------------------------------------------
 # one-shot classification
 

@@ -37,6 +37,11 @@ def test_numeric_rank_basics():
     m = np.array([[1.0, 2.0], [2.0, 4.0 + 1e-12]])
     assert numeric_rank(m) == 1
     assert numeric_rank(m, tol=1e-15) == 2
+    # a duplicated row adds no rank; zero trailing columns end the scan early
+    assert numeric_rank(np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 5.0], [1.0, 2.0, 3.0]])) == 2
+    tail = np.zeros((3, 6))
+    tail[:, :2] = [[2.0, 1.0], [1.0, 3.0], [4.0, 2.0]]
+    assert numeric_rank(tail) == 2
 
 
 def test_individual_signal_matrix_frozen_rows():

@@ -18,6 +18,7 @@ from npdshare import (
     table2_gamma_bar,
     verify_decomposition,
 )
+from npdshare.decompose import SOLVE_TOL
 from npdshare.errors import DomainError
 from npdshare.geometry import hausdorff_distance_polygons
 
@@ -130,6 +131,29 @@ def test_solver_infeasible_off_hyperplane_target():
 def test_solver_reports_binding_constraints():
     res = solve_enforceability(_spec(), (1, 1), (1.0, 1.0))
     assert res.binding == (True, True)
+
+
+def test_solver_lp_feasibility_when_minimum_norm_breaks_a_slack_incentive(spec2):
+    # At (0, 0) neither deviation pays, so the equality solve binds no
+    # incentive; pushing firm 2's promise to -3 makes its minimum-norm map
+    # break firm 2's slack constraint and the feasibility LP takes over.
+    lam = np.array([1.0, 0.0])
+    target = (0.0, -3.0)
+    res = solve_enforceability(spec2, (0, 0), lam, target=target)
+    assert res.feasible and res.mode == "lp_feasibility"
+    assert verify_decomposition(spec2, target, (0, 0), res.gamma_bar).holds
+    assert np.max(np.abs(res.gamma_bar @ lam)) <= SOLVE_TOL
+    assert res.binding == (False, True)
+
+
+def test_solver_orthogonal_infeasible_falls_back_to_general_lp(spec2):
+    lam = (0.0, 1.0)
+    res = solve_enforceability(spec2, (0, 1), lam)
+    assert not res.feasible
+    assert res.failure_reason == "orthogonal enforcement infeasible"
+    gen = solve_enforceability(spec2, (0, 1), lam, orthogonal=False)
+    assert gen.feasible and gen.mode == "lp_general"
+    assert gen.k_star == pytest.approx(-1.125, abs=TOL)
 
 
 def test_verify_decomposition_accepts_solver_output():
