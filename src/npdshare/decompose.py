@@ -190,8 +190,8 @@ def solve_enforceability(
         )
 
     # Equality solve: profitable deviations bind, the all-ones signal is
-    # pinned.  The tests read "not >" so that NaN residuals and slacks are
-    # accepted here rather than handed to HiGHS, which rejects NaN input.
+    # pinned.  Both comparisons read "not >" so that NaN residuals and slacks
+    # are accepted here rather than handed to HiGHS, which rejects NaN input.
     profitable = gains > STRICT_TOL
     pin = np.zeros((n, nv))
     pin[firms, firms * s + s - 1] = 1.0
