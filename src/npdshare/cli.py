@@ -55,6 +55,8 @@ def _parse_vector(text: str, name: str, length: int | None = None):
         vec = tuple(float(part) for part in text.split(","))
     except ValueError:
         raise _UsageError(f"--{name} must be comma-separated numbers, got {text!r}")
+    if not all(math.isfinite(x) for x in vec):
+        raise _UsageError(f"--{name} must be finite numbers, got {text!r}")
     if length is not None and len(vec) != length:
         raise _UsageError(f"--{name} must have {length} components, got {len(vec)}")
     return vec

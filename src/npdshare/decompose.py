@@ -21,9 +21,17 @@ feasibility fallback.  Underdetermined systems are resolved by pinning
 gamma_bar at the all-ones signal to zero and taking the minimum-norm
 solution.
 
-``solve_enforceability`` builds the orthogonality, consistency and
-deviation rows once per call; the equality solve, the orthogonal
-feasibility LP and the general LP each stack a subset of those rows.
+What no direction changes is built once per spec: for each of the 2^N
+pure profiles r, one private table holds r's N + 1 public signal
+distributions (r and its N unilateral deviations), the stage payoffs, the
+deviation gains, and the consistency, deviation and pin rows of the
+constraint system.  ``k_star``, ``ppe_payoff_set`` and
+``PromiseDecomposition`` build the 2^N tables once and pass them down;
+``solve_enforceability`` and ``verify_decomposition`` build the one table
+they need.  Per direction only the orthogonality rows (one block, shared by
+every profile) and the right-hand sides are built.  The equality solve, the
+orthogonal feasibility LP and the general LP each stack a subset of these
+rows.
 """
 
 from __future__ import annotations
@@ -105,7 +113,30 @@ class EnforceabilityResult:
     failure_reason: str | None = None
 
 
-def _profile_context(spec: GameSpec, profile):
+@dataclass(frozen=True)
+class _ProfileTable:
+    """Everything about one pure profile r that no direction changes.
+
+    The row blocks act on x = gamma_bar.T.ravel() (firm-major blocks of s
+    signals): cons[i] . x = E[gamma_bar_i | r] and dev[i] . x =
+    E[gamma_bar_i | dev_i].  ``lower`` stacks [cons; dev[profitable]; pin],
+    the rows of the equality system below the orthogonality rows.  Rows are
+    built by assignment, so every entry outside a block is +0.0.
+    """
+
+    action: tuple[int, ...]
+    pi_eq: np.ndarray  # (s,)
+    u_r: np.ndarray  # (n,)
+    pi_dev: np.ndarray  # (n, s): row i is firm i's unilateral deviation
+    u_dev: np.ndarray  # (n,)
+    gains: np.ndarray  # u_dev - u_r
+    profitable: np.ndarray  # gains > STRICT_TOL: these deviations bind
+    cons: np.ndarray  # (n, n s)
+    incentives: np.ndarray  # dev - cons; incentives @ x <= -gains
+    lower: np.ndarray
+
+
+def _profile_table(spec: GameSpec, profile) -> _ProfileTable:
     r = validate_profile(spec, profile)
     n = spec.n_firms
     s = 2**n
@@ -118,7 +149,50 @@ def _profile_context(spec: GameSpec, profile):
         d[i] = 1 - d[i]
         pi_dev[i] = public_profile_distribution_raw(d, spec.m_alpha, spec.m_epsilon)
         u_dev[i] = profile_payoff(spec, d)[i]
-    return r, n, s, pi_eq, u_r, pi_dev, u_dev
+    gains = u_dev - u_r
+    profitable = gains > STRICT_TOL
+    nv = n * s
+    firms = np.arange(n)
+    cons = np.zeros((n, nv))
+    cons.reshape(n, n, s)[firms, firms] = pi_eq
+    dev = np.zeros((n, nv))
+    dev.reshape(n, n, s)[firms, firms] = pi_dev
+    pin = np.zeros((n, nv))
+    pin[firms, firms * s + s - 1] = 1.0
+    return _ProfileTable(
+        action=tuple(int(a) for a in r), pi_eq=pi_eq, u_r=u_r, pi_dev=pi_dev,
+        u_dev=u_dev, gains=gains, profitable=profitable, cons=cons,
+        incentives=dev - cons, lower=np.vstack([cons, dev[profitable], pin]),
+    )
+
+
+def _profile_tables(spec: GameSpec) -> dict[tuple[int, ...], _ProfileTable]:
+    """The tables of all 2^N pure profiles, in ``all_profiles`` order."""
+    if spec.n_firms > K_STAR_MAX_FIRMS:
+        raise CapacityError(
+            f"k_star enumerates 2^N profiles and is capped at N <= {K_STAR_MAX_FIRMS}"
+        )
+    return {r: _profile_table(spec, r) for r in all_profiles(spec.n_firms)}
+
+
+def _direction(direction, n: int) -> np.ndarray:
+    lam = np.asarray(direction, dtype=float)
+    if lam.shape != (n,):
+        raise DomainError(f"direction must have length {n}")
+    if not np.any(lam != 0):
+        raise DomainError("direction must be nonzero")
+    if not np.all(np.isfinite(lam)):
+        raise DomainError(f"direction must be finite, got {lam.tolist()}")
+    return lam
+
+
+def _orth_rows(lam: np.ndarray) -> np.ndarray:
+    """orth[b] . x = lambda . gamma_bar(b); the same rows for every profile."""
+    n = len(lam)
+    s = 2**n
+    orth = np.zeros((s, n * s))
+    orth.reshape(s, n, s)[np.arange(s), :, np.arange(s)] = lam
+    return orth
 
 
 def solve_enforceability(
@@ -134,101 +208,99 @@ def solve_enforceability(
     the level k* = lambda . u(r) when feasible; ``target`` selects which
     payoff on that hyperplane the consistency equalities hit (default
     u(r)).  General mode relaxes to lambda . gamma_bar(b) <= 0 and
-    maximizes the supported level by LP.
+    maximizes the supported level by LP.  A non-finite direction or target
+    raises DomainError.
     """
-    r, n, s, pi_eq, u_r, pi_dev, u_dev = _profile_context(spec, profile)
-    lam = np.asarray(direction, dtype=float)
-    if lam.shape != (n,):
-        raise DomainError(f"direction must have length {n}")
-    if not np.any(lam != 0):
-        raise DomainError("direction must be nonzero")
-    gains = u_dev - u_r
-    action = tuple(int(a) for a in r)
-
-    # One row system over x = gamma_bar.T.ravel() (firm-major blocks of s
-    # signals): orth[b] . x = lambda . gamma_bar(b), cons[i] . x =
-    # E[gamma_bar_i | r] and dev[i] . x = E[gamma_bar_i | dev_i].  The rows
-    # are built by assignment, so every entry outside a block is +0.0.
-    nv = n * s
-    firms = np.arange(n)
-    orth = np.zeros((s, nv))
-    orth.reshape(s, n, s)[np.arange(s), :, np.arange(s)] = lam
-    cons = np.zeros((n, nv))
-    cons.reshape(n, n, s)[firms, firms] = pi_eq
-    dev = np.zeros((n, nv))
-    dev.reshape(n, n, s)[firms, firms] = pi_dev
-    incentives = dev - cons  # incentives @ x <= -gains
-    free = [(None, None)] * nv
-
-    if not orthogonal:
-        res = linprog(
-            c=-(lam[:, None] * pi_eq).ravel(), A_ub=np.vstack([incentives, orth]),
-            b_ub=np.concatenate([-gains, np.zeros(s)]), bounds=free, method="highs",
-        )
-        if not res.success:
-            return _failure(r, lam, None, orthogonal, "no enforceable continuation map")
-        gamma = res.x.reshape(n, s).T
-        return EnforceabilityResult(
-            feasible=True, gamma_bar=gamma,
-            k_star=float(lam @ u_r) - float(res.fun), orthogonal=False,
-            mode="lp_general", action=action, direction=tuple(lam), target=None,
-            binding=_binding(_ic_slacks(pi_eq, pi_dev, gains, gamma)), residual=None,
-        )
-
-    if target is None:
-        v = u_r.copy()
-    else:
+    table = _profile_table(spec, profile)
+    n = spec.n_firms
+    lam = _direction(direction, n)
+    v = None
+    if orthogonal and target is not None:
         v = np.asarray(target, dtype=float)
         if v.shape != (n,):
             raise DomainError(f"target payoff must have length {n}")
-    if abs(float(lam @ v) - float(lam @ u_r)) > SOLVE_TOL * max(
-        1.0, float(np.abs(lam @ u_r))
+        if not np.all(np.isfinite(v)):
+            raise DomainError(f"target payoff must be finite, got {v.tolist()}")
+    return _solve(table, lam, _orth_rows(lam), orthogonal, v)
+
+
+def _solve(
+    t: _ProfileTable, lam: np.ndarray, orth: np.ndarray, orthogonal: bool, target
+) -> EnforceabilityResult:
+    """Enforce t's profile on lam; ``orth`` is ``_orth_rows(lam)`` and
+    ``target`` a checked payoff array or None."""
+    n, s = len(t.u_r), len(t.pi_eq)
+    free = [(None, None)] * (n * s)
+
+    if not orthogonal:
+        res = linprog(
+            c=-(lam[:, None] * t.pi_eq).ravel(), A_ub=np.vstack([t.incentives, orth]),
+            b_ub=np.concatenate([-t.gains, np.zeros(s)]), bounds=free, method="highs",
+        )
+        if not res.success:
+            return _failure(
+                t.action, lam, None, orthogonal, "no enforceable continuation map"
+            )
+        gamma = res.x.reshape(n, s).T
+        return EnforceabilityResult(
+            feasible=True, gamma_bar=gamma,
+            k_star=float(lam @ t.u_r) - float(res.fun), orthogonal=False,
+            mode="lp_general", action=t.action, direction=tuple(lam), target=None,
+            binding=_binding(_ic_slacks(t, gamma)), residual=None,
+        )
+
+    v = t.u_r.copy() if target is None else target
+    if abs(float(lam @ v) - float(lam @ t.u_r)) > SOLVE_TOL * max(
+        1.0, float(np.abs(lam @ t.u_r))
     ):
         return _failure(
-            r, lam, v, orthogonal,
+            t.action, lam, v, orthogonal,
             "target is off the supporting hyperplane lambda.v = lambda.u(r)",
         )
 
     # Equality solve: profitable deviations bind, the all-ones signal is
     # pinned.  Both comparisons read "not >" so that NaN residuals and slacks
     # are accepted here rather than handed to HiGHS, which rejects NaN input.
-    profitable = gains > STRICT_TOL
-    pin = np.zeros((n, nv))
-    pin[firms, firms * s + s - 1] = 1.0
-    a = np.vstack([orth, cons, dev[profitable], pin])
-    rhs = np.concatenate([np.zeros(s), v - u_r, (v - u_dev)[profitable], np.zeros(n)])
+    a = np.vstack([orth, t.lower])
+    rhs = np.concatenate(
+        [np.zeros(s), v - t.u_r, (v - t.u_dev)[t.profitable], np.zeros(n)]
+    )
     x, *_ = np.linalg.lstsq(a, rhs, rcond=None)
     residual = float(np.max(np.abs(a @ x - rhs)))
     if not residual > SOLVE_TOL * max(1.0, float(np.max(np.abs(rhs)))):
         gamma = x.reshape(n, s).T
-        slacks = _ic_slacks(pi_eq, pi_dev, gains, gamma)
+        slacks = _ic_slacks(t, gamma)
         if not np.min(slacks) < -SOLVE_TOL:
             return EnforceabilityResult(
                 feasible=True, gamma_bar=gamma, k_star=float(lam @ v),
-                orthogonal=True, mode="equality", action=action,
+                orthogonal=True, mode="equality", action=t.action,
                 direction=tuple(lam), target=tuple(v), binding=_binding(slacks),
                 residual=residual,
             )
 
     res = linprog(
-        c=np.zeros(nv), A_eq=np.vstack([orth, cons]),
-        b_eq=np.concatenate([np.zeros(s), v - u_r]), A_ub=incentives, b_ub=-gains,
+        c=np.zeros(n * s), A_eq=np.vstack([orth, t.cons]),
+        b_eq=np.concatenate([np.zeros(s), v - t.u_r]), A_ub=t.incentives, b_ub=-t.gains,
         bounds=free, method="highs",
     )
     if not res.success:
-        return _failure(r, lam, v, orthogonal, "orthogonal enforcement infeasible")
+        return _failure(
+            t.action, lam, v, orthogonal, "orthogonal enforcement infeasible"
+        )
     gamma = res.x.reshape(n, s).T
     return EnforceabilityResult(
         feasible=True, gamma_bar=gamma, k_star=float(lam @ v), orthogonal=True,
-        mode="lp_feasibility", action=action, direction=tuple(lam),
-        target=tuple(v), binding=_binding(_ic_slacks(pi_eq, pi_dev, gains, gamma)),
-        residual=None,
+        mode="lp_feasibility", action=t.action, direction=tuple(lam),
+        target=tuple(v), binding=_binding(_ic_slacks(t, gamma)), residual=None,
     )
 
 
-def _ic_slacks(pi_eq, pi_dev, gains, gamma) -> np.ndarray:
+def _ic_slacks(t: _ProfileTable, gamma) -> np.ndarray:
     return np.array(
-        [float((pi_eq - pi_dev[i]) @ gamma[:, i]) - gains[i] for i in range(len(gains))]
+        [
+            float((t.pi_eq - t.pi_dev[i]) @ gamma[:, i]) - t.gains[i]
+            for i in range(len(t.gains))
+        ]
     )
 
 
@@ -236,12 +308,11 @@ def _binding(slacks) -> tuple[bool, ...]:
     return tuple(bool(abs(sl) <= SOLVE_TOL) for sl in slacks)
 
 
-def _failure(r, lam, v, orthogonal, reason) -> EnforceabilityResult:
+def _failure(action, lam, v, orthogonal, reason) -> EnforceabilityResult:
     return EnforceabilityResult(
         feasible=False, gamma_bar=None, k_star=None, orthogonal=orthogonal,
         mode="equality" if orthogonal else "lp_general",
-        action=tuple(int(a) for a in r), direction=tuple(np.asarray(lam, dtype=float)),
-        target=None if v is None else tuple(np.asarray(v, dtype=float)),
+        action=action, direction=tuple(lam), target=None if v is None else tuple(v),
         binding=None, residual=None, failure_reason=reason,
     )
 
@@ -269,19 +340,23 @@ def k_star(spec: GameSpec, direction) -> KStarResult:
     lexicographically smallest profile.  The direction is used as given:
     the supported level is positively homogeneous in lambda, so rescaling
     the direction rescales k* but leaves the half-space and the
-    continuation-map structure unchanged.
+    continuation-map structure unchanged.  A non-finite direction raises
+    DomainError.
     """
-    if spec.n_firms > K_STAR_MAX_FIRMS:
-        raise CapacityError(
-            f"k_star enumerates 2^N profiles and is capped at N <= {K_STAR_MAX_FIRMS}"
-        )
-    lam = np.asarray(direction, dtype=float)
+    tables = _profile_tables(spec)
+    lam = _direction(direction, spec.n_firms)
+    return _best_level(tables, lam, _orth_rows(lam))
+
+
+def _best_level(
+    tables: dict[tuple[int, ...], _ProfileTable], lam: np.ndarray, orth: np.ndarray
+) -> KStarResult:
     per: dict[tuple[int, ...], float] = {}
     maps: dict[tuple[int, ...], EnforceabilityResult] = {}
-    for r in all_profiles(spec.n_firms):
-        res = solve_enforceability(spec, r, lam, orthogonal=True)
+    for r, t in tables.items():
+        res = _solve(t, lam, orth, True, None)
         if not res.feasible:
-            res = solve_enforceability(spec, r, lam, orthogonal=False)
+            res = _solve(t, lam, orth, False, None)
         if res.feasible:
             per[r] = float(res.k_star)
             maps[r] = res
@@ -360,10 +435,11 @@ def ppe_payoff_set(spec: GameSpec, n_directions: int = 360) -> PayoffSetApprox:
         dirs = _circle_directions(n_directions)
     else:
         dirs = _sphere_directions(n_directions, spec.n_firms)
+    tables = _profile_tables(spec)
     ks = np.empty(n_directions)
     best: list[tuple[int, ...]] = []
     for idx in range(n_directions):
-        res = k_star(spec, dirs[idx])
+        res = _best_level(tables, dirs[idx], _orth_rows(dirs[idx]))
         ks[idx] = res.value
         best.append(res.best_profile)
     if spec.n_firms != 2:
@@ -414,7 +490,9 @@ def verify_decomposition(
         delta = spec.delta
     if not (0 < delta < 1):
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    r, n, s, pi_eq, u_r, pi_dev, u_dev = _profile_context(spec, profile)
+    t = _profile_table(spec, profile)
+    n, s = spec.n_firms, 2**spec.n_firms
+    pi_eq, u_r, pi_dev, u_dev = t.pi_eq, t.u_r, t.pi_dev, t.u_dev
     v = np.asarray(v, dtype=float)
     gamma_bar = np.asarray(gamma_bar, dtype=float)
     if gamma_bar.shape != (s, n):
@@ -445,15 +523,18 @@ class PromiseDecomposition:
 
     The orthogonal equality system is linear in the target payoff, so the
     pinned minimum-norm solution is an affine function of the displacement
-    d = v - u(r*).  The family is assembled from one base solve plus one
-    solve per hyperplane basis vector; displacements off the hyperplane are
-    absorbed by a constant shift (allowed in the half-space since
-    lambda . d <= 0 there).
+    d = v - u(r*).  The family is assembled from the base map k* already
+    solved at u(r*) plus one solve per hyperplane basis vector, all on one
+    set of profile tables; displacements off the hyperplane are absorbed by
+    a constant shift (allowed in the half-space since lambda . d <= 0
+    there).
     """
 
     def __init__(self, spec: GameSpec, direction):
-        lam = np.asarray(direction, dtype=float)
-        ks = k_star(spec, lam)
+        tables = _profile_tables(spec)
+        lam = _direction(direction, spec.n_firms)
+        orth = _orth_rows(lam)
+        ks = _best_level(tables, lam, orth)
         self.spec = spec
         self.direction = lam
         self.k_star = ks.value
@@ -463,19 +544,15 @@ class PromiseDecomposition:
                 "promise decomposition requires an orthogonally enforceable "
                 "best profile for the chosen direction"
             )
-        base = solve_enforceability(spec, self.action, lam, orthogonal=True)
-        if not base.feasible:
-            raise DomainError("base decomposition unexpectedly infeasible")
-        self.u_r = profile_payoff(spec, self.action)
-        self.gamma_base = base.gamma_bar  # (S, N)
+        table = tables[self.action]
+        self.u_r = table.u_r
+        self.gamma_base = ks.best_map.gamma_bar  # (S, N): k*'s orthogonal map at u(r*)
         n = spec.n_firms
         lam_unit = lam / np.linalg.norm(lam)
         basis = _hyperplane_basis(lam_unit)
         shifts = []
         for e in basis:
-            res = solve_enforceability(
-                spec, self.action, lam, orthogonal=True, target=self.u_r + e
-            )
+            res = _solve(table, lam, orth, True, self.u_r + e)
             if not res.feasible:
                 raise DomainError("displacement decomposition infeasible")
             shifts.append(res.gamma_bar - self.gamma_base)

@@ -121,6 +121,36 @@ def test_decompose_wrong_arity_exits_two(spec2_file, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("lam", ["inf,1", "nan,1"])
+def test_decompose_non_finite_lambda_exits_two(spec2_file, lam):
+    # A subprocess with a timeout: an infinite direction used to spin in
+    # LAPACK instead of returning.
+    proc = subprocess.run(
+        [sys.executable, "-m", "npdshare.cli", "decompose", "--spec", spec2_file,
+         f"--lambda={lam}"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "--lambda must be finite numbers" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "extra", [["--direction", "nan,1"], ["--v0", "1,nan"]], ids=["direction", "v0"]
+)
+def test_simulate_non_finite_vectors_exit_two(spec2_file, capsys, extra):
+    code, out, err = run_cli(
+        ["simulate", "--spec", spec2_file, "--strategy", "promise", "--T", "5",
+         *extra],
+        capsys,
+    )
+    assert code == 2
+    assert "must be finite numbers" in err
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # payoffset
 

@@ -20,6 +20,7 @@ from npdshare import (
 )
 from npdshare.decompose import SOLVE_TOL
 from npdshare.errors import DomainError
+from npdshare.game import all_profiles
 from npdshare.geometry import hausdorff_distance_polygons
 
 TOL = 1e-9
@@ -379,3 +380,120 @@ def test_promise_family_perpendicular_shift_is_rigid():
     g0 = pd.gamma_bar_for(pd.u_r)
     g1 = pd.gamma_bar_for(pd.u_r + lam_unit)
     assert np.allclose(g1 - g0, np.tile(lam_unit, (4, 1)), atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# non-finite inputs
+
+
+@pytest.mark.parametrize(
+    "direction", [(np.inf, 1.0), (np.nan, 1.0)], ids=["inf", "nan"]
+)
+def test_solver_rejects_non_finite_direction(spec2, direction):
+    with pytest.raises(DomainError, match="finite"):
+        solve_enforceability(spec2, (1, 1), direction)
+    with pytest.raises(DomainError, match="finite"):
+        solve_enforceability(spec2, (1, 1), direction, orthogonal=False)
+    with pytest.raises(DomainError, match="finite"):
+        k_star(spec2, direction)
+
+
+def test_solver_rejects_non_finite_target(spec2):
+    with pytest.raises(DomainError, match="finite"):
+        solve_enforceability(spec2, (1, 1), (1.0, 0.0), target=(np.nan, 2.0))
+
+
+# ---------------------------------------------------------------------------
+# spec-level profile tables
+
+
+def _random_specs(n, count, seed):
+    rng_ = np.random.default_rng(seed)
+    for _ in range(count):
+        yield GameSpec(
+            n, LinearGain(float(rng_.uniform(1.5, 4.0))), float(rng_.uniform(0.5, 2.0)),
+            float(rng_.uniform(0.6, 0.95)), float(rng_.uniform(0.05, 0.4)), 0.9,
+            monitor_alpha=float(rng_.uniform(0.6, 0.95)),
+            monitor_epsilon=float(rng_.uniform(0.05, 0.4)),
+        )
+
+
+def _test_directions(n, count, seed):
+    """Gaussian directions, coordinate directions of both signs and
+    directions with one zero component."""
+    rng_ = np.random.default_rng(seed)
+    dirs = [rng_.standard_normal(n) for _ in range(count)]
+    dirs += [sign * np.eye(n)[i] for i in range(n) for sign in (1.0, -1.0)]
+    for _ in range(count):
+        lam = rng_.standard_normal(n)
+        lam[rng_.integers(n)] = 0.0
+        dirs.append(lam)
+    return dirs
+
+
+def _fresh_solve(spec, r, lam):
+    res = solve_enforceability(spec, r, lam, orthogonal=True)
+    if not res.feasible:
+        res = solve_enforceability(spec, r, lam, orthogonal=False)
+    return res
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_k_star_tables_match_fresh_public_solves_bitwise(n):
+    for spec in _random_specs(n, 2, seed=100 + n):
+        for lam in _test_directions(n, 3, seed=200 + n):
+            ks = k_star(spec, lam)
+            for r in all_profiles(n):
+                fresh = _fresh_solve(spec, r, lam)
+                if not fresh.feasible:
+                    assert r not in ks.per_profile
+                    continue
+                assert np.float64(ks.per_profile[r]).tobytes() == (
+                    np.float64(fresh.k_star).tobytes()
+                )
+                if r == ks.best_profile:
+                    best = ks.best_map
+                    assert best.gamma_bar.tobytes() == fresh.gamma_bar.tobytes()
+                    assert (best.mode, best.binding, best.residual) == (
+                        fresh.mode, fresh.binding, fresh.residual,
+                    )
+
+
+@pytest.mark.parametrize("n,n_directions", [(2, 24), (3, 16)])
+def test_payoff_set_levels_match_k_star_loop_bitwise(n, n_directions):
+    spec = next(_random_specs(n, 1, seed=300 + n))
+    approx = ppe_payoff_set(spec, n_directions)
+    looped = [k_star(spec, lam) for lam in approx.directions]
+    levels = np.array([ks.value for ks in looped])
+    assert approx.k_values.tobytes() == levels.tobytes()
+    assert approx.best_profiles == tuple(ks.best_profile for ks in looped)
+
+
+def _count_distribution_builds(monkeypatch):
+    from npdshare import decompose
+
+    calls = []
+    inner = decompose.public_profile_distribution_raw
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(decompose, "public_profile_distribution_raw", counting)
+    return calls
+
+
+def test_payoff_set_builds_each_distribution_once(monkeypatch, spec2, spec3):
+    # 2^N profiles x (N + 1) distributions, however many directions.
+    calls = _count_distribution_builds(monkeypatch)
+    ppe_payoff_set(spec2, 360)
+    assert len(calls) == 4 * 3
+    calls.clear()
+    ppe_payoff_set(spec3, 32)
+    assert len(calls) == 8 * 4
+
+
+def test_promise_setup_builds_each_distribution_once(monkeypatch):
+    calls = _count_distribution_builds(monkeypatch)
+    PromiseDecomposition(_spec(delta=0.99), (1.0, 1.0))
+    assert len(calls) == 4 * 3
