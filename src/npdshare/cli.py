@@ -7,13 +7,15 @@ codes: 0 success / all requested checks hold, 1 analysis negative (a check
 fails, an enforceability problem is infeasible, a simulated discount is too
 small), 2 usage or parse error.
 
-Seed resolution: ``--seed`` flag, else the spec file's ``seed`` field, else
-the NPDSHARE_SEED environment variable, else 0.
+Only ``simulate`` draws random numbers.  Its seed resolves from the
+``--seed`` flag, else the spec file's ``seed`` field, else the NPDSHARE_SEED
+environment variable, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import os
@@ -37,9 +39,8 @@ from .engine import (
     monte_carlo,
     monte_carlo_promise,
     run_episode,
-    write_trace_csv,
 )
-from .errors import DiscountTooSmallError, DomainError, NpdShareError
+from .errors import DomainError, NpdShareError
 from .game import check_assumptions, extreme_profiles, profile_payoff
 from .specfile import MAX_SEED, load_game_spec
 
@@ -102,14 +103,14 @@ def _resolve_seed(args, loaded) -> int:
     return seed
 
 
-def _open_out(args):
-    if args.out:
-        return open(args.out, "w", newline="", encoding="utf-8")
-    return None
-
-
-def _print(out, text: str) -> None:
-    (out or sys.stdout).write(text)
+@contextlib.contextmanager
+def _output(args):
+    """Yield the machine-output stream: the ``--out`` file, else stdout."""
+    if not args.out:
+        yield sys.stdout
+        return
+    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+        yield fh
 
 
 # ---------------------------------------------------------------------------
@@ -117,56 +118,41 @@ def _print(out, text: str) -> None:
 
 
 def cmd_check(args) -> int:
-    loaded = load_game_spec(args.spec)
-    spec = loaded.spec
-    out = _open_out(args)
-    try:
-        blocks = []
-        report = check_assumptions(spec)
-        blocks.append(report.to_text())
-        ok = report.a1_holds and report.a2prime_holds
-        theorems = ("flm", "km") if args.theorem == "both" else (args.theorem,)
-        for name in theorems:
-            tp = theorem_preconditions(spec, name)
-            blocks.append(tp.to_text())
-            ok = ok and tp.holds
-        _print(out, "\n\n".join(blocks) + "\n")
-        print(
-            f"check: assumptions and {'/'.join(theorems)} preconditions "
-            f"{'hold' if ok else 'FAIL'} for N={spec.n_firms}",
-            file=sys.stderr,
-        )
-        return 0 if ok else 1
-    finally:
-        if out:
-            out.close()
+    spec = load_game_spec(args.spec).spec
+    report = check_assumptions(spec)
+    blocks = [report.to_text()]
+    ok = report.a1_holds and report.a2prime_holds
+    theorems = ("flm", "km") if args.theorem == "both" else (args.theorem,)
+    for name in theorems:
+        tp = theorem_preconditions(spec, name)
+        blocks.append(tp.to_text())
+        ok = ok and tp.holds
+    with _output(args) as fh:
+        fh.write("\n\n".join(blocks) + "\n")
+    print(
+        f"check: assumptions and {'/'.join(theorems)} preconditions "
+        f"{'hold' if ok else 'FAIL'} for N={spec.n_firms}",
+        file=sys.stderr,
+    )
+    return 0 if ok else 1
 
 
 def cmd_rank(args) -> int:
-    loaded = load_game_spec(args.spec)
-    spec = loaded.spec
-    out = _open_out(args)
-    try:
-        blocks = []
-        ok = True
-        for rep in rank_reports(spec, extreme_profiles(spec)):
-            blocks.append(rep.to_text())
-            ok = ok and rep.holds
-        _print(out, "\n\n".join(blocks) + "\n")
-        print(
-            f"rank: individual and pairwise full-rank conditions "
-            f"{'hold' if ok else 'FAIL'} for N={spec.n_firms}",
-            file=sys.stderr,
-        )
-        return 0 if ok else 1
-    finally:
-        if out:
-            out.close()
+    spec = load_game_spec(args.spec).spec
+    reports = list(rank_reports(spec, extreme_profiles(spec)))
+    ok = all(rep.holds for rep in reports)
+    with _output(args) as fh:
+        fh.write("\n\n".join(rep.to_text() for rep in reports) + "\n")
+    print(
+        f"rank: individual and pairwise full-rank conditions "
+        f"{'hold' if ok else 'FAIL'} for N={spec.n_firms}",
+        file=sys.stderr,
+    )
+    return 0 if ok else 1
 
 
 def cmd_decompose(args) -> int:
-    loaded = load_game_spec(args.spec)
-    spec = loaded.spec
+    spec = load_game_spec(args.spec).spec
     n = spec.n_firms
     direction = _parse_vector(args.direction, "lambda", n)
     action = (
@@ -182,17 +168,12 @@ def cmd_decompose(args) -> int:
             file=sys.stderr,
         )
         return 1
-    out = _open_out(args)
-    try:
-        fh = out or sys.stdout
+    with _output(args) as fh:
         fh.write("# signal_index encodes the public bit vector with LSB = firm 1\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["signal_index"] + [f"gamma_bar_{i + 1}" for i in range(n)])
         for b in range(2**n):
             writer.writerow([b] + [repr(float(x)) for x in res.gamma_bar[b]])
-    finally:
-        if out:
-            out.close()
     print(
         f"decompose: k*={res.k_star!r} at action={action}, mode={res.mode}, "
         f"binding={list(res.binding)}",
@@ -202,17 +183,14 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_payoffset(args) -> int:
-    loaded = load_game_spec(args.spec)
-    spec = loaded.spec
+    spec = load_game_spec(args.spec).spec
     if args.directions < 8:
         raise _UsageError(f"--directions must be >= 8, got {args.directions}")
     approx = ppe_payoff_set(spec, n_directions=args.directions)
     if args.halfspaces:
         with open(args.halfspaces, "w", newline="", encoding="utf-8") as fh:
             _write_halfspaces(fh, approx, spec.n_firms)
-    out = _open_out(args)
-    try:
-        fh = out or sys.stdout
+    with _output(args) as fh:
         if approx.vertices is None:
             _write_halfspaces(fh, approx, spec.n_firms)
         else:
@@ -221,14 +199,10 @@ def cmd_payoffset(args) -> int:
             writer.writerow(["v_1", "v_2"])
             for v in approx.vertices:
                 writer.writerow([repr(float(v[0])), repr(float(v[1]))])
-    finally:
-        if out:
-            out.close()
-    n_vertices = 0 if approx.vertices is None else len(approx.vertices)
     print(
         f"payoffset: {args.directions} directions, "
         + (
-            f"{n_vertices} polygon vertices"
+            f"{len(approx.vertices)} polygon vertices"
             if approx.vertices is not None
             else "half-space list (no polygon for N > 2)"
         )
@@ -251,7 +225,7 @@ def _write_halfspaces(fh, approx, n: int) -> None:
         )
 
 
-def _make_strategy(name: str, spec):
+def _make_strategy(name: str):
     if name == "always_disclose":
         return lambda: AlwaysDisclose()
     if name == "always_conceal":
@@ -291,24 +265,12 @@ def cmd_simulate(args) -> int:
             if args.v0 is None
             else np.asarray(_parse_vector(args.v0, "v0", n))
         )
-        try:
-            if args.replicas == 1:
-                auto = PromiseAutomaton(spec, v0, direction)
-                trace = run_episode(
-                    spec, [auto.clone() for _ in range(n)], args.horizon, seed
-                )
-                _emit_trace(args, trace)
-                print(
-                    f"simulate: promise run, discounted average "
-                    f"{_fmt_vec(trace.discounted_average())}, truncation bias bound "
-                    f"{trace.truncation_bias_bound():.3g}",
-                    file=sys.stderr,
-                )
-                return 0
+        if args.replicas > 1:
             mc = monte_carlo_promise(
                 spec, v0, direction, args.replicas, args.horizon, seed
             )
-            _emit_mc(args, mc)
+            with _output(args) as fh:
+                _write_mc(fh, mc)
             print(
                 f"simulate: promise MC over {mc.replicas} replicas "
                 f"({mc.backend} backend): mean {_fmt_vec(mc.mean)}, stderr "
@@ -317,35 +279,39 @@ def cmd_simulate(args) -> int:
                 file=sys.stderr,
             )
             return 0
-        except DiscountTooSmallError as exc:
-            print(f"simulate: {exc}", file=sys.stderr)
-            return 1
+        auto = PromiseAutomaton(spec, v0, direction)
+        strategies = [auto.clone() for _ in range(n)]
+        label = "promise run, "
+    else:
+        factory = _make_strategy(args.strategy)
+        if args.replicas > 1:
+            mc = monte_carlo(
+                spec,
+                [factory() for _ in range(n)],
+                args.replicas,
+                args.horizon,
+                seed,
+                mode=args.mode,
+            )
+            with _output(args) as fh:
+                _write_mc(fh, mc)
+            print(
+                f"simulate: MC over {mc.replicas} replicas: mean {_fmt_vec(mc.mean)}, "
+                f"stderr {_fmt_vec(mc.stderr)}, truncation bias bound "
+                f"{mc.truncation_bias_bound:.3g}",
+                file=sys.stderr,
+            )
+            return 0
+        strategies = [factory() for _ in range(n)]
+        label = ""
 
-    factory = _make_strategy(args.strategy, spec)
-    if args.replicas == 1:
-        trace = run_episode(
-            spec, [factory() for _ in range(n)], args.horizon, seed, mode=args.mode
-        )
-        _emit_trace(args, trace)
-        print(
-            f"simulate: discounted average {_fmt_vec(trace.discounted_average())}, "
-            f"truncation bias bound {trace.truncation_bias_bound():.3g}",
-            file=sys.stderr,
-        )
-        return 0
-    mc = monte_carlo(
-        spec,
-        [factory() for _ in range(n)],
-        args.replicas,
-        args.horizon,
-        seed,
-        mode=args.mode,
-    )
-    _emit_mc(args, mc)
+    trace = run_episode(spec, strategies, args.horizon, seed, mode=args.mode)
+    with _output(args) as fh:
+        _write_trace(trace, fh)
     print(
-        f"simulate: MC over {mc.replicas} replicas: mean {_fmt_vec(mc.mean)}, "
-        f"stderr {_fmt_vec(mc.stderr)}, truncation bias bound "
-        f"{mc.truncation_bias_bound:.3g}",
+        f"simulate: {label}discounted average "
+        f"{_fmt_vec(trace.discounted_average())}, truncation bias bound "
+        f"{trace.truncation_bias_bound():.3g}",
         file=sys.stderr,
     )
     return 0
@@ -355,31 +321,18 @@ def _fmt_vec(v) -> str:
     return "(" + ", ".join(f"{float(x):.6g}" for x in v) + ")"
 
 
-def _emit_trace(args, trace) -> None:
-    if args.out:
-        write_trace_csv(trace, args.out)
-    else:
-        _write_trace(trace, sys.stdout)
-
-
-def _emit_mc(args, mc) -> None:
-    out = _open_out(args)
-    try:
-        fh = out or sys.stdout
-        writer = csv.writer(fh, lineterminator="\n")
-        n = mc.per_replica.shape[1]
-        header = ["replica"] + [f"payoff_{i + 1}" for i in range(n)]
+def _write_mc(fh, mc) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    n = mc.per_replica.shape[1]
+    header = ["replica"] + [f"payoff_{i + 1}" for i in range(n)]
+    if mc.halt_periods is not None:
+        header.append("halt_period")
+    writer.writerow(header)
+    for r in range(mc.replicas):
+        row = [r] + [repr(float(x)) for x in mc.per_replica[r]]
         if mc.halt_periods is not None:
-            header.append("halt_period")
-        writer.writerow(header)
-        for r in range(mc.replicas):
-            row = [r] + [repr(float(x)) for x in mc.per_replica[r]]
-            if mc.halt_periods is not None:
-                row.append(int(mc.halt_periods[r]))
-            writer.writerow(row)
-    finally:
-        if out:
-            out.close()
+            row.append(int(mc.halt_periods[r]))
+        writer.writerow(row)
 
 
 def cmd_sweep(args) -> int:
@@ -395,22 +348,19 @@ def cmd_sweep(args) -> int:
         raise _UsageError(
             f"--epsilon-grid must lie inside (0, 1/2), got [{epsilons[0]}, {epsilons[-1]}]"
         )
-    out = _open_out(args)
-    try:
-        fh = out or sys.stdout
+    rows = [
+        [repr(float(a)), repr(float(e)), repr(float(args.loss / (e * a * kappa(a, e))))]
+        for a in alphas
+        for e in epsilons
+    ]
+    with _output(args) as fh:
         fh.write(
             "# gamma_bar_1_10: firm 1 continuation reward on signal b=(1,0) at "
             "full disclosure, L/(epsilon*alpha*kappa)\n"
         )
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["alpha", "epsilon", "gamma_bar_1_10"])
-        for a in alphas:
-            for e in epsilons:
-                value = args.loss / (e * a * kappa(a, e))
-                writer.writerow([repr(float(a)), repr(float(e)), repr(float(value))])
-    finally:
-        if out:
-            out.close()
+        writer.writerows(rows)
     print(
         f"sweep: {len(alphas)}x{len(epsilons)} grid, L={args.loss}", file=sys.stderr
     )
@@ -429,10 +379,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, spec_required=True):
-        if spec_required:
-            p.add_argument("--spec", required=True, help="game spec JSON file")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (u63)")
+    def add_common(p):
+        p.add_argument("--spec", required=True, help="game spec JSON file")
         p.add_argument("--out", default=None, help="write machine output to file")
 
     p = sub.add_parser("check", help="stage-game assumptions and folk-theorem preconditions")
@@ -461,6 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run episodes or Monte Carlo")
     add_common(p)
+    p.add_argument("--seed", type=int, default=None, help="RNG seed (u63)")
     p.add_argument("--strategy", required=True,
                    help=f"one of: {', '.join(_STRATEGY_NAMES)}")
     p.add_argument("--T", dest="horizon", type=int, default=1000)
@@ -485,10 +434,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"npdshare {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
+    except (_UsageError, DomainError) as exc:
         print(f"npdshare {args.command}: {exc}", file=sys.stderr)
         return 2
     except NpdShareError as exc:

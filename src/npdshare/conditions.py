@@ -37,6 +37,7 @@ from .errors import ConditionInapplicableError, DomainError
 from .game import (
     GameSpec,
     STRICT_TOL,
+    all_profiles,
     extreme_profiles,
     minmax,
     profile_payoff,
@@ -381,7 +382,7 @@ def check_c3(spec: GameSpec, profile, firm_i: int, firm_j: int) -> ConditionRepo
 
 def _interior_dimension_report(spec: GameSpec) -> ConditionReport:
     pts = np.asarray(
-        [profile_payoff(spec, r) for r in _profiles(spec.n_firms)], dtype=float
+        [profile_payoff(spec, r) for r in all_profiles(spec.n_firms)], dtype=float
     )
     rank = int(np.linalg.matrix_rank(pts - pts.mean(axis=0), tol=1e-9))
     return ConditionReport(
@@ -389,12 +390,6 @@ def _interior_dimension_report(spec: GameSpec) -> ConditionReport:
         holds=rank == spec.n_firms,
         evidence={"affine_dimension": rank, "required": spec.n_firms},
     )
-
-
-def _profiles(n):
-    from .game import all_profiles
-
-    return list(all_profiles(n))
 
 
 def theorem_preconditions(spec: GameSpec, theorem: str) -> ConditionReport:

@@ -337,11 +337,13 @@ def k_star(spec: GameSpec, direction) -> KStarResult:
     Orthogonal enforcement is attempted first (level = lambda . u(r),
     computed exactly); profiles that cannot be orthogonally enforced fall
     back to the general LP.  Ties within SOLVE_TOL go to the
-    lexicographically smallest profile.  The direction is used as given:
-    the supported level is positively homogeneous in lambda, so rescaling
-    the direction rescales k* but leaves the half-space and the
-    continuation-map structure unchanged.  A non-finite direction raises
-    DomainError.
+    lexicographically smallest profile.  The direction is used as given.
+    The tie-break and the solver tolerances are absolute while the levels
+    and the orthogonality rows scale with lambda, so k* is positively
+    homogeneous in lambda only for moderately scaled directions: a very
+    small or very large rescaling can change the best profile or the
+    enforcement mode.  ppe_payoff_set passes unit directions.  A
+    non-finite direction raises DomainError.
     """
     tables = _profile_tables(spec)
     lam = _direction(direction, spec.n_firms)
@@ -565,7 +567,6 @@ class PromiseDecomposition:
         self.affine = np.einsum("bik,kl->bil", tensor, proj) + np.outer(
             lam_unit, lam_unit
         )[None, :, :]
-        self._lam_unit = lam_unit
 
     def gamma_bar_for(self, v) -> np.ndarray:
         """Continuation map for promise v; accumulation order is fixed so the

@@ -413,6 +413,63 @@ def test_sweep_out_file_matches_stdout(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# machine output and flags shared by the subcommands
+
+
+@pytest.mark.parametrize(
+    "spec_fixture, argv",
+    [
+        ("spec2_file", ["check"]),
+        ("spec3_file", ["rank"]),
+        ("spec2_file", ["decompose", "--lambda", "1,1"]),
+        ("spec2_file", ["payoffset", "--directions", "16"]),
+        ("spec3_file", ["payoffset", "--directions", "16"]),
+        ("spec3_file", ["simulate", "--strategy", "signal_trigger:2", "--T", "20",
+                        "--replicas", "2", "--seed", "3"]),
+        ("spec2_file", ["simulate", "--strategy", "promise", "--T", "50",
+                        "--replicas", "2", "--seed", "3"]),
+        (None, ["sweep", "--alpha-grid", "0.6:0.9:3", "--epsilon-grid", "0.1:0.3:3"]),
+    ],
+    ids=["check", "rank", "decompose", "payoffset-polygon", "payoffset-halfspaces",
+         "simulate-mc", "simulate-promise-mc", "sweep"],
+)
+def test_out_file_is_byte_identical_to_stdout(
+    request, capsys, tmp_path, spec_fixture, argv
+):
+    if spec_fixture is not None:
+        argv = argv + ["--spec", request.getfixturevalue(spec_fixture)]
+    code, out, _ = run_cli(argv, capsys)
+    assert out
+    path = tmp_path / "out.txt"
+    code_file, out_file, _ = run_cli(argv + ["--out", str(path)], capsys)
+    assert code_file == code and out_file == ""
+    assert path.read_bytes() == out.encode()
+
+
+def test_decompose_infeasible_writes_no_out_file(spec2_file, capsys, tmp_path):
+    path = tmp_path / "gamma.csv"
+    code, out, err = run_cli(
+        ["decompose", "--spec", spec2_file, "--lambda", "1,0", "--out", str(path)],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    assert "infeasible" in err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check"], ["rank"], ["decompose", "--lambda", "1,1"], ["payoffset"]],
+    ids=lambda argv: argv[0],
+)
+def test_seed_is_rejected_outside_simulate(spec2_file, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--spec", spec2_file, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # entry point
 
 
