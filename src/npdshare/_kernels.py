@@ -8,10 +8,19 @@ v <- v + ((1-delta)/delta) (gamma_base[b] + affine[b] @ (v - u)).
 Replicas that leave the region stop accruing payoff (the halt period is
 recorded), which matches reverting to the all-conceal static equilibrium.
 
-Only replicas still inside the region are carried from period to period, and
-only they draw.  Each draw is addressed by its (period, slot, replica)
-counter, so dropping halted replicas leaves every other draw, and hence
-every replica's trajectory, bit for bit as if it ran alone.
+Replicas are stepped in groups of GROUP_REPLICAS, one group after another.
+A group draws its signals a chunk of periods ahead: one ``uniforms`` call
+reads that many periods from the (slot, replica) stream of every replica
+still inside, and the chunk is turned into uint8 signal indices at once.  A
+chunk holds at most CHUNK_DRAWS uniforms (1 MB of float64); the group size
+is chosen so that at N = 2 a stream covers STREAM_PERIODS periods of it,
+which spreads the generator's per-stream setup over many draws.  Only
+replicas still inside the region are carried from period to period; a
+column map into the chunk is compacted together with them.  Draws are
+addressed by their (period, slot, replica) counter, and the running payoff
+sum is the same sequence in every group, so neither the grouping nor the
+chunking nor dropping halted replicas changes any replica's trajectory: each
+is bit for bit as if it ran alone.
 """
 
 from __future__ import annotations
@@ -19,6 +28,12 @@ from __future__ import annotations
 import numpy as np
 
 from .rng import DOMAIN_PUBLIC, uniforms
+
+# Uniforms per chunk of draws: 2**17 float64 values, 1 MB.
+CHUNK_DRAWS = 2**17
+# Periods a stream covers per chunk at N = 2; fewer at larger N.
+STREAM_PERIODS = 128
+GROUP_REPLICAS = CHUNK_DRAWS // (2 * STREAM_PERIODS)
 
 
 def backend_name() -> str:
@@ -53,37 +68,55 @@ def promise_mc(
         for x in (v0, u_r, p_zero, gamma_base, affine, lam)
     )
     n = v0.shape[0]
-    # Every live replica has accrued the same sum, so one running sum stands
-    # for all of them and is copied out when a replica halts.
-    accrued = np.zeros(n)
     totals = np.zeros((replicas, n))
     halt = np.full(replicas, -1, dtype=np.int64)
-    live = np.arange(replicas)  # indices of the replicas still inside
-    v = np.tile(v0, (replicas, 1))  # their promises, one row per live replica
-    slots = np.arange(n)[:, None]
-    bit_weights = np.int64(1) << np.arange(n)
+    chunk = max(1, CHUNK_DRAWS // (n * GROUP_REPLICAS))
+    slots = np.arange(n)
+    affine_cols = [np.ascontiguousarray(affine[:, :, k]) for k in range(n)]
     c = (1.0 - delta) / delta
-    w = 1.0
-    for t in range(horizon):
-        lamdot = v[:, 0] * lam[0]
-        for k in range(1, n):
-            lamdot = lamdot + v[:, k] * lam[k]
-        viol = (lamdot > k_star + tol) | (np.min(v, axis=1) < -tol)
-        if np.any(viol):
-            halt[live[viol]] = t
-            totals[live[viol]] = accrued
-            live = live[~viol]
-            v = v[~viol]
-            if live.size == 0:
-                break
-        accrued = accrued + w * u_r
-        u = uniforms(seed, DOMAIN_PUBLIC, t, slots, live[None, :])
-        idx = bit_weights @ (u >= p_zero[:, None])
-        d = v - u_r
-        shift = gamma_base[idx]
-        for k in range(n):
-            shift += affine[idx, :, k] * d[:, k : k + 1]
-        v = v + c * shift
-        w = w * delta
-    totals[live] = accrued
+    for first in range(0, replicas, GROUP_REPLICAS):
+        # Every live replica has accrued the same sum, so one running sum
+        # stands for all of them and is copied out when a replica halts.
+        accrued = np.zeros(n)
+        live = np.arange(first, min(first + GROUP_REPLICAS, replicas))
+        v = np.tile(v0, (live.size, 1))  # promises, one row per live replica
+        col = np.arange(live.size)  # each live replica's column in signals
+        w = 1.0
+        for t in range(horizon):
+            lamdot = v[:, 0] * lam[0]
+            vmin = v[:, 0]
+            for k in range(1, n):
+                lamdot = lamdot + v[:, k] * lam[k]
+                vmin = np.minimum(vmin, v[:, k])
+            viol = (lamdot > k_star + tol) | (vmin < -tol)
+            if viol.any():
+                halt[live[viol]] = t
+                totals[live[viol]] = accrued
+                keep = ~viol
+                live, v, col = live[keep], v[keep], col[keep]
+                if live.size == 0:
+                    break
+            row = t % chunk
+            if row == 0:
+                count = min(chunk, horizon - t)
+                u = uniforms(
+                    seed, DOMAIN_PUBLIC, t, count,
+                    np.repeat(slots, live.size), np.tile(live, n),
+                )
+                u = u.reshape(count, n, live.size)
+                signals = np.zeros((count, live.size), dtype=np.uint8)
+                for k in range(n):
+                    signals |= (u[:, k] >= p_zero[k]).view(np.uint8) << k
+                col = np.arange(live.size)
+            accrued = accrued + w * u_r
+            # take() gathers rows as fancy indexing does, at a fraction of its
+            # per-call cost on these short arrays.
+            idx = signals[row].take(col)
+            d = v - u_r
+            shift = gamma_base.take(idx, axis=0)
+            for k in range(n):
+                shift += affine_cols[k].take(idx, axis=0) * d[:, k : k + 1]
+            v = v + c * shift
+            w = w * delta
+        totals[live] = accrued
     return totals, halt

@@ -103,13 +103,21 @@ def _resolve_seed(args, loaded) -> int:
     return seed
 
 
+def _open_for_write(path):
+    """Open an output file; a path that cannot be opened is a usage error."""
+    try:
+        return open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 @contextlib.contextmanager
 def _output(args):
     """Yield the machine-output stream: the ``--out`` file, else stdout."""
     if not args.out:
         yield sys.stdout
         return
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+    with _open_for_write(args.out) as fh:
         yield fh
 
 
@@ -188,7 +196,7 @@ def cmd_payoffset(args) -> int:
         raise _UsageError(f"--directions must be >= 8, got {args.directions}")
     approx = ppe_payoff_set(spec, n_directions=args.directions)
     if args.halfspaces:
-        with open(args.halfspaces, "w", newline="", encoding="utf-8") as fh:
+        with _open_for_write(args.halfspaces) as fh:
             _write_halfspaces(fh, approx, spec.n_firms)
     with _output(args) as fh:
         if approx.vertices is None:

@@ -346,8 +346,9 @@ def run_episode(
     the public history that strategies condition on.
 
     The signal uniforms are drawn DRAW_CHUNK_PERIODS periods at a time, ahead
-    of play; being addressed by (period, slot, replica) they are the same
-    bits a per-period draw would give.
+    of play: one ``rng.uniforms`` call reads that many periods from the
+    (slot, replica) stream of every slot.  Being addressed by (period, slot,
+    replica) they are the same bits a per-period draw would give.
     """
     if mode not in (MODE_PUBLIC, MODE_PRIVATE):
         raise DomainError(f"mode must be '{MODE_PUBLIC}' or '{MODE_PRIVATE}', got {mode!r}")
@@ -400,8 +401,8 @@ def run_episode(
     for t in range(horizon):
         k = t % DRAW_CHUNK_PERIODS
         if k == 0:
-            periods = np.arange(t, min(t + DRAW_CHUNK_PERIODS, horizon))
-            block = rng.uniforms(seed, domain, periods[:, None], slots[None, :], replica)
+            count = min(DRAW_CHUNK_PERIODS, horizon - t)
+            block = rng.uniforms(seed, domain, t, count, slots, replica)
 
         if mode == MODE_PRIVATE:
             round_msgs = tuple(
@@ -529,13 +530,15 @@ def monte_carlo_promise(
 ) -> MonteCarloResult:
     """Vectorized Monte Carlo of the promise automaton.
 
-    The numpy kernel in ``_kernels`` steps all replicas still inside the
-    admissible region together, one period at a time.  Replica trajectories
-    are bit-identical to running PromiseAutomaton (``on_exit="concede"``)
-    through run_episode with the same seed and replica index.  Replicas
-    whose promise leaves the admissible region stop accruing payoff from
-    the halt period on (all-conceal continuation); their partial discounted
-    sums still enter the aggregate.
+    The numpy kernel in ``_kernels`` steps the replicas still inside the
+    admissible region together, one period at a time, in groups of
+    ``_kernels.GROUP_REPLICAS`` that draw their signals a chunk of periods
+    ahead.  Replica trajectories are bit-identical to running
+    PromiseAutomaton (``on_exit="concede"``) through run_episode with the
+    same seed and replica index.  Replicas whose promise leaves the
+    admissible region stop accruing payoff from the halt period on
+    (all-conceal continuation); their partial discounted sums still enter
+    the aggregate.
     """
     if replicas < 1:
         raise DomainError(f"replicas must be >= 1, got {replicas}")

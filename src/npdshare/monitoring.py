@@ -273,11 +273,12 @@ def sample_bits_raw(
     p_zero = np.asarray(p_zero, dtype=float)
     _warn_on_boundary(p_zero)
     n_slots = len(p_zero)
-    t_idx, c_idx, s_idx = np.meshgrid(
-        np.arange(periods), np.arange(replicas), np.arange(n_slots), indexing="ij"
-    )
-    u = rng.uniforms(seed, domain, t_idx, s_idx + slot_offset, c_idx)
-    return (u >= p_zero[None, None, :]).astype(np.int8)
+    u = rng.uniforms(
+        seed, domain, 0, periods,
+        np.tile(np.arange(n_slots) + slot_offset, replicas),
+        np.repeat(np.arange(replicas), n_slots),
+    ).reshape(periods, replicas, n_slots)
+    return (u >= p_zero).astype(np.int8)
 
 
 def sample_public(
@@ -311,11 +312,11 @@ def sample_private(
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     p0 = np.array([_kernel_p0(r[j], spec.alpha, spec.epsilon) for (_, j) in pairs])
     slots = np.array([i * n + j for (i, j) in pairs])
-    t_idx, c_idx, s_idx = np.meshgrid(
-        np.arange(periods), np.arange(replicas), slots, indexing="ij"
-    )
-    u = rng.uniforms(seed, rng.DOMAIN_PRIVATE, t_idx, s_idx, c_idx)
-    bits = (u >= p0[None, None, :]).astype(np.int8)
+    u = rng.uniforms(
+        seed, rng.DOMAIN_PRIVATE, 0, periods,
+        np.tile(slots, replicas), np.repeat(np.arange(replicas), len(pairs)),
+    ).reshape(periods, replicas, len(pairs))
+    bits = (u >= p0).astype(np.int8)
     out = np.full((periods, replicas, n, n), -1, dtype=np.int8)
     for idx, (i, j) in enumerate(pairs):
         out[:, :, i, j] = bits[:, :, idx]

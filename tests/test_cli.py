@@ -416,7 +416,9 @@ def test_sweep_out_file_matches_stdout(capsys, tmp_path):
 # machine output and flags shared by the subcommands
 
 
-@pytest.mark.parametrize(
+# One successful command line per subcommand and output shape, with the
+# fixture naming its spec file (None for sweep, which reads no spec).
+_OUTPUT_CASES = pytest.mark.parametrize(
     "spec_fixture, argv",
     [
         ("spec2_file", ["check"]),
@@ -433,6 +435,9 @@ def test_sweep_out_file_matches_stdout(capsys, tmp_path):
     ids=["check", "rank", "decompose", "payoffset-polygon", "payoffset-halfspaces",
          "simulate-mc", "simulate-promise-mc", "sweep"],
 )
+
+
+@_OUTPUT_CASES
 def test_out_file_is_byte_identical_to_stdout(
     request, capsys, tmp_path, spec_fixture, argv
 ):
@@ -444,6 +449,28 @@ def test_out_file_is_byte_identical_to_stdout(
     code_file, out_file, _ = run_cli(argv + ["--out", str(path)], capsys)
     assert code_file == code and out_file == ""
     assert path.read_bytes() == out.encode()
+
+
+@_OUTPUT_CASES
+def test_unwritable_out_path_exits_two(request, capsys, tmp_path, spec_fixture, argv):
+    if spec_fixture is not None:
+        argv = argv + ["--spec", request.getfixturevalue(spec_fixture)]
+    path = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(argv + ["--out", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"npdshare {argv[0]}: cannot write {path}"), err
+    assert not path.parent.exists()
+
+
+def test_unwritable_halfspaces_path_exits_two(spec3_file, capsys, tmp_path):
+    path = tmp_path / "missing" / "hs.csv"
+    code, out, err = run_cli(
+        ["payoffset", "--spec", spec3_file, "--directions", "16",
+         "--halfspaces", str(path)],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"npdshare payoffset: cannot write {path}"), err
 
 
 def test_decompose_infeasible_writes_no_out_file(spec2_file, capsys, tmp_path):

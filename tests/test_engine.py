@@ -19,7 +19,7 @@ from npdshare import (
     run_episode,
     write_trace_csv,
 )
-from npdshare import rng
+from npdshare import _kernels, rng
 from npdshare.engine import DRAW_CHUNK_PERIODS
 from npdshare.errors import DiscountTooSmallError, DomainError, ProtocolError
 
@@ -232,14 +232,14 @@ def test_block_draws_match_per_period_draws_bitwise(mode):
         a = trace.actions[t]
         assert np.array_equal(trace.payoffs[t], profile_payoff(spec, a)), t
         if mode == "public":
-            u = rng.uniforms(seed, rng.DOMAIN_PUBLIC, t, firms, replica)
+            u = rng.uniforms(seed, rng.DOMAIN_PUBLIC, t, 1, firms, replica)[0]
             p_zero = np.where(a == 0, spec.m_alpha, spec.m_epsilon)
             index = int(((u >= p_zero).astype(np.int64) << firms).sum())
             assert trace.public_signals[t] == index, t
         else:
             for i in range(n):
                 others = firms[firms != i]
-                u = rng.uniforms(seed, rng.DOMAIN_PRIVATE, t, i * n + others, replica)
+                u = rng.uniforms(seed, rng.DOMAIN_PRIVATE, t, 1, i * n + others, replica)[0]
                 p_zero = np.where(a[others] == 0, spec.alpha, spec.epsilon)
                 bits = (u >= p_zero).astype(np.int8)
                 assert np.array_equal(trace.private_signals[t, i, others], bits), t
@@ -368,6 +368,30 @@ def test_kernel_matches_strategy_path_when_replicas_halt_apart(spec2_patient):
             spec2_patient, [auto, auto.clone()], horizon, seed=HALTING_SEED,
             replica=r,
         )
+        assert np.array_equal(mc.per_replica[r], trace.discounted_average()), r
+        on_path = np.all(trace.actions == 1, axis=1)
+        first_off = -1 if on_path.all() else int(np.argmin(on_path))
+        assert first_off == halts[r], r
+
+
+def test_kernel_groups_and_chunks_match_strategy_path_bitwise():
+    # One replica past a full group and a horizon past one draw chunk, with
+    # replicas halting in both groups, inside chunks and in the second
+    # chunk: every row and halt period must equal its own replay.
+    spec = GameSpec(2, LinearGain(3.0), 1.0, 0.9, 0.1, 0.98)
+    group = _kernels.GROUP_REPLICAS
+    chunk = _kernels.CHUNK_DRAWS // (2 * group)
+    replicas, horizon, seed = group + 3, chunk + 32, 4
+    mc = monte_carlo_promise(
+        spec, (2.0, 2.0), (1.0, 1.0), replicas=replicas, horizon=horizon,
+        base_seed=seed,
+    )
+    halts = mc.halt_periods
+    assert np.any(halts[:group] >= 0) and np.any(halts[group:] >= chunk)
+    assert np.any(halts < 0) and np.any((halts > 0) & (halts % chunk != 0))
+    for r in range(replicas):
+        auto = PromiseAutomaton(spec, (2.0, 2.0), (1.0, 1.0), on_exit="concede")
+        trace = run_episode(spec, [auto, auto.clone()], horizon, seed=seed, replica=r)
         assert np.array_equal(mc.per_replica[r], trace.discounted_average()), r
         on_path = np.all(trace.actions == 1, axis=1)
         first_off = -1 if on_path.all() else int(np.argmin(on_path))

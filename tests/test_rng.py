@@ -1,56 +1,198 @@
-"""Counter-based RNG: reference vectors, stream structure, scalar/batch parity."""
+"""Counter-based RNG: known answers, stream structure, block/single parity.
+
+A pure-numpy Philox4x64-10 block function serves as the oracle: the
+production draws come from numpy's C generator, and every test here checks
+them against this independent implementation of the cipher.
+"""
 
 import numpy as np
+import pytest
 
 from npdshare import rng
+
+# Philox4x64 round constants (Salmon et al., SC'11).
+M0 = np.uint64(0xD2E7470EE14C6C93)
+M1 = np.uint64(0xCA5A826395121157)
+W0 = np.uint64(0x9E3779B97F4A7C15)
+W1 = np.uint64(0xBB67AE8584CAA73B)
+_MASK32 = np.uint64(0xFFFFFFFF)
+_SH32 = np.uint64(32)
+ROUNDS = 10
+
+
+def _mulhilo(a, b):
+    """128-bit product of uint64 operands, returned as (high, low) words."""
+    lo = a * b
+    ah = a >> _SH32
+    al = a & _MASK32
+    bh = b >> _SH32
+    bl = b & _MASK32
+    t = ah * bl + ((al * bl) >> _SH32)
+    t2 = al * bh + (t & _MASK32)
+    hi = ah * bh + (t >> _SH32) + (t2 >> _SH32)
+    return hi, lo
+
+
+def philox4x64(counter, key):
+    """Oracle Philox4x64-10 block function.
+
+    counter: array-like of shape (4,) or (4, n), uint64 lanes.
+    key: array-like of shape (2,) or (2, n).
+    Returns an ndarray of the same shape as ``counter``.
+    """
+    ctr = np.asarray(counter, dtype=np.uint64)
+    k = np.asarray(key, dtype=np.uint64)
+    x0, x1, x2, x3 = ctr[0].copy(), ctr[1].copy(), ctr[2].copy(), ctr[3].copy()
+    k0 = k[0].copy()
+    k1 = k[1].copy()
+    with np.errstate(over="ignore"):
+        for _ in range(ROUNDS):
+            hi0, lo0 = _mulhilo(M0, x0)
+            hi1, lo1 = _mulhilo(M1, x2)
+            x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+            k0 = k0 + W0
+            k1 = k1 + W1
+    return np.stack([x0, x1, x2, x3])
+
+
+def oracle_uniforms(seed, domain, periods, slot, replica):
+    """Uniforms at counters (period, slot, replica, 0), one per period."""
+    periods = np.asarray(periods, dtype=np.uint64)
+    ctr = np.zeros((4, periods.size), dtype=np.uint64)
+    ctr[0] = periods
+    ctr[1] = np.uint64(slot)
+    ctr[2] = np.uint64(replica)
+    key = np.empty((2, periods.size), dtype=np.uint64)
+    key[0] = np.uint64(seed)
+    key[1] = np.uint64(domain)
+    lane0 = philox4x64(ctr, key)[0]
+    return (lane0 >> np.uint64(11)).astype(np.float64) * rng.U53_INV
+
+
+def _words(text):
+    return np.array([int(w, 16) for w in text.split()], dtype=np.uint64)
+
+
+# Random123's known-answer vectors for Philox4x64-10: counter, key, block.
+KNOWN_ANSWERS = {
+    "zeros": (
+        "0 0 0 0",
+        "0 0",
+        "16554d9eca36314c db20fe9d672d0fdc d7e772cee186176b 7e68b68aec7ba23b",
+    ),
+    "ones": (
+        " ".join(["ffffffffffffffff"] * 4),
+        " ".join(["ffffffffffffffff"] * 2),
+        "87b092c3013fe90b 438c3c67be8d0224 9cc7d7c69cd777b6 a09caebf594f0ba0",
+    ),
+    "pi": (
+        "243f6a8885a308d3 13198a2e03707344 a4093822299f31d0 082efa98ec4e6c89",
+        "452821e638d01377 be5466cf34e90c6c",
+        "a528f45403e61d95 38c72dbd566e9788 a5a1610e72fd18b5 57bd43b5e52b7fe6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KNOWN_ANSWERS))
+def test_known_answer_vectors(name):
+    counter, key, block = (_words(x) for x in KNOWN_ANSWERS[name])
+    assert tuple(philox4x64(counter, key)) == tuple(block)
+    # The production path: numpy's generator, positioned the way rng does.
+    bg = np.random.Philox(key=key)
+    state = bg.state
+    rng._seek(bg, state, sum(int(w) << (64 * i) for i, w in enumerate(counter)))
+    assert tuple(bg.random_raw(4)) == tuple(block)
+
+
+def test_zero_counter_reaches_uniforms():
+    # Counter (0, 0, 0, 0) under key (0, 0) is the first known answer; the
+    # generator starts one below it, so the borrow crosses all four words.
+    block = _words(KNOWN_ANSWERS["zeros"][2])
+    u = rng.uniforms(0, 0, 0, 1, 0, 0)
+    assert u.shape == (1, 1)
+    assert u[0, 0] == float(block[0] >> np.uint64(11)) * rng.U53_INV
 
 
 def test_matches_numpy_philox_block():
     # numpy's Philox(key=(seed, domain)) generates block n from counter
-    # (n+1, 0, 0, 0); our raw_lane0 at counter (period, slot, replica, 0)
-    # must agree lane for lane.
+    # (n+1, 0, 0, 0); the oracle must agree lane for lane.
     seed, domain = 1234, 77
     bg = np.random.Philox(key=np.array([seed, domain], dtype=np.uint64))
     state = bg.state["state"]
     assert tuple(state["counter"]) == (0, 0, 0, 0)
     raw = bg.random_raw(12)  # blocks 0..2, 4 lanes each
     for n in range(3):
-        mine = rng.philox4x64(
+        mine = philox4x64(
             np.array([n + 1, 0, 0, 0], dtype=np.uint64),
             np.array([seed, domain], dtype=np.uint64),
         )
         assert tuple(mine) == tuple(raw[4 * n : 4 * n + 4])
 
 
+@pytest.mark.parametrize(
+    "start, count, slot, replica",
+    [
+        (0, 5, 0, 0),  # the full borrow
+        (0, 5, 3, 0),
+        (0, 5, 0, 7),
+        (9, 1, 2, 4),
+        (0, 1, 0, 0),
+        (2**64 - 6, 5, 1, 1),  # the last periods of a stream
+        (3, 4, 2**64 - 1, 2**64 - 1),
+        (100, 3, 5, 2**63 + 12345),
+    ],
+)
+def test_stream_draws_match_oracle_at_counter_edges(start, count, slot, replica):
+    seed, domain = 2**64 - 3, rng.DOMAIN_PRIVATE
+    u = rng.uniforms(seed, domain, start, count, slot, replica)
+    assert u.shape == (count, 1)
+    want = oracle_uniforms(seed, domain, np.arange(count, dtype=np.uint64) + np.uint64(start),
+                           slot, replica)
+    assert u[:, 0].tobytes() == want.tobytes()
+
+
+def test_wide_call_matches_oracle_per_column():
+    slots = np.array([0, 1, 2, 0, 1, 2])
+    replicas = np.array([0, 0, 0, 999, 999, 2**40])
+    u = rng.uniforms(17, rng.DOMAIN_PUBLIC, 30, 7, slots, replicas)
+    assert u.shape == (7, 6) and u.dtype == np.float64
+    for j in range(6):
+        want = oracle_uniforms(17, rng.DOMAIN_PUBLIC, np.arange(30, 37), slots[j], replicas[j])
+        assert u[:, j].tobytes() == want.tobytes(), j
+
+
 def test_known_uniform_reproduces():
-    u1 = rng.uniform_scalar(3, rng.DOMAIN_PUBLIC, period=5, slot=2, replica=9)
-    u2 = rng.uniform_scalar(3, rng.DOMAIN_PUBLIC, period=5, slot=2, replica=9)
-    assert u1 == u2
-    assert 0.0 <= u1 < 1.0
+    u1 = rng.uniforms(3, rng.DOMAIN_PUBLIC, 5, 1, 2, 9)
+    u2 = rng.uniforms(3, rng.DOMAIN_PUBLIC, 5, 1, 2, 9)
+    assert u1.shape == (1, 1)
+    assert u1[0, 0] == u2[0, 0]
+    assert 0.0 <= u1[0, 0] < 1.0
 
 
 def test_uniform_batch_matches_scalar():
-    periods = np.arange(4)
     slots = np.arange(3)
-    batch = rng.uniforms(11, rng.DOMAIN_PRIVATE, periods[:, None], slots[None, :], 2)
-    for t in periods:
+    batch = rng.uniforms(11, rng.DOMAIN_PRIVATE, 0, 4, slots, 2)
+    assert batch.shape == (4, 3)
+    for t in range(4):
         for s in slots:
-            assert batch[t, s] == rng.uniform_scalar(
-                11, rng.DOMAIN_PRIVATE, int(t), int(s), 2
-            )
+            single = rng.uniforms(11, rng.DOMAIN_PRIVATE, t, 1, int(s), 2)
+            assert batch[t, s] == single[0, 0]
 
 
 def test_streams_differ_across_coordinates():
-    base = rng.uniform_scalar(1, rng.DOMAIN_PUBLIC, 0, 0, 0)
-    assert base != rng.uniform_scalar(2, rng.DOMAIN_PUBLIC, 0, 0, 0)  # seed
-    assert base != rng.uniform_scalar(1, rng.DOMAIN_PRIVATE, 0, 0, 0)  # domain
-    assert base != rng.uniform_scalar(1, rng.DOMAIN_PUBLIC, 1, 0, 0)  # period
-    assert base != rng.uniform_scalar(1, rng.DOMAIN_PUBLIC, 0, 1, 0)  # slot
-    assert base != rng.uniform_scalar(1, rng.DOMAIN_PUBLIC, 0, 0, 1)  # replica
+    def draw(seed, domain, period, slot, replica):
+        return rng.uniforms(seed, domain, period, 1, slot, replica)[0, 0]
+
+    base = draw(1, rng.DOMAIN_PUBLIC, 0, 0, 0)
+    assert base != draw(2, rng.DOMAIN_PUBLIC, 0, 0, 0)  # seed
+    assert base != draw(1, rng.DOMAIN_PRIVATE, 0, 0, 0)  # domain
+    assert base != draw(1, rng.DOMAIN_PUBLIC, 1, 0, 0)  # period
+    assert base != draw(1, rng.DOMAIN_PUBLIC, 0, 1, 0)  # slot
+    assert base != draw(1, rng.DOMAIN_PUBLIC, 0, 0, 1)  # replica
 
 
 def test_uniforms_cover_unit_interval_evenly():
-    u = rng.uniforms(5, rng.DOMAIN_PUBLIC, np.arange(20000), 0, 0)
+    u = rng.uniforms(5, rng.DOMAIN_PUBLIC, 0, 20000, 0, 0)[:, 0]
     assert u.min() >= 0.0 and u.max() < 1.0
     # crude uniformity check, 10 bins, 3-sigma on each count
     counts, _ = np.histogram(u, bins=10, range=(0, 1))
