@@ -72,7 +72,6 @@ from .game import (
 from .monitoring import (
     FactoredBernoulli,
     SignalDistribution,
-    belief_kernel,
     cross_observation_reduction,
     marginal_excluding,
     private_joint_distribution,
@@ -116,7 +115,6 @@ __all__ = [
     "SignalTrigger",
     "Strategy",
     "all_profiles",
-    "belief_kernel",
     "check_assumptions",
     "check_c1",
     "check_c2",

@@ -9,25 +9,26 @@ Replicas that leave the region stop accruing payoff (the halt period is
 recorded), which matches reverting to the all-conceal static equilibrium.
 
 Replicas are stepped in groups of GROUP_REPLICAS, one group after another.
-A group draws its signals a chunk of periods ahead: one ``uniforms`` call
-reads that many periods from the (slot, replica) stream of every replica
-still inside, and the chunk is turned into uint8 signal indices at once.  A
-chunk holds at most CHUNK_DRAWS uniforms (1 MB of float64); the group size
-is chosen so that at N = 2 a stream covers STREAM_PERIODS periods of it,
-which spreads the generator's per-stream setup over many draws.  Only
-replicas still inside the region are carried from period to period; a
-column map into the chunk is compacted together with them.  Draws are
-addressed by their (period, slot, replica) counter, and the running payoff
-sum is the same sequence in every group, so neither the grouping nor the
-chunking nor dropping halted replicas changes any replica's trajectory: each
-is bit for bit as if it ran alone.
+A group draws its signals a chunk of periods ahead: one call reads that
+many periods from the stream of every public bit
+(``monitoring.signal_streams``) of every replica still inside, and the chunk
+is turned into uint8 signal indices at once.  A chunk holds at most
+CHUNK_DRAWS uniforms (1 MB of float64); the group size is chosen so that at
+N = 2 a stream covers STREAM_PERIODS periods of it, which spreads the
+generator's per-stream setup over many draws.  Only replicas still inside
+the region are carried from period to period; a column map into the chunk
+is compacted together with them.  Draws are addressed by their (period,
+slot, replica) counter, and the running payoff sum is the same sequence in
+every group, so neither the grouping nor the chunking nor dropping halted
+replicas changes any replica's trajectory: each is bit for bit as if it ran
+alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .rng import DOMAIN_PUBLIC, uniforms
+from .monitoring import MODE_PUBLIC, signal_streams
 
 # Uniforms per chunk of draws: 2**17 float64 values, 1 MB.
 CHUNK_DRAWS = 2**17
@@ -71,7 +72,7 @@ def promise_mc(
     totals = np.zeros((replicas, n))
     halt = np.full(replicas, -1, dtype=np.int64)
     chunk = max(1, CHUNK_DRAWS // (n * GROUP_REPLICAS))
-    slots = np.arange(n)
+    streams = signal_streams(n, MODE_PUBLIC)
     affine_cols = [np.ascontiguousarray(affine[:, :, k]) for k in range(n)]
     c = (1.0 - delta) / delta
     for first in range(0, replicas, GROUP_REPLICAS):
@@ -99,11 +100,7 @@ def promise_mc(
             row = t % chunk
             if row == 0:
                 count = min(chunk, horizon - t)
-                u = uniforms(
-                    seed, DOMAIN_PUBLIC, t, count,
-                    np.repeat(slots, live.size), np.tile(live, n),
-                )
-                u = u.reshape(count, n, live.size)
+                u = streams.uniforms(seed, t, count, live)
                 signals = np.zeros((count, live.size), dtype=np.uint8)
                 for k in range(n):
                     signals |= (u[:, k] >= p_zero[k]).view(np.uint8) << k

@@ -396,6 +396,9 @@ def theorem_preconditions(spec: GameSpec, theorem: str) -> ConditionReport:
     """Precondition bundle for the public ('flm') or private ('km') folk theorem."""
     if theorem not in ("flm", "km"):
         raise DomainError(f"theorem must be 'flm' or 'km', got {theorem!r}")
+    # extreme_profiles refuses N above its cap before the 2^N payoffs of the
+    # dimension report are enumerated.
+    extremes = extreme_profiles(spec)
     subs: list[ConditionReport] = [_interior_dimension_report(spec)]
     report_a2 = ConditionReport(
         condition_id="minmax_profile_inefficient",
@@ -403,7 +406,6 @@ def theorem_preconditions(spec: GameSpec, theorem: str) -> ConditionReport:
         evidence={"full_disclosure_payoff": spec.disclose_payoff(spec.n_firms)},
     )
     subs.append(report_a2)
-    extremes = extreme_profiles(spec)
     if theorem == "flm":
         subs.extend(rank_reports(spec, extremes))
     else:

@@ -28,7 +28,9 @@ deviation gains, and the consistency, deviation and pin rows of the
 constraint system.  ``k_star``, ``ppe_payoff_set`` and
 ``PromiseDecomposition`` build the 2^N tables once and pass them down;
 ``solve_enforceability`` and ``verify_decomposition`` build the one table
-they need.  Per direction only the orthogonality rows (one block, shared by
+they need.  Building a table raises CapacityError above K_STAR_MAX_FIRMS
+firms, so every system over the 2^N public signals refuses the same way.
+Per direction only the orthogonality rows (one block, shared by
 every profile) and the right-hand sides are built.  The equality solve, the
 orthogonal feasibility LP and the general LP each stack a subset of these
 rows.
@@ -137,8 +139,14 @@ class _ProfileTable:
 
 
 def _profile_table(spec: GameSpec, profile) -> _ProfileTable:
-    r = validate_profile(spec, profile)
     n = spec.n_firms
+    if n > K_STAR_MAX_FIRMS:
+        # The orthogonality block alone is 8 N 4^N bytes: 1.6 GB at N = 12.
+        raise CapacityError(
+            f"the constraint system over 2^N public signals is capped at "
+            f"N <= {K_STAR_MAX_FIRMS}"
+        )
+    r = validate_profile(spec, profile)
     s = 2**n
     pi_eq = public_profile_distribution_raw(r, spec.m_alpha, spec.m_epsilon)
     u_r = profile_payoff(spec, r)
@@ -168,10 +176,6 @@ def _profile_table(spec: GameSpec, profile) -> _ProfileTable:
 
 def _profile_tables(spec: GameSpec) -> dict[tuple[int, ...], _ProfileTable]:
     """The tables of all 2^N pure profiles, in ``all_profiles`` order."""
-    if spec.n_firms > K_STAR_MAX_FIRMS:
-        raise CapacityError(
-            f"k_star enumerates 2^N profiles and is capped at N <= {K_STAR_MAX_FIRMS}"
-        )
     return {r: _profile_table(spec, r) for r in all_profiles(spec.n_firms)}
 
 

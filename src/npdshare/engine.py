@@ -9,9 +9,10 @@ private cross-observation matrix is drawn.  Stage payoff is the ex-ante
 u_i(r) of the action profile; the monitor affects continuation behavior,
 not the realized flow.
 
-All draws are addressed by (seed, period, slot, replica) counters, so a
-trace is reproducible bit for bit and every Monte Carlo replica has an
-independent substream by construction.
+All draws are addressed by (seed, period, slot, replica) counters in the
+layout of ``monitoring.signal_streams``, so a trace is reproducible bit for
+bit and every Monte Carlo replica has an independent substream by
+construction.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
 from ._kernels import backend_name, promise_mc
 from .decompose import PromiseDecomposition
 from .errors import DiscountTooSmallError, DomainError, ProtocolError
 from .game import GameSpec
+from .monitoring import MODE_PRIVATE, MODE_PUBLIC, signal_kernel, signal_streams
 
 REGION_TOL = 1e-9
 
@@ -35,9 +36,6 @@ REGION_TOL = 1e-9
 # per block, so the block holds at most DRAW_CHUNK_PERIODS * N * (N - 1)
 # draws whatever the horizon.
 DRAW_CHUNK_PERIODS = 1024
-
-MODE_PUBLIC = "public"
-MODE_PRIVATE = "private"
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +344,8 @@ def run_episode(
     the public history that strategies condition on.
 
     The signal uniforms are drawn DRAW_CHUNK_PERIODS periods at a time, ahead
-    of play: one ``rng.uniforms`` call reads that many periods from the
-    (slot, replica) stream of every slot.  Being addressed by (period, slot,
+    of play: one call reads that many periods from the stream of every bit
+    of ``monitoring.signal_streams``.  Being addressed by (period, slot,
     replica) they are the same bits a per-period draw would give.
     """
     if mode not in (MODE_PUBLIC, MODE_PRIVATE):
@@ -384,25 +382,16 @@ def run_episode(
     own_actions: list[list[int]] = [[] for _ in range(n)]
     own_signals: list[list[np.ndarray]] = [[] for _ in range(n)]
 
-    # Draw slots and the firm each slot observes: firm j's public bit in
-    # slot j, or observer i's bit about firm j in slot i * n + j.
-    if mode == MODE_PUBLIC:
-        domain = rng.DOMAIN_PUBLIC
-        observed = np.arange(n)
-        slots = observed
-        p_zero_by_action = np.array([spec.m_alpha, spec.m_epsilon])
-        bit_weights = np.int64(1) << observed
-    else:
-        domain = rng.DOMAIN_PRIVATE
-        observer, observed = np.nonzero(~np.eye(n, dtype=bool))
-        slots = observer * n + observed
-        p_zero_by_action = np.array([spec.alpha, spec.epsilon])
+    streams = signal_streams(n, mode)
+    observer, observed = streams.observer, streams.observed
+    p_zero_by_action = signal_kernel(spec, mode)
+    bit_weights = np.int64(1) << observed
 
     for t in range(horizon):
         k = t % DRAW_CHUNK_PERIODS
         if k == 0:
             count = min(DRAW_CHUNK_PERIODS, horizon - t)
-            block = rng.uniforms(seed, domain, t, count, slots, replica)
+            block = streams.uniforms(seed, t, count, replica)[:, :, 0]
 
         if mode == MODE_PRIVATE:
             round_msgs = tuple(
@@ -549,8 +538,7 @@ def monte_carlo_promise(
         raise DomainError(f"delta must lie in (0, 1), got {d}")
     auto = PromiseAutomaton(spec, v0, direction, delta=d, on_exit="concede")
     dec = auto.decomp
-    profile = np.asarray(dec.action, dtype=np.int64)
-    p_zero = np.where(profile == 0, spec.m_alpha, spec.m_epsilon)
+    p_zero = signal_kernel(spec, MODE_PUBLIC)[np.asarray(dec.action)]
     totals, halts = promise_mc(
         seed=int(base_seed),
         replicas=replicas,
@@ -594,6 +582,14 @@ def write_trace_csv(trace: EpisodeTrace, path) -> None:
         _write_trace(trace, fh)
 
 
+def _bit_columns(n: int):
+    """Private-mode trace columns ``b_i_j`` in the private bit order, with
+    each column's (observer, observed) firm."""
+    s = signal_streams(n, MODE_PRIVATE)
+    names = [f"b_{i + 1}_{j + 1}" for i, j in zip(s.observer.tolist(), s.observed.tolist())]
+    return names, s.observer, s.observed
+
+
 def _write_trace(trace: EpisodeTrace, fh) -> None:
     """Write the trace CSV of write_trace_csv to an open text stream."""
     n = trace.n_firms
@@ -602,14 +598,13 @@ def _write_trace(trace: EpisodeTrace, fh) -> None:
         f"replica={trace.replica} u_scale={trace.u_scale!r} n_firms={n}\n"
     )
     writer = csv.writer(fh, lineterminator="\n")
+    bit_names, observer, observed = _bit_columns(n)
     header = ["period"]
     header += [f"action_{i + 1}" for i in range(n)]
     if trace.mode == MODE_PUBLIC:
         header.append("signal_index")
     else:
-        header += [
-            f"b_{i + 1}_{j + 1}" for i in range(n) for j in range(n) if i != j
-        ]
+        header += bit_names
         header += [f"message_{i + 1}" for i in range(n)]
     header += [f"payoff_{i + 1}" for i in range(n)]
     if trace.promises is not None:
@@ -620,12 +615,7 @@ def _write_trace(trace: EpisodeTrace, fh) -> None:
         if trace.mode == MODE_PUBLIC:
             row.append(int(trace.public_signals[t]))
         else:
-            row += [
-                int(trace.private_signals[t, i, j])
-                for i in range(n)
-                for j in range(n)
-                if i != j
-            ]
+            row += trace.private_signals[t, observer, observed].tolist()
             row += ["".join(str(b) for b in trace.messages[t][i]) for i in range(n)]
         row += [repr(float(x)) for x in trace.payoffs[t]]
         if trace.promises is not None:
@@ -656,6 +646,8 @@ def read_trace_csv(path) -> EpisodeTrace:
     messages: list[tuple] = []
     track = "promise_1" in col
     promises = np.zeros((horizon, n)) if track else None
+    bit_names, observer, observed = _bit_columns(n)
+    bit_cols = [col[name] for name in bit_names] if mode == MODE_PRIVATE else []
     for row in rows:
         t = int(row[col["period"]])
         for i in range(n):
@@ -666,10 +658,7 @@ def read_trace_csv(path) -> EpisodeTrace:
         if mode == MODE_PUBLIC:
             public_signals[t] = int(row[col["signal_index"]])
         else:
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        private_signals[t, i, j] = int(row[col[f"b_{i + 1}_{j + 1}"]])
+            private_signals[t, observer, observed] = [int(row[c]) for c in bit_cols]
             messages.append(
                 tuple(
                     tuple(int(ch) for ch in row[col[f"message_{i + 1}"]])

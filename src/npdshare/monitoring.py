@@ -5,19 +5,27 @@ as "0" (looks like concealment) with probability epsilon < 1/2, a concealment
 is read as "0" with probability alpha > 1/2.  Under public monitoring one
 monitor draws one bit per firm and everyone sees the resulting N-bit vector;
 under private monitoring every firm draws its own independent bit about every
-other firm.
+other firm.  ``signal_kernel`` gives P(bit = 0) by action for either.
 
 Signal indexing convention: an N-bit public signal b = (b_1, ..., b_N) maps
 to index sum_j b_j * 2**(j-1), i.e. firm 1 occupies the least significant
 bit, so the index order enumerates (0,...,0), (1,0,...,0), (0,1,0,...), ...
 Dense expansions of private-signal spaces use the same convention over their
 listed bit order.
+
+Draw layout (``signal_streams``): each bit has its own rng counter stream
+(seed, domain, slot, replica).  Public bit j, the monitor's reading of firm
+j, is drawn in ``rng.DOMAIN_PUBLIC`` from slot j.  Private bits run over
+(observer i, observed j), i != j, observer-major; firm i's bit about firm j
+is drawn in ``rng.DOMAIN_PRIVATE`` from slot i * N + j.  A bit is 1 when its
+uniform is at least its P(bit = 0).  The engine, the promise kernel, the
+trace CSV and the samplers all read this layout.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,21 +37,66 @@ from .game import GameSpec, validate_profile
 DIST_TOL = 1e-12  # distributions must sum to 1 within this
 DENSE_CAP_BITS = 20  # dense expansion capped at 2**20 outcomes
 
+MODE_PUBLIC = "public"
+MODE_PRIVATE = "private"
 
-def belief_kernel(action: int, alpha: float, epsilon: float) -> tuple[float, float]:
-    """(P(bit=0), P(bit=1)) for one observed firm playing ``action``.
 
-    Perfect monitoring (epsilon = 0 or alpha = 1) is outside the model and
-    rejected here; the raw sampling helpers accept it for simulation only.
+def _p_zero_by_action(alpha: float, epsilon: float) -> np.ndarray:
+    """P(bit = 0) by the observed firm's action: concealment 0, disclosure 1."""
+    return np.array([alpha, epsilon], dtype=float)
+
+
+def signal_kernel(spec: GameSpec, mode: str) -> np.ndarray:
+    """P(bit = 0) of ``mode``'s bits, indexed by the observed firm's action.
+
+    Public bits use the monitor's kernel (m_alpha, m_epsilon), private
+    cross-observations the firms' own (alpha, epsilon).
     """
-    if not (0 < epsilon < 0.5):
-        raise DomainError(f"epsilon must lie in (0, 1/2), got {epsilon}")
-    if not (0.5 < alpha < 1):
-        raise DomainError(f"alpha must lie in (1/2, 1), got {alpha}")
-    if action not in (0, 1):
-        raise DomainError(f"action must be 0 or 1, got {action}")
-    p0 = epsilon if action == 1 else alpha
-    return p0, 1.0 - p0
+    if mode == MODE_PUBLIC:
+        return _p_zero_by_action(spec.m_alpha, spec.m_epsilon)
+    return _p_zero_by_action(spec.alpha, spec.epsilon)
+
+
+@dataclass(frozen=True)
+class SignalStreams:
+    """Where each monitoring bit of a period is drawn, one entry per bit.
+
+    Bit k is ``observer[k]``'s reading of firm ``observed[k]`` (observer -1
+    is the public monitor), drawn from the counter stream (seed, ``domain``,
+    ``slot[k]``, replica).
+    """
+
+    domain: int
+    slot: np.ndarray
+    observer: np.ndarray
+    observed: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.slot, self.observer, self.observed):
+            a.flags.writeable = False  # every caller shares the cached layout
+
+    def uniforms(self, seed: int, start: int, count: int, replicas) -> np.ndarray:
+        """Periods start ... start + count - 1 of every bit's stream for each
+        of ``replicas``: float64 of shape (count, bits, len(replicas))."""
+        replicas = np.atleast_1d(replicas)
+        m = self.slot.size
+        u = rng.uniforms(
+            seed, self.domain, start, count,
+            np.repeat(self.slot, replicas.size), np.tile(replicas, m),
+        )
+        return u.reshape(count, m, replicas.size)
+
+
+@functools.lru_cache(maxsize=32)
+def signal_streams(n: int, mode: str) -> SignalStreams:
+    """The draw layout of one period's bits among ``n`` firms (module doc)."""
+    if mode == MODE_PUBLIC:
+        observed = np.arange(n)
+        return SignalStreams(rng.DOMAIN_PUBLIC, observed, np.full(n, -1), observed)
+    if mode == MODE_PRIVATE:
+        observer, observed = np.nonzero(~np.eye(n, dtype=bool))
+        return SignalStreams(rng.DOMAIN_PRIVATE, observer * n + observed, observer, observed)
+    raise DomainError(f"mode must be '{MODE_PUBLIC}' or '{MODE_PRIVATE}', got {mode!r}")
 
 
 def signal_bits(index: int, n_bits: int) -> tuple[int, ...]:
@@ -82,10 +135,6 @@ class SignalDistribution:
         return bool(np.all(self.probs > 0))
 
 
-def _kernel_p0(actions: np.ndarray, alpha: float, epsilon: float) -> np.ndarray:
-    return np.where(actions == 1, epsilon, alpha)
-
-
 def _product_expansion(p_zero: np.ndarray) -> np.ndarray:
     """Outcome table of independent bits, bit 0 least significant.
 
@@ -112,7 +161,7 @@ def public_profile_distribution_raw(
     if not (0 <= epsilon <= 1 and 0 <= alpha <= 1):
         raise DomainError("kernel probabilities must lie in [0, 1]")
     # firm 1 varies fastest (least significant bit)
-    return _product_expansion(_kernel_p0(actions, alpha, epsilon))
+    return _product_expansion(_p_zero_by_action(alpha, epsilon)[actions])
 
 
 def public_signal_distribution(spec: GameSpec, profile) -> SignalDistribution:
@@ -185,12 +234,6 @@ class FactoredBernoulli:
         return bool(np.all((self.p_zero > 0) & (self.p_zero < 1)))
 
 
-def _private_labels(n: int, observers) -> tuple[tuple[int, int], ...]:
-    return tuple(
-        (k, l) for k in sorted(observers) for l in range(n) if l != k
-    )
-
-
 def private_joint_distribution(spec: GameSpec, profile) -> FactoredBernoulli:
     """Joint distribution of all N(N-1) private cross-observation bits."""
     return marginal_excluding(spec, profile, excluded=())
@@ -204,16 +247,18 @@ def marginal_excluding(spec: GameSpec, profile, excluded) -> FactoredBernoulli:
     own signal holdings drop out.
     """
     r = validate_profile(spec, profile)
-    excluded = tuple(sorted(set(int(i) for i in excluded)))
+    observing = np.ones(spec.n_firms, dtype=bool)
     for i in excluded:
-        if not 0 <= i < spec.n_firms:
+        if not 0 <= int(i) < spec.n_firms:
             raise DomainError(f"excluded firm index {i} out of range")
-    observers = [k for k in range(spec.n_firms) if k not in excluded]
-    if not observers:
+        observing[int(i)] = False
+    if not observing.any():
         raise DomainError("marginal_excluding: at least one observer must remain")
-    labels = _private_labels(spec.n_firms, observers)
-    observed = np.array([l for (_, l) in labels], dtype=np.int64)
-    p0 = _kernel_p0(r[observed], spec.alpha, spec.epsilon)
+    streams = signal_streams(spec.n_firms, MODE_PRIVATE)
+    held = observing[streams.observer]
+    observed = streams.observed[held]
+    labels = tuple(zip(streams.observer[held].tolist(), observed.tolist()))
+    p0 = signal_kernel(spec, MODE_PRIVATE)[r[observed]]
     return FactoredBernoulli(labels=labels, p_zero=p0)
 
 
@@ -239,63 +284,37 @@ def cross_observation_reduction(
             f"no cross-observation about firm {observed} is available "
             f"(N = {spec.n_firms}, excluded observer {exclude_observer})"
         )
-    p0, p1 = belief_kernel(int(r[observed]), spec.alpha, spec.epsilon)
-    return SignalDistribution(probs=np.array([p0, p1]), n_bits=1)
+    p0 = signal_kernel(spec, MODE_PRIVATE)[r[observed]]
+    return SignalDistribution(probs=np.array([p0, 1.0 - p0]), n_bits=1)
 
 
 # ---------------------------------------------------------------------------
 # sampling
 
 
-def _warn_on_boundary(p0: np.ndarray) -> None:
-    if np.any((p0 == 0.0) | (p0 == 1.0)):
-        warnings.warn(
-            "boundary monitoring accuracy (deterministic bit); outside the "
-            "model, sampled anyway",
-            stacklevel=3,
-        )
-
-
-def sample_bits_raw(
-    p_zero: np.ndarray,
-    seed: int,
-    domain: int,
-    periods: int,
-    replicas: int,
-    slot_offset: int = 0,
-) -> np.ndarray:
-    """Sample bits for ``len(p_zero)`` slots over a periods x replicas grid.
-
-    Returns int8 array of shape (periods, replicas, n_slots).  Slot s of
-    period t, replica c uses the counter (t, slot_offset + s, c), so any
-    sub-grid of draws is reproducible independently of the others.
-    """
-    p_zero = np.asarray(p_zero, dtype=float)
-    _warn_on_boundary(p_zero)
-    n_slots = len(p_zero)
-    u = rng.uniforms(
-        seed, domain, 0, periods,
-        np.tile(np.arange(n_slots) + slot_offset, replicas),
-        np.repeat(np.arange(replicas), n_slots),
-    ).reshape(periods, replicas, n_slots)
-    return (u >= p_zero).astype(np.int8)
+def _sample_bits(spec: GameSpec, profile, mode: str, seed: int, periods: int,
+                 replicas: int) -> tuple[np.ndarray, SignalStreams]:
+    """``run_episode``'s ``mode`` bits while ``profile`` is played, int8
+    (periods, replicas, bits) in layout order, and the layout."""
+    r = validate_profile(spec, profile)
+    streams = signal_streams(spec.n_firms, mode)
+    u = streams.uniforms(seed, 0, periods, np.arange(replicas))
+    bits = u >= signal_kernel(spec, mode)[r[streams.observed]][:, None]
+    return bits.transpose(0, 2, 1).astype(np.int8, order="C"), streams
 
 
 def sample_public(
     spec: GameSpec, profile, seed: int, periods: int = 1, replicas: int = 1
 ) -> np.ndarray:
     """Public monitor bit vectors, int8 (periods, replicas, N)."""
-    r = validate_profile(spec, profile)
-    p0 = _kernel_p0(r, spec.m_alpha, spec.m_epsilon)
-    return sample_bits_raw(p0, seed, rng.DOMAIN_PUBLIC, periods, replicas)
+    return _sample_bits(spec, profile, MODE_PUBLIC, seed, periods, replicas)[0]
 
 
 def sample_public_indices(
     spec: GameSpec, profile, seed: int, periods: int = 1, replicas: int = 1
 ) -> np.ndarray:
     bits = sample_public(spec, profile, seed, periods, replicas)
-    weights = (1 << np.arange(spec.n_firms, dtype=np.int64))[None, None, :]
-    return (bits.astype(np.int64) * weights).sum(axis=2)
+    return bits.astype(np.int64) @ (np.int64(1) << np.arange(spec.n_firms))
 
 
 def sample_private(
@@ -304,20 +323,9 @@ def sample_private(
     """Private cross-observation matrices, int8 (periods, replicas, N, N).
 
     Entry [t, c, i, j] is firm i's bit about firm j; the diagonal is -1.
-    Slot i * N + j addresses the (i, j) draw, so each ordered pair has its
-    own substream.
     """
-    r = validate_profile(spec, profile)
+    bits, streams = _sample_bits(spec, profile, MODE_PRIVATE, seed, periods, replicas)
     n = spec.n_firms
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    p0 = np.array([_kernel_p0(r[j], spec.alpha, spec.epsilon) for (_, j) in pairs])
-    slots = np.array([i * n + j for (i, j) in pairs])
-    u = rng.uniforms(
-        seed, rng.DOMAIN_PRIVATE, 0, periods,
-        np.tile(slots, replicas), np.repeat(np.arange(replicas), len(pairs)),
-    ).reshape(periods, replicas, len(pairs))
-    bits = (u >= p0).astype(np.int8)
     out = np.full((periods, replicas, n, n), -1, dtype=np.int8)
-    for idx, (i, j) in enumerate(pairs):
-        out[:, :, i, j] = bits[:, :, idx]
+    out[:, :, streams.observer, streams.observed] = bits
     return out

@@ -11,9 +11,8 @@ independent substream by construction.  A draw made as part of a longer or
 wider call (more periods, slots or replicas) is bit-identical to the same
 draw made alone, so callers may prefetch and vectorize freely.
 
-``slot`` identifies the consumer within a period: the firm index for
-public-signal draws, ``observer * n + observed`` for private
-cross-observation draws.
+``slot`` identifies the consumer within a period.  Which domain and slot
+carry each monitoring bit is the layout of ``monitoring.signal_streams``.
 
 Uniforms use the common 53-bit mapping u = (x >> 11) * 2**-53 on lane 0 of
 the block, so u lies in [0, 1).

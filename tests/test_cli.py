@@ -106,6 +106,17 @@ def test_decompose_general_mode_coordinate_direction(spec2_file, capsys):
     assert all(float(r[1]) <= 1e-9 for r in rows[1:])
 
 
+def test_decompose_refuses_nine_firms(spec_file, capsys):
+    path = spec_file({"n_firms": 9, "gain": {"kind": "linear", "G": 3.0}, "L": 1.0,
+                      "alpha": 0.9, "epsilon": 0.1, "delta": 0.9})
+    code, out, err = run_cli(
+        ["decompose", "--spec", path, "--lambda", ",".join(["1"] * 9)], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert "capped at N <= 8" in err
+
+
 def test_decompose_bad_lambda_exits_two(spec2_file, capsys):
     code, _, err = run_cli(
         ["decompose", "--spec", spec2_file, "--lambda", "1,x"], capsys

@@ -26,7 +26,8 @@ from npdshare.conditions import (
     signal_matrix_individual_raw,
     signal_matrix_pairwise,
 )
-from npdshare.errors import ConditionInapplicableError, DomainError
+from npdshare import conditions
+from npdshare.errors import CapacityError, ConditionInapplicableError, DomainError
 
 
 def test_numeric_rank_basics():
@@ -192,6 +193,17 @@ def test_km_inapplicable_for_two_firms(spec2):
     rep = theorem_preconditions(spec2, "km")
     assert not rep.holds
     assert "more than two firms" in rep.evidence["reason"]
+
+
+def test_preconditions_refuse_large_n_before_enumerating(monkeypatch):
+    # At N = 16 the dimension report alone would price all 2^16 profiles.
+    def fail(*args):
+        raise AssertionError("profile payoffs enumerated before the N cap")
+
+    monkeypatch.setattr(conditions, "profile_payoff", fail)
+    spec = GameSpec(16, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9)
+    with pytest.raises(CapacityError, match="capped at N <= 8"):
+        theorem_preconditions(spec, "flm")
 
 
 def test_theorem_name_validated(spec2):

@@ -19,7 +19,7 @@ from npdshare import (
     verify_decomposition,
 )
 from npdshare.decompose import SOLVE_TOL
-from npdshare.errors import DomainError
+from npdshare.errors import CapacityError, DomainError
 from npdshare.game import all_profiles
 from npdshare.geometry import hausdorff_distance_polygons
 
@@ -497,3 +497,11 @@ def test_promise_setup_builds_each_distribution_once(monkeypatch):
     calls = _count_distribution_builds(monkeypatch)
     PromiseDecomposition(_spec(delta=0.99), (1.0, 1.0))
     assert len(calls) == 4 * 3
+
+
+def test_single_profile_systems_share_the_n_cap():
+    spec = GameSpec(9, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9)
+    with pytest.raises(CapacityError, match="capped at N <= 8"):
+        solve_enforceability(spec, (1,) * 9, (1.0,) * 9)
+    with pytest.raises(CapacityError, match="capped at N <= 8"):
+        verify_decomposition(spec, (2.0,) * 9, (1,) * 9, np.zeros((2**9, 9)))

@@ -8,30 +8,51 @@ from npdshare import (
     FactoredBernoulli,
     GameSpec,
     LinearGain,
-    belief_kernel,
+    Strategy,
     cross_observation_reduction,
     marginal_excluding,
     private_joint_distribution,
     public_signal_distribution,
+    run_episode,
     sample_private,
+    sample_public,
     sample_public_indices,
     signal_bits,
     signal_index,
 )
+from npdshare import rng
+from npdshare.engine import DRAW_CHUNK_PERIODS
 from npdshare.errors import DomainError
 from npdshare.monitoring import (
     public_profile_distribution_raw,
-    sample_bits_raw,
+    signal_kernel,
+    signal_streams,
 )
 
 DIST_TOL = 1e-12
 
 
-def test_belief_kernel_values():
-    assert belief_kernel(1, 0.9, 0.1) == (0.1, 0.9)
-    assert belief_kernel(0, 0.9, 0.1) == pytest.approx((0.9, 0.1))
+def test_signal_kernel_by_mode_and_action():
+    spec = GameSpec(3, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9,
+                    monitor_alpha=0.8, monitor_epsilon=0.2)
+    # index 0: the observed firm conceals, 1: it discloses
+    assert signal_kernel(spec, "public").tolist() == [0.8, 0.2]
+    assert signal_kernel(spec, "private").tolist() == [0.9, 0.1]
+
+
+def test_signal_streams_layout():
+    pub = signal_streams(3, "public")
+    assert pub.domain == rng.DOMAIN_PUBLIC
+    assert pub.slot.tolist() == [0, 1, 2]
+    assert pub.observed.tolist() == [0, 1, 2]
+    assert pub.observer.tolist() == [-1, -1, -1]
+    priv = signal_streams(3, "private")
+    assert priv.domain == rng.DOMAIN_PRIVATE
+    assert priv.observer.tolist() == [0, 0, 1, 1, 2, 2]
+    assert priv.observed.tolist() == [1, 2, 0, 2, 0, 1]
+    assert priv.slot.tolist() == [1, 2, 3, 5, 6, 7]  # observer * 3 + observed
     with pytest.raises(DomainError):
-        belief_kernel(1, 0.9, 0.0)  # perfect monitoring rejected
+        signal_streams(3, "broadcast")
 
 
 def test_signal_index_round_trip():
@@ -147,7 +168,7 @@ def test_private_bits_match_kernel_rates(spec3):
     sig = sample_private(spec3, (1, 0, 1), seed=9, periods=20_000, replicas=1)
     # column j holds everyone's reading of firm j
     for j, action in enumerate((1, 0, 1)):
-        p_one = 1.0 - belief_kernel(action, spec3.alpha, spec3.epsilon)[0]
+        p_one = 1.0 - signal_kernel(spec3, "private")[action]
         obs = [sig[:, 0, i, j] for i in range(3) if i != j]
         for col in obs:
             rate = float(np.mean(col))
@@ -155,9 +176,35 @@ def test_private_bits_match_kernel_rates(spec3):
             assert abs(rate - p_one) < 4 * sigma
 
 
-def test_sample_bits_raw_warns_on_boundary():
-    with pytest.warns(UserWarning):
-        sample_bits_raw(np.array([0.0, 0.5]), 1, 0x5055424C, periods=2, replicas=1)
+class _Fixed(Strategy):
+    def __init__(self, action):
+        self.action = action
+
+    def next_action(self, public_history, private_history) -> int:
+        return self.action
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_samplers_draw_the_simulators_bits(n):
+    # A fixed profile over more than one draw block, a monitor kernel apart
+    # from the firms' one, and replicas past 0: the sampled bits of replica
+    # c are the bits run_episode draws for replica c.
+    spec = GameSpec(n, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9,
+                    monitor_alpha=0.8, monitor_epsilon=0.2)
+    profile = tuple(i % 2 for i in range(n))
+    seed, horizon, replicas = 41, DRAW_CHUNK_PERIODS + 37, 3
+    public = sample_public(spec, profile, seed, periods=horizon, replicas=replicas)
+    indices = sample_public_indices(spec, profile, seed, periods=horizon, replicas=replicas)
+    private = sample_private(spec, profile, seed, periods=horizon, replicas=replicas)
+    weights = np.int64(1) << np.arange(n)
+    for c in range(1, replicas):
+        pub = run_episode(spec, [_Fixed(a) for a in profile], horizon, seed, replica=c)
+        assert np.array_equal(public[:, c].astype(np.int64) @ weights, pub.public_signals)
+        assert np.array_equal(indices[:, c], pub.public_signals)
+        priv = run_episode(
+            spec, [_Fixed(a) for a in profile], horizon, seed, mode="private", replica=c
+        )
+        assert np.array_equal(private[:, c], priv.private_signals)
 
 
 @settings(max_examples=25)
