@@ -8,20 +8,22 @@ v <- v + ((1-delta)/delta) (gamma_base[b] + affine[b] @ (v - u)).
 Replicas that leave the region stop accruing payoff (the halt period is
 recorded), which matches reverting to the all-conceal static equilibrium.
 
-Replicas are stepped in groups of GROUP_REPLICAS, one group after another.
-A group draws its signals a chunk of periods ahead: one call reads that
-many periods from the stream of every public bit
-(``monitoring.signal_streams``) of every replica still inside, and the chunk
-is turned into uint8 signal indices at once.  A chunk holds at most
-CHUNK_DRAWS uniforms (1 MB of float64); the group size is chosen so that at
-N = 2 a stream covers STREAM_PERIODS periods of it, which spreads the
-generator's per-stream setup over many draws.  Only replicas still inside
-the region are carried from period to period; a column map into the chunk
-is compacted together with them.  Draws are addressed by their (period,
-slot, replica) counter, and the running payoff sum is the same sequence in
-every group, so neither the grouping nor the chunking nor dropping halted
-replicas changes any replica's trajectory: each is bit for bit as if it ran
-alone.
+Replicas are stepped in groups of GROUP_REPLICAS, one group after another;
+each numpy op of the period loop works on a group's replicas still inside.
+A group draws its signals a stream run of STREAM_PERIODS periods ahead:
+every public bit's stream (``monitoring.signal_streams``) of every replica
+still inside is read for the run with one seek, which spreads the
+generator's per-stream setup over many draws.  The draws of a run are made
+in batches of replicas, CHUNK_DRAWS // (N * periods) at a time, so a
+batch's float64 uniforms stay within CHUNK_DRAWS values (1 MB); each batch
+is turned into uint8 signal indices at once and written into its columns
+of the run's (periods, replicas) buffer, 2 MB at the default sizes.  Only
+replicas still inside the region are carried from period to period; a
+column map into the buffer is compacted together with them.  Draws are
+addressed by their (period, slot, replica) counter, and the running payoff
+sum is the same sequence in every group, so neither the grouping nor the
+runs nor the batches nor dropping halted replicas changes any replica's
+trajectory: each is bit for bit as if it ran alone.
 """
 
 from __future__ import annotations
@@ -30,11 +32,12 @@ import numpy as np
 
 from .monitoring import MODE_PUBLIC, signal_streams
 
-# Uniforms per chunk of draws: 2**17 float64 values, 1 MB.
+# Replicas stepped together by each numpy op of the period loop.
+GROUP_REPLICAS = 8192
+# Periods drawn per stream seek: the length of a stream run.
+STREAM_PERIODS = 256
+# Uniforms per draw batch: 2**17 float64 values, 1 MB.
 CHUNK_DRAWS = 2**17
-# Periods a stream covers per chunk at N = 2; fewer at larger N.
-STREAM_PERIODS = 128
-GROUP_REPLICAS = CHUNK_DRAWS // (2 * STREAM_PERIODS)
 
 
 def backend_name() -> str:
@@ -71,7 +74,6 @@ def promise_mc(
     n = v0.shape[0]
     totals = np.zeros((replicas, n))
     halt = np.full(replicas, -1, dtype=np.int64)
-    chunk = max(1, CHUNK_DRAWS // (n * GROUP_REPLICAS))
     streams = signal_streams(n, MODE_PUBLIC)
     affine_cols = [np.ascontiguousarray(affine[:, :, k]) for k in range(n)]
     c = (1.0 - delta) / delta
@@ -97,13 +99,16 @@ def promise_mc(
                 live, v, col = live[keep], v[keep], col[keep]
                 if live.size == 0:
                     break
-            row = t % chunk
+            row = t % STREAM_PERIODS
             if row == 0:
-                count = min(chunk, horizon - t)
-                u = streams.uniforms(seed, t, count, live)
+                count = min(STREAM_PERIODS, horizon - t)
+                batch = max(1, CHUNK_DRAWS // (n * count))
                 signals = np.zeros((count, live.size), dtype=np.uint8)
-                for k in range(n):
-                    signals |= (u[:, k] >= p_zero[k]).view(np.uint8) << k
+                for b in range(0, live.size, batch):
+                    u = streams.uniforms(seed, t, count, live[b : b + batch])
+                    part = signals[:, b : b + batch]
+                    for k in range(n):
+                        part |= (u[:, k] >= p_zero[k]).view(np.uint8) << k
                 col = np.arange(live.size)
             accrued = accrued + w * u_r
             # take() gathers rows as fancy indexing does, at a fraction of its

@@ -521,13 +521,16 @@ def monte_carlo_promise(
 
     The numpy kernel in ``_kernels`` steps the replicas still inside the
     admissible region together, one period at a time, in groups of
-    ``_kernels.GROUP_REPLICAS`` that draw their signals a chunk of periods
-    ahead.  Replica trajectories are bit-identical to running
-    PromiseAutomaton (``on_exit="concede"``) through run_episode with the
-    same seed and replica index.  Replicas whose promise leaves the
-    admissible region stop accruing payoff from the halt period on
-    (all-conceal continuation); their partial discounted sums still enter
-    the aggregate.
+    ``_kernels.GROUP_REPLICAS``.  A group draws its signals a stream run of
+    ``_kernels.STREAM_PERIODS`` periods ahead, in batches of replicas whose
+    float64 draws stay within ``_kernels.CHUNK_DRAWS`` values (1 MB), and
+    keeps the run as uint8 signal indices (2 MB at the default sizes).  None
+    of the three sizes changes a result: replica trajectories are
+    bit-identical to running PromiseAutomaton (``on_exit="concede"``)
+    through run_episode with the same seed and replica index.  Replicas
+    whose promise leaves the admissible region stop accruing payoff from
+    the halt period on (all-conceal continuation); their partial
+    discounted sums still enter the aggregate.
     """
     if replicas < 1:
         raise DomainError(f"replicas must be >= 1, got {replicas}")

@@ -77,8 +77,18 @@ class SignalStreams:
 
     def uniforms(self, seed: int, start: int, count: int, replicas) -> np.ndarray:
         """Periods start ... start + count - 1 of every bit's stream for each
-        of ``replicas``: float64 of shape (count, bits, len(replicas))."""
+        of ``replicas``: float64 of shape (count, bits, len(replicas)).
+
+        ``seed`` is a word of the rng key and each replica a word of the
+        counter, so each must lie in [0, 2**64).  Every draw path checks
+        them here.
+        """
         replicas = np.atleast_1d(replicas)
+        if not 0 <= int(seed) < 2**64:
+            raise DomainError(f"seed must lie in [0, 2**64), got {seed}")
+        bad = replicas[(replicas < 0) | (replicas >= 2**64)]
+        if bad.size:
+            raise DomainError(f"replica must lie in [0, 2**64), got {bad[0]}")
         m = self.slot.size
         u = rng.uniforms(
             seed, self.domain, start, count,

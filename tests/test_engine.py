@@ -73,6 +73,20 @@ def test_signal_trigger_infinite_never_fires(spec2):
     assert np.array_equal(t1.public_signals, t2.public_signals)
 
 
+@pytest.mark.parametrize("replica", [-1, 2**64])
+def test_run_episode_rejects_replicas_outside_64_bits(spec2, replica):
+    with pytest.raises(DomainError, match="replica must lie in"):
+        run_episode(spec2, [AlwaysDisclose(), AlwaysDisclose()], 5, seed=1, replica=replica)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_monte_carlo_promise_rejects_seeds_outside_64_bits(spec2_patient, seed):
+    with pytest.raises(DomainError, match="seed must lie in"):
+        monte_carlo_promise(
+            spec2_patient, (2.0, 2.0), (1.0, 1.0), replicas=2, horizon=5, base_seed=seed
+        )
+
+
 def test_signal_trigger_validates_threshold():
     with pytest.raises(DomainError):
         SignalTrigger(0)
@@ -374,21 +388,26 @@ def test_kernel_matches_strategy_path_when_replicas_halt_apart(spec2_patient):
         assert first_off == halts[r], r
 
 
-def test_kernel_groups_and_chunks_match_strategy_path_bitwise():
-    # One replica past a full group and a horizon past one draw chunk, with
-    # replicas halting in both groups, inside chunks and in the second
-    # chunk: every row and halt period must equal its own replay.
-    spec = GameSpec(2, LinearGain(3.0), 1.0, 0.9, 0.1, 0.98)
-    group = _kernels.GROUP_REPLICAS
-    chunk = _kernels.CHUNK_DRAWS // (2 * group)
-    replicas, horizon, seed = group + 3, chunk + 32, 4
+def test_kernel_groups_and_chunks_match_strategy_path_bitwise(monkeypatch):
+    # Small sizes put group, stream-run and draw-batch boundaries inside
+    # R = 20 and T = 100, with replicas halting in both groups, inside runs
+    # and in later runs: every row and halt period must equal its own replay.
+    group, run, batch = 12, 32, 5
+    monkeypatch.setattr(_kernels, "GROUP_REPLICAS", group)
+    monkeypatch.setattr(_kernels, "STREAM_PERIODS", run)
+    monkeypatch.setattr(_kernels, "CHUNK_DRAWS", 2 * run * batch)  # batch per full run
+    spec = GameSpec(2, LinearGain(3.0), 1.0, 0.9, 0.1, 0.95)
+    replicas, horizon, seed = 20, 100, 10
     mc = monte_carlo_promise(
         spec, (2.0, 2.0), (1.0, 1.0), replicas=replicas, horizon=horizon,
         base_seed=seed,
     )
     halts = mc.halt_periods
-    assert np.any(halts[:group] >= 0) and np.any(halts[group:] >= chunk)
-    assert np.any(halts < 0) and np.any((halts > 0) & (halts % chunk != 0))
+    assert np.any(halts[:group] >= 0) and np.any(halts[group:] >= run)
+    assert np.any(halts < 0) and np.any((halts > 0) & (halts % run != 0))
+    # The first group's second run is drawn for more replicas than a batch
+    # holds, so a batch boundary falls inside the compacted group.
+    assert np.sum((halts[:group] < 0) | (halts[:group] > run)) > batch
     for r in range(replicas):
         auto = PromiseAutomaton(spec, (2.0, 2.0), (1.0, 1.0), on_exit="concede")
         trace = run_episode(spec, [auto, auto.clone()], horizon, seed=seed, replica=r)
@@ -396,6 +415,34 @@ def test_kernel_groups_and_chunks_match_strategy_path_bitwise():
         on_path = np.all(trace.actions == 1, axis=1)
         first_off = -1 if on_path.all() else int(np.argmin(on_path))
         assert first_off == halts[r], r
+
+
+@pytest.mark.parametrize("n, delta", [(2, 0.99), (3, 0.98)])
+def test_kernel_sizes_do_not_change_results(monkeypatch, n, delta):
+    # Three replicas past a default group and a horizon past a default
+    # stream run, with halts inside and after the first run and replicas
+    # that never halt; the patched sizes divide neither and split runs into
+    # batches.
+    spec = GameSpec(n, LinearGain(3.0), 1.0, 0.9, 0.1, delta)
+    v0 = np.asarray(profile_payoff(spec, (1,) * n), dtype=float)
+    replicas = _kernels.GROUP_REPLICAS + 3
+    horizon = _kernels.STREAM_PERIODS + 44
+
+    def run():
+        return monte_carlo_promise(
+            spec, v0, np.ones(n), replicas=replicas, horizon=horizon, base_seed=21
+        )
+
+    ref = run()
+    halts = ref.halt_periods
+    assert np.any(halts < 0) and np.any((halts >= 0) & (halts < _kernels.STREAM_PERIODS))
+    assert np.any(halts > _kernels.STREAM_PERIODS)
+    monkeypatch.setattr(_kernels, "GROUP_REPLICAS", 999)
+    monkeypatch.setattr(_kernels, "STREAM_PERIODS", 61)
+    monkeypatch.setattr(_kernels, "CHUNK_DRAWS", 2**12)
+    got = run()
+    assert np.array_equal(got.per_replica, ref.per_replica)
+    assert np.array_equal(got.halt_periods, halts)
 
 
 def test_monte_carlo_promise_records_halts(spec2_patient):

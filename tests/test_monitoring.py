@@ -55,6 +55,13 @@ def test_signal_streams_layout():
         signal_streams(3, "broadcast")
 
 
+@pytest.mark.parametrize("sample", [sample_public, sample_private])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_samplers_reject_seeds_outside_64_bits(spec3, sample, seed):
+    with pytest.raises(DomainError, match="seed must lie in"):
+        sample(spec3, (1, 0, 1), seed=seed)
+
+
 def test_signal_index_round_trip():
     for idx in range(16):
         assert signal_index(signal_bits(idx, 4)) == idx
