@@ -1,12 +1,11 @@
 """Hot Monte Carlo kernel of the promise automaton, vectorized over replicas.
 
-The kernel simulates the promise-keeping automaton: each period it checks
-the promise against the admissible region {lam . v <= k* + tol, v_i >= -tol},
-accrues the stage payoff, samples the public signal from per-firm Bernoulli
-bits, and applies the affine continuation update
-v <- v + ((1-delta)/delta) (gamma_base[b] + affine[b] @ (v - u)).
-Replicas that leave the region stop accruing payoff (the halt period is
-recorded), which matches reverting to the all-conceal static equilibrium.
+The kernel only schedules replicas.  The walk's arithmetic, the region test
+``outside`` and the step on a public signal ``step``, is defined once by
+``decompose.PromiseDecomposition``: ``PromiseAutomaton`` calls it on one
+promise, the kernel on a block of them.  Replicas that leave the region stop
+accruing payoff (the halt period is recorded), which matches reverting to
+the all-conceal static equilibrium.
 
 Replicas are stepped in groups of GROUP_REPLICAS, one group after another;
 each numpy op of the period loop works on a group's replicas still inside.
@@ -50,32 +49,22 @@ def promise_mc(
     horizon: int,
     delta: float,
     v0: np.ndarray,
-    u_r: np.ndarray,
     p_zero: np.ndarray,
-    gamma_base: np.ndarray,
-    affine: np.ndarray,
-    lam: np.ndarray,
-    k_star: float,
-    tol: float = 1e-9,
+    walk,
 ):
-    """Run the promise-automaton Monte Carlo.
+    """Run the promise-automaton Monte Carlo along ``walk``, its decomposition.
 
     Returns (totals, halt_periods): totals[r] is the undiscounted-weighted
     sum over periods of delta^t u(r) accrued while replica r stayed in the
     admissible region; halt_periods[r] is the first period whose promise
     left the region, or -1.
     """
-    seed, replicas, horizon = int(seed), int(replicas), int(horizon)
-    delta, k_star, tol = float(delta), float(k_star), float(tol)
-    v0, u_r, p_zero, gamma_base, affine, lam = (
-        np.asarray(x, dtype=np.float64)
-        for x in (v0, u_r, p_zero, gamma_base, affine, lam)
-    )
+    seed, replicas, horizon, delta = int(seed), int(replicas), int(horizon), float(delta)
+    v0, p_zero = (np.asarray(x, dtype=np.float64) for x in (v0, p_zero))
     n = v0.shape[0]
     totals = np.zeros((replicas, n))
     halt = np.full(replicas, -1, dtype=np.int64)
     streams = signal_streams(n, MODE_PUBLIC)
-    affine_cols = [np.ascontiguousarray(affine[:, :, k]) for k in range(n)]
     c = (1.0 - delta) / delta
     for first in range(0, replicas, GROUP_REPLICAS):
         # Every live replica has accrued the same sum, so one running sum
@@ -86,12 +75,7 @@ def promise_mc(
         col = np.arange(live.size)  # each live replica's column in signals
         w = 1.0
         for t in range(horizon):
-            lamdot = v[:, 0] * lam[0]
-            vmin = v[:, 0]
-            for k in range(1, n):
-                lamdot = lamdot + v[:, k] * lam[k]
-                vmin = np.minimum(vmin, v[:, k])
-            viol = (lamdot > k_star + tol) | (vmin < -tol)
+            viol = walk.outside(v)
             if viol.any():
                 halt[live[viol]] = t
                 totals[live[viol]] = accrued
@@ -110,15 +94,8 @@ def promise_mc(
                     for k in range(n):
                         part |= (u[:, k] >= p_zero[k]).view(np.uint8) << k
                 col = np.arange(live.size)
-            accrued = accrued + w * u_r
-            # take() gathers rows as fancy indexing does, at a fraction of its
-            # per-call cost on these short arrays.
-            idx = signals[row].take(col)
-            d = v - u_r
-            shift = gamma_base.take(idx, axis=0)
-            for k in range(n):
-                shift += affine_cols[k].take(idx, axis=0) * d[:, k : k + 1]
-            v = v + c * shift
+            accrued = accrued + w * walk.u_r
+            v = walk.step(v, signals[row].take(col), c)
             w = w * delta
         totals[live] = accrued
     return totals, halt

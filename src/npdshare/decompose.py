@@ -50,6 +50,8 @@ from .monitoring import public_profile_distribution_raw
 
 SOLVE_TOL = 1e-9
 K_STAR_MAX_FIRMS = 8
+# Slack of the promise region {lam . v <= k* + tol, v_i >= -tol}.
+REGION_TOL = 1e-9
 
 
 def kappa(alpha: float, epsilon: float) -> float:
@@ -534,6 +536,10 @@ class PromiseDecomposition:
     set of profile tables; displacements off the hyperplane are absorbed by
     a constant shift (allowed in the half-space since lambda . d <= 0
     there).
+
+    ``outside`` and ``step`` are the promise walk of the automaton and of the
+    Monte Carlo kernel: on one (N,) promise or on an (R, N) block, a row
+    runs the same numpy ops in the same order, so it gives the same bits.
     """
 
     def __init__(self, spec: GameSpec, direction):
@@ -571,16 +577,36 @@ class PromiseDecomposition:
         self.affine = np.einsum("bik,kl->bil", tensor, proj) + np.outer(
             lam_unit, lam_unit
         )[None, :, :]
+        # Contiguous affine[:, :, k] blocks, whose rows take() gathers cheaply.
+        self._affine_cols = [np.ascontiguousarray(self.affine[:, :, k]) for k in range(n)]
+
+    def outside(self, v):
+        """Whether promise(s) v left {lam . v <= k* + tol, v_i >= -tol}."""
+        lam = self.direction
+        level = v[..., 0] * lam[0]
+        vmin = v[..., 0]
+        for k in range(1, len(lam)):
+            level = level + v[..., k] * lam[k]
+            vmin = np.minimum(vmin, v[..., k])
+        return (level > self.k_star + REGION_TOL) | (vmin < -REGION_TOL)
+
+    def step(self, v, b, c):
+        """Promise(s) after public signal(s) b: v + c gamma_bar(v)[b]."""
+        return v + c * self._gamma_rows(v, b)
 
     def gamma_bar_for(self, v) -> np.ndarray:
-        """Continuation map for promise v; accumulation order is fixed so the
-        simulation kernels reproduce it bit for bit."""
+        """Continuation map for promise v, one row per public signal: the
+        rows that ``step`` adds, bit for bit."""
         v = np.asarray(v, dtype=float)
+        return self._gamma_rows(v, np.arange(len(self.gamma_base)))
+
+    def _gamma_rows(self, v, b):
+        # gamma_base[b] + sum_k affine[b, :, k] (v - u)_k, summed in k order.
         d = v - self.u_r
-        gamma = self.gamma_base.copy()
-        for k in range(len(d)):
-            gamma += self.affine[:, :, k] * d[k]
-        return gamma
+        rows = self.gamma_base.take(b, axis=0)
+        for k, col in enumerate(self._affine_cols):
+            rows += col.take(b, axis=0) * d[..., k : k + 1]
+        return rows
 
 
 def _hyperplane_basis(lam_unit: np.ndarray) -> list[np.ndarray]:

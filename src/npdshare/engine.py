@@ -25,12 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import backend_name, promise_mc
-from .decompose import PromiseDecomposition
+from .decompose import REGION_TOL, PromiseDecomposition
 from .errors import DiscountTooSmallError, DomainError, ProtocolError
 from .game import GameSpec
 from .monitoring import MODE_PRIVATE, MODE_PUBLIC, signal_kernel, signal_streams
-
-REGION_TOL = 1e-9
 
 # run_episode draws its uniforms in blocks of this many periods, one rng call
 # per block, so the block holds at most DRAW_CHUNK_PERIODS * N * (N - 1)
@@ -135,12 +133,13 @@ class PromiseAutomaton(Strategy):
     period the automaton plays its component of that profile; on observing
     public signal b the promise moves to v + ((1-delta)/delta) gamma_bar(b).
     Orthogonal enforcement keeps lam . v constant, so the promise walks the
-    supporting hyperplane.
+    supporting hyperplane.  The decomposition's ``outside`` and ``step``,
+    the Monte Carlo kernel's own, test and move the promise.
 
     If an update leaves the admissible region {lam . v <= k* + tol,
     v_i >= -tol}, the automaton either raises DiscountTooSmallError with a
     replay diagnostic (``on_exit="raise"``) or concedes to all-conceal for
-    the rest of the episode (``on_exit="concede"``).
+    the rest of the episode (``on_exit="concede"``).  v0 must be finite.
 
     Share one instance across firms or pass per-firm clones; the promise
     walk is a deterministic function of the public history either way.
@@ -160,20 +159,15 @@ class PromiseAutomaton(Strategy):
         v0 = np.asarray(v0, dtype=float)
         if v0.shape != (spec.n_firms,):
             raise DomainError(f"v0 must have length {spec.n_firms}")
-        if not self._in_region(v0):
+        if not np.all(np.isfinite(v0)):
+            raise DomainError(f"v0 must be finite, got {v0.tolist()}")
+        if self.decomp.outside(v0):
             raise DomainError(
                 "v0 lies outside the admissible region "
                 f"{{lam.v <= {self.decomp.k_star:.6g}, v_i >= 0}} (tol {REGION_TOL})"
             )
         self.v0 = v0
         self._reset_state()
-
-    def _in_region(self, v) -> bool:
-        lam = self.decomp.direction
-        level = v[0] * lam[0]
-        for k in range(1, len(v)):
-            level = level + v[k] * lam[k]
-        return bool(level <= self.decomp.k_star + REGION_TOL and np.min(v) >= -REGION_TOL)
 
     def _reset_state(self) -> None:
         self._v = self.v0.copy()
@@ -209,9 +203,8 @@ class PromiseAutomaton(Strategy):
             if self._halted:
                 continue
             self._signals.append(b)
-            gamma = self.decomp.gamma_bar_for(self._v)
-            v_next = self._v + c * gamma[b]
-            if not self._in_region(v_next):
+            v_next = self.decomp.step(self._v, b, c)
+            if self.decomp.outside(v_next):
                 if self.on_exit == "raise":
                     raise DiscountTooSmallError(
                         period=self._consumed,
@@ -234,8 +227,8 @@ class PromiseAutomaton(Strategy):
             c = (1.0 - d) / d
             v = self.v0.copy()
             for b in signals:
-                v = v + c * self.decomp.gamma_bar_for(v)[b]
-                if not self._in_region(v):
+                v = self.decomp.step(v, b, c)
+                if self.decomp.outside(v):
                     return False
             return True
 
@@ -346,14 +339,13 @@ def run_episode(
     The signal uniforms are drawn DRAW_CHUNK_PERIODS periods at a time, ahead
     of play: one call reads that many periods from the stream of every bit
     of ``monitoring.signal_streams``.  Being addressed by (period, slot,
-    replica) they are the same bits a per-period draw would give.
+    replica) they are the same bits a per-period draw would give.  Its
+    seeds are every draw path's, [0, 2**64), checked by the first draw.
     """
     if mode not in (MODE_PUBLIC, MODE_PRIVATE):
         raise DomainError(f"mode must be '{MODE_PUBLIC}' or '{MODE_PRIVATE}', got {mode!r}")
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
-    if not 0 <= int(seed) < 2**63:
-        raise DomainError("seed must lie in [0, 2**63)")
     n = spec.n_firms
     supplied = list(strategies)
     if len(supplied) != n:
@@ -519,8 +511,10 @@ def monte_carlo_promise(
 ) -> MonteCarloResult:
     """Vectorized Monte Carlo of the promise automaton.
 
-    The numpy kernel in ``_kernels`` steps the replicas still inside the
-    admissible region together, one period at a time, in groups of
+    The automaton's constructor checks v0 (finite, inside the region), and
+    its ``PromiseDecomposition`` moves the promises: the numpy kernel in
+    ``_kernels`` calls its ``outside`` and ``step`` on the replicas still
+    inside, together, one period at a time, in groups of
     ``_kernels.GROUP_REPLICAS``.  A group draws its signals a stream run of
     ``_kernels.STREAM_PERIODS`` periods ahead, in batches of replicas whose
     float64 draws stay within ``_kernels.CHUNK_DRAWS`` values (1 MB), and
@@ -540,21 +534,15 @@ def monte_carlo_promise(
     if not (0.0 < d < 1.0):
         raise DomainError(f"delta must lie in (0, 1), got {d}")
     auto = PromiseAutomaton(spec, v0, direction, delta=d, on_exit="concede")
-    dec = auto.decomp
-    p_zero = signal_kernel(spec, MODE_PUBLIC)[np.asarray(dec.action)]
+    walk = auto.decomp
     totals, halts = promise_mc(
         seed=int(base_seed),
         replicas=replicas,
         horizon=horizon,
         delta=d,
-        v0=np.asarray(v0, dtype=float),
-        u_r=dec.u_r,
-        p_zero=p_zero,
-        gamma_base=dec.gamma_base,
-        affine=dec.affine,
-        lam=dec.direction,
-        k_star=dec.k_star,
-        tol=REGION_TOL,
+        v0=auto.v0,
+        p_zero=signal_kernel(spec, MODE_PUBLIC)[np.asarray(walk.action)],
+        walk=walk,
     )
     per = (1.0 - d) * totals
     mean, stderr = _aggregate(per)

@@ -18,7 +18,7 @@ from npdshare import (
     table2_gamma_bar,
     verify_decomposition,
 )
-from npdshare.decompose import SOLVE_TOL
+from npdshare.decompose import REGION_TOL, SOLVE_TOL
 from npdshare.errors import CapacityError, DomainError
 from npdshare.game import all_profiles
 from npdshare.geometry import hausdorff_distance_polygons
@@ -380,6 +380,45 @@ def test_promise_family_perpendicular_shift_is_rigid():
     g0 = pd.gamma_bar_for(pd.u_r)
     g1 = pd.gamma_bar_for(pd.u_r + lam_unit)
     assert np.allclose(g1 - g0, np.tile(lam_unit, (4, 1)), atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_promise_walk_is_the_same_in_every_shape(n):
+    # The automaton steps one (N,) promise and the Monte Carlo kernel an
+    # (R, N) block; each row of a block must be bit for bit its own call,
+    # and a step must add exactly the row of gamma_bar_for.
+    spec = GameSpec(n, LinearGain(3.0), 1.0, 0.9, 0.1, 0.99)
+    walk = PromiseDecomposition(spec, np.ones(n))
+    gen = np.random.default_rng(n)
+    interior = walk.u_r + gen.normal(scale=0.5, size=(40, n))
+    level = interior.sum(axis=1, keepdims=True)
+    hyperplane = interior - (level - walk.k_star) / n
+    tol = REGION_TOL
+    edges = np.array([
+        walk.u_r,  # on the supporting hyperplane
+        walk.u_r + tol / n,  # at the level's slack
+        walk.u_r + 2 * tol,  # past it
+        np.r_[0.0, walk.u_r[1:]],  # on a coordinate face
+        np.r_[-tol, walk.u_r[1:] - 1.0],  # at the face's slack
+        np.r_[-2 * tol, walk.u_r[1:] - 1.0],  # past it
+    ])
+    v = np.concatenate([interior, hyperplane, edges])
+    out = walk.outside(v)
+    assert out.any() and not out.all()
+    for r in range(len(v)):
+        assert walk.outside(v[r]) == out[r], r
+    assert list(out[-6:]) == [False, False, True, False, False, True]
+
+    c = (1.0 - 0.99) / 0.99
+    signals = gen.integers(0, 2**n, size=len(v)).astype(np.uint8)
+    moved = walk.step(v, signals, c)
+    for r in range(len(v)):
+        row = walk.step(v[r], int(signals[r]), c)
+        assert row.tobytes() == moved[r].tobytes(), r
+        gamma = walk.gamma_bar_for(v[r])
+        for b in range(2**n):
+            row = walk.step(v[r], b, c)
+            assert row.tobytes() == (v[r] + c * gamma[b]).tobytes(), (r, b)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,12 @@ def test_run_episode_rejects_replicas_outside_64_bits(spec2, replica):
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
+def test_run_episode_rejects_seeds_outside_64_bits(spec2, seed):
+    with pytest.raises(DomainError, match="seed must lie in"):
+        run_episode(spec2, [AlwaysDisclose(), AlwaysDisclose()], 5, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
 def test_monte_carlo_promise_rejects_seeds_outside_64_bits(spec2_patient, seed):
     with pytest.raises(DomainError, match="seed must lie in"):
         monte_carlo_promise(
@@ -322,6 +328,16 @@ def test_promise_rejects_bad_start(spec2_patient):
         PromiseAutomaton(spec2_patient, (-1.0, 1.0), (1.0, 1.0))
 
 
+@pytest.mark.parametrize("v0", [(np.nan, 1.0), (np.inf, 1.0)], ids=["nan", "inf"])
+def test_promise_rejects_non_finite_start(spec2_patient, v0):
+    with pytest.raises(DomainError, match="v0 must be finite"):
+        PromiseAutomaton(spec2_patient, v0, (1.0, 1.0))
+    with pytest.raises(DomainError, match="v0 must be finite"):
+        monte_carlo_promise(
+            spec2_patient, v0, (1.0, 1.0), replicas=2, horizon=5, base_seed=1
+        )
+
+
 def test_promise_boundary_start_accepted(spec2_patient):
     # (2, 2) sits exactly on the supporting hyperplane and is admissible
     auto = PromiseAutomaton(spec2_patient, (2.0, 2.0), (1.0, 1.0))
@@ -381,6 +397,29 @@ def test_kernel_matches_strategy_path_when_replicas_halt_apart(spec2_patient):
         trace = run_episode(
             spec2_patient, [auto, auto.clone()], horizon, seed=HALTING_SEED,
             replica=r,
+        )
+        assert np.array_equal(mc.per_replica[r], trace.discounted_average()), r
+        on_path = np.all(trace.actions == 1, axis=1)
+        first_off = -1 if on_path.all() else int(np.argmin(on_path))
+        assert first_off == halts[r], r
+
+
+def test_kernel_row_replays_at_seeds_above_2_63(spec2_patient):
+    # Every draw path takes seeds in [0, 2**64), so a Monte Carlo row at a
+    # seed the CLI never passes still replays step by step.
+    seed, replicas, horizon = 2**63 + 7, 4, 600
+    mc = monte_carlo_promise(
+        spec2_patient, (2.0, 2.0), (1.0, 1.0), replicas=replicas, horizon=horizon,
+        base_seed=seed,
+    )
+    halts = mc.halt_periods
+    assert np.any(halts >= 0)
+    for r in range(replicas):
+        auto = PromiseAutomaton(
+            spec2_patient, (2.0, 2.0), (1.0, 1.0), on_exit="concede"
+        )
+        trace = run_episode(
+            spec2_patient, [auto, auto.clone()], horizon, seed=seed, replica=r
         )
         assert np.array_equal(mc.per_replica[r], trace.discounted_average()), r
         on_path = np.all(trace.actions == 1, axis=1)
