@@ -16,7 +16,6 @@ from .conditions import (
     check_c2,
     check_c3,
     individual_full_rank,
-    numeric_rank,
     pairwise_full_rank,
     theorem_preconditions,
 )
@@ -131,7 +130,6 @@ __all__ = [
     "minmax",
     "monte_carlo",
     "monte_carlo_promise",
-    "numeric_rank",
     "pairwise_full_rank",
     "parse_game_spec",
     "ppe_payoff_set",

@@ -79,6 +79,8 @@ def _parse_grid(text: str, name: str) -> np.ndarray:
         steps = int(parts[2])
     except ValueError:
         raise _UsageError(f"--{name} must look like min:max:steps, got {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise _UsageError(f"--{name} min and max must be finite, got {text!r}")
     if steps < 1 or hi < lo:
         raise _UsageError(f"--{name} needs steps >= 1 and max >= min, got {text!r}")
     return np.linspace(lo, hi, steps)
@@ -346,8 +348,8 @@ def _write_mc(fh, mc) -> None:
 def cmd_sweep(args) -> int:
     alphas = _parse_grid(args.alpha_grid, "alpha-grid")
     epsilons = _parse_grid(args.epsilon_grid, "epsilon-grid")
-    if args.loss <= 0:
-        raise _UsageError(f"--L must be > 0, got {args.loss}")
+    if not (math.isfinite(args.loss) and args.loss > 0):
+        raise _UsageError(f"--L must be a finite number > 0, got {args.loss}")
     if not (0.5 < alphas[0] and alphas[-1] < 1):
         raise _UsageError(
             f"--alpha-grid must lie inside (1/2, 1), got [{alphas[0]}, {alphas[-1]}]"

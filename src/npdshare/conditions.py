@@ -1,12 +1,14 @@
 """Folk-theorem preconditions under imperfect monitoring.
 
-Public monitoring: individual and pairwise full-rank checks on the stacked
-signal-distribution matrices.  A firm's matrix A_i(r) has one row per own
-action (0 then 1), holding the public-signal distribution when the rest of
-the profile is fixed; the pairwise matrix stacks A_i and A_j and always
+Public monitoring: individual and pairwise full rank of the stacked
+signal distributions.  A firm's matrix A_i(r) has one row per own action
+(0 then 1), holding the public-signal distribution when the rest of the
+profile is fixed; the pairwise matrix stacks A_i and A_j and always
 contains a duplicate row (both firms' prescribed rows reproduce the
 equilibrium distribution), so its maximal achievable rank is
-|R_i| + |R_j| - 1 = 3.
+|R_i| + |R_j| - 1 = 3.  The rows are product measures that differ only in
+the tested firms' bits, so the rank is decided exactly from the monitor's
+per-bit kernel (``_stacked_rank``), with no matrix built.
 
 Private monitoring with communication: the identifiability conditions are
 (C1) at each firm's minmax profile every other firm's deviation is either
@@ -21,14 +23,16 @@ set, so C1 and C2 decide detectability from the per-bit kernels: two
 marginals differ exactly when some bit's P(bit = 0) differs, and the reported
 gaps (``signal_gap``, ``deviation_marginals_gap``,
 ``equilibrium_to_intersection_gap``) are max per-bit |delta P(bit = 0)|.  C3
-uses exact factored inner products.  No check expands the 2**bits outcome
-table.
+takes its displacement norms and its cosine from moments accumulated bit by
+bit from the per-bit differences (``monitoring.displacement_moments``).  No
+check expands the 2**bits outcome table.
 
 Reports serialize to an indented key-value text document via ``to_text``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,12 +48,13 @@ from .game import (
     validate_profile,
 )
 from .monitoring import (
+    MODE_PUBLIC,
     FactoredBernoulli,
+    displacement_moments,
     marginal_excluding,
-    public_profile_distribution_raw,
+    signal_kernel,
 )
 
-RANK_TOL = 1e-9  # pivot threshold, relative to the largest entry
 COND_TOL = 1e-9  # per-bit (C1, C2) and L2 (C3) distance threshold
 COLLINEAR_TOL = 1e-9  # cosines above 1 - this count as positively collinear
 
@@ -113,94 +118,37 @@ def _format_mapping(d: dict, depth: int) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# numeric rank
-
-
-def numeric_rank(matrix: np.ndarray, tol: float = RANK_TOL) -> int:
-    """Row-reduction rank with partial pivoting.
-
-    A pivot counts iff its magnitude exceeds ``tol`` times the largest
-    absolute entry of the original matrix.  The scan stops once no entry
-    right of and below the last pivot exceeds that threshold, since no
-    later column could then pivot.
-    """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2:
-        raise DomainError("numeric_rank expects a 2-D matrix")
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    if scale == 0.0:
-        return 0
-    threshold = tol * scale
-    rows, cols = a.shape
-    rank = 0
-    row = 0
-    for col in range(cols):
-        pivot = row + int(np.argmax(np.abs(a[row:, col])))
-        if abs(a[pivot, col]) <= threshold:
-            continue
-        a[[row, pivot]] = a[[pivot, row]]
-        factors = a[row + 1 :, col] / a[row, col]
-        a[row + 1 :] -= factors[:, None] * a[row]
-        rank += 1
-        row += 1
-        if row == rows or not np.any(np.abs(a[row:, col + 1 :]) > threshold):
-            break
-    return rank
-
-
-# ---------------------------------------------------------------------------
 # public-monitoring rank conditions
 
 
-def signal_matrix_individual_raw(
-    actions, firm: int, alpha: float, epsilon: float
-) -> np.ndarray:
-    """Rows: public-signal distribution under each action of ``firm`` (0, then 1)."""
-    return _action_rows(np.asarray(actions, dtype=np.int64), (firm,), alpha, epsilon)
+def _stacked_rank(spec: GameSpec, profile, firms) -> tuple[np.ndarray, int]:
+    """Validated profile, and the rank of the public-signal distributions
+    under each action of each firm in ``firms`` with the rest of ``profile``
+    fixed.
 
-
-def _action_rows(actions: np.ndarray, firms, alpha: float, epsilon: float) -> np.ndarray:
-    """Signal distributions under each action (0, then 1) of each firm in turn.
-
-    A firm's prescribed-action row is the equilibrium distribution, built
-    once and shared by every firm.
+    Every such row is a product measure over the N public bits that differs
+    from the equilibrium row in at most the tested firm's bit.  If that
+    bit's P(bit = 0) moves with the firm's action, the firms' deviation rows
+    and the equilibrium row are linearly independent tensor products, and
+    otherwise every row is the equilibrium row, so the rank is exactly
+    1 + len(firms) * [P(0 | conceal) != P(0 | disclose)].
     """
-    eq = public_profile_distribution_raw(actions, alpha, epsilon)
-    rows = []
-    for firm in firms:
-        if not 0 <= firm < len(actions):
-            raise DomainError(f"firm index {firm} out of range")
-        for a in (0, 1):
-            if a == actions[firm]:
-                rows.append(eq)
-                continue
-            prof = actions.copy()
-            prof[firm] = a
-            rows.append(public_profile_distribution_raw(prof, alpha, epsilon))
-    return np.asarray(rows)
-
-
-def signal_matrix_individual(spec: GameSpec, profile, firm: int) -> np.ndarray:
     r = validate_profile(spec, profile)
-    return signal_matrix_individual_raw(r, firm, spec.m_alpha, spec.m_epsilon)
+    for firm in firms:
+        if not 0 <= firm < spec.n_firms:
+            raise DomainError(f"firm index {firm} out of range")
+    kernel = signal_kernel(spec, MODE_PUBLIC)
+    return r, 1 + len(firms) * int(kernel[0] != kernel[1])
 
 
 def individual_full_rank(spec: GameSpec, profile, firm: int) -> ConditionReport:
-    mat = signal_matrix_individual(spec, profile, firm)
-    rank = numeric_rank(mat)
+    r, rank = _stacked_rank(spec, profile, (firm,))
     return ConditionReport(
         condition_id="individual_full_rank",
         holds=rank == 2,
-        context={"profile": list(validate_profile(spec, profile)), "firm": firm + 1},
+        context={"profile": list(r), "firm": firm + 1},
         evidence={"rank": rank, "required": 2},
     )
-
-
-def signal_matrix_pairwise(spec: GameSpec, profile, firm_i: int, firm_j: int) -> np.ndarray:
-    if firm_i == firm_j:
-        raise DomainError("pairwise matrix needs two distinct firms")
-    r = validate_profile(spec, profile)
-    return _action_rows(r, (firm_i, firm_j), spec.m_alpha, spec.m_epsilon)
 
 
 def pairwise_full_rank(spec: GameSpec, profile, firm_i: int, firm_j: int) -> ConditionReport:
@@ -209,15 +157,13 @@ def pairwise_full_rank(spec: GameSpec, profile, firm_i: int, firm_j: int) -> Con
     Both firms' prescribed-action rows equal the equilibrium signal
     distribution, so one row is always redundant.
     """
-    mat = signal_matrix_pairwise(spec, profile, firm_i, firm_j)
-    rank = numeric_rank(mat)
+    if firm_i == firm_j:
+        raise DomainError("pairwise matrix needs two distinct firms")
+    r, rank = _stacked_rank(spec, profile, (firm_i, firm_j))
     return ConditionReport(
         condition_id="pairwise_full_rank",
         holds=rank == 3,
-        context={
-            "profile": list(validate_profile(spec, profile)),
-            "pair": [firm_i + 1, firm_j + 1],
-        },
+        context={"profile": list(r), "pair": [firm_i + 1, firm_j + 1]},
         evidence={"rank": rank, "required": 3},
     )
 
@@ -344,6 +290,13 @@ def check_c2(spec: GameSpec, profile, firm_i: int, firm_j: int) -> ConditionRepo
     )
 
 
+def _block_cosine(p: FactoredBernoulli, q: FactoredBernoulli) -> float:
+    """cos(q - p, p) over the bits where q differs from p."""
+    moved = p.p_zero != q.p_zero
+    pp, dp, dd = displacement_moments(p.p_zero[moved], q.p_zero[moved])
+    return dp / math.sqrt(pp * dd)
+
+
 def check_c3(spec: GameSpec, profile, firm_i: int, firm_j: int) -> ConditionReport:
     """Suspect-deviation segments meet only at the equilibrium marginal.
 
@@ -351,6 +304,11 @@ def check_c3(spec: GameSpec, profile, firm_i: int, firm_j: int) -> ConditionRepo
     they overlap beyond p iff the displacement directions q_i - p and
     q_j - p are positively collinear.  Degenerate displacements (q = p)
     collapse a segment to the point p and cannot create overlap.
+
+    q_i and q_j move disjoint blocks of bits, the bits about i and about j
+    held by the observers outside the pair.  Every other bit cancels, so
+    the cosine of the two displacements is the product of each block's
+    cos(q - p, p) (``_block_cosine``).
     """
     p, q_i, q_j = _pair_marginals(spec, profile, firm_i, firm_j)
     norm_i = p.l2_diff(q_i)
@@ -363,9 +321,7 @@ def check_c3(spec: GameSpec, profile, firm_i: int, firm_j: int) -> ConditionRepo
         holds = True
         evidence["degenerate_displacement"] = True
     else:
-        # <q_i - p, q_j - p> via exact factored inner products
-        inner = q_i.dot(q_j) - q_i.dot(p) - p.dot(q_j) + p.dot(p)
-        cosine = inner / (norm_i * norm_j)
+        cosine = _block_cosine(p, q_i) * _block_cosine(p, q_j)
         holds = cosine <= 1.0 - COLLINEAR_TOL
         evidence["cosine"] = float(cosine)
     return ConditionReport(

@@ -185,17 +185,41 @@ def public_signal_distribution(spec: GameSpec, profile) -> SignalDistribution:
 # private monitoring: factorized product-Bernoulli representations
 
 
+def displacement_moments(a, b) -> tuple[float, float, float]:
+    """(<P, P>, <Q - P, P>, ||Q - P||^2) over the joint outcomes of the
+    product measures P and Q whose bits have P(bit = 0) ``a`` and ``b``.
+
+    Accumulated one bit at a time.  A bit with laws x = (a_k, 1 - a_k) under
+    P and y = (b_k, 1 - b_k) under Q extends Q - P to
+    (Q - P) (x) y + P (x) (y - x), and with d = b_k - a_k the new terms are
+    <y - x, x> = d (2 a_k - 1), <y, y - x> = d (2 b_k - 1) and
+    ||y - x||^2 = 2 d^2.  No difference of two nearly equal products is
+    formed, so a small displacement keeps its relative precision.
+    """
+    a, b = np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()
+    pp, dp, dd = 1.0, 0.0, 0.0
+    for ak, bk in zip(a, b):
+        d = bk - ak
+        dd = (dd * (bk * bk + (1 - bk) * (1 - bk)) + 2 * dp * d * (2 * bk - 1)
+              + 2 * pp * d * d)
+        dp = dp * (ak * bk + (1 - ak) * (1 - bk)) + pp * d * (2 * ak - 1)
+        pp = pp * (ak * ak + (1 - ak) * (1 - ak))
+    return pp, dp, dd
+
+
 @dataclass(frozen=True)
 class FactoredBernoulli:
     """Product distribution of labelled independent bits.
 
     ``labels`` lists (observer, observed) pairs in a fixed order; ``p_zero``
     gives P(bit = 0) for each.  Two such measures on the same labels are
-    equal exactly when their ``p_zero`` vectors are, and inner products
-    factor across bits, so comparisons and geometry tests stay exact without
-    enumerating the joint space.  ``dense`` (with ``sup_diff`` on top of it)
-    is a small-N oracle for tests: it expands all 2**n_bits outcomes, with
-    labels[0] as the least significant bit of the signal index.
+    equal exactly when their ``p_zero`` vectors are, and ``l2_diff`` is
+    accumulated from the per-bit differences (``displacement_moments``), so
+    comparisons and geometry tests stay exact without enumerating the joint
+    space.  ``dense`` and ``sup_diff`` expand all 2**n_bits outcomes, with
+    labels[0] as the least significant bit of the signal index; no check
+    calls them.  They are test oracles, kept while the benchmark tracer
+    binds them.
     """
 
     labels: tuple[tuple[int, int], ...]
@@ -225,15 +249,10 @@ class FactoredBernoulli:
             )
         return _product_expansion(self.p_zero)
 
-    def dot(self, other: "FactoredBernoulli") -> float:
-        """<P, Q> = prod_k (p0 q0 + p1 q1), exact for product measures."""
-        self._check_same_space(other)
-        p, q = self.p_zero, other.p_zero
-        return float(np.prod(p * q + (1 - p) * (1 - q)))
-
     def l2_diff(self, other: "FactoredBernoulli") -> float:
-        val = self.dot(self) - 2.0 * self.dot(other) + other.dot(other)
-        return math.sqrt(max(val, 0.0))
+        """||Q - P|| over the joint outcomes, for P = self and Q = other."""
+        self._check_same_space(other)
+        return math.sqrt(displacement_moments(self.p_zero, other.p_zero)[2])
 
     def sup_diff(self, other: "FactoredBernoulli") -> float:
         self._check_same_space(other)

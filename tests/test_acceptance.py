@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from signal_oracle import with_monitor_kernel
 
 from npdshare import (
     GameSpec,
@@ -34,7 +35,6 @@ from npdshare import (
     table2_gamma_bar,
     theorem_preconditions,
 )
-from npdshare.conditions import signal_matrix_individual_raw, numeric_rank
 from npdshare.geometry import (
     hausdorff_distance_polygons,
     point_in_hull,
@@ -120,7 +120,7 @@ def test_accept_closed_form_satisfies_reduced_equations():
 
 def test_accept_rank_conditions_across_sizes():
     """Individual rank 2 for N up to 8 at random informative kernels,
-    pairwise rank 3 for N up to 6 at every extreme profile, deficiency when
+    pairwise rank 3 for N up to 8 at every extreme profile, deficiency when
     the kernel is uninformative."""
     t0 = time.monotonic()
     rng = np.random.default_rng(3)
@@ -138,10 +138,12 @@ def test_accept_rank_conditions_across_sizes():
                 rep = individual_full_rank(spec, minmax(spec, i).profile, i)
                 assert rep.holds and rep.evidence["rank"] == 2, (n, a, e, i)
                 n_individual += 1
-    deficient = numeric_rank(signal_matrix_individual_raw((0, 0), 0, 0.3, 0.3))
+    uninformative = with_monitor_kernel(_spec(), 0.3, 0.3)
+    deficient = individual_full_rank(uninformative, (0, 0), 0).evidence["rank"]
     assert deficient == 1
+    assert pairwise_full_rank(uninformative, (0, 0), 0, 1).evidence["rank"] == 1
     n_pairwise = 0
-    for n in range(2, 7):
+    for n in range(2, 9):
         spec = _spec(n=n)
         for profile in extreme_profiles(spec):
             for i in range(n):
@@ -154,7 +156,7 @@ def test_accept_rank_conditions_across_sizes():
     _report(
         "rank-conditions", ok,
         f"{n_individual} individual checks N=2..8, {n_pairwise} pairwise "
-        f"checks N=2..6, alpha=epsilon rank {deficient}, "
+        f"checks N=2..8, alpha=epsilon rank {deficient}, "
         f"{elapsed:.2f}s (budget 10s)",
     )
     assert elapsed < 10.0

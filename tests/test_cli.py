@@ -408,6 +408,25 @@ def test_sweep_rejects_malformed_grid(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--L", "nan"],
+        ["--L", "inf"],
+        ["--epsilon-grid", "0.1:inf:2"],
+        ["--epsilon-grid", "nan:0.2:2"],
+        ["--alpha-grid", "0.6:nan:2"],
+    ],
+    ids=["L-nan", "L-inf", "grid-max-inf", "grid-min-nan", "grid-max-nan"],
+)
+def test_sweep_rejects_non_finite_input(capsys, extra):
+    argv = ["sweep", "--alpha-grid", "0.6:0.9:3", "--epsilon-grid", "0.1:0.2:2"]
+    code, out, err = run_cli(argv + extra, capsys)
+    assert code == 2
+    assert "finite" in err
+    assert out == ""
+
+
 def test_sweep_out_file_matches_stdout(capsys, tmp_path):
     path = tmp_path / "sweep.csv"
     _, out, _ = run_cli(

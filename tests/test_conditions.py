@@ -1,7 +1,12 @@
 """Rank conditions and the private-monitoring identifiability checks."""
 
+import decimal
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from signal_oracle import numeric_rank, signal_matrix, with_monitor_kernel
 
 from npdshare import (
     FactoredBernoulli,
@@ -15,7 +20,6 @@ from npdshare import (
     individual_full_rank,
     marginal_excluding,
     minmax,
-    numeric_rank,
     pairwise_full_rank,
     theorem_preconditions,
 )
@@ -23,8 +27,6 @@ from npdshare.conditions import (
     COND_TOL,
     _marginal_gap,
     rank_reports,
-    signal_matrix_individual_raw,
-    signal_matrix_pairwise,
 )
 from npdshare import conditions
 from npdshare.errors import CapacityError, ConditionInapplicableError, DomainError
@@ -46,16 +48,59 @@ def test_numeric_rank_basics():
 
 
 def test_individual_signal_matrix_frozen_rows():
-    mat = signal_matrix_individual_raw((0, 0), 0, 0.9, 0.1)
+    mat = signal_matrix((0, 0), (0,), 0.9, 0.1)
     assert np.allclose(mat[0], [0.81, 0.09, 0.09, 0.01], atol=1e-15)
     assert np.allclose(mat[1], [0.09, 0.81, 0.01, 0.09], atol=1e-15)
     assert numeric_rank(mat) == 2
 
 
-def test_individual_rank_deficient_when_uninformative():
+def test_individual_rank_deficient_when_uninformative(spec2):
     # alpha == epsilon: both actions induce the same signal distribution
-    mat = signal_matrix_individual_raw((0, 0), 0, 0.3, 0.3)
-    assert numeric_rank(mat) == 1
+    assert numeric_rank(signal_matrix((0, 0), (0,), 0.3, 0.3)) == 1
+    rep = individual_full_rank(with_monitor_kernel(spec2, 0.3, 0.3), (0, 0), 0)
+    assert not rep.holds and rep.evidence["rank"] == 1
+
+
+def test_exact_rank_matches_numeric_oracle():
+    gen = np.random.default_rng(13)
+    for n in range(2, 7):
+        spec = GameSpec(n, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9)
+        for k in range(8):
+            a, e = gen.uniform(0.0, 1.0, size=2)
+            if k < 2:
+                e = a  # uninformative: every row is the equilibrium row
+            with_monitor_kernel(spec, float(a), float(e))
+            for _ in range(3):
+                r = tuple(int(x) for x in gen.integers(0, 2, size=n))
+                for i in range(n):
+                    want = numeric_rank(signal_matrix(r, (i,), a, e))
+                    assert individual_full_rank(spec, r, i).evidence["rank"] == want
+                for i, j in itertools.combinations(range(n), 2):
+                    want = numeric_rank(signal_matrix(r, (i, j), a, e))
+                    assert pairwise_full_rank(spec, r, i, j).evidence["rank"] == want, (n, a, e, r, i, j)
+
+
+def test_rank_is_exact_at_a_tiny_monitor_gap():
+    # A relative pivot tolerance reads rows 1e-10 apart as equal; the
+    # per-bit kernel still tells the actions apart.
+    spec = GameSpec(4, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9,
+                    monitor_alpha=0.5 + 5e-11, monitor_epsilon=0.5 - 5e-11)
+    gap = spec.m_alpha - spec.m_epsilon
+    assert 0 < gap < 1.1e-10
+    assert numeric_rank(signal_matrix((1,) * 4, (0,), spec.m_alpha, spec.m_epsilon)) == 1
+    for i in range(4):
+        assert individual_full_rank(spec, (1,) * 4, i).evidence["rank"] == 2
+    for i, j in itertools.combinations(range(4), 2):
+        assert pairwise_full_rank(spec, (0, 1, 0, 1), i, j).evidence["rank"] == 3
+    assert theorem_preconditions(spec, "flm").holds
+
+
+@pytest.mark.parametrize("firm", [-1, 2])
+def test_rank_rejects_firms_out_of_range(spec2, firm):
+    with pytest.raises(DomainError, match="out of range"):
+        individual_full_rank(spec2, (1, 1), firm)
+    with pytest.raises(DomainError, match="out of range"):
+        pairwise_full_rank(spec2, (1, 1), 0, firm)
 
 
 def test_individual_full_rank_all_firms(spec2, spec3):
@@ -69,7 +114,7 @@ def test_individual_full_rank_all_firms(spec2, spec3):
 def test_pairwise_full_rank_is_three(spec2):
     rep = pairwise_full_rank(spec2, (1, 1), 0, 1)
     assert rep.holds and rep.evidence["rank"] == 3
-    mat = signal_matrix_pairwise(spec2, (1, 1), 0, 1)
+    mat = signal_matrix((1, 1), (0, 1), spec2.m_alpha, spec2.m_epsilon)
     assert mat.shape == (4, 4)
     # the two prescribed-action rows coincide, so rank 4 is unreachable
     assert np.allclose(mat[1], mat[3])
@@ -108,6 +153,67 @@ def test_c2_c3_hold_for_three_and_four_firms():
 
 
 KERNELS = [(0.9, 0.1), (0.6, 0.4), (0.501, 0.499), (0.99, 0.01), (0.75, 0.3)]
+
+
+def _exact_c3(p, q_i, q_j):
+    """<q_i - p, q_j - p>, ||q_i - p||^2 and ||q_j - p||^2 over the dense
+    marginals, in exact rational arithmetic.
+
+    Each P(bit = 0) is a dyadic rational, so the outcome probabilities are
+    integers over one power of two, and the sums run on Python integers.
+    """
+    scale = 2**64
+
+    def dense(fb):
+        probs = [1]
+        for a in map(Fraction, fb.p_zero.tolist()):
+            z = a * scale
+            assert z.denominator == 1
+            probs = [x * y for y in (int(z), scale - int(z)) for x in probs]
+        return probs
+
+    base = dense(p)
+    d_i = [x - y for x, y in zip(dense(q_i), base)]
+    d_j = [x - y for x, y in zip(dense(q_j), base)]
+    denominator = scale ** (2 * p.n_bits)
+    return (
+        Fraction(sum(x * y for x, y in zip(d_i, d_j)), denominator),
+        Fraction(sum(x * x for x in d_i), denominator),
+        Fraction(sum(x * x for x in d_j), denominator),
+    )
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_c3_values_match_exact_oracle(n):
+    pairs = list(itertools.combinations(range(n), 2))
+    profiles = [(0,) * n, (1,) * n, tuple(k % 2 for k in range(n))]
+
+    def dec(x: Fraction) -> decimal.Decimal:
+        return decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
+
+    worst = 0.0
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        for alpha, epsilon in ((0.501, 0.499), (0.99, 0.01), (0.75, 0.3)):
+            spec = GameSpec(n, LinearGain(3.0), 1.0, alpha, epsilon, 0.9)
+            for r in profiles:
+                for i, j in pairs:
+                    dev_i, dev_j = list(r), list(r)
+                    dev_i[i], dev_j[j] = 1 - r[i], 1 - r[j]
+                    inner, nn_i, nn_j = _exact_c3(
+                        *(marginal_excluding(spec, x, excluded=(i, j)) for x in (r, dev_i, dev_j))
+                    )
+                    norm_i, norm_j = dec(nn_i).sqrt(), dec(nn_j).sqrt()
+                    want = {
+                        "cosine": dec(inner) / (norm_i * norm_j),
+                        "displacement_norm_i": norm_i,
+                        "displacement_norm_j": norm_j,
+                    }
+                    ev = check_c3(spec, r, i, j).evidence
+                    for key, exact in want.items():
+                        rel = abs(decimal.Decimal(ev[key]) - exact) / abs(exact)
+                        worst = max(worst, float(rel))
+    assert worst <= 1e-12, worst
 
 
 def test_per_bit_gap_decides_like_dense_oracle():

@@ -1,5 +1,7 @@
 """Signal kernels, distributions, factored marginals, and sampling."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,7 @@ from npdshare import rng
 from npdshare.engine import DRAW_CHUNK_PERIODS
 from npdshare.errors import DomainError
 from npdshare.monitoring import (
+    displacement_moments,
     public_profile_distribution_raw,
     signal_kernel,
     signal_streams,
@@ -127,8 +130,8 @@ def test_factored_dense_agrees_with_kron(spec3):
     dense = fb.dense()
     assert dense.shape == (2 ** fb.n_bits,)
     assert abs(dense.sum() - 1.0) <= DIST_TOL
-    # dot of a product measure with itself factors bit by bit
-    assert abs(fb.dot(fb) - float((dense**2).sum())) < 1e-14
+    # <P, P> of a product measure factors bit by bit
+    assert abs(displacement_moments(fb.p_zero, fb.p_zero)[0] - float((dense**2).sum())) < 1e-14
 
 
 def test_factored_l2_and_sup_consistent(spec3):
@@ -137,6 +140,25 @@ def test_factored_l2_and_sup_consistent(spec3):
     dp, dq = p.dense(), q.dense()
     assert abs(p.l2_diff(q) - float(np.linalg.norm(dp - dq))) < 1e-12
     assert abs(p.sup_diff(q) - float(np.max(np.abs(dp - dq)))) < 1e-15
+
+
+def test_l2_diff_keeps_small_displacements():
+    # Bits moved by 1e-9 and by 0.3, in both directions, among unmoved ones:
+    # the norm keeps its relative precision where the difference of
+    # <P, P> - 2 <P, Q> + <Q, Q> would lose it to cancellation.
+    gen = np.random.default_rng(5)
+    for n in range(1, 9):
+        for shift in (1e-9, 0.3):
+            a = gen.uniform(0.35, 0.65, size=n)
+            b = np.where(gen.integers(0, 3, size=n) == 0, a, a + gen.choice([-shift, shift], size=n))
+            labels = tuple((0, k) for k in range(n))
+            p, q = (FactoredBernoulli(labels=labels, p_zero=x) for x in (a, b))
+            exact_p, exact_q = [Fraction(1)], [Fraction(1)]
+            for x, y in zip(map(Fraction, a.tolist()), map(Fraction, b.tolist())):
+                exact_p = [u * v for v in (x, 1 - x) for u in exact_p]
+                exact_q = [u * v for v in (y, 1 - y) for u in exact_q]
+            want = float(sum((u - v) ** 2 for u, v in zip(exact_q, exact_p)))
+            assert p.l2_diff(q) == pytest.approx(want**0.5, rel=1e-13, abs=0.0), (n, shift)
 
 
 def test_marginal_excluding_drops_only_holdings(spec3):
