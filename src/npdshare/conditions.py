@@ -19,13 +19,15 @@ others; (C3) jointly, the others' signal geometry separates the two suspects
 C3 quantify over firms outside the pair and are undefined for N = 2.
 
 Every marginal compared here is a product-Bernoulli measure on one label
-set, so C1 and C2 decide detectability from the per-bit kernels: two
-marginals differ exactly when some bit's P(bit = 0) differs, and the reported
-gaps (``signal_gap``, ``deviation_marginals_gap``,
-``equilibrium_to_intersection_gap``) are max per-bit |delta P(bit = 0)|.  C3
+set, so C1 and C2 decide detectability exactly from the per-bit kernels: two
+marginals differ exactly when some bit's P(bit = 0) differs, which is when
+the reported gap (``signal_gap``, ``deviation_marginals_gap``,
+``equilibrium_to_intersection_gap``, the max per-bit |delta P(bit = 0)|) is
+positive.  C3 is degenerate exactly when no held bit moved, and otherwise
 takes its displacement norms and its cosine from moments accumulated bit by
 bit from the per-bit differences (``monitoring.displacement_moments``).  No
-check expands the 2**bits outcome table.
+check expands the 2**bits outcome table, and no distance is compared with a
+tolerance; only C3's collinearity test uses one (``COLLINEAR_TOL``).
 
 Reports serialize to an indented key-value text document via ``to_text``.
 """
@@ -41,10 +43,9 @@ from .errors import ConditionInapplicableError, DomainError
 from .game import (
     GameSpec,
     STRICT_TOL,
-    all_profiles,
+    all_profile_payoffs,
     extreme_profiles,
     minmax,
-    profile_payoff,
     validate_profile,
 )
 from .monitoring import (
@@ -55,7 +56,6 @@ from .monitoring import (
     signal_kernel,
 )
 
-COND_TOL = 1e-9  # per-bit (C1, C2) and L2 (C3) distance threshold
 COLLINEAR_TOL = 1e-9  # cosines above 1 - this count as positively collinear
 
 
@@ -184,11 +184,7 @@ def rank_reports(spec: GameSpec, extremes):
 
 
 def _marginal_gap(p: FactoredBernoulli, q: FactoredBernoulli) -> float:
-    """max_k |P(bit k = 0) - Q(bit k = 0)|: zero exactly when P == Q.
-
-    Compared against COND_TOL; the gaps of interest are either 0 or of
-    order alpha - epsilon.
-    """
+    """max_k |P(bit k = 0) - Q(bit k = 0)|: zero exactly when P == Q."""
     p._check_same_space(q)
     return float(np.max(np.abs(p.p_zero - q.p_zero)))
 
@@ -204,7 +200,7 @@ def check_c1(spec: GameSpec, minmaxed_firm: int) -> ConditionReport:
     """
     mm = minmax(spec, minmaxed_firm)
     base = np.asarray(mm.profile, dtype=np.int64)
-    base_payoff = profile_payoff(spec, base)
+    x = base.sum()
     per_firm = []
     holds = True
     for j in range(spec.n_firms):
@@ -215,18 +211,19 @@ def check_c1(spec: GameSpec, minmaxed_firm: int) -> ConditionReport:
         dev[j] = 1 - dev[j]
         q = marginal_excluding(spec, dev, excluded=(j,))
         gap = _marginal_gap(p, q)
-        detectable = gap > COND_TOL
-        gain = profile_payoff(spec, dev)[j] - base_payoff[j]
+        detectable = gap > 0
+        a = base[j]
+        gain = float(spec.stage[1 - a, x + 1 - 2 * a] - spec.stage[a, x])
         unprofitable = gain <= STRICT_TOL
         ok = detectable or unprofitable
-        holds &= ok
+        holds = holds and ok
         per_firm.append(
             {
                 "firm": j + 1,
                 "holds": ok,
                 "clause": "detectable" if detectable else ("unprofitable" if unprofitable else "none"),
                 "signal_gap": gap,
-                "deviation_gain": float(gain),
+                "deviation_gain": gain,
             }
         )
     return ConditionReport(
@@ -269,13 +266,13 @@ def check_c2(spec: GameSpec, profile, firm_i: int, firm_j: int) -> ConditionRepo
     """
     p, q_i, q_j = _pair_marginals(spec, profile, firm_i, firm_j)
     gap_ij = _marginal_gap(q_i, q_j)
-    intersection_empty = gap_ij > COND_TOL
+    intersection_empty = gap_ij > 0
     if intersection_empty:
         holds = True
         gap_p = None
     else:
         gap_p = _marginal_gap(p, q_i)
-        holds = gap_p > COND_TOL
+        holds = gap_p > 0
     evidence = {
         "deviation_marginals_gap": gap_ij,
         "intersection_empty": intersection_empty,
@@ -317,7 +314,7 @@ def check_c3(spec: GameSpec, profile, firm_i: int, firm_j: int) -> ConditionRepo
         "displacement_norm_i": float(norm_i),
         "displacement_norm_j": float(norm_j),
     }
-    if norm_i <= COND_TOL or norm_j <= COND_TOL:
+    if np.array_equal(p.p_zero, q_i.p_zero) or np.array_equal(p.p_zero, q_j.p_zero):
         holds = True
         evidence["degenerate_displacement"] = True
     else:
@@ -337,9 +334,7 @@ def check_c3(spec: GameSpec, profile, firm_i: int, firm_j: int) -> ConditionRepo
 
 
 def _interior_dimension_report(spec: GameSpec) -> ConditionReport:
-    pts = np.asarray(
-        [profile_payoff(spec, r) for r in all_profiles(spec.n_firms)], dtype=float
-    )
+    pts = all_profile_payoffs(spec)
     rank = int(np.linalg.matrix_rank(pts - pts.mean(axis=0), tol=1e-9))
     return ConditionReport(
         condition_id="feasible_set_full_dimension",

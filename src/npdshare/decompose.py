@@ -44,7 +44,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import CapacityError, DomainError
-from .game import GameSpec, STRICT_TOL, all_profiles, profile_payoff, validate_profile
+from .game import GameSpec, STRICT_TOL, all_profiles, validate_profile
 from .geometry import ensure_ccw, halfplane_intersection_2d
 from .monitoring import public_profile_distribution_raw
 
@@ -151,14 +151,16 @@ def _profile_table(spec: GameSpec, profile) -> _ProfileTable:
     r = validate_profile(spec, profile)
     s = 2**n
     pi_eq = public_profile_distribution_raw(r, spec.m_alpha, spec.m_epsilon)
-    u_r = profile_payoff(spec, r)
+    # Firm i's deviation plays 1 - r_i and moves the discloser count by
+    # 1 - 2 r_i.
+    x = r.sum()
+    u_r = spec.stage[r, x]
+    u_dev = spec.stage[1 - r, x + 1 - 2 * r]
     pi_dev = np.empty((n, s))
-    u_dev = np.empty(n)
     for i in range(n):
         d = r.copy()
         d[i] = 1 - d[i]
         pi_dev[i] = public_profile_distribution_raw(d, spec.m_alpha, spec.m_epsilon)
-        u_dev[i] = profile_payoff(spec, d)[i]
     gains = u_dev - u_r
     profitable = gains > STRICT_TOL
     nv = n * s
@@ -481,9 +483,10 @@ class DecompositionCheck:
 
 
 def verify_decomposition(
-    spec: GameSpec, v, profile, gamma_bar: np.ndarray, delta: float | None = None
+    spec: GameSpec, v, profile, gamma_bar: np.ndarray
 ) -> DecompositionCheck:
-    """Check the discounted decomposition identity and incentive slacks.
+    """Check the discounted decomposition identity and incentive slacks at
+    the spec's discount factor delta.
 
     gamma(b) = v + ((1-delta)/delta) gamma_bar(b); the identity
     v = (1-delta) u(r) + delta E[gamma(b) | r] must hold per firm, and each
@@ -494,10 +497,7 @@ def verify_decomposition(
     normalized slack; a perturbation of gamma_bar_i(b) by h therefore moves
     the slack by (1-delta) h times the probability gap at b.
     """
-    if delta is None:
-        delta = spec.delta
-    if not (0 < delta < 1):
-        raise DomainError(f"delta must lie in (0, 1), got {delta}")
+    delta = spec.delta
     t = _profile_table(spec, profile)
     n, s = spec.n_firms, 2**spec.n_firms
     pi_eq, u_r, pi_dev, u_dev = t.pi_eq, t.u_r, t.pi_dev, t.u_dev

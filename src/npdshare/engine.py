@@ -6,8 +6,11 @@ under private monitoring with communication each period opens with a
 simultaneous message round (messages are delivered verbatim and become the
 public history), then actions are chosen, stage payoffs accrue, and the
 private cross-observation matrix is drawn.  Stage payoff is the ex-ante
-u_i(r) of the action profile; the monitor affects continuation behavior,
-not the realized flow.
+u_i(r) of the action profile, read from the spec's stage table
+(``GameSpec.stage``); the monitor affects continuation behavior, not the
+realized flow.  Every discounted quantity here uses the spec's delta: the
+automaton's step, the Monte Carlo averages and truncation bounds, and a
+trace's ``delta``, which is the delta of the spec that generated it.
 
 All draws are addressed by (seed, period, slot, replica) counters in the
 layout of ``monitoring.signal_streams``, so a trace is reproducible bit for
@@ -131,7 +134,8 @@ class PromiseAutomaton(Strategy):
     Construction fixes a direction, finds the best supported level k* and
     its action profile, and builds the affine continuation family.  Each
     period the automaton plays its component of that profile; on observing
-    public signal b the promise moves to v + ((1-delta)/delta) gamma_bar(b).
+    public signal b the promise moves to v + ((1-delta)/delta) gamma_bar(b),
+    with delta the discount factor of ``spec``, the spec it was built from.
     Orthogonal enforcement keeps lam . v constant, so the promise walks the
     supporting hyperplane.  The decomposition's ``outside`` and ``step``,
     the Monte Carlo kernel's own, test and move the promise.
@@ -142,19 +146,17 @@ class PromiseAutomaton(Strategy):
     the rest of the episode (``on_exit="concede"``).  v0 must be finite.
 
     Share one instance across firms or pass per-firm clones; the promise
-    walk is a deterministic function of the public history either way.
+    walk is a deterministic function of the public history either way.  An
+    episode must run on the spec the automaton was built from (an equal
+    one), so the walk and the trace discount at the same delta.
     """
 
     is_public = True
 
-    def __init__(self, spec: GameSpec, v0, direction, delta: float | None = None,
-                 on_exit: str = "raise"):
+    def __init__(self, spec: GameSpec, v0, direction, on_exit: str = "raise"):
         if on_exit not in ("raise", "concede"):
             raise DomainError(f"on_exit must be 'raise' or 'concede', got {on_exit!r}")
         self.decomp = PromiseDecomposition(spec, direction)
-        self.delta = spec.delta if delta is None else float(delta)
-        if not (0.0 < self.delta < 1.0):
-            raise DomainError(f"delta must lie in (0, 1), got {self.delta}")
         self.on_exit = on_exit
         v0 = np.asarray(v0, dtype=float)
         if v0.shape != (spec.n_firms,):
@@ -178,6 +180,8 @@ class PromiseAutomaton(Strategy):
     def bind(self, spec, mode, firm):
         if mode != MODE_PUBLIC:
             raise ProtocolError("the promise automaton is a public-monitoring strategy")
+        if spec != self.decomp.spec:
+            raise DomainError("the promise automaton runs only on the spec it was built from")
         super().bind(spec, mode, firm)
         self._reset_state()
 
@@ -196,7 +200,8 @@ class PromiseAutomaton(Strategy):
         return int(self.decomp.action[self.firm])
 
     def _advance(self, public_history) -> None:
-        c = (1.0 - self.delta) / self.delta
+        delta = self.decomp.spec.delta
+        c = (1.0 - delta) / delta
         while self._consumed < len(public_history):
             b = int(public_history[self._consumed])
             self._consumed += 1
@@ -208,7 +213,7 @@ class PromiseAutomaton(Strategy):
                 if self.on_exit == "raise":
                     raise DiscountTooSmallError(
                         period=self._consumed,
-                        delta=self.delta,
+                        delta=delta,
                         delta_suggested=self._suggest_delta(),
                     )
                 self._halted = True
@@ -235,7 +240,7 @@ class PromiseAutomaton(Strategy):
         hi = 1.0 - 1e-9
         if not stays_inside(hi):
             return None
-        lo = self.delta
+        lo = self.decomp.spec.delta
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             if stays_inside(mid):
@@ -251,6 +256,11 @@ class PromiseAutomaton(Strategy):
 
 @dataclass(frozen=True)
 class EpisodeTrace:
+    """One played episode.  ``delta`` and ``u_scale`` are the discount factor
+    and the max |stage payoff| of the spec that generated it, so
+    ``discounted_average`` and ``truncation_bias_bound`` need no spec and
+    read the same from a trace file as from the run."""
+
     mode: str
     delta: float
     seed: int
@@ -271,16 +281,14 @@ class EpisodeTrace:
     def n_firms(self) -> int:
         return self.actions.shape[1]
 
-    def discounted_average(self, delta: float | None = None) -> np.ndarray:
+    def discounted_average(self) -> np.ndarray:
         """(1 - delta) sum_t delta^t u(t), the truncated discounted average.
 
         Accumulated in period order with a running discount product, the
         same scheme the Monte Carlo kernels use, so recomputation from a
         trace reproduces kernel output bit for bit.
         """
-        d = self.delta if delta is None else float(delta)
-        if not (0.0 < d < 1.0):
-            raise DomainError(f"delta must lie in (0, 1), got {d}")
+        d = self.delta
         acc = np.zeros(self.n_firms)
         w = 1.0
         for t in range(self.horizon):
@@ -288,10 +296,9 @@ class EpisodeTrace:
             w = w * d
         return (1.0 - d) * acc
 
-    def truncation_bias_bound(self, delta: float | None = None) -> float:
+    def truncation_bias_bound(self) -> float:
         """Upper bound on |infinite-horizon average - truncated average|."""
-        d = self.delta if delta is None else float(delta)
-        return d**self.horizon * self.u_scale
+        return self.delta**self.horizon * self.u_scale
 
 
 def _validate_action(a, firm: int, period: int) -> int:
@@ -415,13 +422,7 @@ def run_episode(
             for i in range(n):
                 own_signals[i].append(private_signals[t, i].copy())
 
-    # Stage payoffs depend only on a firm's own action and the number of
-    # disclosers: stage[a, x] for x disclosers in total.
-    stage = np.full((2, n + 1), np.nan)
-    for x in range(n):
-        stage[0, x] = spec.conceal_payoff(x)
-        stage[1, x + 1] = spec.disclose_payoff(x + 1)
-    payoffs = stage[actions, actions.sum(axis=1, keepdims=True)]
+    payoffs = spec.stage[actions, actions.sum(axis=1, keepdims=True)]
 
     return EpisodeTrace(
         mode=mode,
@@ -461,13 +462,26 @@ class MonteCarloResult:
         return int(np.sum(self.halt_periods >= 0))
 
 
-def _aggregate(per_replica: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _result(spec: GameSpec, per_replica: np.ndarray, horizon: int, base_seed: int,
+            backend: str, halt_periods=None) -> MonteCarloResult:
+    """Aggregate per-replica discounted averages in replica order; the
+    truncation bound is delta^T times the spec's max |stage payoff|."""
     mean = per_replica.mean(axis=0)
     if per_replica.shape[0] > 1:
         stderr = per_replica.std(axis=0, ddof=1) / math.sqrt(per_replica.shape[0])
     else:
         stderr = np.zeros_like(mean)
-    return mean, stderr
+    return MonteCarloResult(
+        mean=mean,
+        stderr=stderr,
+        per_replica=per_replica,
+        replicas=per_replica.shape[0],
+        horizon=horizon,
+        base_seed=int(base_seed),
+        truncation_bias_bound=spec.delta**horizon * spec.max_abs_payoff(),
+        backend=backend,
+        halt_periods=halt_periods,
+    )
 
 
 def monte_carlo(
@@ -487,17 +501,7 @@ def monte_carlo(
         clones = [s.clone() for s in strategies]
         trace = run_episode(spec, clones, horizon, base_seed, mode=mode, replica=r)
         per[r] = trace.discounted_average()
-    mean, stderr = _aggregate(per)
-    return MonteCarloResult(
-        mean=mean,
-        stderr=stderr,
-        per_replica=per,
-        replicas=replicas,
-        horizon=horizon,
-        base_seed=int(base_seed),
-        truncation_bias_bound=spec.delta**horizon * spec.max_abs_payoff(),
-        backend="python",
-    )
+    return _result(spec, per, horizon, base_seed, "python")
 
 
 def monte_carlo_promise(
@@ -507,7 +511,6 @@ def monte_carlo_promise(
     replicas: int,
     horizon: int,
     base_seed: int,
-    delta: float | None = None,
 ) -> MonteCarloResult:
     """Vectorized Monte Carlo of the promise automaton.
 
@@ -521,7 +524,10 @@ def monte_carlo_promise(
     keeps the run as uint8 signal indices (2 MB at the default sizes).  None
     of the three sizes changes a result: replica trajectories are
     bit-identical to running PromiseAutomaton (``on_exit="concede"``)
-    through run_episode with the same seed and replica index.  Replicas
+    through run_episode with the same spec, seed and replica index, and
+    each row equals that trace's ``discounted_average()``.  The walk, the
+    discounting and the truncation bound all use ``spec.delta``; to run at
+    another delta, pass ``dataclasses.replace(spec, delta=d)``.  Replicas
     whose promise leaves the admissible region stop accruing payoff from
     the halt period on (all-conceal continuation); their partial
     discounted sums still enter the aggregate.
@@ -530,33 +536,19 @@ def monte_carlo_promise(
         raise DomainError(f"replicas must be >= 1, got {replicas}")
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
-    d = spec.delta if delta is None else float(delta)
-    if not (0.0 < d < 1.0):
-        raise DomainError(f"delta must lie in (0, 1), got {d}")
-    auto = PromiseAutomaton(spec, v0, direction, delta=d, on_exit="concede")
+    auto = PromiseAutomaton(spec, v0, direction, on_exit="concede")
     walk = auto.decomp
     totals, halts = promise_mc(
         seed=int(base_seed),
         replicas=replicas,
         horizon=horizon,
-        delta=d,
+        delta=spec.delta,
         v0=auto.v0,
         p_zero=signal_kernel(spec, MODE_PUBLIC)[np.asarray(walk.action)],
         walk=walk,
     )
-    per = (1.0 - d) * totals
-    mean, stderr = _aggregate(per)
-    return MonteCarloResult(
-        mean=mean,
-        stderr=stderr,
-        per_replica=per,
-        replicas=replicas,
-        horizon=horizon,
-        base_seed=int(base_seed),
-        truncation_bias_bound=d**horizon * spec.max_abs_payoff(),
-        backend=backend_name(),
-        halt_periods=halts,
-    )
+    per = (1.0 - spec.delta) * totals
+    return _result(spec, per, horizon, base_seed, backend_name(), halts)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,12 @@ firms disclose earns ``conceal_payoff(x) = gain(x)``.  Two gain families are
 supported: linear ``gain(z) = z * G`` and concave ``gain(z) = f(z) * G`` with
 a tabulated nondecreasing concave ``f`` satisfying ``f(0) = 0``.
 
+``GameSpec.stage`` tabulates both payoffs once, by own action and discloser
+count; profile payoffs, the engine's flow payoffs and the decomposition's
+deviation payoffs all read that table.  The
+discount factor ``GameSpec.delta`` is the one δ of the package: a caller
+that needs another δ passes ``dataclasses.replace(spec, delta=d)``.
+
 The module also classifies the stage game: one-shot dominance of concealing
 (A1), efficiency of full disclosure over the all-conceal minmax point (A2),
 strictly increasing social welfare in the number of disclosers (A2'), the
@@ -20,6 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -118,6 +125,9 @@ class GameSpec:
     (0, 1/2), a concealment is read as concealment with probability alpha in
     (1/2, 1).  ``monitor_alpha`` / ``monitor_epsilon`` optionally give the
     public monitor its own accuracy pair; by default it matches the firms'.
+    ``delta`` in (0, 1) is the discount factor; this constructor is the only
+    place that validates it, and every function of the package that
+    discounts reads it from the spec (or from a trace's ``delta``).
     """
 
     n_firms: int
@@ -174,11 +184,23 @@ class GameSpec:
             )
         return self.gain.gain(x)
 
+    @cached_property
+    def stage(self) -> np.ndarray:
+        """Read-only (2, N + 1) table: stage[a, x] is the payoff of a firm
+        playing a when x firms disclose in total.  NaN at (0, N) and (1, 0),
+        the two roles no profile has.  Built once per spec and not a field,
+        so equality and hashing compare the parameters only."""
+        n = self.n_firms
+        table = np.full((2, n + 1), np.nan)
+        for x in range(n):
+            table[0, x] = self.conceal_payoff(x)
+            table[1, x + 1] = self.disclose_payoff(x + 1)
+        table.flags.writeable = False
+        return table
+
     def max_abs_payoff(self) -> float:
         """max |payoff| over all roles and discloser counts."""
-        vals = [abs(self.conceal_payoff(x)) for x in range(self.n_firms)]
-        vals += [abs(self.disclose_payoff(x)) for x in range(1, self.n_firms + 1)]
-        return max(vals)
+        return float(np.nanmax(np.abs(self.stage)))
 
 
 def _validate_accuracy(an: str, a: float, en: str, e: float) -> None:
@@ -207,11 +229,14 @@ def all_profiles(n_firms: int):
 def profile_payoff(spec: GameSpec, profile: Iterable[int]) -> np.ndarray:
     """Stage payoff vector for a pure action profile."""
     r = validate_profile(spec, profile)
-    x = int(r.sum())
-    out = np.empty(spec.n_firms)
-    for i in range(spec.n_firms):
-        out[i] = spec.disclose_payoff(x) if r[i] == 1 else spec.conceal_payoff(x)
-    return out
+    return spec.stage[r, r.sum()]
+
+
+def all_profile_payoffs(spec: GameSpec) -> np.ndarray:
+    """Every pure profile's stage payoff vector, one row per profile in
+    ``all_profiles`` order: a (2^N, N) array."""
+    r = np.array(list(all_profiles(spec.n_firms)), dtype=np.int64)
+    return spec.stage[r, r.sum(axis=1, keepdims=True)]
 
 
 # ---------------------------------------------------------------------------
@@ -247,20 +272,22 @@ def check_assumptions(spec: GameSpec) -> AssumptionReport:
     (implies A2 by telescoping).  Ties count as failures and are reported.
     """
     n = spec.n_firms
+    stage = spec.stage
     witnesses: dict[str, list] = {}
 
-    a1_bad = []
-    for x in range(1, n + 1):
-        if not spec.conceal_payoff(x - 1) - spec.disclose_payoff(x) > STRICT_TOL:
-            a1_bad.append(x)
+    # conceal_payoff(x - 1) - disclose_payoff(x) for x = 1 .. N
+    a1_margin = stage[0, :n] - stage[1, 1:]
+    a1_bad = [x for x in range(1, n + 1) if not a1_margin[x - 1] > STRICT_TOL]
     if a1_bad:
         witnesses["a1_failing_x"] = a1_bad
 
-    a2 = spec.disclose_payoff(n) > STRICT_TOL
+    a2 = stage[1, n] > STRICT_TOL
     if not a2:
-        witnesses["a2_full_disclosure_payoff"] = [spec.disclose_payoff(n)]
+        witnesses["a2_full_disclosure_payoff"] = [float(stage[1, n])]
 
-    welfare = [_welfare_at_count(spec, x) for x in range(n + 1)]
+    # Total welfare at each discloser count; the NaN role at 0 and N adds 0.
+    counts = np.arange(n + 1)
+    welfare = np.nansum([counts * stage[1], (n - counts) * stage[0]], axis=0)
     a2p_bad = [x for x in range(1, n + 1) if not welfare[x] - welfare[x - 1] > STRICT_TOL]
     if a2p_bad:
         witnesses["a2prime_failing_x"] = a2p_bad
@@ -271,16 +298,6 @@ def check_assumptions(spec: GameSpec) -> AssumptionReport:
         a2prime_holds=not a2p_bad,
         witnesses=witnesses,
     )
-
-
-def _welfare_at_count(spec: GameSpec, x: int) -> float:
-    n = spec.n_firms
-    total = 0.0
-    if x > 0:
-        total += x * spec.disclose_payoff(x)
-    if x < n:
-        total += (n - x) * spec.conceal_payoff(x)
-    return total
 
 
 @dataclass(frozen=True)
@@ -298,7 +315,7 @@ def minmax(spec: GameSpec, firm: int) -> MinmaxResult:
     """
     if not 0 <= firm < spec.n_firms:
         raise DomainError(f"firm index must lie in [0, {spec.n_firms}), got {firm}")
-    value = max(spec.conceal_payoff(0), spec.disclose_payoff(1))
+    value = float(max(spec.stage[0, 0], spec.stage[1, 1]))
     return MinmaxResult(firm=firm, profile=(0,) * spec.n_firms, value=value)
 
 
@@ -341,20 +358,12 @@ def feasible_hull(spec: GameSpec, clip_to_ir: bool = False) -> PayoffPolytope:
     return _hull_nd(spec, clip_to_ir)
 
 
-def _payoff_points(spec: GameSpec) -> np.ndarray:
-    pts = [profile_payoff(spec, r) for r in all_profiles(spec.n_firms)]
-    return np.unique(np.asarray(pts), axis=0)
-
-
 def _hull_2d(spec: GameSpec, clip_to_ir: bool) -> PayoffPolytope:
     from .geometry import clip_polygon_halfplane_exact, convex_hull_2d_exact
 
     # Fraction(float) is exact, so the chain and the clip are exact rational
     # arithmetic on whatever binary rationals the payoffs happen to be.
-    pts = [
-        (Fraction(float(p[0])), Fraction(float(p[1])))
-        for p in (profile_payoff(spec, r) for r in all_profiles(2))
-    ]
+    pts = [(Fraction(float(a)), Fraction(float(b))) for a, b in all_profile_payoffs(spec)]
     poly = convex_hull_2d_exact(pts)
     if clip_to_ir:
         # v_1 >= 0 then v_2 >= 0
@@ -370,8 +379,7 @@ def _hull_2d(spec: GameSpec, clip_to_ir: bool) -> PayoffPolytope:
 def _hull_nd(spec: GameSpec, clip_to_ir: bool) -> PayoffPolytope:
     from .geometry import hull_vertices_nd, clip_hull_to_orthant
 
-    pts = _payoff_points(spec)
-    verts = hull_vertices_nd(pts)
+    verts = hull_vertices_nd(np.unique(all_profile_payoffs(spec), axis=0))
     degenerate = np.linalg.matrix_rank(verts - verts[0], tol=1e-9) < spec.n_firms
     if clip_to_ir:
         verts, degenerate = clip_hull_to_orthant(verts)
@@ -395,15 +403,12 @@ def extreme_profiles(spec: GameSpec) -> list[tuple[int, ...]]:
     n = spec.n_firms
     if n > HULL_MAX_FIRMS:
         raise CapacityError(f"extreme_profiles capped at N <= {HULL_MAX_FIRMS}")
-    reps = []
-    for x in range(n + 1):
-        reps.append(tuple([1] * x + [0] * (n - x)))
-    rep_payoffs = [profile_payoff(spec, r) for r in reps]
-    all_pts = np.asarray(
-        [profile_payoff(spec, r) for r in all_profiles(n)], dtype=float
-    )
+    all_pts = all_profile_payoffs(spec)
     extreme_counts = []
-    for x, p in enumerate(rep_payoffs):
+    for x in range(n + 1):
+        # The profile where the first x firms disclose: its bits, firm 1
+        # most significant, are the row's index in all_profiles order.
+        p = all_pts[2**n - 2 ** (n - x)]
         others = all_pts[np.any(np.abs(all_pts - p) > 1e-12, axis=1)]
         if others.size == 0 or not point_in_hull(p, others, tol=1e-9):
             extreme_counts.append(x)

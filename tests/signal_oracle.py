@@ -3,8 +3,8 @@
 The package decides the rank conditions from the per-bit kernels.  These
 helpers build the stacked 2**N-column signal matrices and row-reduce them
 numerically, so tests can check the exact rule against an independent
-computation, and force a spec's monitor kernel to values that validation
-refuses.
+computation, and force a spec's monitor or private kernel to values that
+validation refuses.
 """
 
 import numpy as np
@@ -64,4 +64,13 @@ def with_monitor_kernel(spec, alpha: float, epsilon: float):
     validation, which refuses every uninformative kernel (alpha == epsilon)."""
     object.__setattr__(spec, "monitor_alpha", alpha)
     object.__setattr__(spec, "monitor_epsilon", epsilon)
+    return spec
+
+
+def with_private_kernel(spec, alpha: float, epsilon: float):
+    """``spec`` with the firms' private kernel set to (alpha, epsilon) past
+    validation.  Give the spec its own monitor kernel first, or the monitor
+    follows the private one."""
+    object.__setattr__(spec, "alpha", alpha)
+    object.__setattr__(spec, "epsilon", epsilon)
     return spec

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from signal_oracle import numeric_rank, signal_matrix, with_monitor_kernel
+from signal_oracle import numeric_rank, signal_matrix, with_monitor_kernel, with_private_kernel
 
 from npdshare import (
     FactoredBernoulli,
@@ -24,7 +24,6 @@ from npdshare import (
     theorem_preconditions,
 )
 from npdshare.conditions import (
-    COND_TOL,
     _marginal_gap,
     rank_reports,
 )
@@ -228,8 +227,8 @@ def test_per_bit_gap_decides_like_dense_oracle():
                         q = marginal_excluding(spec, r2, excluded=excluded)
                         gap = _marginal_gap(p, q)
                         moved = any(r[l] != r2[l] for l in seen)
-                        assert (gap > COND_TOL) == moved
-                        assert (p.sup_diff(q) > COND_TOL) == moved
+                        assert (gap > 0) == moved
+                        assert (p.sup_diff(q) > 0) == moved
 
 
 def test_per_bit_gap_zero_for_uninformative_kernel(spec3):
@@ -301,12 +300,58 @@ def test_km_inapplicable_for_two_firms(spec2):
     assert "more than two firms" in rep.evidence["reason"]
 
 
+def _sub_reports(rep, condition_id):
+    return [c for c in rep.evidence["checks"] if c.condition_id == condition_id]
+
+
+def test_km_is_exact_at_a_tiny_private_gap():
+    # Private kernels 1e-10 apart still tell every deviation apart bit by bit.
+    spec = GameSpec(4, LinearGain(3.0), 1.0, 0.5 + 5e-11, 0.5 - 5e-11, 0.9,
+                    monitor_alpha=0.9, monitor_epsilon=0.1)
+    assert 0 < spec.alpha - spec.epsilon < 1.1e-10
+    rep = theorem_preconditions(spec, "km")
+    assert rep.holds
+    c1 = _sub_reports(rep, "c1_minmax_detectable_or_unprofitable")
+    assert len(c1) == 4
+    assert {d["clause"] for c in c1 for d in c.evidence["deviators"]} == {"detectable"}
+    c2 = _sub_reports(rep, "c2_attributable")
+    assert len(c2) == 6 * rep.context["n_extreme_profiles"]
+    assert all(c.holds and c.evidence["intersection_empty"] for c in c2)
+    c3 = _sub_reports(rep, "c3_jointly_attributable")
+    assert len(c3) == len(c2)
+    for c in c3:
+        assert c.holds and "degenerate_displacement" not in c.evidence
+        assert 0 < c.evidence["displacement_norm_i"] < 1e-9
+
+
+def test_km_fails_for_an_uninformative_private_kernel():
+    # alpha == epsilon: no deviation moves any private bit.
+    spec = with_private_kernel(
+        GameSpec(4, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9,
+                 monitor_alpha=0.9, monitor_epsilon=0.1),
+        0.3, 0.3,
+    )
+    rep = theorem_preconditions(spec, "km")
+    assert not rep.holds
+    c2 = _sub_reports(rep, "c2_attributable")
+    assert c2 and not any(c.holds for c in c2)
+    c1 = _sub_reports(rep, "c1_minmax_detectable_or_unprofitable")
+    assert all(c.holds for c in c1)
+    assert {d["clause"] for c in c1 for d in c.evidence["deviators"]} == {"unprofitable"}
+    c3 = _sub_reports(rep, "c3_jointly_attributable")
+    assert c3 and all(c.evidence.get("degenerate_displacement") is True for c in c3)
+    # Every boolean prints in lower case, per-deviator verdicts included.
+    text = rep.to_text()
+    assert "holds: true" in text and "holds: false" in text
+    assert "True" not in text and "False" not in text
+
+
 def test_preconditions_refuse_large_n_before_enumerating(monkeypatch):
     # At N = 16 the dimension report alone would price all 2^16 profiles.
     def fail(*args):
         raise AssertionError("profile payoffs enumerated before the N cap")
 
-    monkeypatch.setattr(conditions, "profile_payoff", fail)
+    monkeypatch.setattr(conditions, "all_profile_payoffs", fail)
     spec = GameSpec(16, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9)
     with pytest.raises(CapacityError, match="capped at N <= 8"):
         theorem_preconditions(spec, "flm")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from npdshare import (
+    ConcaveGain,
     GameSpec,
     LinearGain,
     PromiseDecomposition,
@@ -297,6 +298,30 @@ def test_payoff_set_three_firms_halfspaces_only():
     assert len(approx.best_profiles) == 64
 
 
+def _folk_specs():
+    for n in (3, 4):
+        yield _spec(n=n)
+        f = tuple(2.0 * (1.0 - 2.0**-z) for z in range(n))
+        yield GameSpec(n, ConcaveGain(3.0, f), 1.0, 0.9, 0.1, 0.9)
+
+
+@pytest.mark.parametrize("spec", list(_folk_specs()), ids=lambda s: f"{s.gain.kind}{s.n_firms}")
+def test_folk_theorem_halfspaces_at_three_and_four_firms(spec):
+    # Fudenberg-Levine-Maskin (1994): every pure profile is orthogonally
+    # enforceable on a direction with two or more nonzero components, so
+    # each level k*(lambda) is the best lambda . u(r), the support function
+    # of the feasible hull, and the clipped hull lies in every half-space.
+    approx = ppe_payoff_set(spec, n_directions=24)
+    assert np.all(np.count_nonzero(approx.directions, axis=1) >= 2)
+    full = feasible_hull(spec)
+    clipped = feasible_hull(spec, clip_to_ir=True)
+    assert not full.degenerate and not clipped.degenerate
+    levels = approx.directions @ clipped.as_array().T  # (directions, vertices)
+    assert np.max(levels - approx.k_values[:, None]) <= SOLVE_TOL
+    support = np.max(approx.directions @ full.as_array().T, axis=1)
+    assert np.max(np.abs(support - approx.k_values)) <= SOLVE_TOL
+
+
 def test_payoff_set_requires_enough_directions():
     with pytest.raises(DomainError):
         ppe_payoff_set(_spec(), n_directions=4)
@@ -369,7 +394,7 @@ def test_promise_family_decomposes_everywhere():
         v = rng_.uniform(0.0, 2.0, size=2)
         if v.sum() > pd.k_star:
             continue
-        chk = verify_decomposition(spec, v, (1, 1), pd.gamma_bar_for(v), delta=0.99)
+        chk = verify_decomposition(spec, v, (1, 1), pd.gamma_bar_for(v))
         assert chk.holds, v
 
 

@@ -1,5 +1,7 @@
 """Episodes, strategies, the promise automaton, and trace serialization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -353,11 +355,23 @@ def test_promise_requires_public_mode(spec2_patient):
         )
 
 
+def test_promise_runs_only_on_its_own_spec(spec2_patient):
+    # Built at delta = 0.99, the walk would step at 0.99 while the trace of a
+    # delta = 0.995 episode discounts at 0.995.
+    auto = PromiseAutomaton(spec2_patient, (1.5, 1.5), (1.0, 1.0), on_exit="concede")
+    with pytest.raises(DomainError, match="spec it was built from"):
+        run_episode(replace(spec2_patient, delta=0.995), [auto, auto.clone()], 5, seed=1)
+    # An equal spec is the same game.
+    trace = run_episode(replace(spec2_patient), [auto, auto.clone()], 5, seed=1)
+    assert trace.delta == 0.99
+
+
 def test_impatient_delta_halts_quickly(spec2):
     # at delta = 0.5 the continuation steps are huge; the walk exits fast
-    auto = PromiseAutomaton(spec2, (2.0, 2.0), (1.0, 1.0), delta=0.5)
+    impatient = replace(spec2, delta=0.5)
+    auto = PromiseAutomaton(impatient, (2.0, 2.0), (1.0, 1.0))
     with pytest.raises(DiscountTooSmallError) as exc_info:
-        run_episode(spec2, [auto, auto.clone()], 100, seed=5)
+        run_episode(impatient, [auto, auto.clone()], 100, seed=5)
     assert exc_info.value.period <= 20
 
 

@@ -1,5 +1,7 @@
 """Stage game: payoffs, assumptions, minmax, feasible hull."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,10 +13,14 @@ from npdshare import (
     all_profiles,
     check_assumptions,
     feasible_hull,
+    Strategy,
     minmax,
     profile_payoff,
+    run_episode,
 )
+from npdshare.decompose import _profile_table
 from npdshare.errors import DomainError
+from npdshare.game import all_profile_payoffs
 
 
 def test_linear_gain_values():
@@ -130,3 +136,115 @@ def test_full_disclosure_maximizes_welfare(n):
     spec = GameSpec(n, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9)
     welfare = {r: profile_payoff(spec, r).sum() for r in all_profiles(n)}
     assert max(welfare, key=welfare.get) == (1,) * n
+
+
+# ---------------------------------------------------------------------------
+# the stage table against the role-by-role oracle
+
+
+def _oracle_payoff(spec, profile):
+    """Firm i gets disclose_payoff(x) if it discloses, else conceal_payoff(x),
+    with x the number of disclosers in the profile."""
+    x = sum(profile)
+    return np.array(
+        [spec.disclose_payoff(x) if a else spec.conceal_payoff(x) for a in profile]
+    )
+
+
+def _stage_specs():
+    for n in range(2, 9):
+        yield GameSpec(n, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9)
+        f = tuple(2.0 * (1.0 - 2.0**-z) for z in range(n))
+        yield GameSpec(n, ConcaveGain(1.7, f), 0.6, 0.8, 0.2, 0.95)
+
+
+class _CountingStrategy(Strategy):
+    """Plays bit ``firm`` of the period index, so 2^N periods visit every
+    profile."""
+
+    def next_action(self, public_history, private_history):
+        return (len(public_history) >> self.firm) & 1
+
+
+def test_stage_table_matches_role_oracle_bitwise():
+    for spec in _stage_specs():
+        n = spec.n_firms
+        oracle = np.array([_oracle_payoff(spec, r) for r in all_profiles(n)])
+        got = np.array([profile_payoff(spec, r) for r in all_profiles(n)])
+        assert np.array_equal(got, oracle), n
+        assert np.array_equal(all_profile_payoffs(spec), oracle), n
+        for r in all_profiles(n):
+            table = _profile_table(spec, r)
+            assert np.array_equal(table.u_r, _oracle_payoff(spec, r)), (n, r)
+            dev = [_oracle_payoff(spec, r[:i] + (1 - r[i],) + r[i + 1 :])[i] for i in range(n)]
+            assert np.array_equal(table.u_dev, dev), (n, r)
+        trace = run_episode(spec, [_CountingStrategy() for _ in range(n)], 2**n, seed=3)
+        want = np.array([_oracle_payoff(spec, tuple(a)) for a in trace.actions])
+        assert np.array_equal(trace.payoffs, want), n
+
+
+def test_stage_table_is_read_only_with_nan_roles():
+    for spec in _stage_specs():
+        n = spec.n_firms
+        stage = spec.stage
+        assert stage.shape == (2, n + 1)
+        assert not stage.flags.writeable
+        with pytest.raises(ValueError):
+            stage[0, 0] = 1.0
+        nan = np.zeros((2, n + 1), dtype=bool)
+        nan[0, n] = nan[1, 0] = True
+        assert np.array_equal(np.isnan(stage), nan)
+        assert spec.max_abs_payoff() == max(
+            abs(v) for r in all_profiles(n) for v in _oracle_payoff(spec, r)
+        )
+
+
+def test_stage_table_follows_the_parameters(spec3):
+    assert spec3.stage is spec3.stage  # built once per spec
+    before = spec3.stage.copy()
+    heavier = replace(spec3, loss=2.5)
+    assert heavier.stage is not spec3.stage
+    assert np.array_equal(heavier.stage[1, 1:], before[1, 1:] - 1.5)
+    assert np.array_equal(heavier.stage[0, :3], before[0, :3])
+    assert np.array_equal(spec3.stage, before, equal_nan=True)
+    # The table is not a field: equality and hashing see the parameters only.
+    same = replace(spec3)
+    assert same == spec3 and hash(same) == hash(spec3)
+    assert heavier != spec3
+
+
+def _oracle_assumptions(spec):
+    """A1, A2 and A2' read off the role payoffs count by count."""
+    n = spec.n_firms
+    a1_bad = [
+        x for x in range(1, n + 1)
+        if not spec.conceal_payoff(x - 1) - spec.disclose_payoff(x) > 1e-12
+    ]
+    welfare = []
+    for x in range(n + 1):
+        total = 0.0
+        if x > 0:
+            total += x * spec.disclose_payoff(x)
+        if x < n:
+            total += (n - x) * spec.conceal_payoff(x)
+        welfare.append(total)
+    a2p_bad = [x for x in range(1, n + 1) if not welfare[x] - welfare[x - 1] > 1e-12]
+    return a1_bad, spec.disclose_payoff(n) > 1e-12, a2p_bad
+
+
+def test_assumptions_match_role_oracle():
+    specs = list(_stage_specs()) + [
+        GameSpec(3, LinearGain(1.0), 2.5, 0.9, 0.1, 0.9),  # A2 fails
+        GameSpec(4, ConcaveGain(1.0, (0.0, 1.0, 1.0, 1.0)), 0.5, 0.9, 0.1, 0.9),  # A2' fails
+    ]
+    seen_a2p_failure = False
+    for spec in specs:
+        a1_bad, a2, a2p_bad = _oracle_assumptions(spec)
+        rep = check_assumptions(spec)
+        assert rep.a1_holds == (not a1_bad) and rep.witnesses.get("a1_failing_x", []) == a1_bad
+        assert rep.a2_holds == a2
+        assert rep.a2prime_holds == (not a2p_bad)
+        assert rep.witnesses.get("a2prime_failing_x", []) == a2p_bad
+        seen_a2p_failure |= bool(a2p_bad)
+        assert minmax(spec, 0).value == max(spec.conceal_payoff(0), spec.disclose_payoff(1))
+    assert seen_a2p_failure
