@@ -13,6 +13,12 @@ over action profiles, k*(lambda), bounds the equilibrium payoff set: the
 attainable set is approximated by intersecting the half-spaces
 {v : lambda . v <= k*(lambda)} over many directions.
 
+No profile's level exceeds lambda . u(r), since the general mode's LP gives
+up a nonnegative optimum from it.  So k* tries the profiles in descending
+lambda . u(r) order and stops at the first one whose bound lies more than
+SOLVE_TOL below the best level found: on a direction with two or more
+nonzero components that is usually after one solve.
+
 For profitable deviations the incentive constraints are imposed as
 equalities (the construction that yields the two-firm closed form); for
 unprofitable deviations equality would punish compliance, so those
@@ -334,7 +340,6 @@ class KStarResult:
     direction: tuple[float, ...]
     value: float
     best_profile: tuple[int, ...]
-    per_profile: dict[tuple[int, ...], float]
     orthogonal_at_best: bool
     best_map: EnforceabilityResult
 
@@ -342,10 +347,16 @@ class KStarResult:
 def k_star(spec: GameSpec, direction) -> KStarResult:
     """Best supported half-space level over all pure action profiles.
 
-    Orthogonal enforcement is attempted first (level = lambda . u(r),
-    computed exactly); profiles that cannot be orthogonally enforced fall
-    back to the general LP.  Ties within SOLVE_TOL go to the
-    lexicographically smallest profile.  The direction is used as given.
+    Every profile's level is at most its bound lambda . u(r): orthogonal
+    enforcement reaches the bound exactly, and the general LP gives up a
+    nonnegative optimum from it.  Profiles are therefore tried in
+    descending-bound order (ties in ``all_profiles`` order), each by
+    orthogonal enforcement first and the general LP only if that fails, and
+    the search stops at the first profile whose bound is below the best
+    level found by more than SOLVE_TOL.  No profile left untried can reach
+    the best level or come within SOLVE_TOL of it, so the result is the
+    exhaustive one: ties within SOLVE_TOL go to the lexicographically
+    smallest profile.  The direction is used as given.
     The tie-break and the solver tolerances are absolute while the levels
     and the orthogonality rows scale with lambda, so k* is positively
     homogeneous in lambda only for moderately scaled directions: a very
@@ -361,25 +372,26 @@ def k_star(spec: GameSpec, direction) -> KStarResult:
 def _best_level(
     tables: dict[tuple[int, ...], _ProfileTable], lam: np.ndarray, orth: np.ndarray
 ) -> KStarResult:
-    per: dict[tuple[int, ...], float] = {}
+    bound = {r: float(lam @ t.u_r) for r, t in tables.items()}
+    best_value = -np.inf
     maps: dict[tuple[int, ...], EnforceabilityResult] = {}
-    for r, t in tables.items():
-        res = _solve(t, lam, orth, True, None)
+    # sorted() is stable with reverse=True: equal bounds keep table order.
+    for r in sorted(tables, key=bound.__getitem__, reverse=True):
+        if bound[r] < best_value - SOLVE_TOL:
+            break
+        res = _solve(tables[r], lam, orth, True, None)
         if not res.feasible:
-            res = _solve(t, lam, orth, False, None)
+            res = _solve(tables[r], lam, orth, False, None)
         if res.feasible:
-            per[r] = float(res.k_star)
             maps[r] = res
-    if not per:
+            best_value = max(best_value, res.k_star)
+    if not maps:
         raise DomainError("no action profile is enforceable in this direction")
-    best_value = max(per.values())
-    candidates = sorted(r for r, kv in per.items() if kv >= best_value - SOLVE_TOL)
-    best = candidates[0]
+    best = min(r for r, res in maps.items() if res.k_star >= best_value - SOLVE_TOL)
     return KStarResult(
         direction=tuple(lam),
-        value=per[best],
+        value=maps[best].k_star,
         best_profile=best,
-        per_profile=per,
         orthogonal_at_best=maps[best].orthogonal,
         best_map=maps[best],
     )
@@ -423,7 +435,8 @@ def _circle_directions(n: int) -> np.ndarray:
 
 
 def _sphere_directions(n: int, dim: int) -> np.ndarray:
-    """Deterministic low-discrepancy directions on the unit sphere."""
+    """Deterministic directions on the unit sphere: normalised standard
+    Gaussian draws from a Philox stream with key 0."""
     rng = np.random.Generator(np.random.Philox(key=0))
     pts = rng.standard_normal((n, dim))
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
@@ -435,9 +448,11 @@ def ppe_payoff_set(spec: GameSpec, n_directions: int = 360) -> PayoffSetApprox:
     For two firms the directions sweep the unit circle and the intersection
     polygon is returned; in higher dimension the half-space list is produced
     without vertex enumeration.  Each sampled direction contributes
-    {v : lambda . v <= k*(lambda)}; every half-space supports the limit set
-    tightly, so the polygon converges to it from outside as directions are
-    refined.
+    {v : lambda . v <= k*(lambda)}, a half-space that contains the limit
+    set, so the intersection approximates it from outside.  A half-space
+    need not touch the individually rational part of the feasible hull: at
+    N = 3..5 a level can exceed that hull's maximum on the direction by
+    close to 1.
     """
     if n_directions < 8:
         raise DomainError(f"need at least 8 directions, got {n_directions}")

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output contracts, determinism."""
 
 import csv
+import hashlib
 import io
 import subprocess
 import sys
@@ -208,6 +209,35 @@ def test_payoffset_determinism_byte_identical(spec2_file, capsys):
         ["payoffset", "--spec", spec2_file, "--directions", "64"], capsys
     )
     assert out1 == out2
+
+
+# Digests of payoffset stdout recorded from the exhaustive k* search (every
+# profile solved on every direction), with numpy 2.4 and scipy 1.17.
+PAYOFFSET_GOLDEN = {
+    "linear2": (
+        {"n_firms": 2, "gain": {"kind": "linear", "G": 3.0}, "L": 1.0,
+         "alpha": 0.9, "epsilon": 0.1, "delta": 0.9},
+        360,
+        "1a61db37c980a208f8c6798ce3057fcb577bca9e26d9b4a09c29320a1352c5ac",
+    ),
+    "concave3": (
+        {"n_firms": 3, "gain": {"kind": "concave", "G": 3.0, "f": [0.0, 1.0, 1.8, 2.4]},
+         "L": 1.0, "alpha": 0.8, "epsilon": 0.15, "delta": 0.9,
+         "monitor_alpha": 0.85, "monitor_epsilon": 0.2},
+        32,
+        "51fd1495457e6f196343ca040078e8bcac9c3112dafdf736d6f406a977cd9458",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAYOFFSET_GOLDEN))
+def test_payoffset_stdout_matches_recorded_digest(spec_file, capsys, name):
+    spec, directions, digest = PAYOFFSET_GOLDEN[name]
+    code, out, _ = run_cli(
+        ["payoffset", "--spec", spec_file(spec), "--directions", str(directions)], capsys
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,19 @@ from npdshare import (
     table2_gamma_bar,
     verify_decomposition,
 )
-from npdshare.decompose import REGION_TOL, SOLVE_TOL
+from npdshare.decompose import (
+    REGION_TOL,
+    SOLVE_TOL,
+    _circle_directions,
+    _orth_rows,
+    _profile_tables,
+    _solve,
+)
 from npdshare.errors import CapacityError, DomainError
 from npdshare.game import all_profiles
 from npdshare.geometry import hausdorff_distance_polygons
+
+from k_star_oracle import exhaustive_k_star
 
 TOL = 1e-9
 
@@ -471,27 +480,66 @@ def test_solver_rejects_non_finite_target(spec2):
 # spec-level profile tables
 
 
-def _random_specs(n, count, seed):
+def _random_specs(n, count, seed, concave=False):
+    """Random specs with their own monitor kernel; ``concave`` gives each a
+    random concave gain table instead of a linear gain."""
     rng_ = np.random.default_rng(seed)
     for _ in range(count):
+        g = float(rng_.uniform(1.5, 4.0))
+        gain = LinearGain(g)
+        if concave:
+            f, step = [0.0], float(rng_.uniform(0.8, 1.2))
+            for _ in range(n):
+                f.append(f[-1] + step)
+                step *= float(rng_.uniform(0.5, 0.95))
+            gain = ConcaveGain(g, tuple(f))
         yield GameSpec(
-            n, LinearGain(float(rng_.uniform(1.5, 4.0))), float(rng_.uniform(0.5, 2.0)),
+            n, gain, float(rng_.uniform(0.5, 2.0)),
             float(rng_.uniform(0.6, 0.95)), float(rng_.uniform(0.05, 0.4)), 0.9,
             monitor_alpha=float(rng_.uniform(0.6, 0.95)),
             monitor_epsilon=float(rng_.uniform(0.05, 0.4)),
         )
 
 
+def _tie_spec(n):
+    """Welfare peaks at two disclosers, so on the all-ones direction the
+    permutations of a two-discloser profile tie for the top bound.  At
+    N = 3 and 4 the tie is within SOLVE_TOL but not bitwise: the sums round
+    apart by an ulp, and the largest is not the lexicographically smallest
+    profile."""
+    return GameSpec(
+        n, ConcaveGain(3.0, (0.0,) + (1.1,) * n), 0.7, 0.9, 0.1, 0.9,
+        monitor_alpha=0.8, monitor_epsilon=0.2,
+    )
+
+
+# Components of cos(pi/2), cos(pi) and cos(3 pi/2) in the circle directions.
+_NEAR_ZERO = (6.123233995736766e-17, 1.2246467991473532e-16, 1.8369701987210297e-16)
+
+
 def _test_directions(n, count, seed):
-    """Gaussian directions, coordinate directions of both signs and
-    directions with one zero component."""
+    """(class, direction) pairs: Gaussian directions, coordinate directions of
+    both signs, directions with one zero component, near-coordinate
+    directions (a coordinate direction whose other components are about
+    1e-16, like the circle directions at 90, 180 and 270 degrees), and the
+    all-ones direction."""
     rng_ = np.random.default_rng(seed)
-    dirs = [rng_.standard_normal(n) for _ in range(count)]
-    dirs += [sign * np.eye(n)[i] for i in range(n) for sign in (1.0, -1.0)]
+    dirs = [("gaussian", rng_.standard_normal(n)) for _ in range(count)]
+    dirs += [
+        ("coordinate", sign * np.eye(n)[i]) for i in range(n) for sign in (1.0, -1.0)
+    ]
     for _ in range(count):
         lam = rng_.standard_normal(n)
         lam[rng_.integers(n)] = 0.0
-        dirs.append(lam)
+        dirs.append(("zero-component", lam))
+    for i in range(n):
+        for sign in (1.0, -1.0):
+            lam = rng_.choice((-1.0, 1.0), n) * rng_.choice(_NEAR_ZERO, n)
+            lam[i] = sign
+            dirs.append(("near-coordinate", lam))
+    if n == 2:
+        dirs += [("near-coordinate", lam) for lam in _circle_directions(4)[1:]]
+    dirs.append(("all-ones", np.ones(n)))
     return dirs
 
 
@@ -502,25 +550,132 @@ def _fresh_solve(spec, r, lam):
     return res
 
 
+def _lazy_k_star(monkeypatch, spec, lam):
+    """k_star(spec, lam) and {profile: the last _solve result} over the
+    profiles it solved, in the order it first solved them."""
+    from npdshare import decompose
+
+    solved = {}
+    inner = decompose._solve
+
+    def recording(t, *args):
+        res = inner(t, *args)
+        solved[t.action] = res
+        return res
+
+    with monkeypatch.context() as m:
+        m.setattr(decompose, "_solve", recording)
+        ks = k_star(spec, lam)
+    return ks, solved
+
+
+def _assert_same_k_star(ks, oracle):
+    assert np.float64(ks.value).tobytes() == np.float64(oracle.value).tobytes()
+    assert ks.direction == oracle.direction
+    assert ks.best_profile == oracle.best_profile
+    assert ks.orthogonal_at_best == oracle.orthogonal_at_best
+    best, want = ks.best_map, oracle.best_map
+    assert best.gamma_bar.tobytes() == want.gamma_bar.tobytes()
+    assert (best.mode, best.binding, best.residual, best.target, best.k_star) == (
+        want.mode, want.binding, want.residual, want.target, want.k_star,
+    )
+
+
+def _k_star_cases(n):
+    specs = [*_random_specs(n, 2, seed=100 + n), *_random_specs(n, 1, 400 + n, True)]
+    for spec in specs:
+        for cls, lam in _test_directions(n, 3, seed=200 + n):
+            yield spec, cls, lam
+    yield _tie_spec(n), "all-ones", np.ones(n)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_k_star_tables_match_fresh_public_solves_bitwise(n):
-    for spec in _random_specs(n, 2, seed=100 + n):
-        for lam in _test_directions(n, 3, seed=200 + n):
-            ks = k_star(spec, lam)
-            for r in all_profiles(n):
-                fresh = _fresh_solve(spec, r, lam)
-                if not fresh.feasible:
-                    assert r not in ks.per_profile
-                    continue
-                assert np.float64(ks.per_profile[r]).tobytes() == (
+def test_k_star_tables_match_fresh_public_solves_bitwise(monkeypatch, n):
+    for spec, _, lam in _k_star_cases(n):
+        ks, solved = _lazy_k_star(monkeypatch, spec, lam)
+        oracle, levels = exhaustive_k_star(spec, lam)
+        _assert_same_k_star(ks, oracle)
+        for r in all_profiles(n):
+            fresh = _fresh_solve(spec, r, lam)
+            assert (r in levels) == fresh.feasible
+            if r in solved:
+                assert solved[r].feasible == fresh.feasible
+            if not fresh.feasible:
+                continue
+            assert np.float64(levels[r]).tobytes() == np.float64(fresh.k_star).tobytes()
+            if r in solved:
+                assert np.float64(solved[r].k_star).tobytes() == (
                     np.float64(fresh.k_star).tobytes()
                 )
-                if r == ks.best_profile:
-                    best = ks.best_map
-                    assert best.gamma_bar.tobytes() == fresh.gamma_bar.tobytes()
-                    assert (best.mode, best.binding, best.residual) == (
-                        fresh.mode, fresh.binding, fresh.residual,
-                    )
+            if r == ks.best_profile:
+                best = ks.best_map
+                assert best.gamma_bar.tobytes() == fresh.gamma_bar.tobytes()
+                assert (best.mode, best.binding, best.residual) == (
+                    fresh.mode, fresh.binding, fresh.residual,
+                )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_k_star_stops_once_no_profile_can_reach_the_best(monkeypatch, n):
+    seen = set()
+    for spec, cls, lam in _k_star_cases(n):
+        ks, solved = _lazy_k_star(monkeypatch, spec, lam)
+        tables = _profile_tables(spec)
+        bounds = {r: float(lam @ t.u_r) for r, t in tables.items()}
+        # The stable descending-bound order: equal bounds in all_profiles order.
+        order = sorted(bounds, key=bounds.get, reverse=True)
+        tried = list(solved)
+        assert tried == order[: len(tried)]
+        best = -np.inf
+        for r in tried:
+            assert bounds[r] >= best - SOLVE_TOL
+            if solved[r].feasible:
+                best = max(best, solved[r].k_star)
+        if len(tried) < len(order):
+            assert bounds[order[len(tried)]] < best - SOLVE_TOL
+        if ks.best_profile != order[0]:
+            seen.add(("top bound beaten", cls))
+        near_best = [
+            r for r in tried if solved[r].feasible and solved[r].k_star >= best - SOLVE_TOL
+        ]
+        if len(near_best) > 1:
+            seen.add(("tie", cls))
+            assert ks.best_profile == min(near_best)
+        if cls == "gaussian":
+            # Every profile is orthogonally enforceable here, so the search
+            # solves only the profiles within SOLVE_TOL of the top bound.
+            assert tried == [r for r in order if bounds[r] >= bounds[order[0]] - SOLVE_TOL]
+    # Some cases are decided past the top-bound profile: its orthogonal
+    # solve fails, or a lexicographically smaller profile ties it.
+    assert ("top bound beaten", "near-coordinate") in seen
+    assert ("top bound beaten", "coordinate") in seen
+    if n > 2:
+        assert ("tie", "all-ones") in seen
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_general_level_never_exceeds_its_bound(n):
+    """The stopping rule's premise: an orthogonal level is lambda . u(r)
+    exactly, and a general-mode level, lambda . u(r) minus a nonnegative LP
+    optimum, is at most that.  k* sends a profile to the general LP only
+    when orthogonal enforcement fails.  A profile with no profitable
+    deviation is enforced by gamma_bar = 0, so its orthogonal solve must
+    succeed: its general LP optimum is 0 and HiGHS may return it as -6e-17."""
+    general = 0
+    for spec, _, lam in _k_star_cases(n):
+        orth = _orth_rows(lam)
+        for t in _profile_tables(spec).values():
+            bound = float(lam @ t.u_r)
+            res = _solve(t, lam, orth, True, None)
+            if res.feasible:
+                assert np.float64(res.k_star).tobytes() == np.float64(bound).tobytes()
+                continue
+            assert np.any(t.profitable)
+            res = _solve(t, lam, orth, False, None)
+            if res.feasible:
+                general += 1
+                assert res.k_star <= bound
+    assert general > 0
 
 
 @pytest.mark.parametrize("n,n_directions", [(2, 24), (3, 16)])
@@ -531,6 +686,17 @@ def test_payoff_set_levels_match_k_star_loop_bitwise(n, n_directions):
     levels = np.array([ks.value for ks in looped])
     assert approx.k_values.tobytes() == levels.tobytes()
     assert approx.best_profiles == tuple(ks.best_profile for ks in looped)
+
+
+@pytest.mark.parametrize(
+    "n,n_directions,concave", [(2, 360, False), (2, 72, True), (3, 32, True), (4, 16, False)]
+)
+def test_payoff_set_levels_match_exhaustive_oracle_bitwise(n, n_directions, concave):
+    spec = next(_random_specs(n, 1, 500 + n, concave))
+    approx = ppe_payoff_set(spec, n_directions)
+    oracle = [exhaustive_k_star(spec, lam)[0] for lam in approx.directions]
+    assert approx.k_values.tobytes() == np.array([o.value for o in oracle]).tobytes()
+    assert approx.best_profiles == tuple(o.best_profile for o in oracle)
 
 
 def _count_distribution_builds(monkeypatch):
