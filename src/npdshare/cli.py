@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import math
 import os
 import sys
@@ -26,7 +27,6 @@ import numpy as np
 from .conditions import rank_reports, theorem_preconditions
 from .decompose import (
     kappa,
-    k_star,
     ppe_payoff_set,
     solve_enforceability,
 )
@@ -381,6 +381,8 @@ def cmd_sweep(args) -> int:
 # parser
 
 
+# Built once per process: parsing leaves the parser unchanged.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="npdshare",

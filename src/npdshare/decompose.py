@@ -13,33 +13,28 @@ over action profiles, k*(lambda), bounds the equilibrium payoff set: the
 attainable set is approximated by intersecting the half-spaces
 {v : lambda . v <= k*(lambda)} over many directions.
 
-No profile's level exceeds lambda . u(r), since the general mode's LP gives
-up a nonnegative optimum from it.  So k* tries the profiles in descending
-lambda . u(r) order and stops at the first one whose bound lies more than
-SOLVE_TOL below the best level found: on a direction with two or more
-nonzero components that is usually after one solve.
+k* has a closed form (Fudenberg-Levine-Maskin 1994): the N public bits are
+independent and a deviation moves only the deviator's bit, so each
+profile's level follows from ``GameSpec.stage`` and the monitor kernel.  A
+component with |lambda_i| <= SOLVE_TOL max|lambda| counts as zero.  With two
+or more nonzero components every profile is enforced orthogonally, at
+lambda . u(r).  With one, lambda = c e_k, a profile at which firm k gains
+g > STRICT_TOL by deviating can punish k only through k's own bit: its level
+is lambda . u(r) - |c| g m / (m_alpha - m_epsilon), m = m_epsilon if c > 0
+and 1 - m_epsilon if c < 0, and it is not orthogonal; every other profile is
+orthogonal at lambda . u(r).  k* is the best level, ties within SOLVE_TOL
+going to the lexicographically smallest profile.
 
-For profitable deviations the incentive constraints are imposed as
-equalities (the construction that yields the two-firm closed form); for
-unprofitable deviations equality would punish compliance, so those
-constraints are verified as slack inequalities instead, with an LP
-feasibility fallback.  Underdetermined systems are resolved by pinning
-gamma_bar at the all-ones signal to zero and taking the minimum-norm
-solution.
-
-What no direction changes is built once per spec: for each of the 2^N
-pure profiles r, one private table holds r's N + 1 public signal
-distributions (r and its N unilateral deviations), the stage payoffs, the
-deviation gains, and the consistency, deviation and pin rows of the
-constraint system.  ``k_star``, ``ppe_payoff_set`` and
-``PromiseDecomposition`` build the 2^N tables once and pass them down;
-``solve_enforceability`` and ``verify_decomposition`` build the one table
-they need.  Building a table raises CapacityError above K_STAR_MAX_FIRMS
-firms, so every system over the 2^N public signals refuses the same way.
-Per direction only the orthogonality rows (one block, shared by
-every profile) and the right-hand sides are built.  The equality solve, the
-orthogonal feasibility LP and the general LP each stack a subset of these
-rows.
+``solve_enforceability``, ``verify_decomposition`` and
+``PromiseDecomposition`` build the constraint system over the 2^N public
+signals from one private table per profile r: its N + 1 signal
+distributions (r and its N unilateral deviations), payoffs, deviation gains,
+and consistency, deviation and pin rows.  Profitable deviations bind as
+equalities (the construction behind the two-firm closed form); unprofitable
+ones are checked as slack inequalities, with an LP feasibility fallback.
+Underdetermined systems pin gamma_bar at the all-ones signal to zero and
+take the minimum-norm solution.  Above K_STAR_MAX_FIRMS firms the table and
+k* raise the same CapacityError.
 """
 
 from __future__ import annotations
@@ -146,14 +141,19 @@ class _ProfileTable:
     lower: np.ndarray
 
 
-def _profile_table(spec: GameSpec, profile) -> _ProfileTable:
-    n = spec.n_firms
+def _check_capacity(n: int) -> None:
+    # The orthogonality block alone is 8 N 4^N bytes: 1.6 GB at N = 12.  k*
+    # shares the cap until its argmax stops visiting all 2^N profiles.
     if n > K_STAR_MAX_FIRMS:
-        # The orthogonality block alone is 8 N 4^N bytes: 1.6 GB at N = 12.
         raise CapacityError(
             f"the constraint system over 2^N public signals is capped at "
             f"N <= {K_STAR_MAX_FIRMS}"
         )
+
+
+def _profile_table(spec: GameSpec, profile) -> _ProfileTable:
+    n = spec.n_firms
+    _check_capacity(n)
     r = validate_profile(spec, profile)
     s = 2**n
     pi_eq = public_profile_distribution_raw(r, spec.m_alpha, spec.m_epsilon)
@@ -182,11 +182,6 @@ def _profile_table(spec: GameSpec, profile) -> _ProfileTable:
         u_dev=u_dev, gains=gains, profitable=profitable, cons=cons,
         incentives=dev - cons, lower=np.vstack([cons, dev[profitable], pin]),
     )
-
-
-def _profile_tables(spec: GameSpec) -> dict[tuple[int, ...], _ProfileTable]:
-    """The tables of all 2^N pure profiles, in ``all_profiles`` order."""
-    return {r: _profile_table(spec, r) for r in all_profiles(spec.n_firms)}
 
 
 def _direction(direction, n: int) -> np.ndarray:
@@ -258,7 +253,9 @@ def _solve(
         gamma = res.x.reshape(n, s).T
         return EnforceabilityResult(
             feasible=True, gamma_bar=gamma,
-            k_star=float(lam @ t.u_r) - float(res.fun), orthogonal=False,
+            # res.fun = -E[lam . gamma_bar(b) | r] >= 0 on the half-space, so
+            # the level is at most lam . u(r); HiGHS may return 0 as -1e-16.
+            k_star=float(lam @ t.u_r) - max(float(res.fun), 0.0), orthogonal=False,
             mode="lp_general", action=t.action, direction=tuple(lam), target=None,
             binding=_binding(_ic_slacks(t, gamma)), residual=None,
         )
@@ -337,64 +334,63 @@ def _failure(action, lam, v, orthogonal, reason) -> EnforceabilityResult:
 
 @dataclass(frozen=True)
 class KStarResult:
+    """k*(lambda): the best level lambda . u(r), less |c| g m / (m_alpha -
+    m_epsilon) where lambda = c e_k and firm k gains g by deviating at r
+    (|lambda_i| <= SOLVE_TOL max|lambda| counts as zero), with ties within
+    SOLVE_TOL going to the lexicographically smallest profile."""
+
     direction: tuple[float, ...]
     value: float
     best_profile: tuple[int, ...]
     orthogonal_at_best: bool
-    best_map: EnforceabilityResult
 
 
 def k_star(spec: GameSpec, direction) -> KStarResult:
     """Best supported half-space level over all pure action profiles.
 
-    Every profile's level is at most its bound lambda . u(r): orthogonal
-    enforcement reaches the bound exactly, and the general LP gives up a
-    nonnegative optimum from it.  Profiles are therefore tried in
-    descending-bound order (ties in ``all_profiles`` order), each by
-    orthogonal enforcement first and the general LP only if that fails, and
-    the search stops at the first profile whose bound is below the best
-    level found by more than SOLVE_TOL.  No profile left untried can reach
-    the best level or come within SOLVE_TOL of it, so the result is the
-    exhaustive one: ties within SOLVE_TOL go to the lexicographically
-    smallest profile.  The direction is used as given.
-    The tie-break and the solver tolerances are absolute while the levels
-    and the orthogonality rows scale with lambda, so k* is positively
-    homogeneous in lambda only for moderately scaled directions: a very
-    small or very large rescaling can change the best profile or the
-    enforcement mode.  ppe_payoff_set passes unit directions.  A
-    non-finite direction raises DomainError.
+    A profile's level is lambda . u(r), enforced orthogonally, unless
+    lambda = c e_k (a component with |lambda_i| <= SOLVE_TOL max|lambda|
+    counts as zero) and firm k gains g > STRICT_TOL by deviating at r: then
+    it is lambda . u(r) - |c| g m / (m_alpha - m_epsilon), m = m_epsilon if
+    c > 0 else 1 - m_epsilon, and not orthogonal.  Ties within SOLVE_TOL go
+    to the lexicographically smallest profile.  Nothing is solved.  The
+    tie-break is absolute, so rescaling lambda far from unit length can
+    change the best profile.  A non-finite direction raises DomainError,
+    and more than K_STAR_MAX_FIRMS firms CapacityError.
     """
-    tables = _profile_tables(spec)
     lam = _direction(direction, spec.n_firms)
-    return _best_level(tables, lam, _orth_rows(lam))
+    levels = _profile_levels(spec, lam)
+    top = max(level for _, level, _ in levels)
+    best, value, orthogonal = next(row for row in levels if row[1] >= top - SOLVE_TOL)
+    return KStarResult(tuple(lam), value, best, orthogonal)
 
 
-def _best_level(
-    tables: dict[tuple[int, ...], _ProfileTable], lam: np.ndarray, orth: np.ndarray
-) -> KStarResult:
-    bound = {r: float(lam @ t.u_r) for r, t in tables.items()}
-    best_value = -np.inf
-    maps: dict[tuple[int, ...], EnforceabilityResult] = {}
-    # sorted() is stable with reverse=True: equal bounds keep table order.
-    for r in sorted(tables, key=bound.__getitem__, reverse=True):
-        if bound[r] < best_value - SOLVE_TOL:
-            break
-        res = _solve(tables[r], lam, orth, True, None)
-        if not res.feasible:
-            res = _solve(tables[r], lam, orth, False, None)
-        if res.feasible:
-            maps[r] = res
-            best_value = max(best_value, res.k_star)
-    if not maps:
-        raise DomainError("no action profile is enforceable in this direction")
-    best = min(r for r, res in maps.items() if res.k_star >= best_value - SOLVE_TOL)
-    return KStarResult(
-        direction=tuple(lam),
-        value=maps[best].k_star,
-        best_profile=best,
-        orthogonal_at_best=maps[best].orthogonal,
-        best_map=maps[best],
-    )
+def _profile_levels(spec: GameSpec, lam: np.ndarray) -> list[tuple]:
+    """(r, level, orthogonal) for every pure profile, in ``all_profiles``
+    (lexicographic) order."""
+    n = spec.n_firms
+    _check_capacity(n)
+    nonzero = np.flatnonzero(np.abs(lam) > SOLVE_TOL * np.max(np.abs(lam)))
+    k = int(nonzero[0]) if len(nonzero) == 1 else None
+    if k is not None:
+        # Only k's own bit can punish k.  A profitable deviation is a
+        # discloser's (loss > 0): its bit reads 0 w.p. m_epsilon, m_alpha after.
+        c = float(lam[k])
+        m = spec.m_epsilon if c > 0 else 1.0 - spec.m_epsilon
+    levels = []
+    for profile in all_profiles(n):
+        r = np.array(profile)
+        x = r.sum()
+        u = spec.stage[r, x]
+        # One dot per profile: a batched U @ lam rounds differently.
+        level, orthogonal = float(lam @ u), True
+        if k is not None:
+            g = spec.stage[1 - r[k], x + 1 - 2 * r[k]] - u[k]
+            if g > STRICT_TOL:
+                level -= abs(c) * g * m / (spec.m_alpha - spec.m_epsilon)
+                orthogonal = False
+        levels.append((profile, level, orthogonal))
+    return levels
 
 
 def k_star_formula_linear_n2(G: float, L: float, direction) -> float:
@@ -460,13 +456,9 @@ def ppe_payoff_set(spec: GameSpec, n_directions: int = 360) -> PayoffSetApprox:
         dirs = _circle_directions(n_directions)
     else:
         dirs = _sphere_directions(n_directions, spec.n_firms)
-    tables = _profile_tables(spec)
-    ks = np.empty(n_directions)
-    best: list[tuple[int, ...]] = []
-    for idx in range(n_directions):
-        res = _best_level(tables, dirs[idx], _orth_rows(dirs[idx]))
-        ks[idx] = res.value
-        best.append(res.best_profile)
+    results = [k_star(spec, lam) for lam in dirs]
+    ks = np.array([res.value for res in results])
+    best = [res.best_profile for res in results]
     if spec.n_firms != 2:
         return PayoffSetApprox(
             directions=dirs, k_values=ks, best_profiles=tuple(best), vertices=None
@@ -544,13 +536,16 @@ def verify_decomposition(
 class PromiseDecomposition:
     """Affine family of continuation maps decomposing payoffs near u(r*).
 
-    The orthogonal equality system is linear in the target payoff, so the
-    pinned minimum-norm solution is an affine function of the displacement
-    d = v - u(r*).  The family is assembled from the base map k* already
-    solved at u(r*) plus one solve per hyperplane basis vector, all on one
-    set of profile tables; displacements off the hyperplane are absorbed by
-    a constant shift (allowed in the half-space since lambda . d <= 0
-    there).
+    r* is k*'s best profile: the best closed-form level lambda . u(r), less
+    |c| g m / (m_alpha - m_epsilon) where lambda = c e_k and firm k gains g
+    by deviating (|lambda_i| <= SOLVE_TOL max|lambda| counts as zero), ties
+    within SOLVE_TOL to the lexicographically smallest profile; it must be
+    enforced orthogonally.  The orthogonal equality system is linear in the
+    target payoff, so the pinned minimum-norm solution is an affine function
+    of the displacement d = v - u(r*).  The family is built on r*'s one
+    profile table from the base map solved at u(r*) plus one solve per
+    hyperplane basis vector; displacements off the hyperplane are absorbed
+    by a constant shift (allowed in the half-space since lambda . d <= 0).
 
     ``outside`` and ``step`` are the promise walk of the automaton and of the
     Monte Carlo kernel: on one (N,) promise or on an (R, N) block, a row
@@ -558,22 +553,22 @@ class PromiseDecomposition:
     """
 
     def __init__(self, spec: GameSpec, direction):
-        tables = _profile_tables(spec)
         lam = _direction(direction, spec.n_firms)
-        orth = _orth_rows(lam)
-        ks = _best_level(tables, lam, orth)
+        ks = k_star(spec, lam)
         self.spec = spec
         self.direction = lam
         self.k_star = ks.value
         self.action = ks.best_profile
-        if not ks.orthogonal_at_best:
+        table = _profile_table(spec, self.action)
+        orth = _orth_rows(lam)
+        base = _solve(table, lam, orth, True, None)
+        if not (ks.orthogonal_at_best and base.feasible):
             raise DomainError(
                 "promise decomposition requires an orthogonally enforceable "
                 "best profile for the chosen direction"
             )
-        table = tables[self.action]
         self.u_r = table.u_r
-        self.gamma_base = ks.best_map.gamma_bar  # (S, N): k*'s orthogonal map at u(r*)
+        self.gamma_base = base.gamma_bar  # (S, N): the orthogonal map at u(r*)
         n = spec.n_firms
         lam_unit = lam / np.linalg.norm(lam)
         basis = _hyperplane_basis(lam_unit)

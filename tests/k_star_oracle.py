@@ -1,11 +1,10 @@
 """Exhaustive oracle for ``npdshare.decompose.k_star``.
 
-The package tries profiles in descending lambda . u(r) order and stops once
-no remaining profile can reach the best level.  This oracle solves every
-one of the 2^N pure profiles, each by orthogonal enforcement first and the
-general LP only if that fails, and takes the best level with the same
-tie-break, so tests can check the lazy search against the full one bit for
-bit.
+The package computes every profile's level in closed form.  This oracle
+builds the constraint system of each of the 2^N pure profiles and solves it,
+by orthogonal enforcement first and the general LP only if that fails, then
+takes the best level with the same tie-break, so tests can check the closed
+form against the solver bit for bit.
 """
 
 from npdshare.decompose import (
@@ -13,13 +12,20 @@ from npdshare.decompose import (
     KStarResult,
     _direction,
     _orth_rows,
-    _profile_tables,
+    _profile_table,
     _solve,
 )
+from npdshare.game import all_profiles
+
+
+def _profile_tables(spec):
+    """The tables of all 2^N pure profiles, in ``all_profiles`` order."""
+    return {r: _profile_table(spec, r) for r in all_profiles(spec.n_firms)}
 
 
 def exhaustive_k_star(spec, direction):
-    """(KStarResult, {profile: level}) over every enforceable profile."""
+    """(KStarResult, {profile: level}, {profile: solve result}) over every
+    enforceable profile."""
     tables = _profile_tables(spec)
     lam = _direction(direction, spec.n_firms)
     orth = _orth_rows(lam)
@@ -35,6 +41,6 @@ def exhaustive_k_star(spec, direction):
     best = min(r for r, kv in levels.items() if kv >= best_value - SOLVE_TOL)
     result = KStarResult(
         direction=tuple(lam), value=levels[best], best_profile=best,
-        orthogonal_at_best=maps[best].orthogonal, best_map=maps[best],
+        orthogonal_at_best=maps[best].orthogonal,
     )
-    return result, levels
+    return result, levels, maps

@@ -133,6 +133,21 @@ def test_decompose_wrong_arity_exits_two(spec2_file, capsys):
     assert code == 2
 
 
+def test_decompose_general_level_is_clamped_to_its_bound(spec_file, capsys):
+    # README's spec.  lambda . u(0, 0) = 0 bounds every map's level; HiGHS
+    # returns the LP optimum 0 as -1.4e-16, which used to print k* > 0.
+    path = spec_file({"n_firms": 2, "gain": {"kind": "linear", "G": 3.0}, "L": 1.0,
+                      "alpha": 0.9, "epsilon": 0.1, "delta": 0.99,
+                      "monitor_alpha": 0.9, "monitor_epsilon": 0.1, "seed": 7})
+    code, _, err = run_cli(
+        ["decompose", "--spec", path, "--lambda=1,-1.2246467991473532e-16",
+         "--action", "0,0", "--mode", "general"],
+        capsys,
+    )
+    assert code == 0
+    assert err.startswith("decompose: k*=0.0 at action=(0, 0), mode=lp_general")
+
+
 @pytest.mark.parametrize("lam", ["inf,1", "nan,1"])
 def test_decompose_non_finite_lambda_exits_two(spec2_file, lam):
     # A subprocess with a timeout: an infinite direction used to spin in
@@ -554,6 +569,25 @@ def test_seed_is_rejected_outside_simulate(spec2_file, capsys, argv):
         main(argv + ["--spec", spec2_file, "--seed", "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+def test_main_builds_its_parser_once(spec2_file, capsys):
+    from npdshare import cli
+
+    cli._build_parser.cache_clear()
+    runs = [
+        (["check", "--spec", spec2_file, "--theorem", "flm"], 0),
+        (["decompose", "--spec", spec2_file, "--lambda", "1,0"], 1),
+        (["decompose", "--spec", spec2_file, "--lambda", "1,0", "--mode", "general"], 0),
+        (["decompose", "--spec", spec2_file, "--lambda", "1,x"], 2),
+    ]
+    for argv, want in runs:
+        assert run_cli(argv, capsys)[0] == want, argv
+    with pytest.raises(SystemExit) as exc:
+        main(["payoffset", "--spec", spec2_file, "--seed", "1"])
+    assert exc.value.code == 2
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(runs))
 
 
 # ---------------------------------------------------------------------------
