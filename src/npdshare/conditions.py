@@ -29,7 +29,16 @@ bit from the per-bit differences (``monitoring.displacement_moments``).  No
 check expands the 2**bits outcome table, and no distance is compared with a
 tolerance; only C3's collinearity test uses one (``COLLINEAR_TOL``).
 
-Reports serialize to an indented key-value text document via ``to_text``.
+The checks work on arrays of P(bit = 0), one entry per bit held outside the
+excluded firms: the cached layout ``monitoring.held_private_bits`` gives each
+held bit's observed firm, the profile indexes the private kernel with it,
+and a deviation swaps only the bits about the deviator.  These are the
+``p_zero`` vectors of ``monitoring.marginal_excluding``, built without its
+labels and validation; each check validates its profile once.
+
+Reports serialize to an indented key-value text document via ``to_text``,
+written in one pass with nested reports in place.  Numpy scalars print like
+their Python counterparts.
 """
 
 from __future__ import annotations
@@ -49,10 +58,10 @@ from .game import (
     validate_profile,
 )
 from .monitoring import (
+    MODE_PRIVATE,
     MODE_PUBLIC,
-    FactoredBernoulli,
     displacement_moments,
-    marginal_excluding,
+    held_private_bits,
     signal_kernel,
 )
 
@@ -71,50 +80,73 @@ class ConditionReport:
     evidence: dict = field(default_factory=dict)
 
     def to_text(self) -> str:
-        lines = [f"condition: {self.condition_id}", f"holds: {str(self.holds).lower()}"]
-        if self.context:
-            lines.append("context:")
-            lines.extend(_format_mapping(self.context, 1))
-        if self.evidence:
-            lines.append("evidence:")
-            lines.extend(_format_mapping(self.evidence, 1))
-        return "\n".join(lines)
+        out: list[str] = []
+        _write_report(self, out, "", "")
+        return "\n".join(out)
 
 
 def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return str(v).lower()
-    if isinstance(v, float):
-        return repr(v)
+    fmt = _FORMATS.get(type(v))
+    if fmt is not None:
+        return fmt(v)
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    if isinstance(v, np.integer):
+        return str(int(v))
     if isinstance(v, (list, tuple)):
-        return "[" + ", ".join(_format_value(x) for x in v) + "]"
+        return _format_list(v)
     return str(v)
 
 
-def _format_mapping(d: dict, depth: int) -> list[str]:
-    pad = "  " * depth
-    out = []
+def _format_list(v) -> str:
+    return "[" + ", ".join([_format_value(x) for x in v]) + "]"
+
+
+# Exact types that need no isinstance chain; numpy scalars and subclasses
+# take the chain in _format_value.
+_FORMATS = {
+    bool: lambda v: "true" if v else "false",
+    int: str,
+    float: repr,
+    str: str,
+    list: _format_list,
+    tuple: _format_list,
+}
+
+
+def _write_report(rep: ConditionReport, out: list[str], first: str, pad: str) -> None:
+    """Append ``rep``'s lines to ``out``, the first prefixed by ``first`` and
+    the rest by ``pad``; nested reports and mappings are written in place,
+    one level ("  ") deeper."""
+    out.append(f"{first}condition: {rep.condition_id}")
+    out.append(f"{pad}holds: {_format_value(rep.holds)}")
+    for name, mapping in (("context", rep.context), ("evidence", rep.evidence)):
+        if mapping:
+            out.append(f"{pad}{name}:")
+            _write_mapping(mapping, out, pad + "  ", pad + "  ")
+
+
+def _write_mapping(d: dict, out: list[str], first: str, pad: str) -> None:
+    """``key: value`` lines in the same prefix scheme as ``_write_report``.
+    A list of reports or mappings is written as a block per item, the
+    item's first line after ``- ``."""
     for key, val in d.items():
+        head, first = first, pad
         if isinstance(val, dict):
-            out.append(f"{pad}{key}:")
-            out.extend(_format_mapping(val, depth + 1))
+            out.append(f"{head}{key}:")
+            _write_mapping(val, out, pad + "  ", pad + "  ")
         elif isinstance(val, ConditionReport):
-            out.append(f"{pad}{key}:")
-            out.extend(("  " * (depth + 1)) + ln for ln in val.to_text().splitlines())
-        elif isinstance(val, (list, tuple)) and any(
-            isinstance(x, (dict, ConditionReport)) for x in val
-        ):
-            out.append(f"{pad}{key}:")
+            out.append(f"{head}{key}:")
+            _write_report(val, out, pad + "  ", pad + "  ")
+        elif isinstance(val, (list, tuple)) and val and isinstance(val[0], (dict, ConditionReport)):
+            out.append(f"{head}{key}:")
             for x in val:
-                if isinstance(x, ConditionReport):
-                    block = x.to_text().splitlines()
-                else:
-                    block = _format_mapping(x, 0)
-                out.append(f"{pad}  - {block[0]}")
-                out.extend(f"{pad}    {ln}" for ln in block[1:])
+                write = _write_report if isinstance(x, ConditionReport) else _write_mapping
+                write(x, out, pad + "  - ", pad + "    ")
         else:
-            out.append(f"{pad}{key}: {_format_value(val)}")
-    return out
+            out.append(f"{head}{key}: {_format_value(val)}")
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +178,7 @@ def individual_full_rank(spec: GameSpec, profile, firm: int) -> ConditionReport:
     return ConditionReport(
         condition_id="individual_full_rank",
         holds=rank == 2,
-        context={"profile": list(r), "firm": firm + 1},
+        context={"profile": r.tolist(), "firm": firm + 1},
         evidence={"rank": rank, "required": 2},
     )
 
@@ -163,7 +195,7 @@ def pairwise_full_rank(spec: GameSpec, profile, firm_i: int, firm_j: int) -> Con
     return ConditionReport(
         condition_id="pairwise_full_rank",
         holds=rank == 3,
-        context={"profile": list(r), "pair": [firm_i + 1, firm_j + 1]},
+        context={"profile": r.tolist(), "pair": [firm_i + 1, firm_j + 1]},
         evidence={"rank": rank, "required": 3},
     )
 
@@ -183,10 +215,18 @@ def rank_reports(spec: GameSpec, extremes):
 # private-monitoring conditions
 
 
-def _marginal_gap(p: FactoredBernoulli, q: FactoredBernoulli) -> float:
+def _gap(p: np.ndarray, q: np.ndarray) -> float:
     """max_k |P(bit k = 0) - Q(bit k = 0)|: zero exactly when P == Q."""
-    p._check_same_space(q)
-    return float(np.max(np.abs(p.p_zero - q.p_zero)))
+    return float(np.max(np.abs(p - q)))
+
+
+def _deviation(kernel: np.ndarray, r: np.ndarray, observed: np.ndarray,
+               p: np.ndarray, firm: int) -> np.ndarray:
+    """The held bits' P(bit = 0) when ``firm`` deviates from ``r``: ``p``
+    with the bits about ``firm`` read under its other action."""
+    q = p.copy()
+    q[observed == firm] = kernel[1 - r[firm]]
+    return q
 
 
 def check_c1(spec: GameSpec, minmaxed_firm: int) -> ConditionReport:
@@ -199,18 +239,17 @@ def check_c1(spec: GameSpec, minmaxed_firm: int) -> ConditionReport:
     deviation is undetectable-and-profitable only if the pure one is.
     """
     mm = minmax(spec, minmaxed_firm)
-    base = np.asarray(mm.profile, dtype=np.int64)
+    base = validate_profile(spec, mm.profile)
     x = base.sum()
+    kernel = signal_kernel(spec, MODE_PRIVATE)
     per_firm = []
     holds = True
     for j in range(spec.n_firms):
         if j == minmaxed_firm:
             continue
-        p = marginal_excluding(spec, base, excluded=(j,))
-        dev = base.copy()
-        dev[j] = 1 - dev[j]
-        q = marginal_excluding(spec, dev, excluded=(j,))
-        gap = _marginal_gap(p, q)
+        _, observed = held_private_bits(spec, (j,))
+        p = kernel[base[observed]]
+        gap = _gap(p, _deviation(kernel, base, observed, p, j))
         detectable = gap > 0
         a = base[j]
         gain = float(spec.stage[1 - a, x + 1 - 2 * a] - spec.stage[a, x])
@@ -235,6 +274,8 @@ def check_c1(spec: GameSpec, minmaxed_firm: int) -> ConditionReport:
 
 
 def _pair_marginals(spec: GameSpec, profile, firm_i: int, firm_j: int):
+    """The validated profile, and P(bit = 0) of the bits held outside the
+    pair at it and under each suspect's deviation."""
     if spec.n_firms <= 2:
         raise ConditionInapplicableError(
             "pairwise attribution conditions quantify over firms outside the "
@@ -243,15 +284,15 @@ def _pair_marginals(spec: GameSpec, profile, firm_i: int, firm_j: int):
     if firm_i == firm_j:
         raise DomainError("pair must consist of two distinct firms")
     r = validate_profile(spec, profile)
-    excl = (firm_i, firm_j)
-    p = marginal_excluding(spec, r, excluded=excl)
-    dev_i = r.copy()
-    dev_i[firm_i] = 1 - dev_i[firm_i]
-    dev_j = r.copy()
-    dev_j[firm_j] = 1 - dev_j[firm_j]
-    q_i = marginal_excluding(spec, dev_i, excluded=excl)
-    q_j = marginal_excluding(spec, dev_j, excluded=excl)
-    return p, q_i, q_j
+    _, observed = held_private_bits(spec, (firm_i, firm_j))
+    kernel = signal_kernel(spec, MODE_PRIVATE)
+    p = kernel[r[observed]]
+    return (
+        r,
+        p,
+        _deviation(kernel, r, observed, p, firm_i),
+        _deviation(kernel, r, observed, p, firm_j),
+    )
 
 
 def check_c2(spec: GameSpec, profile, firm_i: int, firm_j: int) -> ConditionReport:
@@ -264,14 +305,14 @@ def check_c2(spec: GameSpec, profile, firm_i: int, firm_j: int) -> ConditionRepo
     (``deviation_marginals_gap``, ``equilibrium_to_intersection_gap``) are
     max per-bit |delta P(bit = 0)| between the marginals.
     """
-    p, q_i, q_j = _pair_marginals(spec, profile, firm_i, firm_j)
-    gap_ij = _marginal_gap(q_i, q_j)
+    r, p, q_i, q_j = _pair_marginals(spec, profile, firm_i, firm_j)
+    gap_ij = _gap(q_i, q_j)
     intersection_empty = gap_ij > 0
     if intersection_empty:
         holds = True
         gap_p = None
     else:
-        gap_p = _marginal_gap(p, q_i)
+        gap_p = _gap(p, q_i)
         holds = gap_p > 0
     evidence = {
         "deviation_marginals_gap": gap_ij,
@@ -282,15 +323,15 @@ def check_c2(spec: GameSpec, profile, firm_i: int, firm_j: int) -> ConditionRepo
     return ConditionReport(
         condition_id="c2_attributable",
         holds=holds,
-        context={"profile": list(validate_profile(spec, profile)), "pair": [firm_i + 1, firm_j + 1]},
+        context={"profile": r.tolist(), "pair": [firm_i + 1, firm_j + 1]},
         evidence=evidence,
     )
 
 
-def _block_cosine(p: FactoredBernoulli, q: FactoredBernoulli) -> float:
+def _block_cosine(p: np.ndarray, q: np.ndarray) -> float:
     """cos(q - p, p) over the bits where q differs from p."""
-    moved = p.p_zero != q.p_zero
-    pp, dp, dd = displacement_moments(p.p_zero[moved], q.p_zero[moved])
+    moved = p != q
+    pp, dp, dd = displacement_moments(p[moved], q[moved])
     return dp / math.sqrt(pp * dd)
 
 
@@ -305,16 +346,15 @@ def check_c3(spec: GameSpec, profile, firm_i: int, firm_j: int) -> ConditionRepo
     q_i and q_j move disjoint blocks of bits, the bits about i and about j
     held by the observers outside the pair.  Every other bit cancels, so
     the cosine of the two displacements is the product of each block's
-    cos(q - p, p) (``_block_cosine``).
+    cos(q - p, p) (``_block_cosine``).  The norms ||q - p|| are over the
+    joint outcomes of all held bits (``displacement_moments``).
     """
-    p, q_i, q_j = _pair_marginals(spec, profile, firm_i, firm_j)
-    norm_i = p.l2_diff(q_i)
-    norm_j = p.l2_diff(q_j)
+    r, p, q_i, q_j = _pair_marginals(spec, profile, firm_i, firm_j)
     evidence: dict = {
-        "displacement_norm_i": float(norm_i),
-        "displacement_norm_j": float(norm_j),
+        "displacement_norm_i": math.sqrt(displacement_moments(p, q_i)[2]),
+        "displacement_norm_j": math.sqrt(displacement_moments(p, q_j)[2]),
     }
-    if np.array_equal(p.p_zero, q_i.p_zero) or np.array_equal(p.p_zero, q_j.p_zero):
+    if np.array_equal(p, q_i) or np.array_equal(p, q_j):
         holds = True
         evidence["degenerate_displacement"] = True
     else:
@@ -324,7 +364,7 @@ def check_c3(spec: GameSpec, profile, firm_i: int, firm_j: int) -> ConditionRepo
     return ConditionReport(
         condition_id="c3_jointly_attributable",
         holds=holds,
-        context={"profile": list(validate_profile(spec, profile)), "pair": [firm_i + 1, firm_j + 1]},
+        context={"profile": r.tolist(), "pair": [firm_i + 1, firm_j + 1]},
         evidence=evidence,
     )
 

@@ -42,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import CapacityError, DomainError
 from .game import GameSpec, STRICT_TOL, all_profiles, validate_profile
@@ -53,6 +52,14 @@ SOLVE_TOL = 1e-9
 K_STAR_MAX_FIRMS = 8
 # Slack of the promise region {lam . v <= k* + tol, v_i >= -tol}.
 REGION_TOL = 1e-9
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call, so importing
+    the package does not load scipy."""
+    from scipy.optimize import linprog as _linprog
+
+    return _linprog(*args, **kwargs)
 
 
 def kappa(alpha: float, epsilon: float) -> float:

@@ -211,14 +211,18 @@ def _validate_accuracy(an: str, a: float, en: str, e: float) -> None:
 
 
 def validate_profile(spec: GameSpec, profile: Iterable[int]) -> np.ndarray:
-    r = np.asarray(list(profile), dtype=np.int64)
-    if r.shape != (spec.n_firms,):
+    """The profile as an int64 array of N entries, each equal to 0 or 1.
+
+    Entries are compared before the cast, so 0.5 or 1.7 is refused rather
+    than truncated."""
+    raw = np.asarray(list(profile))
+    if raw.shape != (spec.n_firms,):
         raise DomainError(
-            f"action profile must have length {spec.n_firms}, got shape {r.shape}"
+            f"action profile must have length {spec.n_firms}, got shape {raw.shape}"
         )
-    if not np.all((r == 0) | (r == 1)):
-        raise DomainError(f"action profile entries must be 0 or 1, got {r.tolist()}")
-    return r
+    if not ((raw == 0) | (raw == 1)).all():
+        raise DomainError(f"action profile entries must be 0 or 1, got {raw.tolist()}")
+    return raw.astype(np.int64, copy=False)
 
 
 def all_profiles(n_firms: int):
@@ -392,28 +396,64 @@ def _hull_nd(spec: GameSpec, clip_to_ir: bool) -> PayoffPolytope:
 
 
 def extreme_profiles(spec: GameSpec) -> list[tuple[int, ...]]:
-    """Pure profiles whose payoff vector is a vertex of the feasible hull.
+    """Pure profiles whose payoff vector is a vertex of the feasible hull,
+    decided exactly, with no LP.
 
-    Exploits symmetry: whether the payoff of a profile with x disclosers is
-    extreme depends only on x, so one membership test per discloser count
-    suffices.
+    A firm's payoff depends only on its action and the discloser count, so
+    whether a profile with x disclosers is extreme depends only on x.  Let
+    S be the profile where the first x firms disclose, with payoff p.
+    Averaging any other profile T over the permutations that fix S keeps it
+    in the hull and makes it constant on S's disclosers and on its
+    concealers; scaling those two blocks by x and N - x leaves a point in
+    the plane.  If T has y disclosers, z of them in S, that point is
+
+        (z D(y) + (x - z) C(y), (y - z) D(y) + (N - x - y + z) C(y)),
+
+    with D = stage[1] and C = stage[0], and p becomes (x D(x), (N - x) C(x)).
+    p is in the hull of the other payoffs exactly when it is in the hull of
+    these (y, z) class points, which ``geometry.in_convex_hull_2d_exact``
+    decides exactly, on the payoffs scaled to integers by their common
+    power-of-two denominator (at x = 0 and x = N every point lies on one
+    axis and the test is an interval).  "Other" means a payoff more than
+    1e-12 from p in some coordinate: a class is dropped when each role it
+    has is within 1e-12 of p's value for that role.
     """
-    from .geometry import point_in_hull
+    from .geometry import in_convex_hull_2d_exact
 
     n = spec.n_firms
     if n > HULL_MAX_FIRMS:
         raise CapacityError(f"extreme_profiles capped at N <= {HULL_MAX_FIRMS}")
-    all_pts = all_profile_payoffs(spec)
+    conceal, disclose = spec.stage.tolist()
+    # Every payoff is a binary rational, so one power-of-two denominator
+    # turns them all into exact integers.
+    scale = max(v.as_integer_ratio()[1] for v in conceal[:n] + disclose[1:])
+
+    def exact(v):
+        num, den = v.as_integer_ratio()
+        return num * (scale // den)
+
+    def block_sum(n_d, n_c, y):
+        # n_d disclosers and n_c concealers with y disclosers in all; a count
+        # of 0 reads no stage cell, so the NaN roles are never touched.
+        return (n_d and n_d * exact(disclose[y])) + (n_c and n_c * exact(conceal[y]))
+
     extreme_counts = []
     for x in range(n + 1):
-        # The profile where the first x firms disclose: its bits, firm 1
-        # most significant, are the row's index in all_profiles order.
-        p = all_pts[2**n - 2 ** (n - x)]
-        others = all_pts[np.any(np.abs(all_pts - p) > 1e-12, axis=1)]
-        if others.size == 0 or not point_in_hull(p, others, tol=1e-9):
+        on_s, off_s = disclose[x], conceal[x]  # p's role values on and off S
+        others = []
+        for y in range(n + 1):
+            for z in range(max(0, y - (n - x)), min(x, y) + 1):
+                # T's disclosers and concealers on S and off S, with p's value there
+                blocks = ((z, x - z, on_s), (y - z, n - x - y + z, off_s))
+                if all(
+                    abs(v - ref) <= 1e-12
+                    for n_d, n_c, ref in blocks
+                    for count, v in ((n_d, disclose[y]), (n_c, conceal[y]))
+                    if count
+                ):
+                    continue
+                others.append(tuple(block_sum(n_d, n_c, y) for n_d, n_c, _ in blocks))
+        p = (block_sum(x, 0, x), block_sum(0, n - x, x))
+        if not in_convex_hull_2d_exact(p, others):
             extreme_counts.append(x)
-    out = []
-    for r in all_profiles(n):
-        if sum(r) in extreme_counts:
-            out.append(r)
-    return out
+    return [r for r in all_profiles(n) if sum(r) in extreme_counts]

@@ -1,10 +1,14 @@
 """Convex geometry helpers.
 
 Two-firm payoff sets are polygons, so this module carries exact rational
-monotone-chain hulls and Sutherland-Hodgman clipping for them, plus float
-versions used by the half-space payoff-set approximation.  Higher-dimensional
-membership and vertex questions are answered with small LPs (convex
-combination feasibility) and, for clipping, qhull via scipy.
+monotone-chain hulls, hull membership and Sutherland-Hodgman clipping for
+them, plus float versions used by the half-space payoff-set approximation.
+``game.extreme_profiles`` reduces its vertex question to exact 2-D
+membership by symmetry, so no LP answers it.  ``point_in_hull`` (a
+convex-combination feasibility LP) and ``hull_vertices_nd`` serve the
+N > 2 feasible hull, and ``clip_hull_to_orthant`` runs qhull.  scipy is
+imported only inside the functions that run an LP or qhull, so importing
+the package does not load it.
 """
 
 from __future__ import annotations
@@ -12,8 +16,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, HalfspaceIntersection
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call, so importing
+    the package does not load scipy."""
+    from scipy.optimize import linprog as _linprog
+
+    return _linprog(*args, **kwargs)
+
 
 # ---------------------------------------------------------------------------
 # exact rational polygon operations (2-D)
@@ -44,6 +55,30 @@ def convex_hull_2d_exact(points):
             upper.pop()
         upper.append(p)
     return lower[:-1] + upper[:-1]
+
+
+def in_convex_hull_2d_exact(point, points) -> bool:
+    """Is ``point`` in conv(points), boundary included?  Exact on pairs of
+    ints or Fractions; a hull of one or two vertices is a point or a
+    segment.  False for no points."""
+    hull = convex_hull_2d_exact(points)
+    if len(hull) == 1:
+        return point == hull[0]
+    px, py = point
+
+    def cross(o, a):
+        return (a[0] - o[0]) * (py - o[1]) - (a[1] - o[1]) * (px - o[0])
+
+    if len(hull) == 2:
+        a, b = hull
+        return (
+            cross(a, b) == 0
+            and min(a[0], b[0]) <= px <= max(a[0], b[0])
+            and min(a[1], b[1]) <= py <= max(a[1], b[1])
+        )
+    return bool(hull) and all(
+        cross(hull[k], hull[(k + 1) % len(hull)]) >= 0 for k in range(len(hull))
+    )
 
 
 def clip_polygon_halfplane_exact(poly, normal, offset):
@@ -190,7 +225,7 @@ def hausdorff_distance_polygons(a: np.ndarray, b: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# n-dimensional helpers (LP / qhull)
+# n-dimensional helpers (LP / qhull; scipy loaded on first use)
 
 
 def point_in_hull(point: np.ndarray, points: np.ndarray, tol: float = 1e-9) -> bool:
@@ -231,6 +266,8 @@ def clip_hull_to_orthant(vertices: np.ndarray) -> tuple[np.ndarray, bool]:
     interior the largest inscribed ball has zero radius; the Chebyshev
     center found is returned as a single point with the degenerate flag set.
     """
+    from scipy.spatial import ConvexHull, HalfspaceIntersection
+
     vertices = np.asarray(vertices, dtype=float)
     d = vertices.shape[1]
     hull = ConvexHull(vertices)

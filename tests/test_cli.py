@@ -71,6 +71,66 @@ def test_rank_exits_zero(spec2_file, capsys):
     assert "pairwise_full_rank" in out
 
 
+# Exit codes, stdout lengths and digests of check --theorem both and rank,
+# recorded from the LP-based extreme-profile test and the marginal-based
+# C1-C3 checks that preceded the exact ones, with numpy 2.4 and scipy 1.17.
+CHECK_RANK_GOLDEN = {
+    "linear2": (
+        {"n_firms": 2, "gain": {"kind": "linear", "G": 3.0}, "L": 1.0,
+         "alpha": 0.9, "epsilon": 0.1, "delta": 0.9},
+        (1, 1581, "20e1e1d1a0e30f7c1cd89055c311da6151443ba34ae5bb2deb770985925390bf"),
+        (0, 707, "84a36e66400403e3859f1cb50b51584ba1cad7dd2e96ef305af937067e93d317"),
+    ),
+    "concave3": (
+        {"n_firms": 3, "gain": {"kind": "concave", "G": 3.0, "f": [0.0, 1.0, 1.8, 2.4]},
+         "L": 1.0, "alpha": 0.8, "epsilon": 0.15, "delta": 0.9,
+         "monitor_alpha": 0.85, "monitor_epsilon": 0.2},
+        (0, 18105, "5fbe06dd8816eaaf1ff5306334478afe8d14c986e2145aac85afbb15d39a09d1"),
+        (0, 3284, "2e5621018d4b23e88f76982e534fbdada287ab67a3296830ffc9305fbafc89ad"),
+    ),
+    "ties4": (
+        {"n_firms": 4, "gain": {"kind": "concave", "G": 2.0, "f": [0.0, 1.0, 1.0, 1.0]},
+         "L": 1.0, "alpha": 0.9, "epsilon": 0.1, "delta": 0.9},
+        (1, 46666, "80f55d80156bdb17e7b99441c6fac750fb14b0f1cc2e0b02a47733c7bf26bc86"),
+        (0, 8737, "ea3392d812cca4922d70cf77d2d1f6a987cdf7598cbd2b9ee951cee4a238990b"),
+    ),
+    "linear5": (
+        {"n_firms": 5, "gain": {"kind": "linear", "G": 3.3}, "L": 1.2,
+         "alpha": 0.87, "epsilon": 0.11, "delta": 0.95,
+         "monitor_alpha": 0.8, "monitor_epsilon": 0.2},
+        (0, 215928, "cbc88c52a9c3c715a26a5ed6531ac29a7040cfc0c02c465077312a063e84ca85"),
+        (0, 41584, "d88dd3587522cfa57ab037aedf10f1e3f4199231c50b8711bdbb4607244c0c5b"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_RANK_GOLDEN))
+def test_check_and_rank_stdout_match_recorded_digests(spec_file, capsys, name):
+    spec, check, rank = CHECK_RANK_GOLDEN[name]
+    path = spec_file(spec)
+    for argv, want in ((["check", "--spec", path, "--theorem", "both"], check),
+                       (["rank", "--spec", path], rank)):
+        code, out, _ = run_cli(argv, capsys)
+        assert (code, len(out), hashlib.sha256(out.encode()).hexdigest()) == want, argv[0]
+
+
+def test_check_and_rank_leave_scipy_unloaded(spec3_file):
+    # scipy is imported only where an LP or qhull runs, and check and rank
+    # run neither.
+    code = (
+        "import sys\n"
+        "import npdshare.cli\n"
+        "for argv in (['check', '--spec', sys.argv[1], '--theorem', 'both'],\n"
+        "             ['rank', '--spec', sys.argv[1]]):\n"
+        "    assert npdshare.cli.main(argv) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, spec3_file],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 # ---------------------------------------------------------------------------
 # decompose
 

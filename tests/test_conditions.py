@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from condition_oracle import c1_evidence, c2_evidence, c3_evidence
 from signal_oracle import numeric_rank, signal_matrix, with_monitor_kernel, with_private_kernel
 
 from npdshare import (
@@ -24,10 +25,10 @@ from npdshare import (
     theorem_preconditions,
 )
 from npdshare.conditions import (
-    _marginal_gap,
+    _gap,
     rank_reports,
 )
-from npdshare import conditions
+from npdshare import conditions, game, geometry
 from npdshare.errors import CapacityError, ConditionInapplicableError, DomainError
 
 
@@ -225,7 +226,7 @@ def test_per_bit_gap_decides_like_dense_oracle():
                     seen = {l for (_, l) in p.labels}
                     for r2 in all_profiles(n):
                         q = marginal_excluding(spec, r2, excluded=excluded)
-                        gap = _marginal_gap(p, q)
+                        gap = _gap(p.p_zero, q.p_zero)
                         moved = any(r[l] != r2[l] for l in seen)
                         assert (gap > 0) == moved
                         assert (p.sup_diff(q) > 0) == moved
@@ -242,7 +243,7 @@ def test_per_bit_gap_zero_for_uninformative_kernel(spec3):
         return FactoredBernoulli(labels=labels, p_zero=np.where(actions == 1, 0.3, 0.3))
 
     p, q = marginal((1, 1, 1)), marginal((0, 1, 0))
-    assert _marginal_gap(p, q) == 0.0
+    assert _gap(p.p_zero, q.p_zero) == 0.0
     assert p.sup_diff(q) == 0.0
 
 
@@ -367,3 +368,127 @@ def test_report_text_structure(spec3):
     assert text.startswith("condition: flm_preconditions")
     assert "holds: true" in text
     assert "- condition: pairwise_full_rank" in text
+
+
+def _oracle_specs(n):
+    gen = np.random.default_rng(100 + n)
+    specs = [
+        GameSpec(n, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9),
+        GameSpec(n, LinearGain(3.0), 1.0, 0.5 + 5e-11, 0.5 - 5e-11, 0.9),
+        with_private_kernel(
+            GameSpec(n, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9,
+                     monitor_alpha=0.9, monitor_epsilon=0.1),
+            0.3, 0.3,
+        ),
+    ]
+    for _ in range(2):
+        specs.append(GameSpec(
+            n, LinearGain(float(gen.uniform(1.0, 4.0))), float(gen.uniform(0.5, 2.0)),
+            float(gen.uniform(0.5, 1.0)), float(gen.uniform(0.0, 0.5)), 0.9,
+        ))
+    return specs
+
+
+def _same_bits(got, want):
+    # repr tells apart floats that compare equal (0.0 and -0.0) and numpy
+    # scalars from Python ones.
+    assert got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_c1_c3_evidence_matches_marginal_oracle_bitwise(n):
+    for spec in _oracle_specs(n):
+        for firm in range(n):
+            _same_bits(check_c1(spec, firm).evidence, c1_evidence(spec, firm))
+        for r in extreme_profiles(spec):
+            for i, j in itertools.combinations(range(n), 2):
+                _same_bits(check_c2(spec, r, i, j).evidence, c2_evidence(spec, r, i, j))
+                _same_bits(check_c3(spec, r, i, j).evidence, c3_evidence(spec, r, i, j))
+
+
+def test_checks_validate_firms_and_profiles(spec3):
+    with pytest.raises(DomainError, match="out of range"):
+        check_c2(spec3, (1, 1, 1), 0, 3)
+    with pytest.raises(DomainError, match="out of range"):
+        check_c3(spec3, (1, 1, 1), -1, 2)
+    with pytest.raises(DomainError, match="distinct"):
+        check_c3(spec3, (1, 1, 1), 1, 1)
+    with pytest.raises(DomainError, match="0 or 1"):
+        check_c2(spec3, (1, 0.5, 1), 0, 1)
+    with pytest.raises(DomainError):
+        check_c1(spec3, 3)
+
+
+def test_preconditions_and_rank_run_no_lp(monkeypatch, spec2, spec3):
+    def fail(*args, **kwargs):
+        raise AssertionError("an LP ran")
+
+    monkeypatch.setattr(geometry, "linprog", fail)
+    monkeypatch.setattr(geometry, "point_in_hull", fail)
+    spec4 = GameSpec(4, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9,
+                     monitor_alpha=0.85, monitor_epsilon=0.2)
+    for spec in (spec2, spec3, spec4):
+        for theorem in ("flm", "km"):
+            theorem_preconditions(spec, theorem).to_text()
+        assert all(rep.holds for rep in rank_reports(spec, game.extreme_profiles(spec)))
+
+
+def test_report_text_prints_numpy_scalars_like_python_ones():
+    plain = GameSpec(3, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9)
+    numpy_fields = GameSpec(
+        np.int64(3), LinearGain(np.float64(3.0)), np.float64(1.0), np.float64(0.9),
+        np.float64(0.1), np.float64(0.9),
+    )
+    for theorem in ("flm", "km"):
+        text = theorem_preconditions(numpy_fields, theorem).to_text()
+        assert text == theorem_preconditions(plain, theorem).to_text()
+        assert "np." not in text
+    text = theorem_preconditions(numpy_fields, "km").to_text()
+    assert "alpha: 0.9\n" in text and "full_disclosure_payoff: 5.0\n" in text
+    rep = conditions.ConditionReport(
+        "scalars", np.bool_(True),
+        evidence={"flag": np.bool_(False), "count": np.int64(7), "x": np.float32(0.5),
+                  "values": [np.float64(0.25), np.int32(2), np.True_]},
+    )
+    assert rep.to_text() == (
+        "condition: scalars\nholds: true\nevidence:\n  flag: false\n  count: 7\n"
+        "  x: 0.5\n  values: [0.25, 2, true]"
+    )
+
+
+def test_report_text_nests_reports_and_mappings():
+    inner = conditions.ConditionReport("inner", False, context={"k": {"a": 1}},
+                                       evidence={"v": [1, 2]})
+    outer = conditions.ConditionReport(
+        "outer", True,
+        context={"sub": inner, "m": {"deep": {"x": 1.5}}},
+        evidence={"checks": [inner, {"a": 1, "b": {"c": "d"}}]},
+    )
+    assert outer.to_text() == "\n".join([
+        "condition: outer",
+        "holds: true",
+        "context:",
+        "  sub:",
+        "    condition: inner",
+        "    holds: false",
+        "    context:",
+        "      k:",
+        "        a: 1",
+        "    evidence:",
+        "      v: [1, 2]",
+        "  m:",
+        "    deep:",
+        "      x: 1.5",
+        "evidence:",
+        "  checks:",
+        "    - condition: inner",
+        "      holds: false",
+        "      context:",
+        "        k:",
+        "          a: 1",
+        "      evidence:",
+        "        v: [1, 2]",
+        "    - a: 1",
+        "      b:",
+        "        c: d",
+    ])

@@ -18,9 +18,11 @@ from npdshare import (
     profile_payoff,
     run_episode,
 )
+from hull_oracle import lp_extreme_profiles
+
 from npdshare.decompose import _profile_table
-from npdshare.errors import DomainError
-from npdshare.game import all_profile_payoffs
+from npdshare.errors import CapacityError, DomainError
+from npdshare.game import all_profile_payoffs, extreme_profiles, validate_profile
 
 
 def test_linear_gain_values():
@@ -248,3 +250,51 @@ def test_assumptions_match_role_oracle():
         seen_a2p_failure |= bool(a2p_bad)
         assert minmax(spec, 0).value == max(spec.conceal_payoff(0), spec.disclose_payoff(1))
     assert seen_a2p_failure
+
+
+def test_profiles_refuse_fractional_entries(spec2):
+    for bad in ((0.5, 1), (1, 1.7), (1.0, -1.0), (float("nan"), 0), (2, 0)):
+        with pytest.raises(DomainError, match="0 or 1"):
+            validate_profile(spec2, bad)
+    with pytest.raises(DomainError, match="0 or 1"):
+        profile_payoff(spec2, [1.7, 0])
+    for good in ((1.0, 0.0), (True, False), np.array([1, 0], dtype=np.int8)):
+        r = validate_profile(spec2, good)
+        assert r.dtype == np.int64 and r.tolist() == [1, 0]
+
+
+def _hull_specs(n, gen):
+    """Random linear and concave games, and tie-heavy ones: integer G and L,
+    and concave f whose increments are each the last one times 0 or 1."""
+    specs = []
+    for _ in range(2):
+        specs.append(GameSpec(n, LinearGain(float(gen.uniform(0.2, 4.0))),
+                              float(gen.uniform(0.2, 4.0)), 0.9, 0.1, 0.9))
+        specs.append(GameSpec(n, LinearGain(float(gen.integers(1, 5))),
+                              float(gen.integers(1, 5)), 0.9, 0.1, 0.9))
+        for ratios in (gen.uniform(0.4, 1.0, n), gen.integers(0, 2, n).astype(float)):
+            f, step = [0.0], float(gen.integers(1, 4))
+            for ratio in ratios[: n - 1]:
+                f.append(f[-1] + step)
+                step *= ratio
+            specs.append(GameSpec(n, ConcaveGain(float(gen.integers(1, 5)), tuple(f)),
+                                  float(gen.integers(1, 5)), 0.9, 0.1, 0.9))
+    return specs
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_extreme_profiles_match_lp_oracle(n):
+    gen = np.random.default_rng(n)
+    interior = 0
+    for spec in _hull_specs(n, gen):
+        got = extreme_profiles(spec)
+        assert got == lp_extreme_profiles(spec), spec
+        interior += len(got) < 2**n
+    # Some discloser count is inside the hull, so the test is not vacuous.
+    assert n == 2 or interior > 0
+
+
+def test_extreme_profiles_cap_raises_before_enumerating(monkeypatch):
+    monkeypatch.setattr("npdshare.game.all_profiles", None)
+    with pytest.raises(CapacityError, match="capped at N <= 8"):
+        extreme_profiles(GameSpec(9, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9))
