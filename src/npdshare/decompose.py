@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .game import GameSpec, STRICT_TOL, all_profiles, validate_profile
+from .game import GameSpec, STRICT_TOL, all_profiles, validate_profile, validate_vector
 from .geometry import ensure_ccw, halfplane_intersection_2d
 from .monitoring import public_profile_distribution_raw
 
@@ -192,13 +192,9 @@ def _profile_table(spec: GameSpec, profile) -> _ProfileTable:
 
 
 def _direction(direction, n: int) -> np.ndarray:
-    lam = np.asarray(direction, dtype=float)
-    if lam.shape != (n,):
-        raise DomainError(f"direction must have length {n}")
+    lam = validate_vector(direction, n, "direction")
     if not np.any(lam != 0):
         raise DomainError("direction must be nonzero")
-    if not np.all(np.isfinite(lam)):
-        raise DomainError(f"direction must be finite, got {lam.tolist()}")
     return lam
 
 
@@ -232,11 +228,7 @@ def solve_enforceability(
     lam = _direction(direction, n)
     v = None
     if orthogonal and target is not None:
-        v = np.asarray(target, dtype=float)
-        if v.shape != (n,):
-            raise DomainError(f"target payoff must have length {n}")
-        if not np.all(np.isfinite(v)):
-            raise DomainError(f"target payoff must be finite, got {v.tolist()}")
+        v = validate_vector(target, n, "target payoff")
     return _solve(table, lam, _orth_rows(lam), orthogonal, v)
 
 
@@ -428,7 +420,9 @@ class PayoffSetApprox:
     degenerate: bool = False  # empty interior (polygon collapsed or empty)
 
     def contains(self, point, tol: float = 1e-9) -> bool:
-        p = np.asarray(point, dtype=float)
+        """Is ``point`` in every half-space?  A point that is not N finite
+        numbers raises DomainError."""
+        p = validate_vector(point, self.directions.shape[1], "point")
         return bool(np.all(self.directions @ p <= self.k_values + tol))
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from ._kernels import backend_name, promise_mc
 from .decompose import REGION_TOL, PromiseDecomposition
 from .errors import DiscountTooSmallError, DomainError, ProtocolError
-from .game import GameSpec
+from .game import GameSpec, validate_vector
 from .monitoring import MODE_PRIVATE, MODE_PUBLIC, signal_kernel, signal_streams
 
 # run_episode draws its uniforms in blocks of this many periods, one rng call
@@ -158,11 +158,7 @@ class PromiseAutomaton(Strategy):
             raise DomainError(f"on_exit must be 'raise' or 'concede', got {on_exit!r}")
         self.decomp = PromiseDecomposition(spec, direction)
         self.on_exit = on_exit
-        v0 = np.asarray(v0, dtype=float)
-        if v0.shape != (spec.n_firms,):
-            raise DomainError(f"v0 must have length {spec.n_firms}")
-        if not np.all(np.isfinite(v0)):
-            raise DomainError(f"v0 must be finite, got {v0.tolist()}")
+        v0 = validate_vector(v0, spec.n_firms, "v0")
         if self.decomp.outside(v0):
             raise DomainError(
                 "v0 lies outside the admissible region "

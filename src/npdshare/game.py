@@ -17,8 +17,10 @@ that needs another δ passes ``dataclasses.replace(spec, delta=d)``.
 The module also classifies the stage game: one-shot dominance of concealing
 (A1), efficiency of full disclosure over the all-conceal minmax point (A2),
 strictly increasing social welfare in the number of disclosers (A2'), the
-minmax profile and value, and the feasible payoff polytope with optional
-clipping to individually rational payoffs.
+minmax profile and value, the extreme profiles (decided exactly, by
+symmetry) and the feasible payoff polytope.  Its vertices are the payoffs
+of the extreme profiles; for two firms it can also be clipped, exactly, to
+the individually rational payoffs.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from .errors import CapacityError, DomainError
 # (tied) cases count as failures.
 STRICT_TOL = 1e-12
 
-# feasible_hull enumerates action profiles; beyond this the vertex lists and
-# the qhull computations behind IR clipping stop being practical.
+# extreme_profiles lists its answer out of all 2^N profiles, and the feasible
+# hull's vertex list is read from it; the cap keeps both at most 256 long.
 HULL_MAX_FIRMS = 8
 
 
@@ -225,6 +227,17 @@ def validate_profile(spec: GameSpec, profile: Iterable[int]) -> np.ndarray:
     return raw.astype(np.int64, copy=False)
 
 
+def validate_vector(value, n_firms: int, name: str) -> np.ndarray:
+    """``value`` as a float array of ``n_firms`` finite entries, else
+    DomainError naming it: a payoff point, a promise or a direction."""
+    v = np.asarray(value, dtype=float)
+    if v.shape != (n_firms,):
+        raise DomainError(f"{name} must have length {n_firms}")
+    if not np.all(np.isfinite(v)):
+        raise DomainError(f"{name} must be finite, got {v.tolist()}")
+    return v
+
+
 def all_profiles(n_firms: int):
     """All pure action profiles as tuples (r_1, ..., r_N)."""
     return itertools.product((0, 1), repeat=n_firms)
@@ -314,8 +327,10 @@ class MinmaxResult:
 def minmax(spec: GameSpec, firm: int) -> MinmaxResult:
     """Minmax the given firm: everyone else conceals, the firm best-responds.
 
-    Best response value is max(D(0), C(1)); under A1 this is D(0) = 0 and the
-    minmax profile is all-conceal.
+    The best-response value is max(C(0), D(1)) = max(stage[0, 0], stage[1, 1]):
+    concealing with no discloser earns C(0) = 0, disclosing alone earns
+    D(1) = -L < 0, so the value is 0 for every spec and the minmax profile is
+    all-conceal.
     """
     if not 0 <= firm < spec.n_firms:
         raise DomainError(f"firm index must lie in [0, {spec.n_firms}), got {firm}")
@@ -329,12 +344,13 @@ def minmax(spec: GameSpec, firm: int) -> MinmaxResult:
 
 @dataclass(frozen=True)
 class PayoffPolytope:
-    """Convex hull of pure-profile payoffs, optionally clipped to the
-    individually-rational orthant {v : v_i >= 0}.
+    """Convex hull of pure-profile payoffs, for two firms optionally clipped
+    to the individually-rational orthant {v : v_i >= 0}.
 
     For two firms the vertices are an exact CCW polygon; in higher dimension
-    they are an unordered vertex list.  ``degenerate`` flags a hull with
-    empty interior (zero area/volume).
+    they are the distinct payoffs of ``extreme_profiles``, sorted
+    lexicographically.  ``degenerate`` flags a hull with empty interior
+    (zero area/volume).
     """
 
     vertices: tuple[tuple[float, ...], ...]
@@ -346,12 +362,20 @@ class PayoffPolytope:
         return np.asarray(self.vertices, dtype=float)
 
     def contains(self, point, tol: float = 1e-9) -> bool:
+        """Is ``point`` in the polytope?  A convex-combination feasibility LP
+        (``geometry.point_in_hull``); a point that is not N finite numbers
+        raises DomainError."""
         from .geometry import point_in_hull
 
-        return point_in_hull(np.asarray(point, dtype=float), self.as_array(), tol=tol)
+        p = validate_vector(point, self.n_firms, "point")
+        return point_in_hull(p, self.as_array(), tol=tol)
 
 
 def feasible_hull(spec: GameSpec, clip_to_ir: bool = False) -> PayoffPolytope:
+    """The convex hull of the pure-profile payoffs, its vertices decided
+    exactly, with no LP.  ``clip_to_ir`` intersects it with {v : v_i >= 0}, in exact
+    arithmetic; only the two-firm hull can be clipped, and N > 2 raises
+    DomainError."""
     if spec.n_firms > HULL_MAX_FIRMS:
         raise CapacityError(
             f"feasible_hull enumerates 2^N profiles and is capped at "
@@ -359,7 +383,12 @@ def feasible_hull(spec: GameSpec, clip_to_ir: bool = False) -> PayoffPolytope:
         )
     if spec.n_firms == 2:
         return _hull_2d(spec, clip_to_ir)
-    return _hull_nd(spec, clip_to_ir)
+    if clip_to_ir:
+        raise DomainError(
+            f"feasible_hull clips to the individually rational payoffs only for "
+            f"two firms; got N = {spec.n_firms}"
+        )
+    return _hull_nd(spec)
 
 
 def _hull_2d(spec: GameSpec, clip_to_ir: bool) -> PayoffPolytope:
@@ -380,17 +409,15 @@ def _hull_2d(spec: GameSpec, clip_to_ir: bool) -> PayoffPolytope:
     )
 
 
-def _hull_nd(spec: GameSpec, clip_to_ir: bool) -> PayoffPolytope:
-    from .geometry import hull_vertices_nd, clip_hull_to_orthant
-
-    verts = hull_vertices_nd(np.unique(all_profile_payoffs(spec), axis=0))
+def _hull_nd(spec: GameSpec) -> PayoffPolytope:
+    # Every vertex is some profile's payoff, and extreme_profiles keeps
+    # exactly the profiles whose payoff is one.
+    verts = np.unique([profile_payoff(spec, r) for r in extreme_profiles(spec)], axis=0)
     degenerate = np.linalg.matrix_rank(verts - verts[0], tol=1e-9) < spec.n_firms
-    if clip_to_ir:
-        verts, degenerate = clip_hull_to_orthant(verts)
     return PayoffPolytope(
         vertices=tuple(tuple(float(c) for c in v) for v in verts),
         n_firms=spec.n_firms,
-        clipped_to_ir=clip_to_ir,
+        clipped_to_ir=False,
         degenerate=bool(degenerate),
     )
 

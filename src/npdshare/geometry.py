@@ -4,11 +4,11 @@ Two-firm payoff sets are polygons, so this module carries exact rational
 monotone-chain hulls, hull membership and Sutherland-Hodgman clipping for
 them, plus float versions used by the half-space payoff-set approximation.
 ``game.extreme_profiles`` reduces its vertex question to exact 2-D
-membership by symmetry, so no LP answers it.  ``point_in_hull`` (a
-convex-combination feasibility LP) and ``hull_vertices_nd`` serve the
-N > 2 feasible hull, and ``clip_hull_to_orthant`` runs qhull.  scipy is
-imported only inside the functions that run an LP or qhull, so importing
-the package does not load it.
+membership by symmetry, and the feasible hull reads its N > 2 vertices from
+that answer, so no LP finds a vertex.  The one LP left is ``point_in_hull``
+(a convex-combination feasibility test, used by ``PayoffPolytope.contains``);
+``linprog`` imports scipy on its first call, so importing the package does
+not load it.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ def hausdorff_distance_polygons(a: np.ndarray, b: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# n-dimensional helpers (LP / qhull; scipy loaded on first use)
+# n-dimensional membership (an LP; scipy loaded on first use)
 
 
 def point_in_hull(point: np.ndarray, points: np.ndarray, tol: float = 1e-9) -> bool:
@@ -246,47 +246,3 @@ def point_in_hull(point: np.ndarray, points: np.ndarray, tol: float = 1e-9) -> b
         return False
     recon = points.T @ res.x
     return bool(np.max(np.abs(recon - point)) <= tol)
-
-
-def hull_vertices_nd(points: np.ndarray) -> np.ndarray:
-    """Vertices of conv(points): points not expressible by the others."""
-    points = np.asarray(points, dtype=float)
-    keep = []
-    for i in range(len(points)):
-        others = np.delete(points, i, axis=0)
-        if not point_in_hull(points[i], others):
-            keep.append(i)
-    return points[keep]
-
-
-def clip_hull_to_orthant(vertices: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Intersect conv(vertices) with {v : v_i >= 0} and return new vertices.
-
-    Returns (vertices, degenerate).  When the intersection has empty
-    interior the largest inscribed ball has zero radius; the Chebyshev
-    center found is returned as a single point with the degenerate flag set.
-    """
-    from scipy.spatial import ConvexHull, HalfspaceIntersection
-
-    vertices = np.asarray(vertices, dtype=float)
-    d = vertices.shape[1]
-    hull = ConvexHull(vertices)
-    # qhull equations: A x + b <= 0; append orthant rows -x_i <= 0
-    a = np.vstack([hull.equations[:, :d], -np.eye(d)])
-    b = np.concatenate([hull.equations[:, d], np.zeros(d)])
-    # Chebyshev center: max s with A x + s ||a_row|| <= -b
-    norms = np.linalg.norm(a, axis=1)
-    res = linprog(
-        c=np.concatenate([np.zeros(d), [-1.0]]),
-        A_ub=np.hstack([a, norms[:, None]]),
-        b_ub=-b,
-        bounds=[(None, None)] * d + [(0, None)],
-        method="highs",
-    )
-    if not res.success or res.x[d] <= 1e-12:
-        center = res.x[:d] if res.success else np.zeros(d)
-        return center[None, :], True
-    interior = res.x[:d]
-    hs = HalfspaceIntersection(np.hstack([a, b[:, None]]), interior)
-    verts = np.unique(np.round(hs.intersections, 12), axis=0)
-    return verts, False

@@ -115,8 +115,7 @@ def test_check_and_rank_stdout_match_recorded_digests(spec_file, capsys, name):
 
 
 def test_check_and_rank_leave_scipy_unloaded(spec3_file):
-    # scipy is imported only where an LP or qhull runs, and check and rank
-    # run neither.
+    # scipy is imported only where an LP runs, and check and rank run none.
     code = (
         "import sys\n"
         "import npdshare.cli\n"

@@ -9,6 +9,7 @@ from npdshare import (
     GameSpec,
     LinearGain,
     PromiseDecomposition,
+    check_assumptions,
     feasible_hull,
     k_star,
     k_star_formula_linear_n2,
@@ -318,27 +319,40 @@ def test_payoff_set_three_firms_halfspaces_only():
 
 
 def _folk_specs():
-    for n in (3, 4):
+    for n in range(3, 9):
         yield _spec(n=n)
         f = tuple(2.0 * (1.0 - 2.0**-z) for z in range(n))
         yield GameSpec(n, ConcaveGain(3.0, f), 1.0, 0.9, 0.1, 0.9)
 
 
 @pytest.mark.parametrize("spec", list(_folk_specs()), ids=lambda s: f"{s.gain.kind}{s.n_firms}")
-def test_folk_theorem_halfspaces_at_three_and_four_firms(spec):
+def test_folk_theorem_halfspaces_at_three_to_eight_firms(spec):
     # Fudenberg-Levine-Maskin (1994): every pure profile is orthogonally
     # enforceable on a direction with two or more nonzero components, so
     # each level k*(lambda) is the best lambda . u(r), the support function
-    # of the feasible hull, and the clipped hull lies in every half-space.
+    # of the feasible hull.  The individually rational part of the hull then
+    # lies in every half-space, and it has interior because the hull does
+    # and u(D) > 0 (A2): mixing an interior point with u(D) gives interior
+    # points with every coordinate positive.
     approx = ppe_payoff_set(spec, n_directions=24)
     assert np.all(np.count_nonzero(approx.directions, axis=1) >= 2)
     full = feasible_hull(spec)
-    clipped = feasible_hull(spec, clip_to_ir=True)
-    assert not full.degenerate and not clipped.degenerate
-    levels = approx.directions @ clipped.as_array().T  # (directions, vertices)
-    assert np.max(levels - approx.k_values[:, None]) <= SOLVE_TOL
+    assert not full.degenerate and check_assumptions(spec).a2_holds
     support = np.max(approx.directions @ full.as_array().T, axis=1)
     assert np.max(np.abs(support - approx.k_values)) <= SOLVE_TOL
+
+
+def test_contains_refuses_points_that_are_not_n_finite_numbers():
+    spec = _spec()
+    hull = feasible_hull(spec)
+    approx = ppe_payoff_set(spec, n_directions=16)
+    for contains in (hull.contains, approx.contains):
+        assert contains((1.0, 1.0))
+        with pytest.raises(DomainError, match="point must have length 2"):
+            contains((1.0, 1.0, 1.0))
+        for bad in ((float("nan"), 1.0), (1.0, float("inf"))):
+            with pytest.raises(DomainError, match="point must be finite"):
+                contains(bad)
 
 
 def test_payoff_set_requires_enough_directions():

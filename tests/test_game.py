@@ -1,5 +1,7 @@
 """Stage game: payoffs, assumptions, minmax, feasible hull."""
 
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -288,8 +290,13 @@ def test_extreme_profiles_match_lp_oracle(n):
     interior = 0
     for spec in _hull_specs(n, gen):
         got = extreme_profiles(spec)
-        assert got == lp_extreme_profiles(spec), spec
+        want = lp_extreme_profiles(spec)
+        assert got == want, spec
         interior += len(got) < 2**n
+        if n > 2:
+            # The hull's vertices are the distinct extreme payoffs, sorted.
+            payoffs = np.unique([profile_payoff(spec, r) for r in want], axis=0)
+            assert feasible_hull(spec).vertices == tuple(map(tuple, payoffs.tolist()))
     # Some discloser count is inside the hull, so the test is not vacuous.
     assert n == 2 or interior > 0
 
@@ -298,3 +305,58 @@ def test_extreme_profiles_cap_raises_before_enumerating(monkeypatch):
     monkeypatch.setattr("npdshare.game.all_profiles", None)
     with pytest.raises(CapacityError, match="capped at N <= 8"):
         extreme_profiles(GameSpec(9, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9))
+
+
+def test_extreme_profiles_class_filter_is_1e_12():
+    # A class of payoffs within 1e-12 of p in every role it has is not
+    # "other", so it cannot make p interior.  Here each count-2 payoff is
+    # about 1e-11 from count 3's, which lies inside their hull with the
+    # origin: a 1e-9 filter would drop them and call count 3 extreme.
+    def counts(loss, f):
+        spec = GameSpec(3, ConcaveGain(1.5, f), loss, 0.9, 0.1, 0.9)
+        return {sum(r) for r in extreme_profiles(spec)}
+
+    assert counts(1e-11, (0.0, 0.5, 0.5000000000001)) == {0, 1, 2}
+    # Here each count-2 payoff is within 5e-13 of count 3's, so the filter
+    # drops them and count 3 is a vertex: a filter of 0 would keep them.
+    assert counts(5e-13, (0.0, 0.5, 0.5)) == {0, 1, 2, 3}
+
+
+def test_feasible_hull_runs_no_lp(monkeypatch):
+    from npdshare import geometry
+
+    def fail(*args, **kwargs):
+        raise AssertionError("feasible_hull ran an LP")
+
+    monkeypatch.setattr(geometry, "linprog", fail)
+    f = tuple(2.0 * (1.0 - 2.0**-z) for z in range(8))
+    linear = feasible_hull(GameSpec(8, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9))
+    concave = feasible_hull(GameSpec(8, ConcaveGain(3.0, f), 1.0, 0.9, 0.1, 0.9))
+    assert (len(linear.vertices), len(concave.vertices)) == (256, 255)
+    assert not linear.degenerate and not concave.degenerate
+
+
+def test_feasible_hull_clips_only_two_firms(monkeypatch, spec3):
+    # The exact clip is a polygon clip; above two firms it raises before any
+    # profile is enumerated.
+    monkeypatch.setattr("npdshare.game.extreme_profiles", None)
+    with pytest.raises(DomainError, match="only for two firms"):
+        feasible_hull(spec3, clip_to_ir=True)
+
+
+def test_feasible_hull_leaves_scipy_unloaded():
+    # The hull runs no LP at any N, so scipy, and scipy.spatial with it, is
+    # never imported.
+    code = (
+        "import sys\n"
+        "from npdshare import ConcaveGain, GameSpec, LinearGain, feasible_hull\n"
+        "for n in range(2, 9):\n"
+        "    f = tuple(2.0 * (1.0 - 2.0**-z) for z in range(n))\n"
+        "    for gain in (LinearGain(3.0), ConcaveGain(1.7, f)):\n"
+        "        feasible_hull(GameSpec(n, gain, 0.6, 0.8, 0.2, 0.95))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
