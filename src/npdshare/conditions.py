@@ -30,11 +30,17 @@ check expands the 2**bits outcome table, and no distance is compared with a
 tolerance; only C3's collinearity test uses one (``COLLINEAR_TOL``).
 
 The checks work on arrays of P(bit = 0), one entry per bit held outside the
-excluded firms: the cached layout ``monitoring.held_private_bits`` gives each
-held bit's observed firm, the profile indexes the private kernel with it,
-and a deviation swaps only the bits about the deviator.  These are the
-``p_zero`` vectors of ``monitoring.marginal_excluding``, built without its
-labels and validation; each check validates its profile once.
+excluded firms: a cached layout gives each held bit's observed firm
+(``monitoring.held_private_bits`` for C1, ``_pair_layout`` for every pair
+at once), the profile indexes the private kernel with it, and a deviation
+swaps only the bits about the deviator.  These are the ``p_zero`` vectors
+of ``monitoring.marginal_excluding``, built without its labels and
+validation.  The bundle validates each extreme profile once and decides
+C2, C3 and pairwise rank as arrays over every pair: C2's gaps are row
+maxima, and C3's moments come from one recurrence run down the bit columns
+for every row at once.  ``check_c2``, ``check_c3`` and
+``pairwise_full_rank`` validate their arguments and return the bundle's
+report for their one (profile, pair).
 
 Reports serialize to an indented key-value text document via ``to_text``,
 written in one pass with nested reports in place.  Numpy scalars print like
@@ -43,7 +49,8 @@ their Python counterparts.
 
 from __future__ import annotations
 
-import math
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,12 +67,17 @@ from .game import (
 from .monitoring import (
     MODE_PRIVATE,
     MODE_PUBLIC,
+    _held_private_bits,
     displacement_moments,
     held_private_bits,
     signal_kernel,
 )
 
 COLLINEAR_TOL = 1e-9  # cosines above 1 - this count as positively collinear
+# Extreme profiles per C2/C3 array pass.  Every array of a pass then holds
+# fewer than 2**16 entries up to N = 8 (32 profiles, 28 pairs, 42 held
+# bits), and N <= 5, with at most 32 extreme profiles, takes one pass.
+_PROFILE_BLOCK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -153,33 +165,49 @@ def _write_mapping(d: dict, out: list[str], first: str, pad: str) -> None:
 # public-monitoring rank conditions
 
 
-def _stacked_rank(spec: GameSpec, profile, firms) -> tuple[np.ndarray, int]:
-    """Validated profile, and the rank of the public-signal distributions
-    under each action of each firm in ``firms`` with the rest of ``profile``
-    fixed.
+def _stacked_rank(spec: GameSpec, n_tested: int) -> int:
+    """The rank of the public-signal distributions under each action of each
+    of ``n_tested`` firms, with the rest of a profile fixed.
 
     Every such row is a product measure over the N public bits that differs
     from the equilibrium row in at most the tested firm's bit.  If that
     bit's P(bit = 0) moves with the firm's action, the firms' deviation rows
     and the equilibrium row are linearly independent tensor products, and
     otherwise every row is the equilibrium row, so the rank is exactly
-    1 + len(firms) * [P(0 | conceal) != P(0 | disclose)].
+    1 + n_tested * [P(0 | conceal) != P(0 | disclose)] at every profile.
     """
-    r = validate_profile(spec, profile)
+    kernel = signal_kernel(spec, MODE_PUBLIC)
+    return 1 + n_tested * int(kernel[0] != kernel[1])
+
+
+def _check_firms(spec: GameSpec, firms, label: str) -> None:
     for firm in firms:
         if not 0 <= firm < spec.n_firms:
-            raise DomainError(f"firm index {firm} out of range")
-    kernel = signal_kernel(spec, MODE_PUBLIC)
-    return r, 1 + len(firms) * int(kernel[0] != kernel[1])
+            raise DomainError(f"{label} {firm} out of range")
 
 
 def individual_full_rank(spec: GameSpec, profile, firm: int) -> ConditionReport:
-    r, rank = _stacked_rank(spec, profile, (firm,))
+    r = validate_profile(spec, profile)
+    _check_firms(spec, (firm,), "firm index")
+    rank = _stacked_rank(spec, 1)
     return ConditionReport(
         condition_id="individual_full_rank",
         holds=rank == 2,
         context={"profile": r.tolist(), "firm": firm + 1},
         evidence={"rank": rank, "required": 2},
+    )
+
+
+def _pair_context(profile: list, firm_i, firm_j) -> dict:
+    return {"profile": list(profile), "pair": [firm_i + 1, firm_j + 1]}
+
+
+def _pairwise_report(profile: list, firm_i, firm_j, rank: int) -> ConditionReport:
+    return ConditionReport(
+        condition_id="pairwise_full_rank",
+        holds=rank == 3,
+        context=_pair_context(profile, firm_i, firm_j),
+        evidence={"rank": rank, "required": 3},
     )
 
 
@@ -191,24 +219,30 @@ def pairwise_full_rank(spec: GameSpec, profile, firm_i: int, firm_j: int) -> Con
     """
     if firm_i == firm_j:
         raise DomainError("pairwise matrix needs two distinct firms")
-    r, rank = _stacked_rank(spec, profile, (firm_i, firm_j))
-    return ConditionReport(
-        condition_id="pairwise_full_rank",
-        holds=rank == 3,
-        context={"profile": r.tolist(), "pair": [firm_i + 1, firm_j + 1]},
-        evidence={"rank": rank, "required": 3},
-    )
+    r = validate_profile(spec, profile)
+    _check_firms(spec, (firm_i, firm_j), "firm index")
+    return _pairwise_report(r.tolist(), firm_i, firm_j, _stacked_rank(spec, 2))
+
+
+def _pairs(n: int) -> list[tuple[int, int]]:
+    return list(itertools.combinations(range(n), 2))
 
 
 def rank_reports(spec: GameSpec, extremes):
     """Individual rank at each firm's minmax profile, then pairwise rank at
-    every profile of ``extremes`` for every pair, in that order."""
+    every profile of ``extremes`` for every pair, in that order.
+
+    The pairwise rank is the same at every profile, so it is decided once,
+    and each profile is validated once for all its pairs.
+    """
     for i in range(spec.n_firms):
         yield individual_full_rank(spec, minmax(spec, i).profile, i)
+    rank = _stacked_rank(spec, 2)
+    pairs = _pairs(spec.n_firms)
     for r in extremes:
-        for i in range(spec.n_firms):
-            for j in range(i + 1, spec.n_firms):
-                yield pairwise_full_rank(spec, r, i, j)
+        profile = validate_profile(spec, r).tolist()
+        for i, j in pairs:
+            yield _pairwise_report(profile, i, j, rank)
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +307,92 @@ def check_c1(spec: GameSpec, minmaxed_firm: int) -> ConditionReport:
     )
 
 
-def _pair_marginals(spec: GameSpec, profile, firm_i: int, firm_j: int):
-    """The validated profile, and P(bit = 0) of the bits held outside the
-    pair at it and under each suspect's deviation."""
+@functools.lru_cache(maxsize=16)
+def _pair_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index layout of the pairwise checks among ``n`` firms, read-only.
+
+    ``observed[i, j]`` is the observed firm of each private bit held by the
+    firms outside {i, j}, in layout order ((n - 2)(n - 1) bits, the bits of
+    ``held_private_bits(spec, (i, j))``), and ``about[i, j]`` the positions
+    in that row of the n - 2 bits about firm i.  Diagonal entries are unused.
+    """
+    observed = np.zeros((n, n, (n - 2) * (n - 1)), dtype=np.int64)
+    about = np.zeros((n, n, n - 2), dtype=np.int64)
+    for i, j in itertools.permutations(range(n), 2):
+        observed[i, j] = _held_private_bits(n, (min(i, j), max(i, j)))[1]
+        about[i, j] = np.flatnonzero(observed[i, j] == i)
+    for a in (observed, about):
+        a.flags.writeable = False
+    return observed, about
+
+
+def _attribution_reports(spec: GameSpec, profiles: np.ndarray, pairs) -> list:
+    """(C2, C3) reports for every (profile, pair), profile-major.
+
+    ``profiles`` is an (M, N) array of validated profiles and ``pairs`` a
+    list of (i, j) firm pairs.  Row (m, k) of ``p`` is P(bit = 0) of the
+    bits held outside pair k at profile m, and ``q_i`` and ``q_j`` are the
+    same under each suspect's deviation, which swaps only the bits about
+    the deviator.  Every evidence value is a row maximum or a row of
+    ``displacement_moments``, so each report equals the one computed from
+    its own row alone.
+    """
+    observed_by_pair, about_by_pair = _pair_layout(spec.n_firms)
+    fi = np.array([i for i, _ in pairs])
+    fj = np.array([j for _, j in pairs])
+    observed = observed_by_pair[fi, fj]
+    kernel = signal_kernel(spec, MODE_PRIVATE)
+    p = kernel[profiles[:, observed]]
+    q_i = np.where(observed == fi[:, None], kernel[1 - profiles[:, fi]][..., None], p)
+    q_j = np.where(observed == fj[:, None], kernel[1 - profiles[:, fj]][..., None], p)
+    gap_ij = np.max(np.abs(q_i - q_j), axis=-1)
+    gap_p = np.max(np.abs(p - q_i), axis=-1)
+    q = np.stack((q_i, q_j))
+    norms = np.sqrt(displacement_moments(np.broadcast_to(p, q.shape), q)[2])
+    degenerate = np.all(p == q_i, axis=-1) | np.all(p == q_j, axis=-1)
+    # A suspect's deviation moves all of its n - 2 bits or none, so off the
+    # degenerate rows its moved block is exactly the bits about it.
+    about = np.stack((about_by_pair[fi, fj], about_by_pair[fj, fi]))[:, None]
+    pp, dp, dd = displacement_moments(
+        np.take_along_axis(p[None], about, -1), np.take_along_axis(q, about, -1)
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):  # degenerate rows
+        block_cosine = dp / np.sqrt(pp * dd)
+    cosine = block_cosine[0] * block_cosine[1]
+
+    reports = []
+    columns = (gap_ij, gap_p, norms[0], norms[1], degenerate, cosine)
+    for profile, *row in zip(profiles.tolist(), *(c.tolist() for c in columns)):
+        for (i, j), g_ij, g_p, norm_i, norm_j, deg, cos in zip(pairs, *row):
+            empty = g_ij > 0
+            c2 = {"deviation_marginals_gap": g_ij, "intersection_empty": empty}
+            if not empty:
+                c2["equilibrium_to_intersection_gap"] = g_p
+            c3 = {"displacement_norm_i": norm_i, "displacement_norm_j": norm_j}
+            if deg:
+                c3["degenerate_displacement"] = True
+            else:
+                c3["cosine"] = cos
+            reports.append((
+                ConditionReport(
+                    condition_id="c2_attributable",
+                    holds=empty or g_p > 0,
+                    context=_pair_context(profile, i, j),
+                    evidence=c2,
+                ),
+                ConditionReport(
+                    condition_id="c3_jointly_attributable",
+                    holds=deg or cos <= 1.0 - COLLINEAR_TOL,
+                    context=_pair_context(profile, i, j),
+                    evidence=c3,
+                ),
+            ))
+    return reports
+
+
+def _pair_reports(spec: GameSpec, profile, firm_i: int, firm_j: int):
+    """Validate one (profile, pair) and return its (C2, C3) reports, as the
+    bundle computes them."""
     if spec.n_firms <= 2:
         raise ConditionInapplicableError(
             "pairwise attribution conditions quantify over firms outside the "
@@ -284,15 +401,8 @@ def _pair_marginals(spec: GameSpec, profile, firm_i: int, firm_j: int):
     if firm_i == firm_j:
         raise DomainError("pair must consist of two distinct firms")
     r = validate_profile(spec, profile)
-    _, observed = held_private_bits(spec, (firm_i, firm_j))
-    kernel = signal_kernel(spec, MODE_PRIVATE)
-    p = kernel[r[observed]]
-    return (
-        r,
-        p,
-        _deviation(kernel, r, observed, p, firm_i),
-        _deviation(kernel, r, observed, p, firm_j),
-    )
+    _check_firms(spec, (firm_i, firm_j), "excluded firm index")
+    return _attribution_reports(spec, r[None], [(firm_i, firm_j)])[0]
 
 
 def check_c2(spec: GameSpec, profile, firm_i: int, firm_j: int) -> ConditionReport:
@@ -305,34 +415,7 @@ def check_c2(spec: GameSpec, profile, firm_i: int, firm_j: int) -> ConditionRepo
     (``deviation_marginals_gap``, ``equilibrium_to_intersection_gap``) are
     max per-bit |delta P(bit = 0)| between the marginals.
     """
-    r, p, q_i, q_j = _pair_marginals(spec, profile, firm_i, firm_j)
-    gap_ij = _gap(q_i, q_j)
-    intersection_empty = gap_ij > 0
-    if intersection_empty:
-        holds = True
-        gap_p = None
-    else:
-        gap_p = _gap(p, q_i)
-        holds = gap_p > 0
-    evidence = {
-        "deviation_marginals_gap": gap_ij,
-        "intersection_empty": intersection_empty,
-    }
-    if gap_p is not None:
-        evidence["equilibrium_to_intersection_gap"] = gap_p
-    return ConditionReport(
-        condition_id="c2_attributable",
-        holds=holds,
-        context={"profile": r.tolist(), "pair": [firm_i + 1, firm_j + 1]},
-        evidence=evidence,
-    )
-
-
-def _block_cosine(p: np.ndarray, q: np.ndarray) -> float:
-    """cos(q - p, p) over the bits where q differs from p."""
-    moved = p != q
-    pp, dp, dd = displacement_moments(p[moved], q[moved])
-    return dp / math.sqrt(pp * dd)
+    return _pair_reports(spec, profile, firm_i, firm_j)[0]
 
 
 def check_c3(spec: GameSpec, profile, firm_i: int, firm_j: int) -> ConditionReport:
@@ -346,27 +429,11 @@ def check_c3(spec: GameSpec, profile, firm_i: int, firm_j: int) -> ConditionRepo
     q_i and q_j move disjoint blocks of bits, the bits about i and about j
     held by the observers outside the pair.  Every other bit cancels, so
     the cosine of the two displacements is the product of each block's
-    cos(q - p, p) (``_block_cosine``).  The norms ||q - p|| are over the
-    joint outcomes of all held bits (``displacement_moments``).
+    cos(q - p, p) = <q - p, p> / sqrt(<p, p> ||q - p||^2).  The norms
+    ||q - p|| are over the joint outcomes of all held bits.  Both come
+    from ``displacement_moments``.
     """
-    r, p, q_i, q_j = _pair_marginals(spec, profile, firm_i, firm_j)
-    evidence: dict = {
-        "displacement_norm_i": math.sqrt(displacement_moments(p, q_i)[2]),
-        "displacement_norm_j": math.sqrt(displacement_moments(p, q_j)[2]),
-    }
-    if np.array_equal(p, q_i) or np.array_equal(p, q_j):
-        holds = True
-        evidence["degenerate_displacement"] = True
-    else:
-        cosine = _block_cosine(p, q_i) * _block_cosine(p, q_j)
-        holds = cosine <= 1.0 - COLLINEAR_TOL
-        evidence["cosine"] = float(cosine)
-    return ConditionReport(
-        condition_id="c3_jointly_attributable",
-        holds=holds,
-        context={"profile": r.tolist(), "pair": [firm_i + 1, firm_j + 1]},
-        evidence=evidence,
-    )
+    return _pair_reports(spec, profile, firm_i, firm_j)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +484,12 @@ def theorem_preconditions(spec: GameSpec, theorem: str) -> ConditionReport:
         subs.append(support)
         for i in range(spec.n_firms):
             subs.append(check_c1(spec, i))
-        for r in extremes:
-            for i in range(spec.n_firms):
-                for j in range(i + 1, spec.n_firms):
-                    subs.append(check_c2(spec, r, i, j))
-                    subs.append(check_c3(spec, r, i, j))
+        profiles = np.array([validate_profile(spec, r) for r in extremes])
+        pairs = _pairs(spec.n_firms)
+        for start in range(0, len(profiles), _PROFILE_BLOCK):
+            block = profiles[start:start + _PROFILE_BLOCK]
+            for c2, c3 in _attribution_reports(spec, block, pairs):
+                subs += (c2, c3)
     holds = all(s.holds for s in subs)
     return ConditionReport(
         condition_id=f"{theorem}_preconditions",

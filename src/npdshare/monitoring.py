@@ -209,26 +209,51 @@ def public_signal_distribution(spec: GameSpec, profile) -> SignalDistribution:
 # private monitoring: factorized product-Bernoulli representations
 
 
-def displacement_moments(a, b) -> tuple[float, float, float]:
+def displacement_moments(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(<P, P>, <Q - P, P>, ||Q - P||^2) over the joint outcomes of the
     product measures P and Q whose bits have P(bit = 0) ``a`` and ``b``.
 
-    Accumulated one bit at a time.  A bit with laws x = (a_k, 1 - a_k) under
-    P and y = (b_k, 1 - b_k) under Q extends Q - P to
-    (Q - P) (x) y + P (x) (y - x), and with d = b_k - a_k the new terms are
-    <y - x, x> = d (2 a_k - 1), <y, y - x> = d (2 b_k - 1) and
-    ||y - x||^2 = 2 d^2.  No difference of two nearly equal products is
-    formed, so a small displacement keeps its relative precision.
+    ``a`` and ``b`` hold one measure per row, bits along the last axis; the
+    moments come back as arrays of the leading shape (0-d for one row).
+    They are accumulated one bit (column) at a time for every row at once.
+    A bit with laws x = (a_k, 1 - a_k) under P and y = (b_k, 1 - b_k) under
+    Q extends Q - P to (Q - P) (x) y + P (x) (y - x), and with
+    d = b_k - a_k the new terms are <y - x, x> = d (2 a_k - 1),
+    <y, y - x> = d (2 b_k - 1) and ||y - x||^2 = 2 d^2.  No difference of
+    two nearly equal products is formed, so a small displacement keeps its
+    relative precision.  Each row is the same sequence of elementwise
+    operations, in the same order, as the scalar loop over that row's bits,
+    so it is equal to it bit for bit.
     """
-    a, b = np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()
-    pp, dp, dd = 1.0, 0.0, 0.0
-    for ak, bk in zip(a, b):
-        d = bk - ak
-        dd = (dd * (bk * bk + (1 - bk) * (1 - bk)) + 2 * dp * d * (2 * bk - 1)
-              + 2 * pp * d * d)
-        dp = dp * (ak * bk + (1 - ak) * (1 - bk)) + pp * d * (2 * ak - 1)
-        pp = pp * (ak * ak + (1 - ak) * (1 - ak))
-    return pp, dp, dd
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise DomainError(f"bit arrays must have one equal shape, got {a.shape} and {b.shape}")
+    rows = a.shape[:-1]
+    # After the transpose bit k is row k of a, b and d, and pp[k], dp[k] are
+    # the moments before it.  The scalar loop's update at bit k is
+    #   dd = dd * (b b + (1 - b)(1 - b)) + 2 dp d (2 b - 1) + 2 pp d d
+    #   dp = dp * (a b + (1 - a)(1 - b)) + pp d (2 a - 1)
+    #   pp = pp * (a a + (1 - a)(1 - a))
+    # <P, P> is a running product (multiply.accumulate multiplies in the
+    # same order), so every term but the two running sums is formed for all
+    # bits at once; each is the loop's own subexpression, and no rounding
+    # changes.
+    a = np.ascontiguousarray(a.reshape(math.prod(rows), a.shape[-1]).T)
+    b = np.ascontiguousarray(b.reshape(math.prod(rows), b.shape[-1]).T)
+    d = b - a
+    pp = np.multiply.accumulate(
+        np.concatenate((np.ones((1, a.shape[1])), a * a + (1 - a) * (1 - a)))
+    )
+    dp = np.zeros_like(pp)
+    dp_keep, dp_add = a * b + (1 - a) * (1 - b), pp[:-1] * d * (2 * a - 1)
+    for k in range(len(a)):
+        dp[k + 1] = dp[k] * dp_keep[k] + dp_add[k]
+    dd_keep = b * b + (1 - b) * (1 - b)
+    dd_add, dd_add2 = 2 * dp[:-1] * d * (2 * b - 1), 2 * pp[:-1] * d * d
+    dd = np.zeros(a.shape[1])
+    for k in range(len(a)):
+        dd = dd * dd_keep[k] + dd_add[k] + dd_add2[k]
+    return pp[-1].reshape(rows), dp[-1].reshape(rows), dd.reshape(rows)
 
 
 @dataclass(frozen=True)

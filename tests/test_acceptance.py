@@ -212,9 +212,9 @@ def test_accept_payoff_set_close_to_limit_square():
 
 
 def test_accept_communication_conditions():
-    """Identifiability holds for three and four firms; the private-monitoring
+    """Identifiability holds for three to six firms; the private-monitoring
     route correctly reports itself inapplicable for two."""
-    for n in (3, 4):
+    for n in (3, 4, 5, 6):
         spec = _spec(n=n)
         for firm in range(n):
             assert check_c1(spec, firm).holds, (n, firm)
@@ -228,7 +228,7 @@ def test_accept_communication_conditions():
     ok = not two.holds and "more than two firms" in two.evidence["reason"]
     _report(
         "communication-conditions", ok,
-        "C1-C3 hold for N=3,4; N=2 reported inapplicable",
+        "C1-C3 hold for N=3..6; N=2 reported inapplicable",
     )
     assert not two.holds
     assert "more than two firms" in two.evidence["reason"]

@@ -72,8 +72,11 @@ def test_rank_exits_zero(spec2_file, capsys):
 
 
 # Exit codes, stdout lengths and digests of check --theorem both and rank,
-# recorded from the LP-based extreme-profile test and the marginal-based
-# C1-C3 checks that preceded the exact ones, with numpy 2.4 and scipy 1.17.
+# with numpy 2.4 and scipy 1.17.  The N = 2..5 entries were recorded from the
+# LP-based extreme-profile test and the marginal-based C1-C3 checks that
+# preceded the exact ones; linear6 and concave7 from the exact checks run one
+# (profile, pair) at a time, before C2, C3 and pairwise rank became one array
+# pass.  concave7 exits 1 because its assumption A2' fails.
 CHECK_RANK_GOLDEN = {
     "linear2": (
         {"n_firms": 2, "gain": {"kind": "linear", "G": 3.0}, "L": 1.0,
@@ -100,6 +103,20 @@ CHECK_RANK_GOLDEN = {
          "monitor_alpha": 0.8, "monitor_epsilon": 0.2},
         (0, 215928, "cbc88c52a9c3c715a26a5ed6531ac29a7040cfc0c02c465077312a063e84ca85"),
         (0, 41584, "d88dd3587522cfa57ab037aedf10f1e3f4199231c50b8711bdbb4607244c0c5b"),
+    ),
+    "linear6": (
+        {"n_firms": 6, "gain": {"kind": "linear", "G": 2.6}, "L": 0.9,
+         "alpha": 0.85, "epsilon": 0.12, "delta": 0.95},
+        (0, 647618, "56d09147eab821864ada5a04b141412ef26a41ecff89ba2da62f23153b4cee40"),
+        (0, 126527, "491d80825a73bcee226ee44db318d1f31ce25257b639d61d1f05c5eca36613e8"),
+    ),
+    "concave7": (
+        {"n_firms": 7, "gain": {"kind": "concave", "G": 3.0,
+                                "f": [0.0, 1.0, 1.5, 1.75, 1.875, 1.9375, 1.96875, 1.984375]},
+         "L": 1.1, "alpha": 0.82, "epsilon": 0.13, "delta": 0.9,
+         "monitor_alpha": 0.78, "monitor_epsilon": 0.18},
+        (1, 1821037, "8a1e9f0a2ed62e47ad698f4fb034c1f21cef4973796f95ce7a7f847106e17e9b"),
+        (0, 358294, "fdd65b05fb6cde060bd53978bafcae834cd1d204b0e8926269bbd1d17035a0e6"),
     ),
 }
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from condition_oracle import c1_evidence, c2_evidence, c3_evidence
+from condition_oracle import c1_evidence, c2_c3_evidence
 from signal_oracle import numeric_rank, signal_matrix, with_monitor_kernel, with_private_kernel
 
 from npdshare import (
@@ -395,15 +395,44 @@ def _same_bits(got, want):
     assert got == want and repr(got) == repr(want)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+def _bundle_pairs(spec, theorem):
+    """((profile, i, j), reports) for every extreme profile and pair, in
+    bundle order; the reports are ``theorem``'s pairwise ones for that
+    (profile, pair): (C2, C3) for km, (rank,) for flm."""
+    ids = ("c2_attributable", "c3_jointly_attributable") if theorem == "km" else ("pairwise_full_rank",)
+    reps = [rep for rep in theorem_preconditions(spec, theorem).evidence["checks"]
+            if rep.condition_id in ids]
+    keys = [(r, i, j) for r in extreme_profiles(spec)
+            for i, j in itertools.combinations(range(spec.n_firms), 2)]
+    assert len(reps) == len(ids) * len(keys)
+    return list(zip(keys, zip(*[iter(reps)] * len(ids))))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
 def test_c1_c3_evidence_matches_marginal_oracle_bitwise(n):
+    # Every C2 and C3 report of the km bundle at every N, and the single-pair
+    # calls up to N = 5; above that they take up to 0.5 ms each, and the next
+    # test shows that they return the bundle's reports.
     for spec in _oracle_specs(n):
         for firm in range(n):
             _same_bits(check_c1(spec, firm).evidence, c1_evidence(spec, firm))
-        for r in extreme_profiles(spec):
-            for i, j in itertools.combinations(range(n), 2):
-                _same_bits(check_c2(spec, r, i, j).evidence, c2_evidence(spec, r, i, j))
-                _same_bits(check_c3(spec, r, i, j).evidence, c3_evidence(spec, r, i, j))
+        for (r, i, j), (c2, c3) in _bundle_pairs(spec, "km"):
+            want2, want3 = c2_c3_evidence(spec, r, i, j)
+            _same_bits(c2.evidence, want2)
+            _same_bits(c3.evidence, want3)
+            if n <= 5:
+                _same_bits(check_c2(spec, r, i, j).evidence, want2)
+                _same_bits(check_c3(spec, r, i, j).evidence, want3)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_single_pair_checks_return_the_bundle_reports(n):
+    for spec in _oracle_specs(n):
+        for ((r, i, j), want), (_, (rank,)) in zip(_bundle_pairs(spec, "km"),
+                                                  _bundle_pairs(spec, "flm")):
+            _same_bits(check_c2(spec, r, i, j), want[0])
+            _same_bits(check_c3(spec, r, i, j), want[1])
+            _same_bits(pairwise_full_rank(spec, r, i, j), rank)
 
 
 def test_checks_validate_firms_and_profiles(spec3):

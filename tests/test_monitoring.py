@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from condition_oracle import scalar_displacement_moments
 from hypothesis import given, settings, strategies as st
 
 from npdshare import (
@@ -159,6 +160,32 @@ def test_l2_diff_keeps_small_displacements():
                 exact_q = [u * v for v in (y, 1 - y) for u in exact_q]
             want = float(sum((u - v) ** 2 for u, v in zip(exact_q, exact_p)))
             assert p.l2_diff(q) == pytest.approx(want**0.5, rel=1e-13, abs=0.0), (n, shift)
+
+
+def test_displacement_moments_rows_match_scalar_loop_bitwise():
+    # Each row of a stacked block is the scalar recurrence over its own bits:
+    # random rows, rows moved by 1e-12, equal rows (Q = P), and a one-bit
+    # block, whose rows are single bits.
+    gen = np.random.default_rng(11)
+    for m, width in ((7, 12), (5, 42), (6, 1)):
+        a = gen.uniform(0.0, 1.0, size=(m, width))
+        b = gen.uniform(0.0, 1.0, size=(m, width))
+        b[1] = a[1] + gen.choice([-1e-12, 1e-12], size=width)
+        b[2] = a[2]
+        b[3, ::2] = a[3, ::2]
+        got = displacement_moments(a, b)
+        assert all(x.shape == (m,) for x in got)
+        for k in range(m):
+            row = tuple(float(x[k]) for x in got)
+            want = scalar_displacement_moments(a[k], b[k])
+            assert row == want and repr(row) == repr(want), (width, k)
+        assert got[2][2] == 0.0
+        # More leading axes stack the same rows.
+        stacked = displacement_moments(np.stack((a, b)), np.stack((b, a)))
+        for x, y, z in zip(stacked, got, displacement_moments(b, a)):
+            assert np.array_equal(x.view(np.uint64), np.stack((y, z)).view(np.uint64))
+    with pytest.raises(DomainError):
+        displacement_moments(np.zeros((2, 3)), np.zeros((3, 2)))
 
 
 def test_marginal_excluding_drops_only_holdings(spec3):
