@@ -5,7 +5,7 @@ output (CSV, or line-oriented key-value reports for check/rank) goes to
 stdout or the ``--out`` file; human-readable summaries go to stderr.  Exit
 codes: 0 success / all requested checks hold, 1 analysis negative (a check
 fails, an enforceability problem is infeasible, a simulated discount is too
-small), 2 usage or parse error.
+small) or a size cap exceeded (CapacityError), 2 usage or parse error.
 
 Only ``simulate`` draws random numbers.  Its seed resolves from the
 ``--seed`` flag, else the spec file's ``seed`` field, else the NPDSHARE_SEED
@@ -269,12 +269,10 @@ def cmd_simulate(args) -> int:
     if args.strategy == "promise":
         if args.mode != "public":
             raise _UsageError("the promise strategy runs under public monitoring")
-        direction = _parse_vector(args.direction, "direction", n)
-        v0 = (
-            profile_payoff(spec, (1,) * n)
-            if args.v0 is None
-            else np.asarray(_parse_vector(args.v0, "v0", n))
-        )
+        direction = ((1.0,) * n if args.direction is None
+                     else _parse_vector(args.direction, "direction", n))
+        v0 = (profile_payoff(spec, (1,) * n) if args.v0 is None
+              else np.asarray(_parse_vector(args.v0, "v0", n)))
         if args.replicas > 1:
             mc = monte_carlo_promise(
                 spec, v0, direction, args.replicas, args.horizon, seed
@@ -293,6 +291,8 @@ def cmd_simulate(args) -> int:
         strategies = [auto.clone() for _ in range(n)]
         label = "promise run, "
     else:
+        if args.v0 is not None or args.direction is not None:
+            raise _UsageError("--v0 and --direction apply only to the promise strategy")
         factory = _make_strategy(args.strategy)
         if args.replicas > 1:
             mc = monte_carlo(
@@ -428,7 +428,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicas", type=int, default=1)
     p.add_argument("--mode", choices=("public", "private"), default="public")
     p.add_argument("--v0", default=None, help="initial promise (promise strategy)")
-    p.add_argument("--direction", default="1,1", help="direction (promise strategy)")
+    p.add_argument("--direction", default=None,
+                   help="direction (promise strategy), default all 1s")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="continuation-size surface over (alpha, epsilon)")

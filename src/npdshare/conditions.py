@@ -60,6 +60,7 @@ from .game import (
     GameSpec,
     STRICT_TOL,
     all_profile_payoffs,
+    deviation_payoffs,
     extreme_profiles,
     minmax,
     validate_profile,
@@ -274,7 +275,7 @@ def check_c1(spec: GameSpec, minmaxed_firm: int) -> ConditionReport:
     """
     mm = minmax(spec, minmaxed_firm)
     base = validate_profile(spec, mm.profile)
-    x = base.sum()
+    gains = deviation_payoffs(spec, base) - spec.stage[base, base.sum()]
     kernel = signal_kernel(spec, MODE_PRIVATE)
     per_firm = []
     holds = True
@@ -285,8 +286,7 @@ def check_c1(spec: GameSpec, minmaxed_firm: int) -> ConditionReport:
         p = kernel[base[observed]]
         gap = _gap(p, _deviation(kernel, base, observed, p, j))
         detectable = gap > 0
-        a = base[j]
-        gain = float(spec.stage[1 - a, x + 1 - 2 * a] - spec.stage[a, x])
+        gain = float(gains[j])
         unprofitable = gain <= STRICT_TOL
         ok = detectable or unprofitable
         holds = holds and ok
@@ -454,8 +454,6 @@ def theorem_preconditions(spec: GameSpec, theorem: str) -> ConditionReport:
     """Precondition bundle for the public ('flm') or private ('km') folk theorem."""
     if theorem not in ("flm", "km"):
         raise DomainError(f"theorem must be 'flm' or 'km', got {theorem!r}")
-    # extreme_profiles refuses N above its cap before the 2^N payoffs of the
-    # dimension report are enumerated.
     extremes = extreme_profiles(spec)
     subs: list[ConditionReport] = [_interior_dimension_report(spec)]
     report_a2 = ConditionReport(

@@ -33,8 +33,8 @@ and consistency, deviation and pin rows.  Profitable deviations bind as
 equalities (the construction behind the two-firm closed form); unprofitable
 ones are checked as slack inequalities, with an LP feasibility fallback.
 Underdetermined systems pin gamma_bar at the all-ones signal to zero and
-take the minimum-norm solution.  Above K_STAR_MAX_FIRMS firms the table and
-k* raise the same CapacityError.
+take the minimum-norm solution.  The table stops at SYSTEM_MAX_FIRMS firms.
+k* builds none: it reads ``game.profile_array`` and ``game.deviation_payoffs``.
 """
 
 from __future__ import annotations
@@ -44,12 +44,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .game import GameSpec, STRICT_TOL, all_profiles, validate_profile, validate_vector
+from .game import GameSpec, STRICT_TOL, all_profile_payoffs, deviation_payoffs
+from .game import profile_array, validate_profile, validate_vector
 from .geometry import ensure_ccw, halfplane_intersection_2d
 from .monitoring import public_profile_distribution_raw
 
 SOLVE_TOL = 1e-9
-K_STAR_MAX_FIRMS = 8
+SYSTEM_MAX_FIRMS = 8
 # Slack of the promise region {lam . v <= k* + tol, v_i >= -tol}.
 REGION_TOL = 1e-9
 
@@ -148,32 +149,22 @@ class _ProfileTable:
     lower: np.ndarray
 
 
-def _check_capacity(n: int) -> None:
-    # The orthogonality block alone is 8 N 4^N bytes: 1.6 GB at N = 12.  k*
-    # shares the cap until its argmax stops visiting all 2^N profiles.
-    if n > K_STAR_MAX_FIRMS:
-        raise CapacityError(
-            f"the constraint system over 2^N public signals is capped at "
-            f"N <= {K_STAR_MAX_FIRMS}"
-        )
-
-
 def _profile_table(spec: GameSpec, profile) -> _ProfileTable:
     n = spec.n_firms
-    _check_capacity(n)
+    # The orthogonality block alone is 8 N 4^N bytes: 1.6 GB at N = 12.
+    if n > SYSTEM_MAX_FIRMS:
+        raise CapacityError(
+            f"the constraint system over 2^N public signals is capped at "
+            f"N <= {SYSTEM_MAX_FIRMS}"
+        )
     r = validate_profile(spec, profile)
     s = 2**n
     pi_eq = public_profile_distribution_raw(r, spec.m_alpha, spec.m_epsilon)
-    # Firm i's deviation plays 1 - r_i and moves the discloser count by
-    # 1 - 2 r_i.
-    x = r.sum()
-    u_r = spec.stage[r, x]
-    u_dev = spec.stage[1 - r, x + 1 - 2 * r]
-    pi_dev = np.empty((n, s))
-    for i in range(n):
-        d = r.copy()
-        d[i] = 1 - d[i]
-        pi_dev[i] = public_profile_distribution_raw(d, spec.m_alpha, spec.m_epsilon)
+    u_r = spec.stage[r, r.sum()]
+    u_dev = deviation_payoffs(spec, r)
+    # Row i of r ^ I is the profile where firm i alone deviates.
+    pi_dev = np.array([public_profile_distribution_raw(d, spec.m_alpha, spec.m_epsilon)
+                       for d in r ^ np.eye(n, dtype=np.int64)])
     gains = u_dev - u_r
     profitable = gains > STRICT_TOL
     nv = n * s
@@ -333,10 +324,8 @@ def _failure(action, lam, v, orthogonal, reason) -> EnforceabilityResult:
 
 @dataclass(frozen=True)
 class KStarResult:
-    """k*(lambda): the best level lambda . u(r), less |c| g m / (m_alpha -
-    m_epsilon) where lambda = c e_k and firm k gains g by deviating at r
-    (|lambda_i| <= SOLVE_TOL max|lambda| counts as zero), with ties within
-    SOLVE_TOL going to the lexicographically smallest profile."""
+    """k*(lambda), its best profile and how that profile is enforced, as
+    ``k_star`` decides them."""
 
     direction: tuple[float, ...]
     value: float
@@ -355,41 +344,37 @@ def k_star(spec: GameSpec, direction) -> KStarResult:
     to the lexicographically smallest profile.  Nothing is solved.  The
     tie-break is absolute, so rescaling lambda far from unit length can
     change the best profile.  A non-finite direction raises DomainError,
-    and more than K_STAR_MAX_FIRMS firms CapacityError.
+    and more than PROFILE_MAX_FIRMS firms ``game.profile_array``'s
+    CapacityError.
     """
     lam = _direction(direction, spec.n_firms)
-    levels = _profile_levels(spec, lam)
-    top = max(level for _, level, _ in levels)
-    best, value, orthogonal = next(row for row in levels if row[1] >= top - SOLVE_TOL)
-    return KStarResult(tuple(lam), value, best, orthogonal)
+    profiles, levels, orthogonal = _profile_levels(spec, lam)
+    i = int(np.flatnonzero(levels >= levels.max() - SOLVE_TOL)[0])
+    best = tuple(profiles[i].tolist())
+    return KStarResult(tuple(lam), float(levels[i]), best, bool(orthogonal[i]))
 
 
-def _profile_levels(spec: GameSpec, lam: np.ndarray) -> list[tuple]:
-    """(r, level, orthogonal) for every pure profile, in ``all_profiles``
-    (lexicographic) order."""
-    n = spec.n_firms
-    _check_capacity(n)
+def _profile_levels(spec: GameSpec, lam: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(profiles, levels, orthogonal): ``game.profile_array``'s (2^N, N)
+    profiles, in ``all_profiles`` (lexicographic) order, with each one's
+    level and whether it is enforced orthogonally."""
+    profiles, payoffs = profile_array(spec.n_firms), all_profile_payoffs(spec)
+    # One dot per profile: a batched payoffs @ lam rounds differently (with
+    # numpy 2.4, matmul disagreed with the scalar two-term dot in 1847 of
+    # 2000 random trials).
+    levels = np.array([float(lam @ u) for u in payoffs])
+    punished = np.zeros(len(profiles), dtype=bool)
     nonzero = np.flatnonzero(np.abs(lam) > SOLVE_TOL * np.max(np.abs(lam)))
-    k = int(nonzero[0]) if len(nonzero) == 1 else None
-    if k is not None:
+    if len(nonzero) == 1:
         # Only k's own bit can punish k.  A profitable deviation is a
         # discloser's (loss > 0): its bit reads 0 w.p. m_epsilon, m_alpha after.
+        k = int(nonzero[0])
         c = float(lam[k])
         m = spec.m_epsilon if c > 0 else 1.0 - spec.m_epsilon
-    levels = []
-    for profile in all_profiles(n):
-        r = np.array(profile)
-        x = r.sum()
-        u = spec.stage[r, x]
-        # One dot per profile: a batched U @ lam rounds differently.
-        level, orthogonal = float(lam @ u), True
-        if k is not None:
-            g = spec.stage[1 - r[k], x + 1 - 2 * r[k]] - u[k]
-            if g > STRICT_TOL:
-                level -= abs(c) * g * m / (spec.m_alpha - spec.m_epsilon)
-                orthogonal = False
-        levels.append((profile, level, orthogonal))
-    return levels
+        g = deviation_payoffs(spec, profiles)[:, k] - payoffs[:, k]
+        punished = g > STRICT_TOL
+        levels[punished] -= abs(c) * g[punished] * m / (spec.m_alpha - spec.m_epsilon)
+    return profiles, levels, ~punished
 
 
 def k_star_formula_linear_n2(G: float, L: float, direction) -> float:
@@ -537,16 +522,13 @@ def verify_decomposition(
 class PromiseDecomposition:
     """Affine family of continuation maps decomposing payoffs near u(r*).
 
-    r* is k*'s best profile: the best closed-form level lambda . u(r), less
-    |c| g m / (m_alpha - m_epsilon) where lambda = c e_k and firm k gains g
-    by deviating (|lambda_i| <= SOLVE_TOL max|lambda| counts as zero), ties
-    within SOLVE_TOL to the lexicographically smallest profile; it must be
-    enforced orthogonally.  The orthogonal equality system is linear in the
-    target payoff, so the pinned minimum-norm solution is an affine function
-    of the displacement d = v - u(r*).  The family is built on r*'s one
-    profile table from the base map solved at u(r*) plus one solve per
-    hyperplane basis vector; displacements off the hyperplane are absorbed
-    by a constant shift (allowed in the half-space since lambda . d <= 0).
+    r* is ``k_star``'s best profile, and it must be enforced orthogonally.
+    The orthogonal equality system is linear in the target payoff, so the
+    pinned minimum-norm solution is an affine function of the displacement
+    d = v - u(r*).  The family is built on r*'s one profile table from the
+    base map solved at u(r*) plus one solve per hyperplane basis vector;
+    displacements off the hyperplane are absorbed by a constant shift
+    (allowed in the half-space since lambda . d <= 0).
 
     ``outside`` and ``step`` are the promise walk of the automaton and of the
     Monte Carlo kernel: on one (N,) promise or on an (R, N) block, a row

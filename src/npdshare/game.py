@@ -9,10 +9,12 @@ supported: linear ``gain(z) = z * G`` and concave ``gain(z) = f(z) * G`` with
 a tabulated nondecreasing concave ``f`` satisfying ``f(0) = 0``.
 
 ``GameSpec.stage`` tabulates both payoffs once, by own action and discloser
-count; profile payoffs, the engine's flow payoffs and the decomposition's
-deviation payoffs all read that table.  The
-discount factor ``GameSpec.delta`` is the one δ of the package: a caller
-that needs another δ passes ``dataclasses.replace(spec, delta=d)``.
+count; profile payoffs, the engine's flow payoffs and deviation payoffs all
+read that table.  ``profile_array`` is the one list of the 2^N pure profiles
+and the one cap on it, and ``deviation_payoffs`` the one statement of what a
+firm earns by deviating alone.  The discount factor ``GameSpec.delta`` is the
+one δ of the package: a caller that needs another δ passes
+``dataclasses.replace(spec, delta=d)``.
 
 The module also classifies the stage game: one-shot dominance of concealing
 (A1), efficiency of full disclosure over the all-conceal minmax point (A2),
@@ -25,6 +27,7 @@ the individually rational payoffs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,9 +42,9 @@ from .errors import CapacityError, DomainError
 # (tied) cases count as failures.
 STRICT_TOL = 1e-12
 
-# extreme_profiles lists its answer out of all 2^N profiles, and the feasible
-# hull's vertex list is read from it; the cap keeps both at most 256 long.
-HULL_MAX_FIRMS = 8
+# profile_array lists all 2^N pure profiles; the cap keeps that list, and
+# every answer read from it, at most 256 rows long.
+PROFILE_MAX_FIRMS = 8
 
 
 @dataclass(frozen=True)
@@ -249,10 +252,30 @@ def profile_payoff(spec: GameSpec, profile: Iterable[int]) -> np.ndarray:
     return spec.stage[r, r.sum()]
 
 
+@functools.cache
+def profile_array(n_firms: int) -> np.ndarray:
+    """All 2^N pure profiles, one row each in ``all_profiles`` order: a
+    read-only (2^N, N) int64 array, built once per N.  More than
+    PROFILE_MAX_FIRMS firms raises CapacityError before anything is listed."""
+    if n_firms > PROFILE_MAX_FIRMS:
+        raise CapacityError(f"listing the 2^N pure profiles is capped at N <= "
+                            f"{PROFILE_MAX_FIRMS}; got N = {n_firms}")
+    r = np.array(list(all_profiles(n_firms)), dtype=np.int64)
+    r.flags.writeable = False
+    return r
+
+
+def deviation_payoffs(spec: GameSpec, r: np.ndarray) -> np.ndarray:
+    """What each firm earns by deviating alone from profile(s) ``r``, an
+    int array of 0s and 1s of shape (..., N): firm i plays 1 - r_i, and
+    the discloser count moves by 1 - 2 r_i."""
+    return spec.stage[1 - r, r.sum(axis=-1, keepdims=True) + 1 - 2 * r]
+
+
 def all_profile_payoffs(spec: GameSpec) -> np.ndarray:
     """Every pure profile's stage payoff vector, one row per profile in
     ``all_profiles`` order: a (2^N, N) array."""
-    r = np.array(list(all_profiles(spec.n_firms)), dtype=np.int64)
+    r = profile_array(spec.n_firms)
     return spec.stage[r, r.sum(axis=1, keepdims=True)]
 
 
@@ -375,12 +398,8 @@ def feasible_hull(spec: GameSpec, clip_to_ir: bool = False) -> PayoffPolytope:
     """The convex hull of the pure-profile payoffs, its vertices decided
     exactly, with no LP.  ``clip_to_ir`` intersects it with {v : v_i >= 0}, in exact
     arithmetic; only the two-firm hull can be clipped, and N > 2 raises
-    DomainError."""
-    if spec.n_firms > HULL_MAX_FIRMS:
-        raise CapacityError(
-            f"feasible_hull enumerates 2^N profiles and is capped at "
-            f"N <= {HULL_MAX_FIRMS}; got N = {spec.n_firms}"
-        )
+    DomainError, and more than PROFILE_MAX_FIRMS firms CapacityError."""
+    profile_array(spec.n_firms)
     if spec.n_firms == 2:
         return _hull_2d(spec, clip_to_ir)
     if clip_to_ir:
@@ -443,13 +462,13 @@ def extreme_profiles(spec: GameSpec) -> list[tuple[int, ...]]:
     power-of-two denominator (at x = 0 and x = N every point lies on one
     axis and the test is an interval).  "Other" means a payoff more than
     1e-12 from p in some coordinate: a class is dropped when each role it
-    has is within 1e-12 of p's value for that role.
+    has is within 1e-12 of p's value for that role.  More than
+    PROFILE_MAX_FIRMS firms raises CapacityError, before any test runs.
     """
     from .geometry import in_convex_hull_2d_exact
 
     n = spec.n_firms
-    if n > HULL_MAX_FIRMS:
-        raise CapacityError(f"extreme_profiles capped at N <= {HULL_MAX_FIRMS}")
+    profiles = profile_array(n)
     conceal, disclose = spec.stage.tolist()
     # Every payoff is a binary rational, so one power-of-two denominator
     # turns them all into exact integers.
@@ -483,4 +502,4 @@ def extreme_profiles(spec: GameSpec) -> list[tuple[int, ...]]:
         p = (block_sum(x, 0, x), block_sum(0, n - x, x))
         if not in_convex_hull_2d_exact(p, others):
             extreme_counts.append(x)
-    return [r for r in all_profiles(n) if sum(r) in extreme_counts]
+    return [tuple(r) for r in profiles[np.isin(profiles.sum(1), extreme_counts)].tolist()]

@@ -194,6 +194,34 @@ def test_decompose_refuses_nine_firms(spec_file, capsys):
     assert "capped at N <= 8" in err
 
 
+_NINE_FIRMS = {"n_firms": 9, "gain": {"kind": "linear", "G": 3.0}, "L": 1.0,
+               "alpha": 0.9, "epsilon": 0.1, "delta": 0.9}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check"], ["rank"], ["payoffset", "--directions", "16"],
+     ["simulate", "--strategy", "promise", "--T", "5"]],
+    ids=["check", "rank", "payoffset", "simulate-promise"],
+)
+def test_profile_listing_cap_exits_one_at_nine_firms(spec_file, capsys, argv):
+    # A CapacityError exits 1 with nothing on stdout.
+    path = spec_file(_NINE_FIRMS)
+    code, out, err = run_cli([argv[0], "--spec", path, *argv[1:]], capsys)
+    assert code == 1
+    assert out == ""
+    assert "capped at N <= 8" in err
+
+
+def test_simulate_has_no_cap_at_nine_firms(spec_file, capsys):
+    path = spec_file(_NINE_FIRMS)
+    code, out, _ = run_cli(
+        ["simulate", "--spec", path, "--strategy", "always_disclose", "--T", "5"], capsys
+    )
+    assert code == 0
+    assert len(parse_csv(out)) == 6
+
+
 def test_decompose_bad_lambda_exits_two(spec2_file, capsys):
     code, _, err = run_cli(
         ["decompose", "--spec", spec2_file, "--lambda", "1,x"], capsys
@@ -252,6 +280,43 @@ def test_simulate_non_finite_vectors_exit_two(spec2_file, capsys, extra):
     assert code == 2
     assert "must be finite numbers" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("replicas", ["1", "2"])
+def test_simulate_promise_direction_defaults_to_ones(spec3_file, capsys, replicas):
+    # At N = 3 an omitted --direction is (1, 1, 1), not a two-firm default.
+    argv = ["simulate", "--spec", spec3_file, "--strategy", "promise", "--T", "50",
+            "--replicas", replicas, "--seed", "4"]
+    default = run_cli(argv, capsys)
+    assert default[0] == 0
+    assert default == run_cli(argv + ["--direction", "1,1,1"], capsys)
+
+
+def test_simulate_promise_default_direction_keeps_two_firm_bytes(spec_file, capsys):
+    path = spec_file({"n_firms": 2, "gain": {"kind": "linear", "G": 3.0}, "L": 1.0,
+                      "alpha": 0.9, "epsilon": 0.1, "delta": 0.99})
+    argv = ["simulate", "--spec", path, "--strategy", "promise", "--T", "200",
+            "--seed", "5"]
+    default = run_cli(argv, capsys)
+    assert default[0] == 0 and len(parse_csv(default[1])) == 201
+    assert default == run_cli(argv + ["--direction", "1,1"], capsys)
+
+
+@pytest.mark.parametrize("strategy", ["always_disclose", "signal_trigger:3"])
+@pytest.mark.parametrize(
+    "extra", [["--direction", "5"], ["--v0", "1,1,1"], ["--replicas", "2", "--v0", "1,1,1"]],
+    ids=["direction", "v0", "v0-mc"],
+)
+def test_simulate_refuses_promise_flags_for_other_strategies(
+    spec3_file, capsys, strategy, extra
+):
+    code, out, err = run_cli(
+        ["simulate", "--spec", spec3_file, "--strategy", strategy, "--T", "5", *extra],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "only to the promise strategy" in err
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from npdshare.conditions import (
 )
 from npdshare import conditions, game, geometry
 from npdshare.errors import CapacityError, ConditionInapplicableError, DomainError
+from npdshare.game import profile_array
 
 
 def test_numeric_rank_basics():
@@ -354,8 +355,12 @@ def test_preconditions_refuse_large_n_before_enumerating(monkeypatch):
 
     monkeypatch.setattr(conditions, "all_profile_payoffs", fail)
     spec = GameSpec(16, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9)
-    with pytest.raises(CapacityError, match="capped at N <= 8"):
-        theorem_preconditions(spec, "flm")
+    with pytest.raises(CapacityError, match="capped at N <= 8") as listing:
+        profile_array(16)
+    for theorem in ("flm", "km"):
+        with pytest.raises(CapacityError, match="capped at N <= 8") as exc:
+            theorem_preconditions(spec, theorem)
+        assert str(exc.value) == str(listing.value)
 
 
 def test_theorem_name_validated(spec2):

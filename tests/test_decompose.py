@@ -30,7 +30,7 @@ from npdshare.decompose import (
     _solve,
 )
 from npdshare.errors import CapacityError, DomainError
-from npdshare.game import all_profiles
+from npdshare.game import all_profiles, profile_array
 from npdshare.geometry import hausdorff_distance_polygons
 
 from k_star_oracle import _profile_tables, exhaustive_k_star
@@ -604,9 +604,10 @@ def test_k_star_tables_match_fresh_public_solves_bitwise(n):
         assert np.float64(fresh.k_star).tobytes() == np.float64(oracle.value).tobytes()
         if cls == "near-coordinate":
             continue
-        closed = _profile_levels(spec, _direction(lam, n))
-        assert [r for r, _, _ in closed] == list(all_profiles(n))
-        for r, level, orthogonal in closed:
+        profiles, closed, orth = _profile_levels(spec, _direction(lam, n))
+        profiles = [tuple(r) for r in profiles.tolist()]
+        assert profiles == list(all_profiles(n))
+        for r, level, orthogonal in zip(profiles, closed, orth):
             assert abs(level - levels[r]) <= 1e-12, (cls, r)
             assert orthogonal == maps[r].orthogonal, (cls, r)
 
@@ -737,12 +738,54 @@ def test_promise_setup_builds_each_distribution_once(monkeypatch, spec3):
 
 
 def test_single_profile_systems_share_the_n_cap():
+    # The constraint systems over 2^N signals have their own cap; k* and
+    # the payoff set list the 2^N profiles, so they raise profile_array's.
     spec = GameSpec(9, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9)
-    with pytest.raises(CapacityError, match="capped at N <= 8"):
+    with pytest.raises(CapacityError, match="capped at N <= 8") as system:
         solve_enforceability(spec, (1,) * 9, (1.0,) * 9)
-    with pytest.raises(CapacityError, match="capped at N <= 8"):
+    assert "constraint system over 2^N public signals" in str(system.value)
+    with pytest.raises(CapacityError, match="capped at N <= 8") as exc:
         verify_decomposition(spec, (2.0,) * 9, (1,) * 9, np.zeros((2**9, 9)))
-    with pytest.raises(CapacityError, match="capped at N <= 8"):
-        k_star(spec, (1.0,) * 9)
-    with pytest.raises(CapacityError, match="capped at N <= 8"):
-        ppe_payoff_set(spec, 16)
+    assert str(exc.value) == str(system.value)
+    with pytest.raises(CapacityError) as listing:
+        profile_array(9)
+    for call in (lambda: k_star(spec, (1.0,) * 9), lambda: ppe_payoff_set(spec, 16),
+                 lambda: _profile_levels(spec, np.ones(9))):
+        with pytest.raises(CapacityError, match="capped at N <= 8") as exc:
+            call()
+        assert str(exc.value) == str(listing.value) != str(system.value)
+
+
+def _best_by_enumeration(spec, lam):
+    """k*'s value and best profile when lambda has two or more nonzero
+    components, from ``all_profiles`` and ``profile_payoff``: the best
+    lambda . u(r), ties within SOLVE_TOL to the first profile."""
+    levels = {r: float(lam @ profile_payoff(spec, r)) for r in all_profiles(spec.n_firms)}
+    top = max(levels.values())
+    best = next(r for r, level in levels.items() if level >= top - SOLVE_TOL)
+    return top, best
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_k_star_is_the_best_profile_payoff_on_directions_with_two_components(n):
+    """Every profile is enforced orthogonally, so k* is max_r lambda . u(r):
+    its value is float(lambda @ u) of its best profile, bit for bit, within
+    SOLVE_TOL of the enumerated max, and its profile is the
+    lexicographically smallest within SOLVE_TOL of that max."""
+    rng_ = np.random.default_rng(800 + n)
+    specs = [*_random_specs(n, 2, seed=810 + n), *_random_specs(n, 2, 820 + n, True)]
+    cases = [(spec, rng_.standard_normal(n)) for spec in specs for _ in range(4)]
+    cases += [(spec, np.ones(n)) for spec in specs + [_tie_spec(n)]]
+    for spec in specs:
+        lam = rng_.standard_normal(n)
+        lam[rng_.choice(n, n - 2, replace=False)] = 0.0
+        cases.append((spec, lam))
+    for spec, lam in cases:
+        ks = k_star(spec, lam)
+        top, best = _best_by_enumeration(spec, lam)
+        u = profile_payoff(spec, ks.best_profile)
+        assert np.float64(ks.value).tobytes() == np.float64(float(lam @ u)).tobytes()
+        assert type(ks.value) is float and ks.orthogonal_at_best
+        assert abs(ks.value - top) <= SOLVE_TOL
+        assert ks.best_profile == best
+        assert all(type(a) is int for a in ks.best_profile)

@@ -24,7 +24,13 @@ from hull_oracle import lp_extreme_profiles
 
 from npdshare.decompose import _profile_table
 from npdshare.errors import CapacityError, DomainError
-from npdshare.game import all_profile_payoffs, extreme_profiles, validate_profile
+from npdshare.game import (
+    all_profile_payoffs,
+    deviation_payoffs,
+    extreme_profiles,
+    profile_array,
+    validate_profile,
+)
 
 
 def test_linear_gain_values():
@@ -187,6 +193,32 @@ def test_stage_table_matches_role_oracle_bitwise():
         assert np.array_equal(trace.payoffs, want), n
 
 
+def test_deviation_payoffs_match_role_payoffs_one_scalar_at_a_time():
+    """Firm i deviating alone from r earns conceal_payoff(x - 1) if it
+    discloses at r and disclose_payoff(x + 1) if it conceals, x = sum(r):
+    for one profile and for all 2^N profiles at once."""
+    for spec in _stage_specs():
+        n = spec.n_firms
+        batched = deviation_payoffs(spec, profile_array(n))
+        for row, r in zip(batched.tolist(), all_profiles(n)):
+            x = sum(r)
+            want = [
+                spec.conceal_payoff(x - 1) if a else spec.disclose_payoff(x + 1) for a in r
+            ]
+            assert deviation_payoffs(spec, np.array(r)).tolist() == want, (n, r)
+            assert row == want, (n, r)
+
+
+def test_profile_array_lists_every_profile_once_read_only():
+    for n in range(2, 9):
+        profiles = profile_array(n)
+        assert profiles is profile_array(n)  # built once per N
+        assert profiles.dtype == np.int64 and profiles.shape == (2**n, n)
+        assert [tuple(r) for r in profiles.tolist()] == list(all_profiles(n))
+        with pytest.raises(ValueError):
+            profiles[0, 0] = 1
+
+
 def test_stage_table_is_read_only_with_nan_roles():
     for spec in _stage_specs():
         n = spec.n_firms
@@ -302,9 +334,22 @@ def test_extreme_profiles_match_lp_oracle(n):
 
 
 def test_extreme_profiles_cap_raises_before_enumerating(monkeypatch):
+    # Every entry point that lists the 2^N profiles raises profile_array's
+    # one message, before it lists or tests anything.
     monkeypatch.setattr("npdshare.game.all_profiles", None)
+    monkeypatch.setattr("npdshare.geometry.in_convex_hull_2d_exact", None)
+    spec = GameSpec(9, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9)
     with pytest.raises(CapacityError, match="capped at N <= 8"):
-        extreme_profiles(GameSpec(9, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9))
+        extreme_profiles(spec)
+    with pytest.raises(CapacityError, match="capped at N <= 8") as listing:
+        profile_array(9)
+    for call in (
+        lambda: extreme_profiles(spec), lambda: feasible_hull(spec),
+        lambda: feasible_hull(spec, clip_to_ir=True), lambda: all_profile_payoffs(spec),
+    ):
+        with pytest.raises(CapacityError) as exc:
+            call()
+        assert str(exc.value) == str(listing.value)
 
 
 def test_extreme_profiles_class_filter_is_1e_12():
