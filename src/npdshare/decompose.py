@@ -15,15 +15,10 @@ attainable set is approximated by intersecting the half-spaces
 
 k* has a closed form (Fudenberg-Levine-Maskin 1994): the N public bits are
 independent and a deviation moves only the deviator's bit, so each
-profile's level follows from ``GameSpec.stage`` and the monitor kernel.  A
-component with |lambda_i| <= SOLVE_TOL max|lambda| counts as zero.  With two
-or more nonzero components every profile is enforced orthogonally, at
-lambda . u(r).  With one, lambda = c e_k, a profile at which firm k gains
-g > STRICT_TOL by deviating can punish k only through k's own bit: its level
-is lambda . u(r) - |c| g m / (m_alpha - m_epsilon), m = m_epsilon if c > 0
-and 1 - m_epsilon if c < 0, and it is not orthogonal; every other profile is
-orthogonal at lambda . u(r).  k* is the best level, ties within SOLVE_TOL
-going to the lexicographically smallest profile.
+profile's level follows from ``GameSpec.stage`` and the monitor kernel, as
+``k_star`` states.  General mode adds no LP: where lambda = c e_k
+punishes firm k, each profitable firm is paid on its own bit at k*'s level,
+and elsewhere the orthogonal map at u(r) reaches the bound lambda . u(r).
 
 ``solve_enforceability``, ``verify_decomposition`` and
 ``PromiseDecomposition`` build the constraint system over the 2^N public
@@ -47,7 +42,7 @@ from .errors import CapacityError, DomainError
 from .game import GameSpec, STRICT_TOL, all_profile_payoffs, deviation_payoffs
 from .game import profile_array, validate_profile, validate_vector
 from .geometry import ensure_ccw, halfplane_intersection_2d
-from .monitoring import public_profile_distribution_raw
+from .monitoring import MODE_PUBLIC, public_profile_distribution_raw, signal_kernel
 
 SOLVE_TOL = 1e-9
 SYSTEM_MAX_FIRMS = 8
@@ -117,7 +112,7 @@ class EnforceabilityResult:
     gamma_bar: np.ndarray | None
     k_star: float | None
     orthogonal: bool
-    mode: str  # "equality" | "lp_feasibility" | "lp_general"
+    mode: str  # "equality" | "lp_feasibility" (orthogonal) | "own_bit" (general)
     action: tuple[int, ...]
     direction: tuple[float, ...]
     target: tuple[float, ...] | None
@@ -137,6 +132,7 @@ class _ProfileTable:
     built by assignment, so every entry outside a block is +0.0.
     """
 
+    spec: GameSpec
     action: tuple[int, ...]
     pi_eq: np.ndarray  # (s,)
     u_r: np.ndarray  # (n,)
@@ -176,7 +172,7 @@ def _profile_table(spec: GameSpec, profile) -> _ProfileTable:
     pin = np.zeros((n, nv))
     pin[firms, firms * s + s - 1] = 1.0
     return _ProfileTable(
-        action=tuple(int(a) for a in r), pi_eq=pi_eq, u_r=u_r, pi_dev=pi_dev,
+        spec=spec, action=tuple(int(a) for a in r), pi_eq=pi_eq, u_r=u_r, pi_dev=pi_dev,
         u_dev=u_dev, gains=gains, profitable=profitable, cons=cons,
         incentives=dev - cons, lower=np.vstack([cons, dev[profitable], pin]),
     )
@@ -199,20 +195,17 @@ def _orth_rows(lam: np.ndarray) -> np.ndarray:
 
 
 def solve_enforceability(
-    spec: GameSpec,
-    profile,
-    direction,
-    orthogonal: bool = True,
-    target=None,
+    spec: GameSpec, profile, direction, orthogonal: bool = True, target=None
 ) -> EnforceabilityResult:
     """Solve for a continuation map enforcing ``profile`` on ``direction``.
 
     Orthogonal mode imposes lambda . gamma_bar(b) = 0 pointwise and reaches
     the level k* = lambda . u(r) when feasible; ``target`` selects which
     payoff on that hyperplane the consistency equalities hit (default
-    u(r)).  General mode relaxes to lambda . gamma_bar(b) <= 0 and
-    maximizes the supported level by LP.  A non-finite direction or target
-    raises DomainError.
+    u(r)).  General mode relaxes to lambda . gamma_bar(b) <= 0 at k*'s level
+    for the profile: an ``own_bit`` map where lambda = c e_k punishes, else
+    the orthogonal result at u(r), failure included.  A non-finite
+    direction or target raises DomainError.
     """
     table = _profile_table(spec, profile)
     n = spec.n_firms
@@ -228,44 +221,24 @@ def _solve(
 ) -> EnforceabilityResult:
     """Enforce t's profile on lam; ``orth`` is ``_orth_rows(lam)`` and
     ``target`` a checked payoff array or None."""
-    n, s = len(t.u_r), len(t.pi_eq)
-    free = [(None, None)] * (n * s)
-
     if not orthogonal:
-        res = linprog(
-            c=-(lam[:, None] * t.pi_eq).ravel(), A_ub=np.vstack([t.incentives, orth]),
-            b_ub=np.concatenate([-t.gains, np.zeros(s)]), bounds=free, method="highs",
-        )
-        if not res.success:
-            return _failure(
-                t.action, lam, None, orthogonal, "no enforceable continuation map"
-            )
-        gamma = res.x.reshape(n, s).T
-        return EnforceabilityResult(
-            feasible=True, gamma_bar=gamma,
-            # res.fun = -E[lam . gamma_bar(b) | r] >= 0 on the half-space, so
-            # the level is at most lam . u(r); HiGHS may return 0 as -1e-16.
-            k_star=float(lam @ t.u_r) - max(float(res.fun), 0.0), orthogonal=False,
-            mode="lp_general", action=t.action, direction=tuple(lam), target=None,
-            binding=_binding(_ic_slacks(t, gamma)), residual=None,
-        )
-
+        coordinate = _coordinate(lam)
+        if coordinate is not None and t.profitable[coordinate[0]]:
+            return _own_bit(t, lam, *coordinate)
+        # Not punished: the orthogonal map at u(r) reaches the bound lambda . u(r).
+    n, s = len(t.u_r), len(t.pi_eq)
     v = t.u_r.copy() if target is None else target
-    if abs(float(lam @ v) - float(lam @ t.u_r)) > SOLVE_TOL * max(
-        1.0, float(np.abs(lam @ t.u_r))
-    ):
+    bound = float(lam @ t.u_r)
+    if abs(float(lam @ v) - bound) > SOLVE_TOL * max(1.0, abs(bound)):
         return _failure(
-            t.action, lam, v, orthogonal,
-            "target is off the supporting hyperplane lambda.v = lambda.u(r)",
+            t.action, lam, v, "target is off the supporting hyperplane lambda.v = lambda.u(r)"
         )
 
     # Equality solve: profitable deviations bind, the all-ones signal is
     # pinned.  Both comparisons read "not >" so that NaN residuals and slacks
     # are accepted here rather than handed to HiGHS, which rejects NaN input.
     a = np.vstack([orth, t.lower])
-    rhs = np.concatenate(
-        [np.zeros(s), v - t.u_r, (v - t.u_dev)[t.profitable], np.zeros(n)]
-    )
+    rhs = np.concatenate([np.zeros(s), v - t.u_r, (v - t.u_dev)[t.profitable], np.zeros(n)])
     x, *_ = np.linalg.lstsq(a, rhs, rcond=None)
     residual = float(np.max(np.abs(a @ x - rhs)))
     if not residual > SOLVE_TOL * max(1.0, float(np.max(np.abs(rhs)))):
@@ -282,12 +255,10 @@ def _solve(
     res = linprog(
         c=np.zeros(n * s), A_eq=np.vstack([orth, t.cons]),
         b_eq=np.concatenate([np.zeros(s), v - t.u_r]), A_ub=t.incentives, b_ub=-t.gains,
-        bounds=free, method="highs",
+        bounds=[(None, None)] * (n * s), method="highs",
     )
     if not res.success:
-        return _failure(
-            t.action, lam, v, orthogonal, "orthogonal enforcement infeasible"
-        )
+        return _failure(t.action, lam, v, "orthogonal enforcement infeasible")
     gamma = res.x.reshape(n, s).T
     return EnforceabilityResult(
         feasible=True, gamma_bar=gamma, k_star=float(lam @ v), orthogonal=True,
@@ -297,23 +268,43 @@ def _solve(
 
 
 def _ic_slacks(t: _ProfileTable, gamma) -> np.ndarray:
-    return np.array(
-        [
-            float((t.pi_eq - t.pi_dev[i]) @ gamma[:, i]) - t.gains[i]
-            for i in range(len(t.gains))
-        ]
-    )
+    return np.array([float((t.pi_eq - t.pi_dev[i]) @ gamma[:, i]) - t.gains[i]
+                     for i in range(len(t.gains))])
 
 
 def _binding(slacks) -> tuple[bool, ...]:
     return tuple(bool(abs(sl) <= SOLVE_TOL) for sl in slacks)
 
 
-def _failure(action, lam, v, orthogonal, reason) -> EnforceabilityResult:
+def _own_bit(t: _ProfileTable, lam: np.ndarray, k: int, c: float) -> EnforceabilityResult:
+    """General mode where lambda = c e_k punishes firm k, at k*'s level.
+
+    Each profitable firm j is paid on its own bit, gamma_bar_j(b) =
+    s_j (1{b_j = 0} - theta_j), s_j = g_j / (p_j - q_j) with p_j, q_j =
+    P(b_j = 0) at r and after j deviates, so j's incentive binds.
+    theta_j = 1{lambda_j s_j > 0} keeps lambda_j gamma_bar_j(b) <= 0 on every
+    signal, also for a component the zero rule drops; theta_j = p_j where
+    lambda_j = 0 makes j's transfer mean-zero.
+    """
+    r = np.array(t.action)
+    p_zero = signal_kernel(t.spec, MODE_PUBLIC)
+    p, q = p_zero[r], p_zero[1 - r]
+    slope = np.where(t.profitable, t.gains / (p - q), 0.0)
+    theta = np.where(lam * slope == 0.0, p, lam * slope > 0.0)
+    bits = (np.arange(len(t.pi_eq))[:, None] >> np.arange(len(r))) & 1
+    gamma = slope * (1 - bits - theta) + 0.0  # + 0.0: no -0.0 entries
     return EnforceabilityResult(
-        feasible=False, gamma_bar=None, k_star=None, orthogonal=orthogonal,
-        mode="equality" if orthogonal else "lp_general",
-        action=action, direction=tuple(lam), target=None if v is None else tuple(v),
+        feasible=True, gamma_bar=gamma,
+        k_star=float(float(lam @ t.u_r) - _own_bit_penalty(t.spec, c, t.gains[k])),
+        orthogonal=False, mode="own_bit", action=t.action, direction=tuple(lam),
+        target=None, binding=_binding(_ic_slacks(t, gamma)), residual=None,
+    )
+
+
+def _failure(action, lam, v, reason) -> EnforceabilityResult:
+    return EnforceabilityResult(
+        feasible=False, gamma_bar=None, k_star=None, orthogonal=True, mode="equality",
+        action=action, direction=tuple(lam), target=tuple(v),
         binding=None, residual=None, failure_reason=reason,
     )
 
@@ -364,17 +355,27 @@ def _profile_levels(spec: GameSpec, lam: np.ndarray) -> tuple[np.ndarray, ...]:
     # 2000 random trials).
     levels = np.array([float(lam @ u) for u in payoffs])
     punished = np.zeros(len(profiles), dtype=bool)
-    nonzero = np.flatnonzero(np.abs(lam) > SOLVE_TOL * np.max(np.abs(lam)))
-    if len(nonzero) == 1:
-        # Only k's own bit can punish k.  A profitable deviation is a
-        # discloser's (loss > 0): its bit reads 0 w.p. m_epsilon, m_alpha after.
-        k = int(nonzero[0])
-        c = float(lam[k])
-        m = spec.m_epsilon if c > 0 else 1.0 - spec.m_epsilon
+    coordinate = _coordinate(lam)
+    if coordinate is not None:
+        k, c = coordinate
         g = deviation_payoffs(spec, profiles)[:, k] - payoffs[:, k]
         punished = g > STRICT_TOL
-        levels[punished] -= abs(c) * g[punished] * m / (spec.m_alpha - spec.m_epsilon)
+        levels[punished] -= _own_bit_penalty(spec, c, g[punished])
     return profiles, levels, ~punished
+
+
+def _coordinate(lam: np.ndarray) -> tuple[int, float] | None:
+    """(k, c) when lambda = c e_k under the zero rule, else None."""
+    nonzero = np.flatnonzero(np.abs(lam) > SOLVE_TOL * np.max(np.abs(lam)))
+    return (int(nonzero[0]), float(lam[nonzero[0]])) if len(nonzero) == 1 else None
+
+
+def _own_bit_penalty(spec: GameSpec, c: float, g):
+    """lambda . u(r) less the level where lambda = c e_k punishes firm k's
+    deviation gain g.  Only k's own bit can punish k, and a profitable
+    deviation is a discloser's: its bit reads 0 w.p. m_epsilon, m_alpha after."""
+    m = spec.m_epsilon if c > 0 else 1.0 - spec.m_epsilon
+    return abs(c) * g * m / (spec.m_alpha - spec.m_epsilon)
 
 
 def k_star_formula_linear_n2(G: float, L: float, direction) -> float:
@@ -512,10 +513,8 @@ def verify_decomposition(
     slacks_arr = np.asarray(slacks)
     holds = eq_res <= SOLVE_TOL and bool(np.min(slacks_arr) >= -SOLVE_TOL)
     return DecompositionCheck(
-        holds=holds,
-        equality_residual=float(eq_res),
-        ic_slacks=tuple(float(x) for x in slacks_arr),
-        binding=tuple(bool(abs(x) <= SOLVE_TOL) for x in slacks_arr),
+        holds=holds, equality_residual=float(eq_res),
+        ic_slacks=tuple(float(x) for x in slacks_arr), binding=_binding(slacks_arr),
     )
 
 

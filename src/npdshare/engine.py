@@ -101,7 +101,8 @@ class SignalTrigger(Strategy):
 
     def __init__(self, threshold):
         if threshold != math.inf and (
-            not isinstance(threshold, (int, np.integer)) or threshold < 1
+            isinstance(threshold, (bool, np.bool_))
+            or not isinstance(threshold, (int, np.integer)) or threshold < 1
         ):
             raise DomainError(
                 f"trigger threshold must be a positive integer or math.inf, got {threshold}"

@@ -2,15 +2,21 @@
 
 The package computes every profile's level in closed form.  This oracle
 builds the constraint system of each of the 2^N pure profiles and solves it,
-by orthogonal enforcement first and the general LP only if that fails, then
-takes the best level with the same tie-break, so tests can check the closed
-form against the solver bit for bit.
+by orthogonal enforcement first and the general HiGHS LP only if that fails,
+then takes the best level with the same tie-break, so tests can check the
+closed form against the solver bit for bit.
 """
+
+import numpy as np
+from scipy.optimize import linprog
 
 from npdshare.decompose import (
     SOLVE_TOL,
+    EnforceabilityResult,
     KStarResult,
+    _binding,
     _direction,
+    _ic_slacks,
     _orth_rows,
     _profile_table,
     _solve,
@@ -23,6 +29,30 @@ def _profile_tables(spec):
     return {r: _profile_table(spec, r) for r in all_profiles(spec.n_firms)}
 
 
+def general_lp(t, lam, orth):
+    """The best level of a map with lambda . gamma_bar(b) <= 0 on every
+    signal that enforces t's profile: maximize E[lambda . gamma_bar | r]
+    subject to the incentive rows, by HiGHS.  An EnforceabilityResult with
+    mode ``lp_general``, or None when HiGHS finds no map."""
+    n, s = len(t.u_r), len(t.pi_eq)
+    res = linprog(
+        c=-(lam[:, None] * t.pi_eq).ravel(), A_ub=np.vstack([t.incentives, orth]),
+        b_ub=np.concatenate([-t.gains, np.zeros(s)]), bounds=[(None, None)] * (n * s),
+        method="highs",
+    )
+    if not res.success:
+        return None
+    gamma = res.x.reshape(n, s).T
+    return EnforceabilityResult(
+        feasible=True, gamma_bar=gamma,
+        # res.fun = -E[lam . gamma_bar(b) | r] >= 0 on the half-space, so
+        # the level is at most lam . u(r); HiGHS may return 0 as -1e-16.
+        k_star=float(lam @ t.u_r) - max(float(res.fun), 0.0), orthogonal=False,
+        mode="lp_general", action=t.action, direction=tuple(lam), target=None,
+        binding=_binding(_ic_slacks(t, gamma)), residual=None,
+    )
+
+
 def exhaustive_k_star(spec, direction):
     """(KStarResult, {profile: level}, {profile: solve result}) over every
     enforceable profile."""
@@ -33,8 +63,8 @@ def exhaustive_k_star(spec, direction):
     for r, t in tables.items():
         res = _solve(t, lam, orth, True, None)
         if not res.feasible:
-            res = _solve(t, lam, orth, False, None)
-        if res.feasible:
+            res = general_lp(t, lam, orth)
+        if res is not None:
             levels[r] = float(res.k_star)
             maps[r] = res
     best_value = max(levels.values())

@@ -131,17 +131,27 @@ def test_check_and_rank_stdout_match_recorded_digests(spec_file, capsys, name):
         assert (code, len(out), hashlib.sha256(out.encode()).hexdigest()) == want, argv[0]
 
 
-def test_check_and_rank_leave_scipy_unloaded(spec3_file):
-    # scipy is imported only where an LP runs, and check and rank run none.
+def test_check_and_rank_leave_scipy_unloaded(spec2_file, spec3_file):
+    # scipy is imported only where an LP runs.  check, rank and payoffset
+    # run none, and neither does decompose unless the orthogonal equality
+    # solve misses and its feasibility LP takes over; general mode on a
+    # coordinate direction is the closed-form own-bit map.
     code = (
         "import sys\n"
         "import npdshare.cli\n"
-        "for argv in (['check', '--spec', sys.argv[1], '--theorem', 'both'],\n"
-        "             ['rank', '--spec', sys.argv[1]]):\n"
-        "    assert npdshare.cli.main(argv) == 0\n"
+        "two, three = sys.argv[1:]\n"
+        "for argv in (['check', '--spec', three, '--theorem', 'both'],\n"
+        "             ['rank', '--spec', three],\n"
+        "             ['payoffset', '--spec', two, '--directions', '36'],\n"
+        "             ['payoffset', '--spec', three, '--directions', '16'],\n"
+        "             ['decompose', '--spec', two, '--lambda', '1,1'],\n"
+        "             ['decompose', '--spec', two, '--lambda', '1,1', '--mode', 'general'],\n"
+        "             ['decompose', '--spec', two, '--lambda', '1,0', '--mode', 'general'],\n"
+        "             ['decompose', '--spec', three, '--lambda', '0,-1,0', '--mode', 'general']):\n"
+        "    assert npdshare.cli.main(argv) == 0, argv\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code, spec3_file],
+    proc = subprocess.run([sys.executable, "-c", code, spec2_file, spec3_file],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
@@ -173,7 +183,7 @@ def test_decompose_infeasible_exits_one(spec2_file, capsys):
 
 
 def test_decompose_general_mode_coordinate_direction(spec2_file, capsys):
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         ["decompose", "--spec", spec2_file, "--lambda", "1,0", "--mode", "general"],
         capsys,
     )
@@ -181,6 +191,8 @@ def test_decompose_general_mode_coordinate_direction(spec2_file, capsys):
     rows = parse_csv(out)
     # the direction component never exceeds zero on any signal
     assert all(float(r[1]) <= 1e-9 for r in rows[1:])
+    # k*'s level 2 - 1 * 0.1 / 0.8, printed as a Python float
+    assert err.startswith("decompose: k*=1.875 at action=(1, 1), mode=own_bit, ")
 
 
 def test_decompose_refuses_nine_firms(spec_file, capsys):
@@ -238,8 +250,10 @@ def test_decompose_wrong_arity_exits_two(spec2_file, capsys):
 
 
 def test_decompose_general_level_is_clamped_to_its_bound(spec_file, capsys):
-    # README's spec.  lambda . u(0, 0) = 0 bounds every map's level; HiGHS
-    # returns the LP optimum 0 as -1.4e-16, which used to print k* > 0.
+    # README's spec.  lambda . u(0, 0) = 0 bounds every map's level.  The
+    # zero rule drops the 1e-16 component, firm 1 gains nothing by
+    # deviating, so general mode is the orthogonal map at that bound (an LP
+    # once returned its optimum 0 as -1.4e-16 and printed k* > 0).
     path = spec_file({"n_firms": 2, "gain": {"kind": "linear", "G": 3.0}, "L": 1.0,
                       "alpha": 0.9, "epsilon": 0.1, "delta": 0.99,
                       "monitor_alpha": 0.9, "monitor_epsilon": 0.1, "seed": 7})
@@ -249,7 +263,7 @@ def test_decompose_general_level_is_clamped_to_its_bound(spec_file, capsys):
         capsys,
     )
     assert code == 0
-    assert err.startswith("decompose: k*=0.0 at action=(0, 0), mode=lp_general")
+    assert err.startswith("decompose: k*=0.0 at action=(0, 0), mode=equality")
 
 
 @pytest.mark.parametrize("lam", ["inf,1", "nan,1"])

@@ -16,6 +16,7 @@ from npdshare import (
     kappa,
     ppe_payoff_set,
     profile_payoff,
+    public_signal_distribution,
     solve_enforceability,
     table2_gamma_bar,
     verify_decomposition,
@@ -33,7 +34,7 @@ from npdshare.errors import CapacityError, DomainError
 from npdshare.game import all_profiles, profile_array
 from npdshare.geometry import hausdorff_distance_polygons
 
-from k_star_oracle import _profile_tables, exhaustive_k_star
+from k_star_oracle import _profile_tables, exhaustive_k_star, general_lp
 
 TOL = 1e-9
 
@@ -160,12 +161,14 @@ def test_solver_lp_feasibility_when_minimum_norm_breaks_a_slack_incentive(spec2)
 
 
 def test_solver_orthogonal_infeasible_falls_back_to_general_lp(spec2):
+    # lambda = e_2 punishes firm 2, who discloses at (0, 1): general mode
+    # pays it on its own bit.
     lam = (0.0, 1.0)
     res = solve_enforceability(spec2, (0, 1), lam)
     assert not res.feasible
     assert res.failure_reason == "orthogonal enforcement infeasible"
     gen = solve_enforceability(spec2, (0, 1), lam, orthogonal=False)
-    assert gen.feasible and gen.mode == "lp_general"
+    assert gen.feasible and gen.mode == "own_bit" and not gen.orthogonal
     assert gen.k_star == pytest.approx(-1.125, abs=TOL)
 
 
@@ -661,12 +664,12 @@ def test_k_star_and_payoff_set_solve_nothing(monkeypatch, spec2, spec3):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_general_level_never_exceeds_its_bound(n):
-    """An orthogonal level is lambda . u(r) exactly, and a general-mode
-    level, lambda . u(r) minus the LP optimum, is at most that, for every
-    profile the LP is given, with or without a profitable deviation.  A
-    profile with no profitable deviation is enforced by gamma_bar = 0: its
-    orthogonal solve succeeds, and its general LP optimum is 0, which HiGHS
-    may return as -6e-17."""
+    """An orthogonal level is lambda . u(r) exactly, and the oracle's
+    general-LP level, lambda . u(r) minus the LP optimum, is at most that,
+    for every profile the LP is given, with or without a profitable
+    deviation.  A profile with no profitable deviation is enforced by
+    gamma_bar = 0: its orthogonal solve succeeds, and its general LP optimum
+    is 0, which HiGHS may return as -6e-17."""
     general = 0
     for spec, _, lam in _k_star_cases(n):
         orth = _orth_rows(lam)
@@ -677,11 +680,99 @@ def test_general_level_never_exceeds_its_bound(n):
                 assert np.float64(res.k_star).tobytes() == np.float64(bound).tobytes()
             else:
                 assert np.any(t.profitable)
-            res = _solve(t, lam, orth, False, None)
-            if res.feasible:
+            res = general_lp(t, lam, orth)
+            if res is not None:
                 general += 1
                 assert res.k_star <= bound
     assert general > 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_general_mode_is_k_stars_level_with_no_lp(monkeypatch, n):
+    """On every profile, general mode returns ``_profile_levels``' level bit
+    for bit, within 1e-12 of the oracle's HiGHS LP, with a map that
+    decomposes v = u(r) + E[gamma_bar | r] and stays in the half-space; and
+    it calls no LP.  The directions are ``_test_directions``' and a unit
+    one with a 1e-17 component."""
+    from npdshare import decompose
+
+    tiny = np.eye(n)[0]
+    tiny[n - 1] = 1e-17
+    cases = []
+    for concave in (False, True):
+        spec = next(_random_specs(n, 1, seed=900 + n, concave=concave))
+        for _, lam in _test_directions(n, 2, seed=950 + n) + [("tiny", tiny)]:
+            orth = _orth_rows(lam)
+            oracle = {r: general_lp(t, lam, orth) for r, t in _profile_tables(spec).items()}
+            cases.append((spec, lam, oracle))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("general mode called linprog")
+
+    monkeypatch.setattr(decompose, "linprog", refuse)
+    own_bit = 0
+    for spec, lam, oracle in cases:
+        profiles, levels, orthogonal = _profile_levels(spec, lam)
+        for r, level, orth_r in zip(map(tuple, profiles.tolist()), levels, orthogonal):
+            res = solve_enforceability(spec, r, lam, orthogonal=False)
+            assert res.feasible, (r, lam)
+            assert type(res.k_star) is float
+            assert np.float64(res.k_star).tobytes() == level.tobytes(), (r, lam)
+            assert abs(res.k_star - oracle[r].k_star) <= 1e-12, (r, lam)
+            assert res.orthogonal == orth_r
+            own_bit += res.mode == "own_bit"
+            _assert_map_in_half_space(spec, r, lam, res.gamma_bar)
+    assert own_bit > 0
+
+
+def _assert_map_in_half_space(spec, r, lam, g):
+    """g decomposes v = u(r) + E[g | r] and lam . g(b) <= 0 on every signal."""
+    v = profile_payoff(spec, r) + public_signal_distribution(spec, r).probs @ g
+    assert verify_decomposition(spec, v, r, g).holds, (r, lam)
+    assert np.max(g @ lam) <= SOLVE_TOL * max(1.0, float(np.max(np.abs(g)))), (r, lam)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_own_bit_map_stays_in_the_half_space_under_the_zero_rule(n):
+    """Components of +-0.99e-9 beside a unit one count as zero, so every
+    profile where firm 1 discloses is punished at k*'s level.  Each other
+    profitable firm's transfer is signed so that lambda_j gamma_bar_j(b) <= 0:
+    mean-zero transfers would leave the half-space by 2-3 |lambda_j| per
+    firm, past the tolerance at N = 4 and 5."""
+    spec = GameSpec(n, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9,
+                    monitor_alpha=0.6, monitor_epsilon=0.4)
+    lam = np.random.default_rng(850 + n).choice((-1.0, 1.0), n) * 0.99e-9
+    lam[0] = 1.0
+    profiles, levels, _ = _profile_levels(spec, lam)
+    for r, level in zip(map(tuple, profiles.tolist()), levels):
+        res = solve_enforceability(spec, r, lam, orthogonal=False)
+        assert res.feasible and (res.mode == "own_bit") == (r[0] == 1), r
+        assert np.float64(res.k_star).tobytes() == level.tobytes(), r
+        _assert_map_in_half_space(spec, r, lam, res.gamma_bar)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_general_mode_in_the_zero_rule_band_is_orthogonal_mode(n):
+    """A component of 1.5e-9 to 6e-9 beside a unit one counts as nonzero, so
+    no profile is punished and general mode is orthogonal mode at u(r): the
+    same map bytes, mode and feasibility, whether or not that solve
+    succeeds."""
+    spec = next(_random_specs(n, 1, seed=600 + n))
+    rng_ = np.random.default_rng(800 + n)
+    for size in (1.5e-9, 3e-9, 6e-9):
+        for sign in (1.0, -1.0):
+            k, j = rng_.choice(n, 2, replace=False)
+            lam = sign * np.eye(n)[k]
+            lam[j] = rng_.choice((-1.0, 1.0)) * size
+            for r in all_profiles(n):
+                orth = solve_enforceability(spec, r, lam)
+                gen = solve_enforceability(spec, r, lam, orthogonal=False)
+                assert (gen.feasible, gen.mode, gen.orthogonal, gen.k_star) == (
+                    orth.feasible, orth.mode, orth.orthogonal, orth.k_star
+                ), (size, r)
+                assert gen.failure_reason == orth.failure_reason
+                if orth.feasible:
+                    assert gen.gamma_bar.tobytes() == orth.gamma_bar.tobytes()
 
 
 @pytest.mark.parametrize("n,n_directions", [(2, 24), (3, 16)])

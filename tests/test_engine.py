@@ -96,10 +96,11 @@ def test_monte_carlo_promise_rejects_seeds_outside_64_bits(spec2_patient, seed):
 
 
 def test_signal_trigger_validates_threshold():
-    with pytest.raises(DomainError):
-        SignalTrigger(0)
-    with pytest.raises(DomainError):
-        SignalTrigger(2.5)
+    # A bool is an int, but True is no threshold of 1.
+    for bad in (0, 2.5, True, np.True_):
+        with pytest.raises(DomainError, match="positive integer"):
+            SignalTrigger(bad)
+    assert SignalTrigger(np.int64(1)).threshold == 1
 
 
 def test_discounted_average_geometric(spec2):
