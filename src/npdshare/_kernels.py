@@ -3,9 +3,11 @@
 The kernel only schedules replicas.  The walk's arithmetic, the region test
 ``outside`` and the step on a public signal ``step``, is defined once by
 ``decompose.PromiseDecomposition``: ``PromiseAutomaton`` calls it on one
-promise, the kernel on a block of them.  Replicas that leave the region stop
-accruing payoff (the halt period is recorded), which matches reverting to
-the all-conceal static equilibrium.
+promise, the kernel on a block of them.  The block is firm-major, an (N, R)
+array whose row k holds firm k's promise in each live replica, so every
+numpy op of the walk reads and writes contiguous rows.  Replicas that leave
+the region stop accruing payoff (the halt period is recorded), which
+matches reverting to the all-conceal static equilibrium.
 
 Replicas are stepped in groups of GROUP_REPLICAS, one group after another;
 each numpy op of the period loop works on a group's replicas still inside.
@@ -71,7 +73,8 @@ def promise_mc(
         # stands for all of them and is copied out when a replica halts.
         accrued = np.zeros(n)
         live = np.arange(first, min(first + GROUP_REPLICAS, replicas))
-        v = np.tile(v0, (live.size, 1))  # promises, one row per live replica
+        # Promises, firm-major: row k is firm k's promise in each live replica.
+        v = np.repeat(v0[:, None], live.size, axis=1)
         col = np.arange(live.size)  # each live replica's column in signals
         w = 1.0
         for t in range(horizon):
@@ -80,7 +83,7 @@ def promise_mc(
                 halt[live[viol]] = t
                 totals[live[viol]] = accrued
                 keep = ~viol
-                live, v, col = live[keep], v[keep], col[keep]
+                live, v, col = live[keep], v[:, keep], col[keep]
                 if live.size == 0:
                     break
             row = t % STREAM_PERIODS

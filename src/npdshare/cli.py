@@ -338,11 +338,11 @@ def _write_mc(fh, mc) -> None:
     if mc.halt_periods is not None:
         header.append("halt_period")
     writer.writerow(header)
-    for r in range(mc.replicas):
-        row = [r] + [repr(float(x)) for x in mc.per_replica[r]]
-        if mc.halt_periods is not None:
-            row.append(int(mc.halt_periods[r]))
-        writer.writerow(row)
+    # Python floats: csv writes each as its repr, so the file round-trips.
+    columns = [range(mc.replicas), *mc.per_replica.T.tolist()]
+    if mc.halt_periods is not None:
+        columns.append(mc.halt_periods.tolist())
+    writer.writerows(zip(*columns))
 
 
 def cmd_sweep(args) -> int:

@@ -211,21 +211,19 @@ def solve_enforceability(
     n = spec.n_firms
     lam = _direction(direction, n)
     v = None
-    if orthogonal and target is not None:
-        v = validate_vector(target, n, "target payoff")
-    return _solve(table, lam, _orth_rows(lam), orthogonal, v)
-
-
-def _solve(
-    t: _ProfileTable, lam: np.ndarray, orth: np.ndarray, orthogonal: bool, target
-) -> EnforceabilityResult:
-    """Enforce t's profile on lam; ``orth`` is ``_orth_rows(lam)`` and
-    ``target`` a checked payoff array or None."""
     if not orthogonal:
         coordinate = _coordinate(lam)
-        if coordinate is not None and t.profitable[coordinate[0]]:
-            return _own_bit(t, lam, *coordinate)
+        if coordinate is not None and table.profitable[coordinate[0]]:
+            return _own_bit(table, lam, *coordinate)
         # Not punished: the orthogonal map at u(r) reaches the bound lambda . u(r).
+    elif target is not None:
+        v = validate_vector(target, n, "target payoff")
+    return _solve(table, lam, _orth_rows(lam), v)
+
+
+def _solve(t: _ProfileTable, lam: np.ndarray, orth: np.ndarray, target) -> EnforceabilityResult:
+    """Enforce t's profile orthogonally on lam; ``orth`` is
+    ``_orth_rows(lam)`` and ``target`` a checked payoff array or None."""
     n, s = len(t.u_r), len(t.pi_eq)
     v = t.u_r.copy() if target is None else target
     bound = float(lam @ t.u_r)
@@ -530,8 +528,10 @@ class PromiseDecomposition:
     (allowed in the half-space since lambda . d <= 0).
 
     ``outside`` and ``step`` are the promise walk of the automaton and of the
-    Monte Carlo kernel: on one (N,) promise or on an (R, N) block, a row
-    runs the same numpy ops in the same order, so it gives the same bits.
+    Monte Carlo kernel.  They take one (N,) promise or a firm-major (N, R)
+    block, whose row k holds firm k's promise in every replica; a column
+    runs the same numpy ops in the same order as its own (N,) call, so it
+    gives the same bits.
     """
 
     def __init__(self, spec: GameSpec, direction):
@@ -543,7 +543,7 @@ class PromiseDecomposition:
         self.action = ks.best_profile
         table = _profile_table(spec, self.action)
         orth = _orth_rows(lam)
-        base = _solve(table, lam, orth, True, None)
+        base = _solve(table, lam, orth, None)
         if not (ks.orthogonal_at_best and base.feasible):
             raise DomainError(
                 "promise decomposition requires an orthogonally enforceable "
@@ -556,7 +556,7 @@ class PromiseDecomposition:
         basis = _hyperplane_basis(lam_unit)
         shifts = []
         for e in basis:
-            res = _solve(table, lam, orth, True, self.u_r + e)
+            res = _solve(table, lam, orth, self.u_r + e)
             if not res.feasible:
                 raise DomainError("displacement decomposition infeasible")
             shifts.append(res.gamma_bar - self.gamma_base)
@@ -569,35 +569,45 @@ class PromiseDecomposition:
         self.affine = np.einsum("bik,kl->bil", tensor, proj) + np.outer(
             lam_unit, lam_unit
         )[None, :, :]
-        # Contiguous affine[:, :, k] blocks, whose rows take() gathers cheaply.
-        self._affine_cols = [np.ascontiguousarray(self.affine[:, :, k]) for k in range(n)]
+        # gamma_base.T over each firm k's affine[:, :, k].T, (N + 1) (N, S)
+        # blocks: one gather of signals b serves a whole step, and the rows
+        # of an (N, R) block of promises stay contiguous.
+        self._table = np.concatenate(
+            [self.gamma_base.T] + [self.affine[:, :, k].T for k in range(n)]
+        )
+        self._u_col = self.u_r[:, None]
+        self._level_max = self.k_star + REGION_TOL
 
     def outside(self, v):
         """Whether promise(s) v left {lam . v <= k* + tol, v_i >= -tol}."""
         lam = self.direction
-        level = v[..., 0] * lam[0]
-        vmin = v[..., 0]
+        level = v[0] * lam[0]
         for k in range(1, len(lam)):
-            level = level + v[..., k] * lam[k]
-            vmin = np.minimum(vmin, v[..., k])
-        return (level > self.k_star + REGION_TOL) | (vmin < -REGION_TOL)
+            level = level + v[k] * lam[k]
+        return (level > self._level_max) | (v.min(axis=0) < -REGION_TOL)
 
     def step(self, v, b, c):
         """Promise(s) after public signal(s) b: v + c gamma_bar(v)[b]."""
-        return v + c * self._gamma_rows(v, b)
+        rows = self._gamma_rows(v, b)
+        rows *= c
+        rows += v
+        return rows
 
     def gamma_bar_for(self, v) -> np.ndarray:
         """Continuation map for promise v, one row per public signal: the
         rows that ``step`` adds, bit for bit."""
         v = np.asarray(v, dtype=float)
-        return self._gamma_rows(v, np.arange(len(self.gamma_base)))
+        return self._gamma_rows(v, np.arange(len(self.gamma_base))).T.copy()
 
     def _gamma_rows(self, v, b):
-        # gamma_base[b] + sum_k affine[b, :, k] (v - u)_k, summed in k order.
-        d = v - self.u_r
-        rows = self.gamma_base.take(b, axis=0)
-        for k, col in enumerate(self._affine_cols):
-            rows += col.take(b, axis=0) * d[..., k : k + 1]
+        # gamma_base[b] + sum_k affine[b, :, k] (v - u)_k, summed in k order,
+        # firm-major: (N,) for one promise, (N, R) for a block.
+        n = len(self.u_r)
+        d = v - (self.u_r if v.ndim == 1 else self._u_col)
+        g = self._table.take(b, axis=1)
+        rows = g[:n]
+        for k in range(n):
+            rows += g[n * (k + 1) : n * (k + 2)] * d[k]
         return rows
 
 

@@ -515,7 +515,8 @@ def monte_carlo_promise(
     its ``PromiseDecomposition`` moves the promises: the numpy kernel in
     ``_kernels`` calls its ``outside`` and ``step`` on the replicas still
     inside, together, one period at a time, in groups of
-    ``_kernels.GROUP_REPLICAS``.  A group draws its signals a stream run of
+    ``_kernels.GROUP_REPLICAS``, with the group's promises held firm-major
+    as an (N, R) array.  A group draws its signals a stream run of
     ``_kernels.STREAM_PERIODS`` periods ahead, in batches of replicas whose
     float64 draws stay within ``_kernels.CHUNK_DRAWS`` values (1 MB), and
     keeps the run as uint8 signal indices (2 MB at the default sizes).  None

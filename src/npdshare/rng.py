@@ -14,6 +14,15 @@ draw made alone, so callers may prefetch and vectorize freely.
 ``slot`` identifies the consumer within a period.  Which domain and slot
 carry each monitoring bit is the layout of ``monitoring.signal_streams``.
 
+A call seeks each of its streams in turn.  It makes one generator and one
+state dict (``_state``) whose key and counter are lists of plain ints.  Per
+stream it writes the counter one below (start, slot, replica, 0) into that
+list, sets the generator's state, and reads lane 0 of ``count`` blocks into
+the stream's own contiguous row.  Below counter 0 in lane 0 (start 0) the
+borrow takes one from the slot word, or, where that is 0, from the replica
+word, or, where both are 0, wraps every word to 2**64 - 1; a branch writes
+each case, so no 256-bit integer is formed.
+
 Uniforms use the common 53-bit mapping u = (x >> 11) * 2**-53 on lane 0 of
 the block, so u lies in [0, 1).
 """
@@ -31,19 +40,23 @@ DOMAIN_PRIVATE = 0x50524956
 _WORD = (1 << 64) - 1
 
 
-def _seek(bg, state, counter: int) -> None:
-    """Make the next block of Philox generator ``bg`` the one at ``counter``.
+def _state(key: list, ctr: list) -> dict:
+    """A Philox state over plain ints whose next block is at ``ctr`` + 1.
 
-    ``state`` is ``bg.state`` (the key included); ``counter`` is the 256-bit
-    counter as an integer, lane 0 in the low word.  numpy steps the counter
-    before it makes a block, so the generator is set one below it, with its
-    stored block spent (``buffer_pos`` 4).  At counter 0 the borrow runs
-    through all four words.
+    ``key`` and ``ctr`` are lists of words, lane 0 first.  numpy steps the
+    counter before it makes a block, and the buffered block is marked spent,
+    so setting ``bg.state`` to this dict makes the next block the one at
+    counter ``ctr`` + 1.  The lists are held, not copied: rewriting ``ctr``
+    and setting the state again seeks the generator.
     """
-    ctr = (counter - 1) % (1 << 256)
-    state["state"]["counter"] = [(ctr >> shift) & _WORD for shift in (0, 64, 128, 192)]
-    state["buffer_pos"] = 4
-    bg.state = state
+    return {
+        "bit_generator": "Philox",
+        "state": {"counter": ctr, "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def uniforms(seed, domain, start, count, slot, replica):
@@ -51,7 +64,8 @@ def uniforms(seed, domain, start, count, slot, replica):
 
     ``slot`` and ``replica`` broadcast to one dimension of length m.  Returns
     float64 of shape (count, m); column j holds periods start ... start +
-    count - 1 of the stream (seed, domain, slot[j], replica[j]).
+    count - 1 of the stream (seed, domain, slot[j], replica[j]).  The array
+    is the transpose of a (m, count) one, so each column is contiguous.
     """
     start, count = int(start), int(count)
     slot, replica = np.broadcast_arrays(
@@ -59,12 +73,23 @@ def uniforms(seed, domain, start, count, slot, replica):
         np.atleast_1d(np.asarray(replica, dtype=np.uint64)),
     )
     bg = np.random.Philox(key=np.array([seed, domain], dtype=np.uint64))
-    state = bg.state
-    raw = np.empty((count, slot.size), dtype=np.uint64)
+    # One state for every stream of the call: a seek rewrites its counter.
+    ctr = [(start - 1) & _WORD, 0, 0, 0]
+    state = _state([int(seed), int(domain)], ctr)
+    raw = np.empty((slot.size, count), dtype=np.uint64)
     for j, (s, r) in enumerate(zip(slot.tolist(), replica.tolist())):
-        _seek(bg, state, start | s << 64 | r << 128)
-        raw[:, j] = bg.random_raw(4 * count)[::4]  # lane 0 of each block
+        # Counter (start, s, r, 0) less one; at start 0 the borrow runs on.
+        if start:
+            ctr[1:] = s, r, 0
+        elif s:
+            ctr[1:] = s - 1, r, 0
+        elif r:
+            ctr[1:] = _WORD, r - 1, 0
+        else:
+            ctr[1:] = _WORD, _WORD, _WORD
+        bg.state = state
+        raw[j] = bg.random_raw(4 * count)[::4]  # lane 0 of each block
     raw >>= np.uint64(11)
     u = raw.astype(np.float64)
     u *= U53_INV
-    return u
+    return u.T

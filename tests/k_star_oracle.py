@@ -61,7 +61,7 @@ def exhaustive_k_star(spec, direction):
     orth = _orth_rows(lam)
     levels, maps = {}, {}
     for r, t in tables.items():
-        res = _solve(t, lam, orth, True, None)
+        res = _solve(t, lam, orth, None)
         if not res.feasible:
             res = general_lp(t, lam, orth)
         if res is not None:

@@ -445,9 +445,9 @@ def test_promise_family_perpendicular_shift_is_rigid():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_promise_walk_is_the_same_in_every_shape(n):
-    # The automaton steps one (N,) promise and the Monte Carlo kernel an
-    # (R, N) block; each row of a block must be bit for bit its own call,
-    # and a step must add exactly the row of gamma_bar_for.
+    # The automaton steps one (N,) promise and the Monte Carlo kernel a
+    # firm-major (N, R) block; each column of a block must be bit for bit
+    # its own call, and a step must add exactly the row of gamma_bar_for.
     spec = GameSpec(n, LinearGain(3.0), 1.0, 0.9, 0.1, 0.99)
     walk = PromiseDecomposition(spec, np.ones(n))
     gen = np.random.default_rng(n)
@@ -464,7 +464,8 @@ def test_promise_walk_is_the_same_in_every_shape(n):
         np.r_[-2 * tol, walk.u_r[1:] - 1.0],  # past it
     ])
     v = np.concatenate([interior, hyperplane, edges])
-    out = walk.outside(v)
+    block = np.ascontiguousarray(v.T)  # (N, R), as the kernel holds it
+    out = walk.outside(block)
     assert out.any() and not out.all()
     for r in range(len(v)):
         assert walk.outside(v[r]) == out[r], r
@@ -472,10 +473,11 @@ def test_promise_walk_is_the_same_in_every_shape(n):
 
     c = (1.0 - 0.99) / 0.99
     signals = gen.integers(0, 2**n, size=len(v)).astype(np.uint8)
-    moved = walk.step(v, signals, c)
+    moved = walk.step(block, signals, c)
+    assert moved.shape == block.shape
     for r in range(len(v)):
         row = walk.step(v[r], int(signals[r]), c)
-        assert row.tobytes() == moved[r].tobytes(), r
+        assert row.tobytes() == moved[:, r].tobytes(), r
         gamma = walk.gamma_bar_for(v[r])
         for b in range(2**n):
             row = walk.step(v[r], b, c)
@@ -675,7 +677,7 @@ def test_general_level_never_exceeds_its_bound(n):
         orth = _orth_rows(lam)
         for t in _profile_tables(spec).values():
             bound = float(lam @ t.u_r)
-            res = _solve(t, lam, orth, True, None)
+            res = _solve(t, lam, orth, None)
             if res.feasible:
                 assert np.float64(res.k_star).tobytes() == np.float64(bound).tobytes()
             else:

@@ -18,6 +18,7 @@ W1 = np.uint64(0xBB67AE8584CAA73B)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SH32 = np.uint64(32)
 ROUNDS = 10
+WORD = 2**64 - 1
 
 
 def _mulhilo(a, b):
@@ -97,10 +98,11 @@ KNOWN_ANSWERS = {
 def test_known_answer_vectors(name):
     counter, key, block = (_words(x) for x in KNOWN_ANSWERS[name])
     assert tuple(philox4x64(counter, key)) == tuple(block)
-    # The production path: numpy's generator, positioned the way rng does.
+    # The production path: numpy's generator set to rng's state one below
+    # the counter, so its next block is the one at the counter.
     bg = np.random.Philox(key=key)
-    state = bg.state
-    rng._seek(bg, state, sum(int(w) << (64 * i) for i, w in enumerate(counter)))
+    below = (sum(int(w) << (64 * i) for i, w in enumerate(counter)) - 1) % (1 << 256)
+    bg.state = rng._state([int(k) for k in key], [(below >> (64 * i)) & WORD for i in range(4)])
     assert tuple(bg.random_raw(4)) == tuple(block)
 
 
@@ -159,6 +161,41 @@ def test_wide_call_matches_oracle_per_column():
     for j in range(6):
         want = oracle_uniforms(17, rng.DOMAIN_PUBLIC, np.arange(30, 37), slots[j], replicas[j])
         assert u[:, j].tobytes() == want.tobytes(), j
+
+
+def _assert_columns_match_oracle(u, seed, domain, start, slots, replicas):
+    periods = np.arange(u.shape[0], dtype=np.uint64) + np.uint64(start)
+    for j in range(len(slots)):
+        want = oracle_uniforms(seed, domain, periods, slots[j], replicas[j])
+        assert u[:, j].tobytes() == want.tobytes(), j
+
+
+# Streams whose seek at start 0 borrows through lanes 0-3 (slot 0, replica
+# 0), lanes 0-2 (a replica only) and lanes 0-1 (a slot), the last two each
+# right after a full borrow, which leaves lane 3 at 2**64 - 1.
+BORROW_SLOTS = np.array([0, 0, 0, 3, WORD, 0, 1, 0], dtype=np.uint64)
+BORROW_REPLICAS = np.array([0, 7, 0, 0, WORD, 2**63, 2**63, 0], dtype=np.uint64)
+
+
+def test_wide_call_at_start_zero_mixes_every_borrow():
+    # One call seeks every stream through one reused state; a branch that
+    # left a lane of the previous stream in place would show in a column.
+    seed, domain = 2**64 - 3, rng.DOMAIN_PRIVATE
+    u = rng.uniforms(seed, domain, 0, 6, BORROW_SLOTS, BORROW_REPLICAS)
+    assert u.shape == (6, len(BORROW_SLOTS))
+    _assert_columns_match_oracle(u, seed, domain, 0, BORROW_SLOTS, BORROW_REPLICAS)
+
+
+def test_back_to_back_calls_under_different_seeds():
+    # Each call builds its own generator and state: nothing of the first
+    # call's key or counter may reach the second.
+    first = rng.uniforms(41, rng.DOMAIN_PUBLIC, 0, 5, BORROW_SLOTS, BORROW_REPLICAS)
+    second = rng.uniforms(2**64 - 1, rng.DOMAIN_PUBLIC, 0, 5, BORROW_SLOTS, BORROW_REPLICAS)
+    third = rng.uniforms(41, rng.DOMAIN_PUBLIC, 9, 5, BORROW_SLOTS, BORROW_REPLICAS)
+    for u, seed, start in ((first, 41, 0), (second, 2**64 - 1, 0), (third, 41, 9)):
+        _assert_columns_match_oracle(u, seed, rng.DOMAIN_PUBLIC, start,
+                                     BORROW_SLOTS, BORROW_REPLICAS)
+    assert first.tobytes() != second.tobytes()
 
 
 def test_known_uniform_reproduces():
