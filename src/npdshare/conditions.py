@@ -19,26 +19,24 @@ others; (C3) jointly, the others' signal geometry separates the two suspects
 C3 quantify over firms outside the pair and are undefined for N = 2.
 
 Every marginal compared here is a product-Bernoulli measure on one label
-set, so C1 and C2 decide detectability exactly from the per-bit kernels: two
-marginals differ exactly when some bit's P(bit = 0) differs, which is when
-the reported gap (``signal_gap``, ``deviation_marginals_gap``,
+set, and a deviation by firm j moves only the bits about j, each from
+kernel[r_j] to kernel[1 - r_j] of the private kernel.  Every comparison that
+C1 and C2 make keeps at least one of those bits, so each of their gaps
+(``signal_gap``, ``deviation_marginals_gap``,
 ``equilibrium_to_intersection_gap``, the max per-bit |delta P(bit = 0)|) is
-positive.  C3 is degenerate exactly when no held bit moved, and otherwise
-takes its displacement norms and its cosine from moments accumulated bit by
-bit from the per-bit differences (``monitoring.displacement_moments``).  No
+the one number |kernel[0] - kernel[1]| (``_kernel_gap``), and a marginal
+moves exactly when it is positive.  C3 is degenerate exactly when that gap
+is zero.  Otherwise C3's cosine is the product of two block cosines, each a
+function of one suspect's action, read from a two-entry table.  Only C3's
+displacement norms, over the joint outcomes of all held bits, depend on the
+whole profile: they are accumulated bit by bit from the per-bit differences
+(``monitoring.displacement_moments``) in one array pass over every
+(profile, pair), on arrays of P(bit = 0) laid out by ``_pair_layout``.  No
 check expands the 2**bits outcome table, and no distance is compared with a
 tolerance; only C3's collinearity test uses one (``COLLINEAR_TOL``).
 
-The checks work on arrays of P(bit = 0), one entry per bit held outside the
-excluded firms: a cached layout gives each held bit's observed firm
-(``monitoring.held_private_bits`` for C1, ``_pair_layout`` for every pair
-at once), the profile indexes the private kernel with it, and a deviation
-swaps only the bits about the deviator.  These are the ``p_zero`` vectors
-of ``monitoring.marginal_excluding``, built without its labels and
-validation.  The bundle validates each extreme profile once and decides
-C2, C3 and pairwise rank as arrays over every pair: C2's gaps are row
-maxima, and C3's moments come from one recurrence run down the bit columns
-for every row at once.  ``check_c2``, ``check_c3`` and
+The bundle validates each extreme profile once.  ``check_c1`` and
+``check_c2`` read the kernel gap alone; ``check_c3`` and
 ``pairwise_full_rank`` validate their arguments and return the bundle's
 report for their one (profile, pair).
 
@@ -70,12 +68,11 @@ from .monitoring import (
     MODE_PUBLIC,
     _held_private_bits,
     displacement_moments,
-    held_private_bits,
     signal_kernel,
 )
 
 COLLINEAR_TOL = 1e-9  # cosines above 1 - this count as positively collinear
-# Extreme profiles per C2/C3 array pass.  Every array of a pass then holds
+# Extreme profiles per C3 array pass.  Every array of a pass then holds
 # fewer than 2**16 entries up to N = 8 (32 profiles, 28 pairs, 42 held
 # bits), and N <= 5, with at most 32 extreme profiles, takes one pass.
 _PROFILE_BLOCK = 32
@@ -166,6 +163,13 @@ def _write_mapping(d: dict, out: list[str], first: str, pad: str) -> None:
 # public-monitoring rank conditions
 
 
+def _kernel_gap(spec: GameSpec, mode: str) -> float:
+    """|P(bit = 0 | conceal) - P(bit = 0 | disclose)| of ``mode``'s bits:
+    how far one firm's deviation moves each bit about it."""
+    kernel = signal_kernel(spec, mode)
+    return float(abs(kernel[0] - kernel[1]))
+
+
 def _stacked_rank(spec: GameSpec, n_tested: int) -> int:
     """The rank of the public-signal distributions under each action of each
     of ``n_tested`` firms, with the rest of a profile fixed.
@@ -175,10 +179,9 @@ def _stacked_rank(spec: GameSpec, n_tested: int) -> int:
     bit's P(bit = 0) moves with the firm's action, the firms' deviation rows
     and the equilibrium row are linearly independent tensor products, and
     otherwise every row is the equilibrium row, so the rank is exactly
-    1 + n_tested * [P(0 | conceal) != P(0 | disclose)] at every profile.
+    1 + n_tested * [public kernel gap > 0] at every profile.
     """
-    kernel = signal_kernel(spec, MODE_PUBLIC)
-    return 1 + n_tested * int(kernel[0] != kernel[1])
+    return 1 + n_tested * int(_kernel_gap(spec, MODE_PUBLIC) > 0)
 
 
 def _check_firms(spec: GameSpec, firms, label: str) -> None:
@@ -250,25 +253,13 @@ def rank_reports(spec: GameSpec, extremes):
 # private-monitoring conditions
 
 
-def _gap(p: np.ndarray, q: np.ndarray) -> float:
-    """max_k |P(bit k = 0) - Q(bit k = 0)|: zero exactly when P == Q."""
-    return float(np.max(np.abs(p - q)))
-
-
-def _deviation(kernel: np.ndarray, r: np.ndarray, observed: np.ndarray,
-               p: np.ndarray, firm: int) -> np.ndarray:
-    """The held bits' P(bit = 0) when ``firm`` deviates from ``r``: ``p``
-    with the bits about ``firm`` read under its other action."""
-    q = p.copy()
-    q[observed == firm] = kernel[1 - r[firm]]
-    return q
-
-
 def check_c1(spec: GameSpec, minmaxed_firm: int) -> ConditionReport:
     """Deviations from the minmax profile are detectable or unprofitable.
 
     A deviation by j is detectable when the marginal of the firms other
-    than j moves; ``signal_gap`` is its max per-bit |delta P(bit = 0)|.
+    than j moves.  It moves only the bits about j, at least one of which
+    another firm holds, each by the private kernel gap, so ``signal_gap``
+    (the max per-bit |delta P(bit = 0)|) is that gap for every deviator.
     Mixed deviations reduce to the pure check: signal marginals and stage
     payoffs are both affine in a firm's mixing probability, so a mixed
     deviation is undetectable-and-profitable only if the pure one is.
@@ -276,16 +267,13 @@ def check_c1(spec: GameSpec, minmaxed_firm: int) -> ConditionReport:
     mm = minmax(spec, minmaxed_firm)
     base = validate_profile(spec, mm.profile)
     gains = deviation_payoffs(spec, base) - spec.stage[base, base.sum()]
-    kernel = signal_kernel(spec, MODE_PRIVATE)
+    gap = _kernel_gap(spec, MODE_PRIVATE)
+    detectable = gap > 0
     per_firm = []
     holds = True
     for j in range(spec.n_firms):
         if j == minmaxed_firm:
             continue
-        _, observed = held_private_bits(spec, (j,))
-        p = kernel[base[observed]]
-        gap = _gap(p, _deviation(kernel, base, observed, p, j))
-        detectable = gap > 0
         gain = float(gains[j])
         unprofitable = gain <= STRICT_TOL
         ok = detectable or unprofitable
@@ -308,91 +296,93 @@ def check_c1(spec: GameSpec, minmaxed_firm: int) -> ConditionReport:
 
 
 @functools.lru_cache(maxsize=16)
-def _pair_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index layout of the pairwise checks among ``n`` firms, read-only.
-
-    ``observed[i, j]`` is the observed firm of each private bit held by the
-    firms outside {i, j}, in layout order ((n - 2)(n - 1) bits, the bits of
-    ``held_private_bits(spec, (i, j))``), and ``about[i, j]`` the positions
-    in that row of the n - 2 bits about firm i.  Diagonal entries are unused.
-    """
+def _pair_layout(n: int) -> np.ndarray:
+    """``observed[i, j]``, the observed firm of each private bit held by the
+    firms outside {i, j} among ``n`` firms, in layout order ((n - 2)(n - 1)
+    bits, the bits of ``marginal_excluding(spec, r, (i, j))``); read-only.
+    Diagonal entries are unused."""
     observed = np.zeros((n, n, (n - 2) * (n - 1)), dtype=np.int64)
-    about = np.zeros((n, n, n - 2), dtype=np.int64)
     for i, j in itertools.permutations(range(n), 2):
         observed[i, j] = _held_private_bits(n, (min(i, j), max(i, j)))[1]
-        about[i, j] = np.flatnonzero(observed[i, j] == i)
-    for a in (observed, about):
-        a.flags.writeable = False
-    return observed, about
+    observed.flags.writeable = False
+    return observed
 
 
-def _attribution_reports(spec: GameSpec, profiles: np.ndarray, pairs) -> list:
-    """(C2, C3) reports for every (profile, pair), profile-major.
+def _c2_report(profile: list, firm_i, firm_j, gap: float) -> ConditionReport:
+    """C2 for one (profile, pair) from the private kernel ``gap``.
+
+    Each suspect's deviation moves its own n - 2 held bits by the gap, so
+    the two deviation marginals, and each of them and the equilibrium
+    marginal, are ``gap`` apart, and C2 holds exactly when it is positive.
+    """
+    empty = gap > 0
+    evidence = {"deviation_marginals_gap": gap, "intersection_empty": empty}
+    if not empty:
+        evidence["equilibrium_to_intersection_gap"] = gap
+    return ConditionReport(
+        condition_id="c2_attributable",
+        holds=empty,
+        context=_pair_context(profile, firm_i, firm_j),
+        evidence=evidence,
+    )
+
+
+def _c2_reports(spec: GameSpec, profiles: list, pairs) -> list:
+    """The C2 reports of every (profile, pair), profile-major: no array is
+    built, since every one reads the same kernel gap."""
+    gap = _kernel_gap(spec, MODE_PRIVATE)
+    return [_c2_report(profile, i, j, gap) for profile in profiles for i, j in pairs]
+
+
+def _c3_reports(spec: GameSpec, profiles: np.ndarray, pairs) -> list:
+    """C3 reports for every (profile, pair), profile-major.
 
     ``profiles`` is an (M, N) array of validated profiles and ``pairs`` a
     list of (i, j) firm pairs.  Row (m, k) of ``p`` is P(bit = 0) of the
     bits held outside pair k at profile m, and ``q_i`` and ``q_j`` are the
     same under each suspect's deviation, which swaps only the bits about
-    the deviator.  Every evidence value is a row maximum or a row of
-    ``displacement_moments``, so each report equals the one computed from
-    its own row alone.
+    the deviator.  The norms are rows of ``displacement_moments``, so each
+    report equals the one computed from its own row alone.  The cosine is
+    the product of the suspects' block cosines, and a block (the n - 2
+    bits about one suspect, all moved from kernel[a] to kernel[1 - a])
+    depends only on that suspect's action a, so it is read from a
+    two-entry table.  With a zero kernel gap no bit moves and every
+    report is degenerate.
     """
-    observed_by_pair, about_by_pair = _pair_layout(spec.n_firms)
-    fi = np.array([i for i, _ in pairs])
-    fj = np.array([j for _, j in pairs])
-    observed = observed_by_pair[fi, fj]
+    fi, fj = np.array(pairs).T
+    observed = _pair_layout(spec.n_firms)[fi, fj]
     kernel = signal_kernel(spec, MODE_PRIVATE)
     p = kernel[profiles[:, observed]]
     q_i = np.where(observed == fi[:, None], kernel[1 - profiles[:, fi]][..., None], p)
     q_j = np.where(observed == fj[:, None], kernel[1 - profiles[:, fj]][..., None], p)
-    gap_ij = np.max(np.abs(q_i - q_j), axis=-1)
-    gap_p = np.max(np.abs(p - q_i), axis=-1)
     q = np.stack((q_i, q_j))
-    norms = np.sqrt(displacement_moments(np.broadcast_to(p, q.shape), q)[2])
-    degenerate = np.all(p == q_i, axis=-1) | np.all(p == q_j, axis=-1)
-    # A suspect's deviation moves all of its n - 2 bits or none, so off the
-    # degenerate rows its moved block is exactly the bits about it.
-    about = np.stack((about_by_pair[fi, fj], about_by_pair[fj, fi]))[:, None]
-    pp, dp, dd = displacement_moments(
-        np.take_along_axis(p[None], about, -1), np.take_along_axis(q, about, -1)
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):  # degenerate rows
-        block_cosine = dp / np.sqrt(pp * dd)
-    cosine = block_cosine[0] * block_cosine[1]
+    norm_i, norm_j = np.sqrt(displacement_moments(np.broadcast_to(p, q.shape), q)[2]).tolist()
+    cosine = None  # degenerate
+    if _kernel_gap(spec, MODE_PRIVATE) > 0:
+        block = np.repeat(kernel[:, None], spec.n_firms - 2, axis=1)
+        pp, dp, dd = displacement_moments(block, block[::-1])
+        table = dp / np.sqrt(pp * dd)
+        cosine = (table[profiles[:, fi]] * table[profiles[:, fj]]).tolist()
 
     reports = []
-    columns = (gap_ij, gap_p, norms[0], norms[1], degenerate, cosine)
-    for profile, *row in zip(profiles.tolist(), *(c.tolist() for c in columns)):
-        for (i, j), g_ij, g_p, norm_i, norm_j, deg, cos in zip(pairs, *row):
-            empty = g_ij > 0
-            c2 = {"deviation_marginals_gap": g_ij, "intersection_empty": empty}
-            if not empty:
-                c2["equilibrium_to_intersection_gap"] = g_p
-            c3 = {"displacement_norm_i": norm_i, "displacement_norm_j": norm_j}
-            if deg:
-                c3["degenerate_displacement"] = True
+    for m, profile in enumerate(profiles.tolist()):
+        for k, (i, j) in enumerate(pairs):
+            evidence = {"displacement_norm_i": norm_i[m][k], "displacement_norm_j": norm_j[m][k]}
+            if cosine is None:
+                evidence["degenerate_displacement"] = True
             else:
-                c3["cosine"] = cos
-            reports.append((
-                ConditionReport(
-                    condition_id="c2_attributable",
-                    holds=empty or g_p > 0,
-                    context=_pair_context(profile, i, j),
-                    evidence=c2,
-                ),
-                ConditionReport(
-                    condition_id="c3_jointly_attributable",
-                    holds=deg or cos <= 1.0 - COLLINEAR_TOL,
-                    context=_pair_context(profile, i, j),
-                    evidence=c3,
-                ),
+                evidence["cosine"] = cosine[m][k]
+            reports.append(ConditionReport(
+                condition_id="c3_jointly_attributable",
+                holds=cosine is None or cosine[m][k] <= 1.0 - COLLINEAR_TOL,
+                context=_pair_context(profile, i, j),
+                evidence=evidence,
             ))
     return reports
 
 
-def _pair_reports(spec: GameSpec, profile, firm_i: int, firm_j: int):
-    """Validate one (profile, pair) and return its (C2, C3) reports, as the
-    bundle computes them."""
+def _validate_pair(spec: GameSpec, profile, firm_i: int, firm_j: int) -> np.ndarray:
+    """The validated profile of one C2/C3 (profile, pair)."""
     if spec.n_firms <= 2:
         raise ConditionInapplicableError(
             "pairwise attribution conditions quantify over firms outside the "
@@ -402,7 +392,7 @@ def _pair_reports(spec: GameSpec, profile, firm_i: int, firm_j: int):
         raise DomainError("pair must consist of two distinct firms")
     r = validate_profile(spec, profile)
     _check_firms(spec, (firm_i, firm_j), "excluded firm index")
-    return _attribution_reports(spec, r[None], [(firm_i, firm_j)])[0]
+    return r
 
 
 def check_c2(spec: GameSpec, profile, firm_i: int, firm_j: int) -> ConditionReport:
@@ -413,9 +403,11 @@ def check_c2(spec: GameSpec, profile, firm_i: int, firm_j: int) -> ConditionRepo
     nonempty only if both suspects induce the same marginal, and C2 then
     requires the equilibrium marginal to differ from it.  Both gaps
     (``deviation_marginals_gap``, ``equilibrium_to_intersection_gap``) are
-    max per-bit |delta P(bit = 0)| between the marginals.
+    max per-bit |delta P(bit = 0)| between the marginals: the private
+    kernel gap (``_c2_report``).
     """
-    return _pair_reports(spec, profile, firm_i, firm_j)[0]
+    r = _validate_pair(spec, profile, firm_i, firm_j)
+    return _c2_report(r.tolist(), firm_i, firm_j, _kernel_gap(spec, MODE_PRIVATE))
 
 
 def check_c3(spec: GameSpec, profile, firm_i: int, firm_j: int) -> ConditionReport:
@@ -433,7 +425,8 @@ def check_c3(spec: GameSpec, profile, firm_i: int, firm_j: int) -> ConditionRepo
     ||q - p|| are over the joint outcomes of all held bits.  Both come
     from ``displacement_moments``.
     """
-    return _pair_reports(spec, profile, firm_i, firm_j)[1]
+    r = _validate_pair(spec, profile, firm_i, firm_j)
+    return _c3_reports(spec, r[None], [(firm_i, firm_j)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +479,9 @@ def theorem_preconditions(spec: GameSpec, theorem: str) -> ConditionReport:
         pairs = _pairs(spec.n_firms)
         for start in range(0, len(profiles), _PROFILE_BLOCK):
             block = profiles[start:start + _PROFILE_BLOCK]
-            for c2, c3 in _attribution_reports(spec, block, pairs):
-                subs += (c2, c3)
+            c2 = _c2_reports(spec, block.tolist(), pairs)
+            for pair_reports in zip(c2, _c3_reports(spec, block, pairs)):
+                subs += pair_reports
     holds = all(s.holds for s in subs)
     return ConditionReport(
         condition_id=f"{theorem}_preconditions",

@@ -21,15 +21,18 @@ punishes firm k, each profitable firm is paid on its own bit at k*'s level,
 and elsewhere the orthogonal map at u(r) reaches the bound lambda . u(r).
 
 ``solve_enforceability``, ``verify_decomposition`` and
-``PromiseDecomposition`` build the constraint system over the 2^N public
-signals from one private table per profile r: its N + 1 signal
-distributions (r and its N unilateral deviations), payoffs, deviation gains,
-and consistency, deviation and pin rows.  Profitable deviations bind as
-equalities (the construction behind the two-firm closed form); unprofitable
-ones are checked as slack inequalities, with an LP feasibility fallback.
-Underdetermined systems pin gamma_bar at the all-ones signal to zero and
-take the minimum-norm solution.  The table stops at SYSTEM_MAX_FIRMS firms.
-k* builds none: it reads ``game.profile_array`` and ``game.deviation_payoffs``.
+``PromiseDecomposition`` read one private table per profile r: the laws and
+payoffs that no direction changes, that is P(bit j = 0) at r and after j
+deviates, the N + 1 signal distributions (r and its N unilateral
+deviations), the payoffs and the deviation gains.  The rows of the
+constraint system over the 2^N public signals (``_system``) are built only
+inside the orthogonal solve, which solves them.  Profitable deviations bind
+as equalities (the construction behind the two-firm closed form);
+unprofitable ones are checked as slack inequalities, with an LP feasibility
+fallback.  Underdetermined systems pin gamma_bar at the all-ones signal to
+zero and take the minimum-norm solution.  The own-bit map reads the per-bit
+laws and builds no rows.  The table stops at SYSTEM_MAX_FIRMS firms.  k*
+builds none: it reads ``game.profile_array`` and ``game.deviation_payoffs``.
 """
 
 from __future__ import annotations
@@ -123,38 +126,33 @@ class EnforceabilityResult:
 
 @dataclass(frozen=True)
 class _ProfileTable:
-    """Everything about one pure profile r that no direction changes.
-
-    The row blocks act on x = gamma_bar.T.ravel() (firm-major blocks of s
-    signals): cons[i] . x = E[gamma_bar_i | r] and dev[i] . x =
-    E[gamma_bar_i | dev_i].  ``lower`` stacks [cons; dev[profitable]; pin],
-    the rows of the equality system below the orthogonality rows.  Rows are
-    built by assignment, so every entry outside a block is +0.0.
-    """
+    """Everything about one pure profile r that no direction changes: the
+    public laws at r and after each unilateral deviation, and the payoffs.
+    ``_system`` builds the rows of the constraint system from it."""
 
     spec: GameSpec
     action: tuple[int, ...]
+    p: np.ndarray  # (n,): P(bit j = 0) at r
+    q: np.ndarray  # (n,): P(bit j = 0) after firm j deviates
     pi_eq: np.ndarray  # (s,)
     u_r: np.ndarray  # (n,)
     pi_dev: np.ndarray  # (n, s): row i is firm i's unilateral deviation
     u_dev: np.ndarray  # (n,)
     gains: np.ndarray  # u_dev - u_r
     profitable: np.ndarray  # gains > STRICT_TOL: these deviations bind
-    cons: np.ndarray  # (n, n s)
-    incentives: np.ndarray  # dev - cons; incentives @ x <= -gains
-    lower: np.ndarray
 
 
 def _profile_table(spec: GameSpec, profile) -> _ProfileTable:
     n = spec.n_firms
-    # The orthogonality block alone is 8 N 4^N bytes: 1.6 GB at N = 12.
+    # The orthogonality rows of the system over 2^N signals alone are
+    # 8 N 4^N bytes: 1.6 GB at N = 12.
     if n > SYSTEM_MAX_FIRMS:
         raise CapacityError(
             f"the constraint system over 2^N public signals is capped at "
             f"N <= {SYSTEM_MAX_FIRMS}"
         )
     r = validate_profile(spec, profile)
-    s = 2**n
+    kernel = signal_kernel(spec, MODE_PUBLIC)
     pi_eq = public_profile_distribution_raw(r, spec.m_alpha, spec.m_epsilon)
     u_r = spec.stage[r, r.sum()]
     u_dev = deviation_payoffs(spec, r)
@@ -162,20 +160,31 @@ def _profile_table(spec: GameSpec, profile) -> _ProfileTable:
     pi_dev = np.array([public_profile_distribution_raw(d, spec.m_alpha, spec.m_epsilon)
                        for d in r ^ np.eye(n, dtype=np.int64)])
     gains = u_dev - u_r
-    profitable = gains > STRICT_TOL
-    nv = n * s
-    firms = np.arange(n)
-    cons = np.zeros((n, nv))
-    cons.reshape(n, n, s)[firms, firms] = pi_eq
-    dev = np.zeros((n, nv))
-    dev.reshape(n, n, s)[firms, firms] = pi_dev
-    pin = np.zeros((n, nv))
-    pin[firms, firms * s + s - 1] = 1.0
     return _ProfileTable(
-        spec=spec, action=tuple(int(a) for a in r), pi_eq=pi_eq, u_r=u_r, pi_dev=pi_dev,
-        u_dev=u_dev, gains=gains, profitable=profitable, cons=cons,
-        incentives=dev - cons, lower=np.vstack([cons, dev[profitable], pin]),
+        spec=spec, action=tuple(int(a) for a in r), p=kernel[r], q=kernel[1 - r],
+        pi_eq=pi_eq, u_r=u_r, pi_dev=pi_dev, u_dev=u_dev, gains=gains,
+        profitable=gains > STRICT_TOL,
     )
+
+
+def _system(t: _ProfileTable, lam: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(orth, cons, dev, pin): the rows of t's system on lam over the 2^N
+    public signals, acting on x = gamma_bar.T.ravel() (firm-major blocks of
+    s signals).  orth[b] . x = lambda . gamma_bar(b), cons[i] . x =
+    E[gamma_bar_i | r], dev[i] . x = E[gamma_bar_i | dev_i] and pin[i] . x =
+    gamma_bar_i at the all-ones signal.  Rows are built by assignment, so
+    every entry outside a block is +0.0."""
+    n, s = len(t.u_r), len(t.pi_eq)
+    firms = np.arange(n)
+    orth = np.zeros((s, n * s))
+    orth.reshape(s, n, s)[np.arange(s), :, np.arange(s)] = lam
+    cons = np.zeros((n, n * s))
+    cons.reshape(n, n, s)[firms, firms] = t.pi_eq
+    dev = np.zeros((n, n * s))
+    dev.reshape(n, n, s)[firms, firms] = t.pi_dev
+    pin = np.zeros((n, n * s))
+    pin[firms, firms * s + s - 1] = 1.0
+    return orth, cons, dev, pin
 
 
 def _direction(direction, n: int) -> np.ndarray:
@@ -183,15 +192,6 @@ def _direction(direction, n: int) -> np.ndarray:
     if not np.any(lam != 0):
         raise DomainError("direction must be nonzero")
     return lam
-
-
-def _orth_rows(lam: np.ndarray) -> np.ndarray:
-    """orth[b] . x = lambda . gamma_bar(b); the same rows for every profile."""
-    n = len(lam)
-    s = 2**n
-    orth = np.zeros((s, n * s))
-    orth.reshape(s, n, s)[np.arange(s), :, np.arange(s)] = lam
-    return orth
 
 
 def solve_enforceability(
@@ -218,50 +218,54 @@ def solve_enforceability(
         # Not punished: the orthogonal map at u(r) reaches the bound lambda . u(r).
     elif target is not None:
         v = validate_vector(target, n, "target payoff")
-    return _solve(table, lam, _orth_rows(lam), v)
+    return _solve(table, lam, v)
 
 
-def _solve(t: _ProfileTable, lam: np.ndarray, orth: np.ndarray, target) -> EnforceabilityResult:
-    """Enforce t's profile orthogonally on lam; ``orth`` is
-    ``_orth_rows(lam)`` and ``target`` a checked payoff array or None."""
+def _solve(t: _ProfileTable, lam: np.ndarray, target) -> EnforceabilityResult:
+    """Enforce t's profile orthogonally on lam; ``target`` is a checked
+    payoff array or None."""
     n, s = len(t.u_r), len(t.pi_eq)
     v = t.u_r.copy() if target is None else target
     bound = float(lam @ t.u_r)
     if abs(float(lam @ v) - bound) > SOLVE_TOL * max(1.0, abs(bound)):
-        return _failure(
-            t.action, lam, v, "target is off the supporting hyperplane lambda.v = lambda.u(r)"
+        return _result(
+            t, lam, "equality", target=v,
+            failure="target is off the supporting hyperplane lambda.v = lambda.u(r)",
         )
 
     # Equality solve: profitable deviations bind, the all-ones signal is
     # pinned.  Both comparisons read "not >" so that NaN residuals and slacks
     # are accepted here rather than handed to HiGHS, which rejects NaN input.
-    a = np.vstack([orth, t.lower])
+    orth, cons, dev, pin = _system(t, lam)
+    a = np.vstack([orth, cons, dev[t.profitable], pin])
     rhs = np.concatenate([np.zeros(s), v - t.u_r, (v - t.u_dev)[t.profitable], np.zeros(n)])
     x, *_ = np.linalg.lstsq(a, rhs, rcond=None)
     residual = float(np.max(np.abs(a @ x - rhs)))
     if not residual > SOLVE_TOL * max(1.0, float(np.max(np.abs(rhs)))):
         gamma = x.reshape(n, s).T
-        slacks = _ic_slacks(t, gamma)
-        if not np.min(slacks) < -SOLVE_TOL:
-            return EnforceabilityResult(
-                feasible=True, gamma_bar=gamma, k_star=float(lam @ v),
-                orthogonal=True, mode="equality", action=t.action,
-                direction=tuple(lam), target=tuple(v), binding=_binding(slacks),
-                residual=residual,
-            )
+        if not np.min(_ic_slacks(t, gamma)) < -SOLVE_TOL:
+            return _result(t, lam, "equality", gamma, float(lam @ v), v, residual)
 
     res = linprog(
-        c=np.zeros(n * s), A_eq=np.vstack([orth, t.cons]),
-        b_eq=np.concatenate([np.zeros(s), v - t.u_r]), A_ub=t.incentives, b_ub=-t.gains,
+        c=np.zeros(n * s), A_eq=np.vstack([orth, cons]),
+        b_eq=np.concatenate([np.zeros(s), v - t.u_r]), A_ub=dev - cons, b_ub=-t.gains,
         bounds=[(None, None)] * (n * s), method="highs",
     )
     if not res.success:
-        return _failure(t.action, lam, v, "orthogonal enforcement infeasible")
-    gamma = res.x.reshape(n, s).T
+        return _result(t, lam, "equality", target=v, failure="orthogonal enforcement infeasible")
+    return _result(t, lam, "lp_feasibility", res.x.reshape(n, s).T, float(lam @ v), v)
+
+
+def _result(t: _ProfileTable, lam: np.ndarray, mode: str, gamma=None, level=None,
+            target=None, residual=None, failure=None) -> EnforceabilityResult:
+    """The result for t's profile on lam: the map ``gamma`` at ``level``,
+    or, with no map, the failure."""
     return EnforceabilityResult(
-        feasible=True, gamma_bar=gamma, k_star=float(lam @ v), orthogonal=True,
-        mode="lp_feasibility", action=t.action, direction=tuple(lam),
-        target=tuple(v), binding=_binding(_ic_slacks(t, gamma)), residual=None,
+        feasible=gamma is not None, gamma_bar=gamma, k_star=level,
+        orthogonal=mode in ("equality", "lp_feasibility"), mode=mode, action=t.action,
+        direction=tuple(lam), target=None if target is None else tuple(target),
+        binding=None if gamma is None else _binding(_ic_slacks(t, gamma)),
+        residual=residual, failure_reason=failure,
     )
 
 
@@ -284,27 +288,12 @@ def _own_bit(t: _ProfileTable, lam: np.ndarray, k: int, c: float) -> Enforceabil
     signal, also for a component the zero rule drops; theta_j = p_j where
     lambda_j = 0 makes j's transfer mean-zero.
     """
-    r = np.array(t.action)
-    p_zero = signal_kernel(t.spec, MODE_PUBLIC)
-    p, q = p_zero[r], p_zero[1 - r]
-    slope = np.where(t.profitable, t.gains / (p - q), 0.0)
-    theta = np.where(lam * slope == 0.0, p, lam * slope > 0.0)
-    bits = (np.arange(len(t.pi_eq))[:, None] >> np.arange(len(r))) & 1
+    slope = np.where(t.profitable, t.gains / (t.p - t.q), 0.0)
+    theta = np.where(lam * slope == 0.0, t.p, lam * slope > 0.0)
+    bits = (np.arange(len(t.pi_eq))[:, None] >> np.arange(len(t.p))) & 1
     gamma = slope * (1 - bits - theta) + 0.0  # + 0.0: no -0.0 entries
-    return EnforceabilityResult(
-        feasible=True, gamma_bar=gamma,
-        k_star=float(float(lam @ t.u_r) - _own_bit_penalty(t.spec, c, t.gains[k])),
-        orthogonal=False, mode="own_bit", action=t.action, direction=tuple(lam),
-        target=None, binding=_binding(_ic_slacks(t, gamma)), residual=None,
-    )
-
-
-def _failure(action, lam, v, reason) -> EnforceabilityResult:
-    return EnforceabilityResult(
-        feasible=False, gamma_bar=None, k_star=None, orthogonal=True, mode="equality",
-        action=action, direction=tuple(lam), target=tuple(v),
-        binding=None, residual=None, failure_reason=reason,
-    )
+    level = float(float(lam @ t.u_r) - _own_bit_penalty(t.spec, c, t.gains[k]))
+    return _result(t, lam, "own_bit", gamma, level)
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +531,7 @@ class PromiseDecomposition:
         self.k_star = ks.value
         self.action = ks.best_profile
         table = _profile_table(spec, self.action)
-        orth = _orth_rows(lam)
-        base = _solve(table, lam, orth, None)
+        base = _solve(table, lam, None)
         if not (ks.orthogonal_at_best and base.feasible):
             raise DomainError(
                 "promise decomposition requires an orthogonally enforceable "
@@ -556,7 +544,7 @@ class PromiseDecomposition:
         basis = _hyperplane_basis(lam_unit)
         shifts = []
         for e in basis:
-            res = _solve(table, lam, orth, self.u_r + e)
+            res = _solve(table, lam, self.u_r + e)
             if not res.feasible:
                 raise DomainError("displacement decomposition infeasible")
             shifts.append(res.gamma_bar - self.gamma_base)

@@ -109,22 +109,11 @@ def signal_streams(n: int, mode: str) -> SignalStreams:
     raise DomainError(f"mode must be '{MODE_PUBLIC}' or '{MODE_PRIVATE}', got {mode!r}")
 
 
-def held_private_bits(spec: GameSpec, excluded) -> tuple[np.ndarray, np.ndarray]:
-    """(observer, observed) of the private bits held by the firms outside
-    ``excluded``, in layout order: read-only arrays cached per (N, excluded
-    firms) and shared by every caller."""
-    out = set()
-    for i in excluded:
-        if not 0 <= int(i) < spec.n_firms:
-            raise DomainError(f"excluded firm index {i} out of range")
-        out.add(int(i))
-    if len(out) == spec.n_firms:
-        raise DomainError("at least one observer must remain outside the excluded firms")
-    return _held_private_bits(spec.n_firms, tuple(sorted(out)))
-
-
 @functools.lru_cache(maxsize=256)
 def _held_private_bits(n: int, excluded: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(observer, observed) of the private bits held by the firms outside
+    the sorted ``excluded`` among ``n`` firms, in layout order: read-only
+    arrays cached per (n, excluded firms) and shared by every caller."""
     streams = signal_streams(n, MODE_PRIVATE)
     held = ~np.isin(streams.observer, excluded)
     out = streams.observer[held], streams.observed[held]
@@ -325,7 +314,14 @@ def marginal_excluding(spec: GameSpec, profile, excluded) -> FactoredBernoulli:
     own signal holdings drop out.
     """
     r = validate_profile(spec, profile)
-    observer, observed = held_private_bits(spec, excluded)
+    out = set()
+    for i in excluded:
+        if not 0 <= int(i) < spec.n_firms:
+            raise DomainError(f"excluded firm index {i} out of range")
+        out.add(int(i))
+    if len(out) == spec.n_firms:
+        raise DomainError("at least one observer must remain outside the excluded firms")
+    observer, observed = _held_private_bits(spec.n_firms, tuple(sorted(out)))
     labels = tuple(zip(observer.tolist(), observed.tolist()))
     p0 = signal_kernel(spec, MODE_PRIVATE)[r[observed]]
     return FactoredBernoulli(labels=labels, p_zero=p0)

@@ -31,9 +31,15 @@ def scalar_displacement_moments(a, b):
     return pp, dp, dd
 
 
+def per_bit_gap(a, b):
+    """max_k |a_k - b_k| of two P(bit = 0) arrays: zero exactly when the
+    product measures are equal."""
+    return float(np.max(np.abs(a - b)))
+
+
 def _gap(p, q):
     p._check_same_space(q)
-    return float(np.max(np.abs(p.p_zero - q.p_zero)))
+    return per_bit_gap(p.p_zero, q.p_zero)
 
 
 def _flip(profile, firm):

@@ -12,14 +12,12 @@ from scipy.optimize import linprog
 
 from npdshare.decompose import (
     SOLVE_TOL,
-    EnforceabilityResult,
     KStarResult,
-    _binding,
     _direction,
-    _ic_slacks,
-    _orth_rows,
     _profile_table,
+    _result,
     _solve,
+    _system,
 )
 from npdshare.game import all_profiles
 
@@ -29,28 +27,24 @@ def _profile_tables(spec):
     return {r: _profile_table(spec, r) for r in all_profiles(spec.n_firms)}
 
 
-def general_lp(t, lam, orth):
+def general_lp(t, lam):
     """The best level of a map with lambda . gamma_bar(b) <= 0 on every
     signal that enforces t's profile: maximize E[lambda . gamma_bar | r]
     subject to the incentive rows, by HiGHS.  An EnforceabilityResult with
     mode ``lp_general``, or None when HiGHS finds no map."""
     n, s = len(t.u_r), len(t.pi_eq)
+    orth, cons, dev, _ = _system(t, lam)
     res = linprog(
-        c=-(lam[:, None] * t.pi_eq).ravel(), A_ub=np.vstack([t.incentives, orth]),
+        c=-(lam[:, None] * t.pi_eq).ravel(), A_ub=np.vstack([dev - cons, orth]),
         b_ub=np.concatenate([-t.gains, np.zeros(s)]), bounds=[(None, None)] * (n * s),
         method="highs",
     )
     if not res.success:
         return None
-    gamma = res.x.reshape(n, s).T
-    return EnforceabilityResult(
-        feasible=True, gamma_bar=gamma,
-        # res.fun = -E[lam . gamma_bar(b) | r] >= 0 on the half-space, so
-        # the level is at most lam . u(r); HiGHS may return 0 as -1e-16.
-        k_star=float(lam @ t.u_r) - max(float(res.fun), 0.0), orthogonal=False,
-        mode="lp_general", action=t.action, direction=tuple(lam), target=None,
-        binding=_binding(_ic_slacks(t, gamma)), residual=None,
-    )
+    # res.fun = -E[lam . gamma_bar(b) | r] >= 0 on the half-space, so the
+    # level is at most lam . u(r); HiGHS may return 0 as -1e-16.
+    level = float(lam @ t.u_r) - max(float(res.fun), 0.0)
+    return _result(t, lam, "lp_general", res.x.reshape(n, s).T, level)
 
 
 def exhaustive_k_star(spec, direction):
@@ -58,12 +52,11 @@ def exhaustive_k_star(spec, direction):
     enforceable profile."""
     tables = _profile_tables(spec)
     lam = _direction(direction, spec.n_firms)
-    orth = _orth_rows(lam)
     levels, maps = {}, {}
     for r, t in tables.items():
-        res = _solve(t, lam, orth, None)
+        res = _solve(t, lam, None)
         if not res.feasible:
-            res = general_lp(t, lam, orth)
+            res = general_lp(t, lam)
         if res is not None:
             levels[r] = float(res.k_star)
             maps[r] = res

@@ -76,7 +76,9 @@ def test_rank_exits_zero(spec2_file, capsys):
 # LP-based extreme-profile test and the marginal-based C1-C3 checks that
 # preceded the exact ones; linear6 and concave7 from the exact checks run one
 # (profile, pair) at a time, before C2, C3 and pairwise rank became one array
-# pass.  concave7 exits 1 because its assumption A2' fails.
+# pass; concave8, the largest N at which C1-C3 run, from that array pass,
+# before C1-C3 read the private kernel's gap.  concave7 exits 1 because its
+# assumption A2' fails.
 CHECK_RANK_GOLDEN = {
     "linear2": (
         {"n_firms": 2, "gain": {"kind": "linear", "G": 3.0}, "L": 1.0,
@@ -117,6 +119,14 @@ CHECK_RANK_GOLDEN = {
          "monitor_alpha": 0.78, "monitor_epsilon": 0.18},
         (1, 1821037, "8a1e9f0a2ed62e47ad698f4fb034c1f21cef4973796f95ce7a7f847106e17e9b"),
         (0, 358294, "fdd65b05fb6cde060bd53978bafcae834cd1d204b0e8926269bbd1d17035a0e6"),
+    ),
+    "concave8": (
+        {"n_firms": 8, "gain": {"kind": "concave", "G": 2.8,
+                                "f": [0.0, 1.0, 1.6, 2.0, 2.3, 2.5, 2.65, 2.75, 2.8]},
+         "L": 1.05, "alpha": 0.84, "epsilon": 0.14, "delta": 0.92,
+         "monitor_alpha": 0.79, "monitor_epsilon": 0.17},
+        (0, 4943041, "234a430f98d095fea831bf0ba7e7e69a1e744b3fc9f9970f6ff6235155093eff"),
+        (0, 983087, "1803552175206a864eda6b16655ae10cfd95812cd3bd07788b36098526811bdd"),
     ),
 }
 

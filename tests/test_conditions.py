@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from condition_oracle import c1_evidence, c2_c3_evidence
+from condition_oracle import c1_evidence, c2_c3_evidence, per_bit_gap
 from signal_oracle import numeric_rank, signal_matrix, with_monitor_kernel, with_private_kernel
 
 from npdshare import (
@@ -24,11 +24,8 @@ from npdshare import (
     pairwise_full_rank,
     theorem_preconditions,
 )
-from npdshare.conditions import (
-    _gap,
-    rank_reports,
-)
-from npdshare import conditions, game, geometry
+from npdshare.conditions import rank_reports
+from npdshare import conditions, game, geometry, monitoring
 from npdshare.errors import CapacityError, ConditionInapplicableError, DomainError
 from npdshare.game import profile_array
 
@@ -227,7 +224,7 @@ def test_per_bit_gap_decides_like_dense_oracle():
                     seen = {l for (_, l) in p.labels}
                     for r2 in all_profiles(n):
                         q = marginal_excluding(spec, r2, excluded=excluded)
-                        gap = _gap(p.p_zero, q.p_zero)
+                        gap = per_bit_gap(p.p_zero, q.p_zero)
                         moved = any(r[l] != r2[l] for l in seen)
                         assert (gap > 0) == moved
                         assert (p.sup_diff(q) > 0) == moved
@@ -244,22 +241,64 @@ def test_per_bit_gap_zero_for_uninformative_kernel(spec3):
         return FactoredBernoulli(labels=labels, p_zero=np.where(actions == 1, 0.3, 0.3))
 
     p, q = marginal((1, 1, 1)), marginal((0, 1, 0))
-    assert _gap(p.p_zero, q.p_zero) == 0.0
+    assert per_bit_gap(p.p_zero, q.p_zero) == 0.0
     assert p.sup_diff(q) == 0.0
 
 
 def test_reported_gaps_are_per_bit_kernel_gaps():
-    # a deviation by one firm moves only the bits about that firm, each by
-    # alpha - epsilon
-    spec = GameSpec(4, LinearGain(3.0), 1.0, 0.8, 0.15, 0.9)
-    kernel_gap = abs(spec.alpha - spec.epsilon)
-    for firm in range(4):
-        for entry in check_c1(spec, firm).evidence["deviators"]:
-            assert entry["signal_gap"] == kernel_gap
-            assert "gap_metric" not in entry
-    ev = check_c2(spec, (1, 0, 1, 1), 1, 2).evidence
-    assert ev["deviation_marginals_gap"] == kernel_gap
-    assert "gap_metric" not in ev
+    # A deviation by one firm moves only the bits about that firm, each by
+    # alpha - epsilon, so every C1 and C2 gap at every extreme profile and
+    # pair is that kernel gap; with alpha == epsilon nothing moves.
+    for n in range(3, 9):
+        informative = GameSpec(n, LinearGain(3.0), 1.0, 0.8, 0.15, 0.9)
+        flat = with_private_kernel(
+            GameSpec(n, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9,
+                     monitor_alpha=0.9, monitor_epsilon=0.1),
+            0.3, 0.3,
+        )
+        for spec, kernel_gap in ((informative, abs(0.8 - 0.15)), (flat, 0.0)):
+            for firm in range(n):
+                for entry in check_c1(spec, firm).evidence["deviators"]:
+                    _same_bits(entry["signal_gap"], kernel_gap)
+                    assert entry["clause"] == ("detectable" if kernel_gap else "unprofitable")
+                    assert "gap_metric" not in entry
+            for (r, i, j), (c2, c3) in _bundle_pairs(spec, "km"):
+                ev = check_c2(spec, r, i, j).evidence
+                _same_bits(ev, c2.evidence)
+                _same_bits(ev["deviation_marginals_gap"], kernel_gap)
+                assert "gap_metric" not in ev
+                if kernel_gap:
+                    assert ev["intersection_empty"] and "equilibrium_to_intersection_gap" not in ev
+                    assert "cosine" in c3.evidence
+                else:
+                    assert not ev["intersection_empty"] and not c2.holds
+                    _same_bits(ev["equilibrium_to_intersection_gap"], 0.0)
+                    assert c3.evidence["degenerate_displacement"] is True
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_c1_and_c2_build_no_marginal_moments(monkeypatch, n):
+    # C1 and C2 read the kernel gap alone: with the moment recurrence
+    # refused, check_c1, check_c2 and the bundle's C2 reports still give
+    # the marginal oracle's evidence.
+    def refuse(*args, **kwargs):
+        raise AssertionError("displacement moments computed")
+
+    monkeypatch.setattr(monitoring, "displacement_moments", refuse)
+    monkeypatch.setattr(conditions, "displacement_moments", refuse)
+    for spec in _oracle_specs(n):
+        for firm in range(n):
+            _same_bits(check_c1(spec, firm).evidence, c1_evidence(spec, firm))
+        extremes = [list(r) for r in extreme_profiles(spec)]
+        pairs = list(itertools.combinations(range(n), 2))
+        bundle = conditions._c2_reports(spec, extremes, pairs)
+        keys = [(r, i, j) for r in extremes for i, j in pairs]
+        assert len(bundle) == len(keys)
+        for (r, i, j), c2 in zip(keys, bundle):
+            want = c2_c3_evidence(spec, r, i, j)[0]
+            _same_bits(check_c2(spec, r, i, j).evidence, want)
+            _same_bits(c2.evidence, want)
+            assert c2.context == {"profile": r, "pair": [i + 1, j + 1]}
 
 
 def test_km_preconditions_hold_for_six_firms():

@@ -26,7 +26,6 @@ from npdshare.decompose import (
     SOLVE_TOL,
     _circle_directions,
     _direction,
-    _orth_rows,
     _profile_levels,
     _solve,
 )
@@ -674,15 +673,14 @@ def test_general_level_never_exceeds_its_bound(n):
     is 0, which HiGHS may return as -6e-17."""
     general = 0
     for spec, _, lam in _k_star_cases(n):
-        orth = _orth_rows(lam)
         for t in _profile_tables(spec).values():
             bound = float(lam @ t.u_r)
-            res = _solve(t, lam, orth, None)
+            res = _solve(t, lam, None)
             if res.feasible:
                 assert np.float64(res.k_star).tobytes() == np.float64(bound).tobytes()
             else:
                 assert np.any(t.profitable)
-            res = general_lp(t, lam, orth)
+            res = general_lp(t, lam)
             if res is not None:
                 general += 1
                 assert res.k_star <= bound
@@ -704,8 +702,7 @@ def test_general_mode_is_k_stars_level_with_no_lp(monkeypatch, n):
     for concave in (False, True):
         spec = next(_random_specs(n, 1, seed=900 + n, concave=concave))
         for _, lam in _test_directions(n, 2, seed=950 + n) + [("tiny", tiny)]:
-            orth = _orth_rows(lam)
-            oracle = {r: general_lp(t, lam, orth) for r, t in _profile_tables(spec).items()}
+            oracle = {r: general_lp(t, lam) for r, t in _profile_tables(spec).items()}
             cases.append((spec, lam, oracle))
 
     def refuse(*args, **kwargs):
@@ -750,6 +747,37 @@ def test_own_bit_map_stays_in_the_half_space_under_the_zero_rule(n):
         res = solve_enforceability(spec, r, lam, orthogonal=False)
         assert res.feasible and (res.mode == "own_bit") == (r[0] == 1), r
         assert np.float64(res.k_star).tobytes() == level.tobytes(), r
+        _assert_map_in_half_space(spec, r, lam, res.gamma_bar)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_own_bit_maps_build_and_solve_no_rows(monkeypatch, n):
+    """General mode on a coordinate direction that punishes its firm (a
+    discloser, who gains by concealing) pays each profitable firm on its own
+    bit: it builds none of the 2^N system's rows and runs neither lstsq nor
+    an LP, at k*'s level bit for bit."""
+    from npdshare import decompose
+
+    spec = next(_random_specs(n, 1, seed=1000 + n, concave=n % 2 == 1))
+    rng_ = np.random.default_rng(1100 + n)
+    cases = []
+    for k in range(n):
+        for c in (1.0, -2.5):
+            lam = c * np.eye(n)[k]
+            profiles, levels, _ = _profile_levels(spec, lam)
+            picks = np.flatnonzero(profiles[:, k] == 1)
+            for i in [picks[-1], *rng_.choice(picks, 3)]:
+                cases.append((tuple(profiles[i].tolist()), lam, levels[i]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the own-bit map built or solved a system")
+
+    for owner, name in ((decompose, "_system"), (decompose, "linprog"), (np.linalg, "lstsq")):
+        monkeypatch.setattr(owner, name, refuse)
+    for r, lam, level in cases:
+        res = solve_enforceability(spec, r, lam, orthogonal=False)
+        assert res.mode == "own_bit" and res.feasible and not res.orthogonal, (r, lam)
+        assert np.float64(res.k_star).tobytes() == level.tobytes(), (r, lam)
         _assert_map_in_half_space(spec, r, lam, res.gamma_bar)
 
 
