@@ -24,15 +24,15 @@ and elsewhere the orthogonal map at u(r) reaches the bound lambda . u(r).
 ``PromiseDecomposition`` read one private table per profile r: the laws and
 payoffs that no direction changes, that is P(bit j = 0) at r and after j
 deviates, the N + 1 signal distributions (r and its N unilateral
-deviations), the payoffs and the deviation gains.  The rows of the
-constraint system over the 2^N public signals (``_system``) are built only
-inside the orthogonal solve, which solves them.  Profitable deviations bind
-as equalities (the construction behind the two-firm closed form);
-unprofitable ones are checked as slack inequalities, with an LP feasibility
-fallback.  Underdetermined systems pin gamma_bar at the all-ones signal to
-zero and take the minimum-norm solution.  The own-bit map reads the per-bit
-laws and builds no rows.  The table stops at SYSTEM_MAX_FIRMS firms.  k*
-builds none: it reads ``game.profile_array`` and ``game.deviation_payoffs``.
+deviations), the payoffs and the deviation gains.  The orthogonal equality
+solve builds the rows of the system over the 2^N public signals
+(``_system``): profitable deviations bind (the construction behind the
+two-firm closed form), and gamma_bar is pinned to zero at the all-ones
+signal.  Where its minimum-norm solution misses, the per-bit map pays each
+profitable firm on its own bit and a partner firm offsets it in lambda, so
+orthogonal mode fails exactly where k* punishes the profile.  No solve runs
+an LP.  The table stops at SYSTEM_MAX_FIRMS firms.  k* builds none: it
+reads ``game.profile_array`` and ``game.deviation_payoffs``.
 """
 
 from __future__ import annotations
@@ -54,8 +54,9 @@ REGION_TOL = 1e-9
 
 
 def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the first call, so importing
-    the package does not load scipy."""
+    """``scipy.optimize.linprog``, imported on the first call.  Nothing in
+    the package calls it; it stays only because the benchmark tracer
+    (``perfbench/tracing.py``) binds it by name."""
     from scipy.optimize import linprog as _linprog
 
     return _linprog(*args, **kwargs)
@@ -115,7 +116,7 @@ class EnforceabilityResult:
     gamma_bar: np.ndarray | None
     k_star: float | None
     orthogonal: bool
-    mode: str  # "equality" | "lp_feasibility" (orthogonal) | "own_bit" (general)
+    mode: str  # "equality" | "per_bit" (orthogonal) | "own_bit" (general)
     action: tuple[int, ...]
     direction: tuple[float, ...]
     target: tuple[float, ...] | None
@@ -133,13 +134,13 @@ class _ProfileTable:
     spec: GameSpec
     action: tuple[int, ...]
     p: np.ndarray  # (n,): P(bit j = 0) at r
-    q: np.ndarray  # (n,): P(bit j = 0) after firm j deviates
     pi_eq: np.ndarray  # (s,)
     u_r: np.ndarray  # (n,)
     pi_dev: np.ndarray  # (n, s): row i is firm i's unilateral deviation
     u_dev: np.ndarray  # (n,)
     gains: np.ndarray  # u_dev - u_r
     profitable: np.ndarray  # gains > STRICT_TOL: these deviations bind
+    slope: np.ndarray  # g_j / (P(b_j = 0) at r - after j deviates) if profitable, else 0
 
 
 def _profile_table(spec: GameSpec, profile) -> _ProfileTable:
@@ -160,10 +161,11 @@ def _profile_table(spec: GameSpec, profile) -> _ProfileTable:
     pi_dev = np.array([public_profile_distribution_raw(d, spec.m_alpha, spec.m_epsilon)
                        for d in r ^ np.eye(n, dtype=np.int64)])
     gains = u_dev - u_r
+    profitable = gains > STRICT_TOL
     return _ProfileTable(
-        spec=spec, action=tuple(int(a) for a in r), p=kernel[r], q=kernel[1 - r],
-        pi_eq=pi_eq, u_r=u_r, pi_dev=pi_dev, u_dev=u_dev, gains=gains,
-        profitable=gains > STRICT_TOL,
+        spec=spec, action=tuple(int(a) for a in r), p=kernel[r], pi_eq=pi_eq, u_r=u_r,
+        pi_dev=pi_dev, u_dev=u_dev, gains=gains, profitable=profitable,
+        slope=np.where(profitable, gains / (kernel[r] - kernel[1 - r]), 0.0),
     )
 
 
@@ -199,31 +201,28 @@ def solve_enforceability(
 ) -> EnforceabilityResult:
     """Solve for a continuation map enforcing ``profile`` on ``direction``.
 
-    Orthogonal mode imposes lambda . gamma_bar(b) = 0 pointwise and reaches
-    the level k* = lambda . u(r) when feasible; ``target`` selects which
-    payoff on that hyperplane the consistency equalities hit (default
-    u(r)).  General mode relaxes to lambda . gamma_bar(b) <= 0 at k*'s level
-    for the profile: an ``own_bit`` map where lambda = c e_k punishes, else
-    the orthogonal result at u(r), failure included.  A non-finite
-    direction or target raises DomainError.
+    Orthogonal mode imposes lambda . gamma_bar(b) = 0 pointwise at the level
+    k* = lambda . u(r), with an ``equality`` or a ``per_bit`` map; ``target``
+    selects the payoff on that hyperplane (default u(r)).  It fails where k*
+    punishes the profile, or for a target off the hyperplane.  General mode
+    relaxes to lambda . gamma_bar(b) <= 0 at k*'s level: an ``own_bit`` map
+    where lambda = c e_k punishes, else the orthogonal map at u(r).  No mode
+    runs an LP.  A non-finite direction or target raises DomainError.
     """
     table = _profile_table(spec, profile)
-    n = spec.n_firms
-    lam = _direction(direction, n)
-    v = None
+    lam = _direction(direction, spec.n_firms)
     if not orthogonal:
-        coordinate = _coordinate(lam)
-        if coordinate is not None and table.profitable[coordinate[0]]:
-            return _own_bit(table, lam, *coordinate)
-        # Not punished: the orthogonal map at u(r) reaches the bound lambda . u(r).
-    elif target is not None:
-        v = validate_vector(target, n, "target payoff")
+        # The orthogonal map at u(r) reaches the bound lambda . u(r) wherever
+        # k* does not punish the profile.
+        res = _solve(table, lam, None)
+        return res if res.feasible else _own_bit(table, lam, *_coordinate(lam))
+    v = None if target is None else validate_vector(target, spec.n_firms, "target payoff")
     return _solve(table, lam, v)
 
 
 def _solve(t: _ProfileTable, lam: np.ndarray, target) -> EnforceabilityResult:
-    """Enforce t's profile orthogonally on lam; ``target`` is a checked
-    payoff array or None."""
+    """Enforce t's profile orthogonally on lam, unless k* punishes it;
+    ``target`` is a checked payoff array or None."""
     n, s = len(t.u_r), len(t.pi_eq)
     v = t.u_r.copy() if target is None else target
     bound = float(lam @ t.u_r)
@@ -232,28 +231,39 @@ def _solve(t: _ProfileTable, lam: np.ndarray, target) -> EnforceabilityResult:
             t, lam, "equality", target=v,
             failure="target is off the supporting hyperplane lambda.v = lambda.u(r)",
         )
+    coordinate = _coordinate(lam)
+    if coordinate is not None and t.profitable[coordinate[0]]:
+        return _result(t, lam, "per_bit", target=v, failure="orthogonal enforcement infeasible")
 
     # Equality solve: profitable deviations bind, the all-ones signal is
-    # pinned.  Both comparisons read "not >" so that NaN residuals and slacks
-    # are accepted here rather than handed to HiGHS, which rejects NaN input.
+    # pinned.  A miss (residual or incentive slack, NaN included) takes the
+    # per-bit map.
     orth, cons, dev, pin = _system(t, lam)
     a = np.vstack([orth, cons, dev[t.profitable], pin])
     rhs = np.concatenate([np.zeros(s), v - t.u_r, (v - t.u_dev)[t.profitable], np.zeros(n)])
     x, *_ = np.linalg.lstsq(a, rhs, rcond=None)
     residual = float(np.max(np.abs(a @ x - rhs)))
-    if not residual > SOLVE_TOL * max(1.0, float(np.max(np.abs(rhs)))):
+    if residual <= SOLVE_TOL * max(1.0, float(np.max(np.abs(rhs)))):
         gamma = x.reshape(n, s).T
-        if not np.min(_ic_slacks(t, gamma)) < -SOLVE_TOL:
+        if np.min(_ic_slacks(t, gamma)) >= -SOLVE_TOL:
             return _result(t, lam, "equality", gamma, float(lam @ v), v, residual)
+    return _result(t, lam, "per_bit", _per_bit_map(t, lam, v), float(lam @ v), v)
 
-    res = linprog(
-        c=np.zeros(n * s), A_eq=np.vstack([orth, cons]),
-        b_eq=np.concatenate([np.zeros(s), v - t.u_r]), A_ub=dev - cons, b_ub=-t.gains,
-        bounds=[(None, None)] * (n * s), method="highs",
-    )
-    if not res.success:
-        return _result(t, lam, "equality", target=v, failure="orthogonal enforcement infeasible")
-    return _result(t, lam, "lp_feasibility", res.x.reshape(n, s).T, float(lam @ v), v)
+
+def _per_bit_map(t: _ProfileTable, lam: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The orthogonal map at v: gamma_bar(b) = (v - u(r)) + sum_j T_j(b_j)
+    (e_j - (lambda_j / lambda_k) e_k), T_j(b_j) = s_j (1{b_j = 0} - p_j).  T_j
+    binds j's incentive and has mean 0; the partner k != j, the kept
+    component (zero rule) of largest |lambda_k|, lowest index on ties,
+    cancels lambda_j T_j, and b_j's law does not depend on a_k.  The caller
+    has checked that every profitable j with lambda_j != 0 has a partner."""
+    transfers = _per_bit(t, t.p)
+    gamma = (v - t.u_r) + transfers
+    order = np.argsort(-np.abs(lam), kind="stable")
+    for j in np.flatnonzero((t.slope != 0.0) & (lam != 0.0)):
+        k = order[1] if j == order[0] else order[0]
+        gamma[:, k] -= lam[j] / lam[k] * transfers[:, j]
+    return gamma + 0.0
 
 
 def _result(t: _ProfileTable, lam: np.ndarray, mode: str, gamma=None, level=None,
@@ -262,7 +272,7 @@ def _result(t: _ProfileTable, lam: np.ndarray, mode: str, gamma=None, level=None
     or, with no map, the failure."""
     return EnforceabilityResult(
         feasible=gamma is not None, gamma_bar=gamma, k_star=level,
-        orthogonal=mode in ("equality", "lp_feasibility"), mode=mode, action=t.action,
+        orthogonal=mode in ("equality", "per_bit"), mode=mode, action=t.action,
         direction=tuple(lam), target=None if target is None else tuple(target),
         binding=None if gamma is None else _binding(_ic_slacks(t, gamma)),
         residual=residual, failure_reason=failure,
@@ -282,18 +292,21 @@ def _own_bit(t: _ProfileTable, lam: np.ndarray, k: int, c: float) -> Enforceabil
     """General mode where lambda = c e_k punishes firm k, at k*'s level.
 
     Each profitable firm j is paid on its own bit, gamma_bar_j(b) =
-    s_j (1{b_j = 0} - theta_j), s_j = g_j / (p_j - q_j) with p_j, q_j =
-    P(b_j = 0) at r and after j deviates, so j's incentive binds.
+    s_j (1{b_j = 0} - theta_j), so j's incentive binds.
     theta_j = 1{lambda_j s_j > 0} keeps lambda_j gamma_bar_j(b) <= 0 on every
     signal, also for a component the zero rule drops; theta_j = p_j where
     lambda_j = 0 makes j's transfer mean-zero.
     """
-    slope = np.where(t.profitable, t.gains / (t.p - t.q), 0.0)
-    theta = np.where(lam * slope == 0.0, t.p, lam * slope > 0.0)
-    bits = (np.arange(len(t.pi_eq))[:, None] >> np.arange(len(t.p))) & 1
-    gamma = slope * (1 - bits - theta) + 0.0  # + 0.0: no -0.0 entries
+    theta = np.where(lam * t.slope == 0.0, t.p, lam * t.slope > 0.0)
     level = float(float(lam @ t.u_r) - _own_bit_penalty(t.spec, c, t.gains[k]))
-    return _result(t, lam, "own_bit", gamma, level)
+    return _result(t, lam, "own_bit", _per_bit(t, theta), level)
+
+
+def _per_bit(t: _ProfileTable, theta) -> np.ndarray:
+    """s_j (1{b_j = 0} - theta_j): one row per public signal b, one column
+    per firm j."""
+    bits = (np.arange(len(t.pi_eq))[:, None] >> np.arange(len(t.p))) & 1
+    return t.slope * (1 - bits - theta) + 0.0  # + 0.0: no -0.0 entries
 
 
 # ---------------------------------------------------------------------------
@@ -476,32 +489,25 @@ def verify_decomposition(
     (1-delta)(u_i(r) - u_i(dev)) + delta (pi_eq - pi_dev) . gamma_i, which
     does not depend on the promised v and equals (1-delta) times the
     normalized slack; a perturbation of gamma_bar_i(b) by h therefore moves
-    the slack by (1-delta) h times the probability gap at b.
+    the slack by (1-delta) h times the probability gap at b.  A v that is
+    not N finite numbers, or a non-finite gamma_bar, raises DomainError.
     """
     delta = spec.delta
     t = _profile_table(spec, profile)
     n, s = spec.n_firms, 2**spec.n_firms
-    pi_eq, u_r, pi_dev, u_dev = t.pi_eq, t.u_r, t.pi_dev, t.u_dev
-    v = np.asarray(v, dtype=float)
+    v = validate_vector(v, n, "v")
     gamma_bar = np.asarray(gamma_bar, dtype=float)
-    if gamma_bar.shape != (s, n):
-        raise DomainError(f"gamma_bar must have shape ({s}, {n})")
-    scale = (1 - delta) / delta
-    gamma = v[None, :] + scale * gamma_bar
-    eq_res = 0.0
-    slacks = []
-    for i in range(n):
-        lhs = (1 - delta) * u_r[i] + delta * float(pi_eq @ gamma[:, i])
-        eq_res = max(eq_res, abs(v[i] - lhs))
-        slacks.append(
-            (1 - delta) * (u_r[i] - u_dev[i])
-            + delta * float((pi_eq - pi_dev[i]) @ gamma[:, i])
-        )
-    slacks_arr = np.asarray(slacks)
-    holds = eq_res <= SOLVE_TOL and bool(np.min(slacks_arr) >= -SOLVE_TOL)
+    if gamma_bar.shape != (s, n) or not np.all(np.isfinite(gamma_bar)):
+        raise DomainError(f"gamma_bar must be a finite ({s}, {n}) array")
+    gamma = v + (1 - delta) / delta * gamma_bar
+    lhs = (1 - delta) * t.u_r + delta * (t.pi_eq @ gamma)
+    eq_res = float(np.max(np.abs(v - lhs)))
+    slacks = (1 - delta) * (t.u_r - t.u_dev) + delta * np.einsum(
+        "is,si->i", t.pi_eq - t.pi_dev, gamma)
     return DecompositionCheck(
-        holds=holds, equality_residual=float(eq_res),
-        ic_slacks=tuple(float(x) for x in slacks_arr), binding=_binding(slacks_arr),
+        holds=eq_res <= SOLVE_TOL and bool(np.min(slacks) >= -SOLVE_TOL),
+        equality_residual=eq_res, ic_slacks=tuple(float(x) for x in slacks),
+        binding=_binding(slacks),
     )
 
 
@@ -530,30 +536,27 @@ class PromiseDecomposition:
         self.direction = lam
         self.k_star = ks.value
         self.action = ks.best_profile
-        table = _profile_table(spec, self.action)
-        base = _solve(table, lam, None)
-        if not (ks.orthogonal_at_best and base.feasible):
+        if not ks.orthogonal_at_best:
             raise DomainError(
                 "promise decomposition requires an orthogonally enforceable "
                 "best profile for the chosen direction"
             )
+        table = _profile_table(spec, self.action)
         self.u_r = table.u_r
-        self.gamma_base = base.gamma_bar  # (S, N): the orthogonal map at u(r*)
+        self.gamma_base = _solve(table, lam, None).gamma_bar  # (S, N): the map at u(r*)
         n = spec.n_firms
         lam_unit = lam / np.linalg.norm(lam)
-        basis = _hyperplane_basis(lam_unit)
-        shifts = []
-        for e in basis:
-            res = _solve(table, lam, self.u_r + e)
-            if not res.feasible:
-                raise DomainError("displacement decomposition infeasible")
-            shifts.append(res.gamma_bar - self.gamma_base)
+        # An orthonormal basis of the hyperplane: proj's singular vectors of
+        # singular value 1.
+        proj = np.eye(n) - np.outer(lam_unit, lam_unit)
+        vecs, sv, _ = np.linalg.svd(proj)
+        basis = [vecs[:, k] for k in range(n) if sv[k] > 0.5]
+        shifts = [_solve(table, lam, self.u_r + e).gamma_bar - self.gamma_base for e in basis]
         # tensor[b, i, :] maps a hyperplane displacement to the gamma_bar shift
         pinv = np.linalg.pinv(np.asarray(basis).T)  # (n-1, n)
         tensor = np.einsum("mbi,mk->bik", np.asarray(shifts), pinv)
         # Fold the hyperplane projection and the rigid perpendicular shift
         # into one matrix per signal: gamma_bar(v) = base + affine[b] @ (v - u).
-        proj = np.eye(n) - np.outer(lam_unit, lam_unit)
         self.affine = np.einsum("bik,kl->bil", tensor, proj) + np.outer(
             lam_unit, lam_unit
         )[None, :, :]
@@ -597,11 +600,3 @@ class PromiseDecomposition:
         for k in range(n):
             rows += g[n * (k + 1) : n * (k + 2)] * d[k]
         return rows
-
-
-def _hyperplane_basis(lam_unit: np.ndarray) -> list[np.ndarray]:
-    """Orthonormal basis of the hyperplane orthogonal to lam_unit."""
-    n = len(lam_unit)
-    proj = np.eye(n) - np.outer(lam_unit, lam_unit)
-    u, s, _ = np.linalg.svd(proj)
-    return [u[:, k] for k in range(n) if s[k] > 0.5]

@@ -178,9 +178,13 @@ def public_profile_distribution_raw(
 
     No range validation beyond [0, 1]: diagnostics and tests use this to
     probe degenerate kernels (e.g. alpha == epsilon).  Spec-level callers go
-    through :func:`public_signal_distribution`.
+    through :func:`public_signal_distribution`.  Entries other than 0 and 1
+    are refused before the cast, as in ``validate_profile``.
     """
-    actions = np.asarray(actions, dtype=np.int64)
+    raw = np.asarray(actions)
+    if not set(raw.ravel().tolist()) <= {0, 1}:
+        raise DomainError(f"action profile entries must be 0 or 1, got {raw.tolist()}")
+    actions = raw.astype(np.int64, copy=False)
     if not (0 <= epsilon <= 1 and 0 <= alpha <= 1):
         raise DomainError("kernel probabilities must lie in [0, 1]")
     # firm 1 varies fastest (least significant bit)

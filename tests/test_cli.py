@@ -141,15 +141,18 @@ def test_check_and_rank_stdout_match_recorded_digests(spec_file, capsys, name):
         assert (code, len(out), hashlib.sha256(out.encode()).hexdigest()) == want, argv[0]
 
 
-def test_check_and_rank_leave_scipy_unloaded(spec2_file, spec3_file):
-    # scipy is imported only where an LP runs.  check, rank and payoffset
-    # run none, and neither does decompose unless the orthogonal equality
-    # solve misses and its feasibility LP takes over; general mode on a
-    # coordinate direction is the closed-form own-bit map.
+def test_check_and_rank_leave_scipy_unloaded(spec_file, spec2_file, spec3_file):
+    # No subcommand runs an LP, so none imports scipy: check, rank and
+    # payoffset decide in closed form, decompose's orthogonal mode falls back
+    # to the per-bit map (the (0, 1) command, where the minimum-norm map
+    # misses), general mode on a coordinate direction is the own-bit map,
+    # and simulate and sweep solve nothing.
+    coarse = spec_file({"n_firms": 2, "gain": {"kind": "linear", "G": 3.0}, "L": 1.0,
+                        "alpha": 0.6, "epsilon": 0.3, "delta": 0.9}, name="coarse.json")
     code = (
         "import sys\n"
         "import npdshare.cli\n"
-        "two, three = sys.argv[1:]\n"
+        "two, three, coarse = sys.argv[1:]\n"
         "for argv in (['check', '--spec', three, '--theorem', 'both'],\n"
         "             ['rank', '--spec', three],\n"
         "             ['payoffset', '--spec', two, '--directions', '36'],\n"
@@ -157,13 +160,19 @@ def test_check_and_rank_leave_scipy_unloaded(spec2_file, spec3_file):
         "             ['decompose', '--spec', two, '--lambda', '1,1'],\n"
         "             ['decompose', '--spec', two, '--lambda', '1,1', '--mode', 'general'],\n"
         "             ['decompose', '--spec', two, '--lambda', '1,0', '--mode', 'general'],\n"
-        "             ['decompose', '--spec', three, '--lambda', '0,-1,0', '--mode', 'general']):\n"
+        "             ['decompose', '--spec', three, '--lambda', '0,-1,0', '--mode', 'general'],\n"
+        "             ['decompose', '--spec', coarse, '--lambda', '0.5,2', '--action', '0,1'],\n"
+        "             ['simulate', '--spec', two, '--strategy', 'promise', '--T', '50',\n"
+        "              '--replicas', '8'],\n"
+        "             ['sweep', '--alpha-grid', '0.6:0.9:3', '--epsilon-grid', '0.1:0.3:3',\n"
+        "              '--L', '1.0']):\n"
         "    assert npdshare.cli.main(argv) == 0, argv\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code, spec2_file, spec3_file],
+    proc = subprocess.run([sys.executable, "-c", code, spec2_file, spec3_file, coarse],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert "mode=per_bit, binding=[False, True]" in proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
 
 

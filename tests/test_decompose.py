@@ -146,17 +146,26 @@ def test_solver_reports_binding_constraints():
     assert res.binding == (True, True)
 
 
-def test_solver_lp_feasibility_when_minimum_norm_breaks_a_slack_incentive(spec2):
+def test_solver_per_bit_map_when_minimum_norm_breaks_a_slack_incentive(monkeypatch, spec2):
     # At (0, 0) neither deviation pays, so the equality solve binds no
     # incentive; pushing firm 2's promise to -3 makes its minimum-norm map
-    # break firm 2's slack constraint and the feasibility LP takes over.
+    # break firm 2's slack constraint and the per-bit map takes over, with
+    # no LP.  No firm gains, so the map is the constant v - u(r) and each
+    # slack is its unprofitable gain: nothing binds.
+    from npdshare import decompose
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the orthogonal solve called linprog")
+
+    monkeypatch.setattr(decompose, "linprog", refuse)
     lam = np.array([1.0, 0.0])
     target = (0.0, -3.0)
     res = solve_enforceability(spec2, (0, 0), lam, target=target)
-    assert res.feasible and res.mode == "lp_feasibility"
+    assert res.feasible and res.mode == "per_bit" and res.orthogonal
     assert verify_decomposition(spec2, target, (0, 0), res.gamma_bar).holds
     assert np.max(np.abs(res.gamma_bar @ lam)) <= SOLVE_TOL
-    assert res.binding == (False, True)
+    assert res.gamma_bar.tobytes() == np.tile([0.0, -3.0], (4, 1)).tobytes()
+    assert res.binding == (False, False)
 
 
 def test_solver_orthogonal_infeasible_falls_back_to_general_lp(spec2):
@@ -623,28 +632,17 @@ _SMALL = tuple(float(f"1e{e}") for e in range(-17, -2)) + (1.5e-9, 3e-9, 6e-9)
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_k_star_small_component_sweep_matches_oracle(n):
+    """Bit for bit at every size: in the band just above the zero rule the
+    closed form counts the small component, and the oracle's orthogonal
+    solve, where lstsq misses, takes the per-bit map at lambda . u(r)."""
     spec = next(_random_specs(n, 1, seed=600 + n))
     rng_ = np.random.default_rng(700 + n)
-    band = 0
     for size in _SMALL:
         for sign in (1.0, -1.0):
             k, j = rng_.choice(n, 2, replace=False)
             lam = sign * np.eye(n)[k]
             lam[j] = rng_.choice((-1.0, 1.0)) * size
-            oracle = exhaustive_k_star(spec, lam)[0]
-            ks = k_star(spec, lam)
-            if SOLVE_TOL < size <= 1e-8:
-                # Just above the zero rule the closed form counts the small
-                # component, but lstsq can miss its residual tolerance there
-                # and the oracle falls back to the general LP: same best
-                # profile, a value equal or an ulp off, and it may report
-                # the best profile as not orthogonal.
-                band += 1
-                assert ks.best_profile == oracle.best_profile, (size, sign)
-                assert abs(ks.value - oracle.value) <= SOLVE_TOL, (size, sign)
-            else:
-                _assert_same_k_star(ks, oracle)
-    assert band == 8
+            _assert_same_k_star(k_star(spec, lam), exhaustive_k_star(spec, lam)[0])
 
 
 def test_k_star_and_payoff_set_solve_nothing(monkeypatch, spec2, spec3):
@@ -785,8 +783,7 @@ def test_own_bit_maps_build_and_solve_no_rows(monkeypatch, n):
 def test_general_mode_in_the_zero_rule_band_is_orthogonal_mode(n):
     """A component of 1.5e-9 to 6e-9 beside a unit one counts as nonzero, so
     no profile is punished and general mode is orthogonal mode at u(r): the
-    same map bytes, mode and feasibility, whether or not that solve
-    succeeds."""
+    same map bytes, mode and level, and both succeed."""
     spec = next(_random_specs(n, 1, seed=600 + n))
     rng_ = np.random.default_rng(800 + n)
     for size in (1.5e-9, 3e-9, 6e-9):
@@ -800,9 +797,105 @@ def test_general_mode_in_the_zero_rule_band_is_orthogonal_mode(n):
                 assert (gen.feasible, gen.mode, gen.orthogonal, gen.k_star) == (
                     orth.feasible, orth.mode, orth.orthogonal, orth.k_star
                 ), (size, r)
-                assert gen.failure_reason == orth.failure_reason
-                if orth.feasible:
-                    assert gen.gamma_bar.tobytes() == orth.gamma_bar.tobytes()
+                assert orth.feasible and gen.failure_reason is None, (size, r)
+                assert gen.gamma_bar.tobytes() == orth.gamma_bar.tobytes()
+
+
+def _on_hyperplane(rng_, u, lam):
+    """u plus a Gaussian step projected onto the hyperplane lambda . d = 0."""
+    d = rng_.standard_normal(len(lam))
+    return u + (d - (lam @ d) / (lam @ lam) * lam)
+
+
+# Sizes of one small component beside a unit one: three below the zero rule,
+# two in the band just above it.
+_FEASIBILITY_SMALL = (1e-17, 1e-12, 5e-10, 1.5e-9, 3e-9)
+
+
+def _feasibility_cases(n):
+    """(spec, direction) pairs: a linear spec with the firms' kernel as the
+    monitor, a linear and a concave spec with their own monitor; Gaussian,
+    coordinate, zero-component and small-component directions."""
+    rng_ = np.random.default_rng(1200 + n)
+    specs = [_spec(0.8, 0.2, n=n), *_random_specs(n, 1, seed=1210 + n),
+             *_random_specs(n, 1, seed=1220 + n, concave=True)]
+    dirs = [lam for cls, lam in _test_directions(n, 3, seed=1230 + n)
+            if cls != "near-coordinate"]
+    for size in _FEASIBILITY_SMALL:
+        for sign in (1.0, -1.0):
+            k, j = rng_.choice(n, 2, replace=False)
+            lam = sign * np.eye(n)[k]
+            lam[j] = rng_.choice((-1.0, 1.0)) * size
+            dirs.append(lam)
+    return [(spec, _direction(lam, n)) for spec in specs for lam in dirs]
+
+
+def _outside_band(lam):
+    mag = np.abs(lam)
+    return bool(np.all(mag[mag > 0] >= 1e-8 * mag.max()))
+
+
+def _assert_per_bit_map(spec, r, lam, v, g):
+    """The three facts of an orthogonal map at v: it decomposes v, lambda .
+    g(b) = 0 on every signal and E[g | r] = v - u(r)."""
+    tol = SOLVE_TOL * max(1.0, float(np.max(np.abs(g))))
+    u = profile_payoff(spec, r)
+    assert verify_decomposition(spec, v, r, g).holds, (r, lam, v)
+    assert np.max(np.abs(g @ lam)) <= tol, (r, lam, v)
+    mean = public_signal_distribution(spec, r).probs @ g
+    assert np.max(np.abs(mean - (v - u))) <= tol, (r, lam, v)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_orthogonal_feasibility_is_k_stars_classification(monkeypatch, n):
+    """Orthogonal mode succeeds exactly where k* enforces the profile
+    orthogonally, at u(r) and at a target on the hyperplane, with no LP.
+    Every per-bit map outside the zero rule's band, those the solver returns
+    and the closed form at every feasible profile, decomposes its target
+    orthogonally."""
+    from npdshare import decompose
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the orthogonal solve called linprog")
+
+    monkeypatch.setattr(decompose, "linprog", refuse)
+    rng_ = np.random.default_rng(1300 + n)
+    returned = closed = 0
+    for spec, lam in _feasibility_cases(n):
+        profiles, _, orthogonal = _profile_levels(spec, lam)
+        outside = _outside_band(lam)
+        for r, orth_r in zip(map(tuple, profiles.tolist()), orthogonal):
+            u = profile_payoff(spec, r)
+            for v in (u, _on_hyperplane(rng_, u, lam)):
+                res = solve_enforceability(spec, r, lam, target=v)
+                assert res.feasible == orth_r, (r, lam, v)
+                if not orth_r:
+                    assert res.failure_reason == "orthogonal enforcement infeasible"
+                    continue
+                assert res.mode in ("equality", "per_bit") and res.orthogonal
+                if not outside:
+                    continue
+                if res.mode == "per_bit":
+                    returned += 1
+                    _assert_per_bit_map(spec, r, lam, v, res.gamma_bar)
+                g = decompose._per_bit_map(decompose._profile_table(spec, r), lam, v)
+                closed += 1
+                _assert_per_bit_map(spec, r, lam, v, g)
+    assert returned > 0 and closed > 0
+
+
+def test_verify_decomposition_refuses_malformed_inputs(spec2):
+    g = solve_enforceability(spec2, (1, 1), (1.0, 1.0)).gamma_bar
+    for v in ((np.nan, 2.0), (2.0, 2.0, 2.0), 2.0):
+        with pytest.raises(DomainError, match="v must"):
+            verify_decomposition(spec2, v, (1, 1), g)
+    for bad in (np.nan, np.inf):
+        h = g.copy()
+        h[1, 0] = bad
+        with pytest.raises(DomainError, match=r"gamma_bar must be a finite \(4, 2\) array"):
+            verify_decomposition(spec2, (2.0, 2.0), (1, 1), h)
+    with pytest.raises(DomainError, match=r"gamma_bar must be a finite \(4, 2\) array"):
+        verify_decomposition(spec2, (2.0, 2.0), (1, 1), g[:, :1])
 
 
 @pytest.mark.parametrize("n,n_directions", [(2, 24), (3, 16)])

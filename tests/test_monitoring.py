@@ -104,6 +104,16 @@ def test_raw_distribution_allows_degenerate_kernel():
     assert np.allclose(p, [0.09, 0.21, 0.21, 0.49])
 
 
+@pytest.mark.parametrize("actions", [[-1, 0], [0.7, 1], [1, 2], [True, 0.5]])
+def test_raw_distribution_refuses_actions_other_than_zero_and_one(actions):
+    # -1 would index the disclosure row and 0.7 would truncate to 0.
+    with pytest.raises(DomainError, match="must be 0 or 1"):
+        public_profile_distribution_raw(actions, 0.9, 0.1)
+    assert public_profile_distribution_raw([1.0, 0.0], 0.9, 0.1).tobytes() == (
+        public_profile_distribution_raw([1, 0], 0.9, 0.1).tobytes()
+    )
+
+
 def _kron_chain(p_zero):
     probs = np.array([1.0])
     for p0 in reversed(p_zero):
