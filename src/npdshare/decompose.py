@@ -119,9 +119,7 @@ class EnforceabilityResult:
     mode: str  # "equality" | "per_bit" (orthogonal) | "own_bit" (general)
     action: tuple[int, ...]
     direction: tuple[float, ...]
-    target: tuple[float, ...] | None
     binding: tuple[bool, ...] | None
-    residual: float | None
     failure_reason: str | None = None
 
 
@@ -228,12 +226,12 @@ def _solve(t: _ProfileTable, lam: np.ndarray, target) -> EnforceabilityResult:
     bound = float(lam @ t.u_r)
     if abs(float(lam @ v) - bound) > SOLVE_TOL * max(1.0, abs(bound)):
         return _result(
-            t, lam, "equality", target=v,
+            t, lam, "equality",
             failure="target is off the supporting hyperplane lambda.v = lambda.u(r)",
         )
     coordinate = _coordinate(lam)
     if coordinate is not None and t.profitable[coordinate[0]]:
-        return _result(t, lam, "per_bit", target=v, failure="orthogonal enforcement infeasible")
+        return _result(t, lam, "per_bit", failure="orthogonal enforcement infeasible")
 
     # Equality solve: profitable deviations bind, the all-ones signal is
     # pinned.  A miss (residual or incentive slack, NaN included) takes the
@@ -246,8 +244,8 @@ def _solve(t: _ProfileTable, lam: np.ndarray, target) -> EnforceabilityResult:
     if residual <= SOLVE_TOL * max(1.0, float(np.max(np.abs(rhs)))):
         gamma = x.reshape(n, s).T
         if np.min(_ic_slacks(t, gamma)) >= -SOLVE_TOL:
-            return _result(t, lam, "equality", gamma, float(lam @ v), v, residual)
-    return _result(t, lam, "per_bit", _per_bit_map(t, lam, v), float(lam @ v), v)
+            return _result(t, lam, "equality", gamma, float(lam @ v))
+    return _result(t, lam, "per_bit", _per_bit_map(t, lam, v), float(lam @ v))
 
 
 def _per_bit_map(t: _ProfileTable, lam: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -267,15 +265,15 @@ def _per_bit_map(t: _ProfileTable, lam: np.ndarray, v: np.ndarray) -> np.ndarray
 
 
 def _result(t: _ProfileTable, lam: np.ndarray, mode: str, gamma=None, level=None,
-            target=None, residual=None, failure=None) -> EnforceabilityResult:
+            failure=None) -> EnforceabilityResult:
     """The result for t's profile on lam: the map ``gamma`` at ``level``,
     or, with no map, the failure."""
     return EnforceabilityResult(
         feasible=gamma is not None, gamma_bar=gamma, k_star=level,
         orthogonal=mode in ("equality", "per_bit"), mode=mode, action=t.action,
-        direction=tuple(lam), target=None if target is None else tuple(target),
+        direction=tuple(lam),
         binding=None if gamma is None else _binding(_ic_slacks(t, gamma)),
-        residual=residual, failure_reason=failure,
+        failure_reason=failure,
     )
 
 

@@ -24,12 +24,13 @@ import copy
 import csv
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from ._kernels import backend_name, promise_mc
 from .decompose import REGION_TOL, PromiseDecomposition
-from .errors import DiscountTooSmallError, DomainError, ProtocolError
+from .errors import CapacityError, DiscountTooSmallError, DomainError, ProtocolError
 from .game import GameSpec, validate_vector
 from .monitoring import MODE_PRIVATE, MODE_PUBLIC, signal_kernel, signal_streams
 
@@ -37,6 +38,19 @@ from .monitoring import MODE_PRIVATE, MODE_PUBLIC, signal_kernel, signal_streams
 # per block, so the block holds at most DRAW_CHUNK_PERIODS * N * (N - 1)
 # draws whatever the horizon.
 DRAW_CHUNK_PERIODS = 1024
+
+# A public signal index of N bits is stored as int64, so public play stops here.
+PUBLIC_MAX_FIRMS = 63
+
+# Trace arrays are read into Python lists this many rows at a time, so a long
+# trace is never held whole as Python objects.
+_ROWS_PER_READ = 256
+
+
+def _row_lists(a: np.ndarray):
+    """The rows of ``a`` as Python lists (or scalars, for a 1-D array)."""
+    for start in range(0, len(a), _ROWS_PER_READ):
+        yield from a[start:start + _ROWS_PER_READ].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +86,9 @@ class Strategy:
     def next_message(self, own_actions, own_signals, message_history):
         if not own_signals:
             return ()
-        last = own_signals[-1]
-        return tuple(int(b) for j, b in enumerate(last) if j != self.firm)
+        last = own_signals[-1].tolist()
+        del last[self.firm]
+        return tuple(last)
 
     def clone(self) -> "Strategy":
         return copy.deepcopy(self)
@@ -120,7 +135,7 @@ class SignalTrigger(Strategy):
         n = self.spec.n_firms
         if isinstance(entry, (int, np.integer)):
             return n - int(entry).bit_count()
-        return sum(1 for msg in entry for b in msg if b == 0)
+        return sum(msg.count(0) for msg in entry)
 
     def next_action(self, public_history, private_history) -> int:
         while self._seen < len(public_history):
@@ -265,7 +280,9 @@ class EpisodeTrace:
     u_scale: float  # max |stage payoff| of the generating spec
     actions: np.ndarray  # (T, N) int8
     payoffs: np.ndarray  # (T, N) float
-    public_signals: np.ndarray | None  # (T,) int64 in public mode
+    # (T,) int64 in public mode, exact: the engine builds each index from
+    # per-block bit masks and plays public mode at N <= PUBLIC_MAX_FIRMS.
+    public_signals: np.ndarray | None
     private_signals: np.ndarray | None  # (T, N, N) int8, diagonal -1
     messages: tuple | None  # per period: tuple over firms of bit tuples
     promises: np.ndarray | None  # (T, N) promise path when tracked
@@ -286,16 +303,20 @@ class EpisodeTrace:
         trace reproduces kernel output bit for bit.
         """
         d = self.delta
-        acc = np.zeros(self.n_firms)
+        acc = [0.0] * self.n_firms
         w = 1.0
-        for t in range(self.horizon):
-            acc += w * self.payoffs[t]
+        for row in _row_lists(self.payoffs):
+            acc = [a + w * x for a, x in zip(acc, row)]
             w = w * d
-        return (1.0 - d) * acc
+        return (1.0 - d) * np.array(acc)
 
     def truncation_bias_bound(self) -> float:
         """Upper bound on |infinite-horizon average - truncated average|."""
         return self.delta**self.horizon * self.u_scale
+
+
+_INT = {int}
+_BITS = {0, 1}
 
 
 def _validate_action(a, firm: int, period: int) -> int:
@@ -313,6 +334,10 @@ def _validate_action(a, firm: int, period: int) -> int:
 
 def _validate_message(m, firm: int, period: int, n_firms: int):
     expected = 0 if period == 0 else n_firms - 1
+    # A tuple of plain int bits, as the truthful default sends, passes as is.
+    if (type(m) is tuple and len(m) == expected
+            and set(map(type, m)) <= _INT and set(m) <= _BITS):
+        return m
     if not isinstance(m, tuple) or len(m) != expected:
         raise ProtocolError(
             f"firm {firm + 1} emitted an invalid message {m!r} at period {period}: "
@@ -345,6 +370,16 @@ def run_episode(
     of ``monitoring.signal_streams``.  Being addressed by (period, slot,
     replica) they are the same bits a per-period draw would give.  Its
     seeds are every draw path's, [0, 2**64), checked by the first draw.
+
+    A period is played on Python ints.  In public mode each block is read
+    into two signal indices per period, ``m0`` with every firm concealing
+    and ``m1`` with every firm disclosing (firm j's bit is 1 when its
+    uniform is at least P(bit = 0) under that action), so a period whose
+    disclosers form the bit mask A has index (m1 & A) | (m0 & ~A).  The
+    index is stored in the trace's int64 column, so public play refuses
+    more than PUBLIC_MAX_FIRMS firms with CapacityError before any draw.
+    Private mode compares each period's uniforms with P(bit = 0) of the
+    observed firms' actions.
     """
     if mode not in (MODE_PUBLIC, MODE_PRIVATE):
         raise DomainError(f"mode must be '{MODE_PUBLIC}' or '{MODE_PRIVATE}', got {mode!r}")
@@ -354,6 +389,12 @@ def run_episode(
     supplied = list(strategies)
     if len(supplied) != n:
         raise DomainError(f"need {n} strategies, got {len(supplied)}")
+    public = mode == MODE_PUBLIC
+    if public and n > PUBLIC_MAX_FIRMS:
+        raise CapacityError(
+            f"public play is capped at N <= {PUBLIC_MAX_FIRMS}: the trace stores "
+            f"an N-bit signal index as int64; got N = {n}"
+        )
     # A repeated instance would have its bound firm index overwritten, so
     # clone duplicates; each firm then runs its own copy of the rule.
     strategies = []
@@ -364,11 +405,12 @@ def run_episode(
         seen.add(id(s))
         s.bind(spec, mode, i)
         strategies.append(s)
+    players = list(enumerate(strategies))
 
-    actions = np.zeros((horizon, n), dtype=np.int8)
-    public_signals = np.zeros(horizon, dtype=np.int64) if mode == MODE_PUBLIC else None
+    played: list[int] = []  # actions, period-major
+    signals: list[int] = []
     private_signals = (
-        np.full((horizon, n, n), -1, dtype=np.int8) if mode == MODE_PRIVATE else None
+        None if public else np.full((horizon, n, n), -1, dtype=np.int8)
     )
     messages: list[tuple] = []
     track = hasattr(strategies[0], "promise")
@@ -382,43 +424,58 @@ def run_episode(
     observer, observed = streams.observer, streams.observed
     p_zero_by_action = signal_kernel(spec, mode)
     bit_weights = np.int64(1) << observed
+    # Private mode: P(bit = 0) of every bit, by the mask of disclosers.
+    p_zero_by_mask: dict[int, np.ndarray] = {}
+    observed_list = observed.tolist()
 
-    for t in range(horizon):
-        k = t % DRAW_CHUNK_PERIODS
-        if k == 0:
-            count = min(DRAW_CHUNK_PERIODS, horizon - t)
-            block = streams.uniforms(seed, t, count, replica)[:, :, 0]
+    for start in range(0, horizon, DRAW_CHUNK_PERIODS):
+        count = min(DRAW_CHUNK_PERIODS, horizon - start)
+        block = streams.uniforms(seed, start, count, replica)[:, :, 0]
+        if public:
+            m0 = ((block >= p_zero_by_action[0]) @ bit_weights).tolist()
+            m1 = ((block >= p_zero_by_action[1]) @ bit_weights).tolist()
 
-        if mode == MODE_PRIVATE:
-            round_msgs = tuple(
-                _validate_message(
-                    strategies[i].next_message(own_actions[i], own_signals[i], messages),
-                    i, t, n,
+        for k in range(count):
+            t = start + k
+            if not public:
+                round_msgs = tuple(
+                    _validate_message(
+                        s.next_message(own_actions[i], own_signals[i], messages), i, t, n
+                    )
+                    for i, s in players
                 )
-                for i in range(n)
-            )
-            messages.append(round_msgs)
-            public_history.append(round_msgs)
+                messages.append(round_msgs)
+                public_history.append(round_msgs)
 
-        for i in range(n):
-            a = _validate_action(
-                strategies[i].next_action(public_history, own_signals[i]), i, t
-            )
-            actions[t, i] = a
-            own_actions[i].append(a)
-        if track:
-            promises[t] = strategies[0].promise
+            disclosers = 0
+            for i, s in players:
+                a = s.next_action(public_history, own_signals[i])
+                if type(a) is not int or not 0 <= a <= 1:
+                    a = _validate_action(a, i, t)
+                played.append(a)
+                if a:
+                    disclosers |= 1 << i
+                if not public:
+                    own_actions[i].append(a)
+            if track:
+                promises[t] = strategies[0].promise
 
-        bits = block[k] >= p_zero_by_action[actions[t, observed]]
-        if mode == MODE_PUBLIC:
-            index = int(bits @ bit_weights)
-            public_signals[t] = index
-            public_history.append(index)
-        else:
-            private_signals[t, observer, observed] = bits
-            for i in range(n):
-                own_signals[i].append(private_signals[t, i].copy())
+            if public:
+                index = (m1[k] & disclosers) | (m0[k] & ~disclosers)
+                signals.append(index)
+                public_history.append(index)
+            else:
+                p_zero = p_zero_by_mask.get(disclosers)
+                if p_zero is None:
+                    p_zero = p_zero_by_action[[(disclosers >> j) & 1 for j in observed_list]]
+                    p_zero_by_mask[disclosers] = p_zero
+                private_signals[t, observer, observed] = block[k] >= p_zero
+                # One copy of the period's matrix; each firm holds its row.
+                rows = private_signals[t].copy()
+                for i in range(n):
+                    own_signals[i].append(rows[i])
 
+    actions = np.array(played, dtype=np.int8).reshape(horizon, n)
     payoffs = spec.stage[actions, actions.sum(axis=1, keepdims=True)]
 
     return EpisodeTrace(
@@ -429,9 +486,9 @@ def run_episode(
         u_scale=spec.max_abs_payoff(),
         actions=actions,
         payoffs=payoffs,
-        public_signals=public_signals,
+        public_signals=np.array(signals, dtype=np.int64) if public else None,
         private_signals=private_signals,
-        messages=tuple(messages) if mode == MODE_PRIVATE else None,
+        messages=None if public else tuple(messages),
         promises=promises,
     )
 
@@ -591,17 +648,24 @@ def _write_trace(trace: EpisodeTrace, fh) -> None:
     if trace.promises is not None:
         header += [f"promise_{i + 1}" for i in range(n)]
     writer.writerow(header)
-    for t in range(trace.horizon):
-        row = [t] + [int(a) for a in trace.actions[t]]
-        if trace.mode == MODE_PUBLIC:
-            row.append(int(trace.public_signals[t]))
-        else:
-            row += trace.private_signals[t, observer, observed].tolist()
-            row += ["".join(str(b) for b in trace.messages[t][i]) for i in range(n)]
-        row += [repr(float(x)) for x in trace.payoffs[t]]
-        if trace.promises is not None:
-            row += [repr(float(x)) for x in trace.promises[t]]
-        writer.writerow(row)
+    writer.writerows(_trace_rows(trace, observer, observed))
+
+
+def _trace_rows(trace: EpisodeTrace, observer, observed):
+    """The trace's CSV rows, one per period, built as they are written from
+    each array's rows.  csv writes a float with ``repr``, so floats keep full
+    precision."""
+    promises = repeat(()) if trace.promises is None else _row_lists(trace.promises)
+    if trace.mode == MODE_PUBLIC:
+        signals = ([x] for x in _row_lists(trace.public_signals))
+    else:
+        bits = _row_lists(trace.private_signals[:, observer, observed])
+        signals = (
+            b + ["".join(map(str, m)) for m in msgs] for b, msgs in zip(bits, trace.messages)
+        )
+    rows = zip(_row_lists(trace.actions), signals, _row_lists(trace.payoffs), promises)
+    for t, (a, b, u, v) in enumerate(rows):
+        yield [t, *a, *b, *u, *v]
 
 
 def read_trace_csv(path) -> EpisodeTrace:

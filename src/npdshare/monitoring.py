@@ -300,10 +300,6 @@ class FactoredBernoulli:
         self._check_same_space(other)
         return float(np.max(np.abs(self.dense() - other.dense())))
 
-    @property
-    def full_support(self) -> bool:
-        return bool(np.all((self.p_zero > 0) & (self.p_zero < 1)))
-
 
 def private_joint_distribution(spec: GameSpec, profile) -> FactoredBernoulli:
     """Joint distribution of all N(N-1) private cross-observation bits."""

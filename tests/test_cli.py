@@ -253,6 +253,37 @@ def test_simulate_has_no_cap_at_nine_firms(spec_file, capsys):
     assert len(parse_csv(out)) == 6
 
 
+def _linear_firms(n):
+    return {"n_firms": n, "gain": {"kind": "linear", "G": 3.0}, "L": 1.0,
+            "alpha": 0.9, "epsilon": 0.1, "delta": 0.95}
+
+
+@pytest.mark.parametrize("extra", [[], ["--replicas", "2"]], ids=["trace", "mc"])
+def test_simulate_public_play_is_capped_at_63_firms(spec_file, capsys, extra):
+    # A 64-bit signal index does not fit the trace's int64 column: public
+    # play refuses N = 64 with CapacityError (exit 1, nothing on stdout).
+    code, out, err = run_cli(
+        ["simulate", "--spec", spec_file(_linear_firms(64)), "--strategy",
+         "always_disclose", "--T", "3", "--seed", "3", *extra], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert "capped at N <= 63" in err
+
+
+def test_simulate_public_index_is_exact_at_63_firms(spec_file, capsys):
+    code, out, _ = run_cli(
+        ["simulate", "--spec", spec_file(_linear_firms(63)), "--strategy",
+         "always_disclose", "--T", "3", "--seed", "3"], capsys
+    )
+    assert code == 0
+    rows = parse_csv(out)
+    column = rows[0].index("signal_index")
+    indices = [int(row[column]) for row in rows[1:]]
+    assert all(0 <= x < 2**63 for x in indices)
+    assert any(x >> 62 for x in indices)
+
+
 def test_decompose_bad_lambda_exits_two(spec2_file, capsys):
     code, _, err = run_cli(
         ["decompose", "--spec", spec2_file, "--lambda", "1,x"], capsys
@@ -431,6 +462,90 @@ def test_payoffset_stdout_matches_recorded_digest(spec_file, capsys, name):
 
 # ---------------------------------------------------------------------------
 # simulate
+
+
+_SIMULATE_SPECS = {
+    "linear2": {"n_firms": 2, "gain": {"kind": "linear", "G": 3.0}, "L": 1.0,
+                "alpha": 0.9, "epsilon": 0.1, "delta": 0.9},
+    "patient2": {"n_firms": 2, "gain": {"kind": "linear", "G": 3.0}, "L": 1.0,
+                 "alpha": 0.9, "epsilon": 0.1, "delta": 0.999},
+    "concave3": {"n_firms": 3, "gain": {"kind": "concave", "G": 3.0, "f": [0.0, 1.0, 1.8, 2.4]},
+                 "L": 1.0, "alpha": 0.8, "epsilon": 0.15, "delta": 0.9,
+                 "monitor_alpha": 0.85, "monitor_epsilon": 0.2},
+    "linear4": {"n_firms": 4, "gain": {"kind": "linear", "G": 2.5}, "L": 1.2,
+                "alpha": 0.85, "epsilon": 0.12, "delta": 0.95,
+                "monitor_alpha": 0.8, "monitor_epsilon": 0.2},
+}
+
+# Exit codes, stdout lengths and digests of simulate runs (single-episode
+# trace CSVs and Monte Carlo summaries, public and private, N = 2..4, the
+# promise trace, and 1100-period runs that cross a draw block), recorded
+# with numpy 2.4 from the engine that selected each period's bits and summed
+# its payoffs with numpy calls.
+SIMULATE_GOLDEN = {
+    "disclose-n2-public": (
+        "linear2", "always_disclose --mode public --T 40 --seed 3",
+        (0, 789, "65fa26e48c4d006082ad2575c7cd9c2e57b74ecc6eb36da1f26d0cc999073baa"),
+    ),
+    "conceal-n2-private": (
+        "linear2", "always_conceal --mode private --T 30 --seed 2",
+        (0, 817, "f42cd0be6b625f72771e4a040dec7631bd61d40771f0ac69c03164aeae278ec8"),
+    ),
+    "conceal-n3-public": (
+        "concave3", "always_conceal --mode public --T 50 --seed 4",
+        (0, 1277, "c0906d5314d6e0a373f8ffcd86a68dea8974e5bc087661819ca2a80ded39a8b7"),
+    ),
+    "trigger-n3-private": (
+        "concave3", "signal_trigger:5 --mode private --T 60 --seed 11",
+        (0, 2696, "23b55fdd607e79a0926e35bf10298d4ab9738951b96b51ef8ac03c5ab9019908"),
+    ),
+    "trigger-n4-public": (
+        "linear4", "signal_trigger:7 --mode public --T 80 --seed 5",
+        (0, 2472, "e65fc1ed4dc829bf705c76b425b9a515ee0a656e2fe8998104d67a02bb9b45ff"),
+    ),
+    "disclose-n4-private": (
+        "linear4", "always_disclose --mode private --T 25 --seed 9",
+        (0, 1909, "ad6a1564fd446f5d550fd777955e3909478fb7901f737f2cdacfbd4f03572e39"),
+    ),
+    "mc-disclose-n2-public": (
+        "linear2", "always_disclose --mode public --replicas 4 --T 30 --seed 8",
+        (0, 186, "ee2ae50de97e481104cc7e3aa31c281aa0f20b2b75a72d1fcb79f942883f95aa"),
+    ),
+    "mc-trigger-n2-private": (
+        "linear2", "signal_trigger:3 --mode private --replicas 3 --T 40 --seed 12",
+        (0, 144, "626819e1e44a028c091874733be35375da8bcaf69e8c7d462a03303fecdc6254"),
+    ),
+    "mc-trigger-n3-public": (
+        "concave3", "signal_trigger:4 --mode public --replicas 5 --T 40 --seed 7",
+        (0, 318, "fcd2542f03d47a1dee20e6d313d92b1f904f2aaf934b0ac3ccddda3132515ffb"),
+    ),
+    "mc-trigger-n4-private": (
+        "linear4", "signal_trigger:6 --mode private --replicas 3 --T 20 --seed 1",
+        (0, 270, "7f88ca5dc46cc0760e5be9477460fdfee4edf2131efa3e638cef3a833bd1d395"),
+    ),
+    "promise-n2-trace": (
+        "patient2", "promise --T 1000 --direction=1.0,1.0 --seed 6",
+        (0, 55238, "f7f3ecf41a3f3b544cb55608b53226e2ce6377f7ae052cf97d05ba0f7d0e389f"),
+    ),
+    "long-trigger-n3-public": (
+        "concave3", "signal_trigger:inf --mode public --T 1100 --seed 13",
+        (0, 26528, "19e5ee8f48d95df609f26933868dc2d294e196143d3ec82d9c0209aeef3d3479"),
+    ),
+    "long-disclose-n2-private": (
+        "linear2", "always_disclose --mode private --T 1100 --seed 14",
+        (0, 26528, "22aadf6506bb96d30b5682df0892315e4971693fcccbc6261ccba8577d40a13f"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_GOLDEN))
+def test_simulate_stdout_matches_recorded_digests(spec_file, capsys, name):
+    spec, args, want = SIMULATE_GOLDEN[name]
+    code, out, _ = run_cli(
+        ["simulate", "--spec", spec_file(_SIMULATE_SPECS[spec]), "--strategy", *args.split()],
+        capsys,
+    )
+    assert (code, len(out), hashlib.sha256(out.encode()).hexdigest()) == want
 
 
 def test_simulate_single_trace(spec2_file, capsys):

@@ -8,6 +8,7 @@ import pytest
 from npdshare import (
     AlwaysConceal,
     AlwaysDisclose,
+    EpisodeTrace,
     GameSpec,
     LinearGain,
     PromiseAutomaton,
@@ -22,8 +23,8 @@ from npdshare import (
     write_trace_csv,
 )
 from npdshare import _kernels, rng
-from npdshare.engine import DRAW_CHUNK_PERIODS
-from npdshare.errors import DiscountTooSmallError, DomainError, ProtocolError
+from npdshare.engine import DRAW_CHUNK_PERIODS, PUBLIC_MAX_FIRMS
+from npdshare.errors import CapacityError, DiscountTooSmallError, DomainError, ProtocolError
 
 SURVIVOR_SEED = 6  # stays inside the admissible region for 2000 periods
 HALTING_SEED = 11  # leaves the region at period 522 under delta = 0.99
@@ -111,6 +112,38 @@ def test_discounted_average_geometric(spec2):
     assert trace.truncation_bias_bound() == pytest.approx(0.9**40 * 3.0)
 
 
+def _running_sum(payoffs, delta):
+    """The numpy running sum that discounted_average replaced: the oracle."""
+    acc = np.zeros(payoffs.shape[1])
+    w = 1.0
+    for t in range(payoffs.shape[0]):
+        acc += w * payoffs[t]
+        w = w * delta
+    return (1.0 - delta) * acc
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_discounted_average_matches_numpy_running_sum_bitwise(n):
+    gen = np.random.default_rng(100 + n)
+    for horizon in (1, 2, 17, 1500):
+        # Payoffs across twelve decades, with exact zeros, negative zeros
+        # and repeated values as a stage table gives them.
+        payoffs = gen.normal(size=(horizon, n)) * 10.0 ** gen.integers(-6, 6, (horizon, n))
+        payoffs[gen.random((horizon, n)) < 0.1] = 0.0
+        payoffs[gen.random((horizon, n)) < 0.1] = -0.0
+        payoffs[gen.random(horizon) < 0.3] = payoffs[0]
+        for delta in (0.5, float(gen.uniform(0.9, 0.9999)), 0.999):
+            trace = EpisodeTrace(
+                mode="public", delta=delta, seed=0, replica=0, u_scale=1.0,
+                actions=np.zeros((horizon, n), dtype=np.int8), payoffs=payoffs,
+                public_signals=np.zeros(horizon, dtype=np.int64), private_signals=None,
+                messages=None, promises=None,
+            )
+            got = trace.discounted_average()
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64
+            assert got.tobytes() == _running_sum(payoffs, delta).tobytes(), (horizon, delta)
+
+
 def test_monte_carlo_replica_zero_matches_episode(spec2):
     mc = monte_carlo(spec2, [AlwaysDisclose(), AlwaysConceal()], 4, 30, base_seed=9)
     trace = run_episode(
@@ -147,6 +180,48 @@ class _FloatAction(Strategy):
 class _BadMessage(AlwaysDisclose):
     def next_message(self, own_actions, own_signals, message_history):
         return (7,) if own_signals else ()
+
+
+class _NumpyMessages(AlwaysDisclose):
+    """Truthful messages sent as numpy ints of the type the override picks."""
+
+    def __init__(self, kind):
+        self.kind = kind
+
+    def next_message(self, own_actions, own_signals, message_history):
+        return tuple(self.kind(b) for b in super().next_message(
+            own_actions, own_signals, message_history))
+
+
+@pytest.mark.parametrize("kind", [np.int8, np.int64, np.uint8, bool, int])
+def test_message_override_with_numpy_or_bool_bits_is_accepted_as_ints(spec3, kind):
+    # Integer bits of any integer type are validated as before and become
+    # plain ints, so the messages equal the truthful default's.
+    want = run_episode(spec3, [AlwaysDisclose() for _ in range(3)], 12, seed=4, mode="private")
+    got = run_episode(spec3, [_NumpyMessages(kind) for _ in range(3)], 12, seed=4,
+                      mode="private")
+    assert got.messages == want.messages
+    assert all(type(b) is int for msgs in got.messages for m in msgs for b in m)
+    assert np.array_equal(got.private_signals, want.private_signals)
+
+
+@pytest.mark.parametrize("bad", [np.float64, float, lambda b: np.int64(b + 2), str],
+                         ids=["np.float64", "float", "np.int64 out of range", "str"])
+def test_message_override_with_non_bit_entries_is_refused(spec3, bad):
+    with pytest.raises(ProtocolError, match="firm 1 emitted a non-bit message entry .* period 1"):
+        run_episode(spec3, [_NumpyMessages(bad)] + [AlwaysDisclose() for _ in range(2)],
+                    3, seed=4, mode="private")
+
+
+class _ListMessage(AlwaysDisclose):
+    def next_message(self, own_actions, own_signals, message_history):
+        return list(super().next_message(own_actions, own_signals, message_history))
+
+
+def test_message_that_is_not_a_tuple_is_refused(spec3):
+    with pytest.raises(ProtocolError, match="firm 2 emitted an invalid message"):
+        run_episode(spec3, [AlwaysDisclose(), _ListMessage(), AlwaysDisclose()],
+                    3, seed=4, mode="private")
 
 
 def test_invalid_action_names_firm_and_period(spec2):
@@ -267,6 +342,57 @@ def test_block_draws_match_per_period_draws_bitwise(mode):
                 bits = (u >= p_zero).astype(np.int8)
                 assert np.array_equal(trace.private_signals[t, i, others], bits), t
     assert set(trace.actions[:, 0].tolist()) == {0, 1}
+
+
+class _Scattered(Strategy):
+    """Discloses in a pattern that mixes the firms' actions every period."""
+
+    def next_action(self, public_history, private_history) -> int:
+        return int((len(public_history) * 7 + self.firm * 3) % 5 < 3)
+
+
+def test_public_index_is_the_bit_vector_at_every_period_up_to_63_firms():
+    # Each period's index equals the test-side (bits @ weights) of its
+    # per-period draws, the zero-bit count SignalTrigger reads from it is
+    # the count of zero bits, and at N = 63 bit 62 is set somewhere.
+    seed, replica, horizon = 17, 3, 40
+    for n in range(2, PUBLIC_MAX_FIRMS + 1):
+        spec = GameSpec(n, LinearGain(3.0), 1.0, 0.9, 0.1, 0.95,
+                        monitor_alpha=0.8, monitor_epsilon=0.2)
+        trace = run_episode(spec, [_Scattered() for _ in range(n)], horizon, seed=seed,
+                            replica=replica)
+        u = rng.uniforms(seed, rng.DOMAIN_PUBLIC, 0, horizon, np.arange(n), replica)
+        bits = (u >= np.where(trace.actions == 0, 0.8, 0.2)).astype(np.int64)
+        weights = np.int64(1) << np.arange(n, dtype=np.int64)
+        assert trace.public_signals.tolist() == (bits @ weights).tolist(), n
+        assert [n - x.bit_count() for x in trace.public_signals.tolist()] == (
+            n - bits.sum(axis=1)).tolist(), n
+        assert set(trace.actions.sum(axis=1).tolist()) != {0, n}, n
+    assert trace.public_signals.min() >= 0
+    assert np.any(trace.public_signals >> 62 == 1)
+
+
+@pytest.mark.parametrize("run", ["episode", "monte_carlo"])
+def test_public_play_refuses_64_firms_before_any_draw(monkeypatch, run):
+    spec = GameSpec(PUBLIC_MAX_FIRMS + 1, LinearGain(3.0), 1.0, 0.9, 0.1, 0.95)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before the cap was checked")
+
+    monkeypatch.setattr(rng, "uniforms", no_draws)
+    strategies = [AlwaysDisclose() for _ in range(spec.n_firms)]
+    with pytest.raises(CapacityError, match="capped at N <= 63"):
+        if run == "episode":
+            run_episode(spec, strategies, 3, seed=3)
+        else:
+            monte_carlo(spec, strategies, 2, 3, base_seed=3)
+
+
+def test_private_play_has_no_public_cap():
+    spec = GameSpec(PUBLIC_MAX_FIRMS + 1, LinearGain(3.0), 1.0, 0.9, 0.1, 0.95)
+    trace = run_episode(spec, [AlwaysDisclose() for _ in range(spec.n_firms)], 2, seed=3,
+                        mode="private")
+    assert trace.private_signals.shape == (2, 64, 64)
 
 
 # ---------------------------------------------------------------------------
