@@ -3,7 +3,8 @@
 The kernel only schedules replicas.  The walk's arithmetic, the region test
 ``outside`` and the step on a public signal ``step``, is defined once by
 ``decompose.PromiseDecomposition``: ``PromiseAutomaton`` calls it on one
-promise, the kernel on a block of them.  The block is firm-major, an (N, R)
+promise, a tuple of Python floats, the kernel on a block of them with the
+same operations in the same order.  The block is firm-major, an (N, R)
 array whose row k holds firm k's promise in each live replica, so every
 numpy op of the walk reads and writes contiguous rows.  Replicas that leave
 the region stop accruing payoff (the halt period is recorded), which

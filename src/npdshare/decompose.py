@@ -521,10 +521,15 @@ class PromiseDecomposition:
     (allowed in the half-space since lambda . d <= 0).
 
     ``outside`` and ``step`` are the promise walk of the automaton and of the
-    Monte Carlo kernel.  They take one (N,) promise or a firm-major (N, R)
-    block, whose row k holds firm k's promise in every replica; a column
-    runs the same numpy ops in the same order as its own (N,) call, so it
-    gives the same bits.
+    Monte Carlo kernel.  One promise, a tuple of N floats, runs on Python
+    floats: the automaton's path.  An ndarray runs on numpy, as one (N,)
+    promise or a firm-major (N, R) block whose row k holds firm k's
+    promise in every replica: the kernel's path.  Both paths run the same
+    IEEE operations in the same order, so a tuple, an (N,) array and a
+    block's column give the same bits.  The tables do not change after
+    construction, so automata may share one decomposition; the tuple
+    ``step`` remembers its last (v, b, c), by v's identity, and its result,
+    so the N firms of one period pay for one step.
     """
 
     def __init__(self, spec: GameSpec, direction):
@@ -566,21 +571,45 @@ class PromiseDecomposition:
         )
         self._u_col = self.u_r[:, None]
         self._level_max = self.k_star + REGION_TOL
+        # The tuple path's tables as Python floats: the direction, u(r*), the
+        # base map by signal, and firm k's slope rows affine[:, :, k] by signal.
+        self._lam = lam.tolist()
+        self._u = self.u_r.tolist()
+        self._base = self.gamma_base.tolist()
+        self._aff = [self.affine[:, :, k].tolist() for k in range(n)]
+        self._last = None  # (v, b, c, result) of the last tuple step
 
     def outside(self, v):
-        """Whether promise(s) v left {lam . v <= k* + tol, v_i >= -tol}."""
-        lam = self.direction
+        """Whether promise(s) v left {lam . v <= k* + tol, v_i >= -tol}: a
+        bool for a tuple, a bool array for an ndarray."""
+        lam = self._lam
         level = v[0] * lam[0]
         for k in range(1, len(lam)):
             level = level + v[k] * lam[k]
+        if type(v) is tuple:
+            return level > self._level_max or min(v) < -REGION_TOL
         return (level > self._level_max) | (v.min(axis=0) < -REGION_TOL)
 
     def step(self, v, b, c):
-        """Promise(s) after public signal(s) b: v + c gamma_bar(v)[b]."""
-        rows = self._gamma_rows(v, b)
-        rows *= c
-        rows += v
-        return rows
+        """Promise(s) after public signal(s) b: v + c gamma_bar(v)[b], a
+        tuple for a tuple v, else an ndarray."""
+        if type(v) is not tuple:
+            rows = self._gamma_rows(v, b)
+            rows *= c
+            rows += v
+            return rows
+        last = self._last
+        if last is not None and last[0] is v and last[1] == b and last[2] == c:
+            return last[3]
+        # _gamma_rows' operations on floats: d_k = v_k - u_k, then row =
+        # base[b] + sum_k aff_k[b] d_k in k order, then row c + v.
+        row = self._base[b]
+        for aff, vk, uk in zip(self._aff, v, self._u):
+            dk = vk - uk
+            row = [r + a * dk for r, a in zip(row, aff[b])]
+        out = tuple([r * c + x for r, x in zip(row, v)])
+        self._last = (v, b, c, out)
+        return out
 
     def gamma_bar_for(self, v) -> np.ndarray:
         """Continuation map for promise v, one row per public signal: the

@@ -131,11 +131,19 @@ class SignalTrigger(Strategy):
         self._seen = 0
         self._zeros = 0
 
+    # The last message round counted and its zeros.  In private mode every
+    # firm's public history holds the same round tuple, so the round is
+    # counted once a period, not once per firm.
+    _last_round: tuple = ((), 0)
+
     def _count_zero_bits(self, entry) -> int:
-        n = self.spec.n_firms
         if isinstance(entry, (int, np.integer)):
-            return n - int(entry).bit_count()
-        return sum(msg.count(0) for msg in entry)
+            return self.spec.n_firms - int(entry).bit_count()
+        last, zeros = SignalTrigger._last_round
+        if last is not entry or type(entry) is not tuple:
+            zeros = sum([msg.count(0) for msg in entry])
+            SignalTrigger._last_round = (entry, zeros)
+        return zeros
 
     def next_action(self, public_history, private_history) -> int:
         while self._seen < len(public_history):
@@ -161,10 +169,14 @@ class PromiseAutomaton(Strategy):
     replay diagnostic (``on_exit="raise"``) or concedes to all-conceal for
     the rest of the episode (``on_exit="concede"``).  v0 must be finite.
 
-    Share one instance across firms or pass per-firm clones; the promise
-    walk is a deterministic function of the public history either way.  An
-    episode must run on the spec the automaton was built from (an equal
-    one), so the walk and the trace discount at the same delta.
+    The promise is a tuple of floats and walks on the decomposition's
+    Python-float path; ``promise`` returns it as an ndarray.  Clones share
+    the decomposition, whose tables never change, and copy only the walk's
+    state, so the N firms of a period pay for one step.  Share one instance
+    across firms or pass per-firm clones; the promise walk is a
+    deterministic function of the public history either way.  An episode
+    must run on the spec the automaton was built from (an equal one), so
+    the walk and the trace discount at the same delta.
     """
 
     is_public = True
@@ -174,17 +186,18 @@ class PromiseAutomaton(Strategy):
             raise DomainError(f"on_exit must be 'raise' or 'concede', got {on_exit!r}")
         self.decomp = PromiseDecomposition(spec, direction)
         self.on_exit = on_exit
-        v0 = validate_vector(v0, spec.n_firms, "v0")
-        if self.decomp.outside(v0):
+        self.v0 = tuple(validate_vector(v0, spec.n_firms, "v0").tolist())
+        if self.decomp.outside(self.v0):
             raise DomainError(
                 "v0 lies outside the admissible region "
                 f"{{lam.v <= {self.decomp.k_star:.6g}, v_i >= 0}} (tol {REGION_TOL})"
             )
-        self.v0 = v0
+        delta = spec.delta
+        self._c = (1.0 - delta) / delta
         self._reset_state()
 
     def _reset_state(self) -> None:
-        self._v = self.v0.copy()
+        self._v = self.v0
         self._consumed = 0
         self._signals: list[int] = []
         self._halted = False
@@ -197,9 +210,14 @@ class PromiseAutomaton(Strategy):
         super().bind(spec, mode, firm)
         self._reset_state()
 
+    def clone(self) -> "PromiseAutomaton":
+        twin = copy.copy(self)
+        twin._signals = list(self._signals)
+        return twin
+
     @property
     def promise(self) -> np.ndarray:
-        return self._v.copy()
+        return np.array(self._v)
 
     @property
     def halted(self) -> bool:
@@ -212,20 +230,19 @@ class PromiseAutomaton(Strategy):
         return int(self.decomp.action[self.firm])
 
     def _advance(self, public_history) -> None:
-        delta = self.decomp.spec.delta
-        c = (1.0 - delta) / delta
+        step, outside = self.decomp.step, self.decomp.outside
         while self._consumed < len(public_history):
             b = int(public_history[self._consumed])
             self._consumed += 1
             if self._halted:
                 continue
             self._signals.append(b)
-            v_next = self.decomp.step(self._v, b, c)
-            if self.decomp.outside(v_next):
+            v_next = step(self._v, b, self._c)
+            if outside(v_next):
                 if self.on_exit == "raise":
                     raise DiscountTooSmallError(
                         period=self._consumed,
-                        delta=delta,
+                        delta=self.decomp.spec.delta,
                         delta_suggested=self._suggest_delta(),
                     )
                 self._halted = True
@@ -239,13 +256,14 @@ class PromiseAutomaton(Strategy):
         signal realizations could still escape at the suggested value.
         """
         signals = list(self._signals)
+        step, outside = self.decomp.step, self.decomp.outside
 
         def stays_inside(d: float) -> bool:
             c = (1.0 - d) / d
-            v = self.v0.copy()
+            v = self.v0
             for b in signals:
-                v = self.decomp.step(v, b, c)
-                if self.decomp.outside(v):
+                v = step(v, b, c)
+                if outside(v):
                     return False
             return True
 
@@ -413,8 +431,9 @@ def run_episode(
         None if public else np.full((horizon, n, n), -1, dtype=np.int8)
     )
     messages: list[tuple] = []
-    track = hasattr(strategies[0], "promise")
-    promises = np.zeros((horizon, n)) if track else None
+    # The first firm's promise, one tuple per period, when it walks one.
+    track = isinstance(strategies[0], PromiseAutomaton)
+    promises: list[tuple] = []
 
     public_history: list = []
     own_actions: list[list[int]] = [[] for _ in range(n)]
@@ -458,7 +477,7 @@ def run_episode(
                 if not public:
                     own_actions[i].append(a)
             if track:
-                promises[t] = strategies[0].promise
+                promises.append(strategies[0]._v)
 
             if public:
                 index = (m1[k] & disclosers) | (m0[k] & ~disclosers)
@@ -489,7 +508,7 @@ def run_episode(
         public_signals=np.array(signals, dtype=np.int64) if public else None,
         private_signals=private_signals,
         messages=None if public else tuple(messages),
-        promises=promises,
+        promises=np.array(promises) if track else None,
     )
 
 
@@ -668,48 +687,101 @@ def _trace_rows(trace: EpisodeTrace, observer, observed):
         yield [t, *a, *b, *u, *v]
 
 
+_TRACE_META = ("mode", "delta", "seed", "replica", "u_scale", "n_firms")
+
+
 def read_trace_csv(path) -> EpisodeTrace:
-    """Inverse of write_trace_csv; numeric fields round-trip bit for bit."""
+    """Inverse of write_trace_csv; numeric fields round-trip bit for bit.
+
+    A file that write_trace_csv could not have written raises DomainError:
+    a metadata key or a column missing, a row whose length is not the
+    header's, periods other than 0, 1, ..., T-1 in order, an action,
+    private bit or message character other than 0 or 1, a message of the
+    wrong length, a public signal index outside [0, 2^N), or a field that
+    does not parse.
+    """
+    try:
+        return _read_trace(path)
+    except DomainError:
+        raise
+    except ValueError as exc:
+        raise DomainError(f"malformed trace file: {exc}") from None
+
+
+def _read_trace(path) -> EpisodeTrace:
     with open(path, newline="") as fh:
         meta_line = fh.readline()
         if not meta_line.startswith("#"):
             raise DomainError("trace file lacks the metadata comment line")
-        meta = dict(item.split("=", 1) for item in meta_line[1:].split())
+        meta = dict(item.partition("=")[::2] for item in meta_line[1:].split())
+        missing = [key for key in _TRACE_META if key not in meta]
+        if missing:
+            raise DomainError(f"trace metadata lacks {', '.join(missing)}")
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise DomainError("trace file lacks the header row")
         rows = [row for row in reader if row]
     n = int(meta["n_firms"])
     mode = meta["mode"]
-    horizon = len(rows)
+    if mode not in (MODE_PUBLIC, MODE_PRIVATE):
+        raise DomainError(
+            f"trace mode must be '{MODE_PUBLIC}' or '{MODE_PRIVATE}', got {mode!r}"
+        )
+    # Every firm has an action column, so a larger n cannot fit the header.
+    if not 1 <= n <= len(header):
+        raise DomainError(f"trace n_firms={n} does not fit its {len(header)} columns")
+    public = mode == MODE_PUBLIC
     col = {name: k for k, name in enumerate(header)}
+    track = "promise_1" in col
+    firms = range(1, n + 1)
+    bit_names, observer, observed = _bit_columns(n) if not public else ([], None, None)
+    names = ["period", *(f"action_{i}" for i in firms), *(f"payoff_{i}" for i in firms)]
+    names += ["signal_index"] if public else bit_names + [f"message_{i}" for i in firms]
+    names += [f"promise_{i}" for i in firms] if track else []
+    missing = [name for name in names if name not in col]
+    if missing:
+        raise DomainError(f"trace file lacks the columns {', '.join(missing)}")
+
+    def columns(prefix):
+        return [col[f"{prefix}_{i}"] for i in firms]
+
+    horizon = len(rows)
     actions = np.zeros((horizon, n), dtype=np.int8)
     payoffs = np.zeros((horizon, n))
-    public_signals = np.zeros(horizon, dtype=np.int64) if mode == MODE_PUBLIC else None
-    private_signals = (
-        np.full((horizon, n, n), -1, dtype=np.int8) if mode == MODE_PRIVATE else None
-    )
+    public_signals = np.zeros(horizon, dtype=np.int64) if public else None
+    private_signals = None if public else np.full((horizon, n, n), -1, dtype=np.int8)
     messages: list[tuple] = []
-    track = "promise_1" in col
     promises = np.zeros((horizon, n)) if track else None
-    bit_names, observer, observed = _bit_columns(n)
-    bit_cols = [col[name] for name in bit_names] if mode == MODE_PRIVATE else []
-    for row in rows:
-        t = int(row[col["period"]])
-        for i in range(n):
-            actions[t, i] = int(row[col[f"action_{i + 1}"]])
-            payoffs[t, i] = float(row[col[f"payoff_{i + 1}"]])
-            if track:
-                promises[t, i] = float(row[col[f"promise_{i + 1}"]])
-        if mode == MODE_PUBLIC:
-            public_signals[t] = int(row[col["signal_index"]])
-        else:
-            private_signals[t, observer, observed] = [int(row[c]) for c in bit_cols]
-            messages.append(
-                tuple(
-                    tuple(int(ch) for ch in row[col[f"message_{i + 1}"]])
-                    for i in range(n)
-                )
+    for t, row in enumerate(rows):
+        if len(row) != len(header):
+            raise DomainError(f"trace row {t} has {len(row)} fields, the header {len(header)}")
+        if int(row[col["period"]]) != t:
+            raise DomainError(
+                f"trace row {t} is period {row[col['period']]}: periods must run "
+                "0, 1, ..., T-1 in order"
             )
+        actions[t] = _trace_bits([row[c] for c in columns("action")], t, "an action")
+        payoffs[t] = [float(row[c]) for c in columns("payoff")]
+        if track:
+            promises[t] = [float(row[c]) for c in columns("promise")]
+        if public:
+            index = int(row[col["signal_index"]])
+            if not 0 <= index < 1 << n:
+                raise DomainError(
+                    f"trace period {t}: signal index {index} is not in [0, 2^{n})"
+                )
+            public_signals[t] = index
+        else:
+            bits = _trace_bits([row[col[name]] for name in bit_names], t, "a private bit")
+            private_signals[t, observer, observed] = bits
+            width = 0 if t == 0 else n - 1
+            round_msgs = []
+            for c in columns("message"):
+                if len(row[c]) != width:
+                    raise DomainError(f"trace period {t}: a message is not {width} bits")
+                round_msgs.append(tuple(_trace_bits(row[c], t, "a message bit")))
+            messages.append(tuple(round_msgs))
     return EpisodeTrace(
         mode=mode,
         delta=float(meta["delta"]),
@@ -720,6 +792,14 @@ def read_trace_csv(path) -> EpisodeTrace:
         payoffs=payoffs,
         public_signals=public_signals,
         private_signals=private_signals,
-        messages=tuple(messages) if mode == MODE_PRIVATE else None,
+        messages=None if public else tuple(messages),
         promises=promises,
     )
+
+
+def _trace_bits(fields, t: int, what: str) -> list[int]:
+    """The fields of period t as ints, each 0 or 1, or DomainError."""
+    bits = [int(x) for x in fields]
+    if not set(bits) <= _BITS:
+        raise DomainError(f"trace period {t}: {what} is not 0 or 1")
+    return bits

@@ -292,6 +292,20 @@ def test_trigger_works_from_messages(spec3):
     assert np.all(trace.actions[first:] == 0)
 
 
+def test_private_triggers_count_every_delivered_zero():
+    # Each firm counts every zero of every message round, though the round
+    # is counted once a period: thresholds that fire at different periods
+    # must fire where the trace's messages say.
+    spec = GameSpec(4, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9)
+    thresholds = (3, 7, 12, 20)
+    trace = run_episode(spec, [SignalTrigger(k) for k in thresholds], 60, seed=21,
+                        mode="private")
+    zeros = np.cumsum([sum(msg.count(0) for msg in rnd) for rnd in trace.messages])
+    for i, k in enumerate(thresholds):
+        assert zeros[-1] >= k
+        assert trace.actions[:, i].tolist() == [int(z < k) for z in zeros], i
+
+
 def test_public_strategy_ignores_private_history(spec3):
     # feeding a public strategy scrambled private signals must not change
     # its play: run twice with different seeds but identical message rounds
@@ -436,8 +450,39 @@ def test_promise_raises_when_discount_too_small(spec2_patient):
     err = exc_info.value
     assert err.period == 522
     assert err.delta == 0.99
-    assert err.delta_suggested is not None and 0.99 < err.delta_suggested < 1.0
-    assert "delta >=" in str(err)
+    # The bisection's replays walk the same bits as the automaton.
+    assert repr(err.delta_suggested) == "0.9900213270584965"
+    assert "delta >= 0.990021" in str(err)
+
+
+def test_promise_clones_sharing_a_decomposition_match_automata_apart(spec2_patient):
+    # Clones share one decomposition and its memo of the last step; stepped
+    # alternately on histories that agree for a while and then differ, they
+    # must walk as automata built on their own do.
+    auto = PromiseAutomaton(spec2_patient, (2.0, 2.0), (1.0, 1.0), on_exit="concede")
+    twin = auto.clone()
+    assert twin.decomp is auto.decomp
+    gen = np.random.default_rng(3)
+    histories = gen.integers(0, 4, size=(2, 80)).tolist()
+    histories[1][:15] = histories[0][:15]
+
+    def walk(a, history, t):
+        a.next_action(history[:t + 1], [])
+        return a.promise.tobytes(), a.halted
+
+    apart = []
+    for history in histories:
+        alone = PromiseAutomaton(spec2_patient, (2.0, 2.0), (1.0, 1.0), on_exit="concede")
+        alone.bind(spec2_patient, "public", 0)
+        apart.append([walk(alone, history, t) for t in range(80)])
+    for a in (auto, twin):
+        a.bind(spec2_patient, "public", 0)
+    together = [[], []]
+    for t in range(80):
+        for i, a in enumerate((auto, twin)):
+            together[i].append(walk(a, histories[i], t))
+    assert together == apart
+    assert together[0] != together[1]
 
 
 def test_promise_concede_plays_conceal_after_halt(spec2_patient):
@@ -681,6 +726,62 @@ def test_trace_file_uses_lf_endings(spec2, tmp_path):
     write_trace_csv(trace, path)
     raw = path.read_bytes()
     assert b"\r" not in raw
+
+
+def _malformed(text: str, case: str) -> str:
+    meta, header, *rows = text.splitlines()
+    if case == "duplicate-period":
+        rows = [rows[0], rows[0]]
+    elif case == "action-7":
+        rows[0] = rows[0].replace("0,1,", "0,7,", 1)
+    elif case == "missing-column":
+        drop = header.split(",").index("payoff_2")
+        header, *rows = (",".join(x for k, x in enumerate(line.split(",")) if k != drop)
+                         for line in [header, *rows])
+    elif case == "period-past-end":
+        rows = ["5" + rows[0][1:]]
+    elif case == "no-n_firms":
+        meta = meta.replace(" n_firms=2", "")
+    elif case == "signal-index":
+        rows[0] = ",".join(rows[0].split(",")[:3] + ["4"] + rows[0].split(",")[4:])
+    elif case == "short-row":
+        rows[0] = rows[0].rsplit(",", 1)[0]
+    elif case == "not-a-number":
+        rows[0] = rows[0].replace("0,1,", "0,x,", 1)
+    elif case == "bad-mode":
+        meta = meta.replace("mode=public", "mode=mixed")
+    return "\n".join([meta, header, *rows]) + "\n"
+
+
+@pytest.mark.parametrize("case", [
+    "duplicate-period", "action-7", "missing-column", "period-past-end", "no-n_firms",
+    "signal-index", "short-row", "not-a-number", "bad-mode",
+])
+def test_read_trace_refuses_malformed_public_traces(spec2, tmp_path, case):
+    trace = run_episode(spec2, [AlwaysDisclose(), AlwaysDisclose()], 3, seed=0)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    text = path.read_text()
+    assert text.splitlines()[2].startswith("0,1,")
+    path.write_text(_malformed(text, case))
+    with pytest.raises(DomainError):
+        read_trace_csv(path)
+
+
+@pytest.mark.parametrize("field, value", [("b_1_2", "2"), ("message_2", "21")])
+def test_read_trace_refuses_non_bits_in_private_traces(spec3, tmp_path, field, value):
+    trace = run_episode(spec3, [AlwaysDisclose() for _ in range(3)], 3, seed=0,
+                        mode="private")
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    meta, header, *rows = path.read_text().splitlines()
+    k = header.split(",").index(field)
+    fields = rows[1].split(",")
+    fields[k] = value
+    rows[1] = ",".join(fields)
+    path.write_text("\n".join([meta, header, *rows]) + "\n")
+    with pytest.raises(DomainError):
+        read_trace_csv(path)
 
 
 def test_read_trace_rejects_missing_metadata(tmp_path):
