@@ -75,11 +75,6 @@ from .monitoring import (
     marginal_excluding,
     private_joint_distribution,
     public_signal_distribution,
-    sample_private,
-    sample_public,
-    sample_public_indices,
-    signal_bits,
-    signal_index,
 )
 from .specfile import LoadedSpec, load_game_spec, parse_game_spec
 
@@ -138,11 +133,6 @@ __all__ = [
     "public_signal_distribution",
     "read_trace_csv",
     "run_episode",
-    "sample_private",
-    "sample_public",
-    "sample_public_indices",
-    "signal_bits",
-    "signal_index",
     "solve_enforceability",
     "table2_gamma_bar",
     "theorem_preconditions",

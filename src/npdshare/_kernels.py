@@ -57,8 +57,8 @@ def promise_mc(
 ):
     """Run the promise-automaton Monte Carlo along ``walk``, its decomposition.
 
-    Returns (totals, halt_periods): totals[r] is the undiscounted-weighted
-    sum over periods of delta^t u(r) accrued while replica r stayed in the
+    Returns (totals, halt_periods): totals[r] is the delta^t-weighted sum
+    sum_t delta^t u(r) over the periods t that replica r spent in the
     admissible region; halt_periods[r] is the first period whose promise
     left the region, or -1.
     """

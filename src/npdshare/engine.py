@@ -64,7 +64,8 @@ class Strategy:
     mode, per-firm message tuples in private mode) and the firm's private
     history (own past cross-observation rows), and returns 0 (conceal) or 1
     (disclose).  Strategies with ``is_public = True`` must ignore the
-    private history; the engine's tests fuzz this.
+    private history; the engine's tests replay every public strategy of
+    the package beside flipped private rows.
 
     ``next_message`` implements the truthful-communication default: announce
     the previous period's own signal vector verbatim, and an empty token in
@@ -108,10 +109,14 @@ class SignalTrigger(Strategy):
     """Disclose until ``threshold`` cumulative zero bits have been observed
     in the public history, then conceal forever.
 
-    Under imperfect monitoring zero bits occur on path with probability
-    1 - (1-epsilon)^N per period, so any finite trigger fires eventually
-    even when everyone discloses.  ``threshold=math.inf`` never triggers and
-    coincides with AlwaysDisclose.
+    Under imperfect monitoring zero bits occur on path even when everyone
+    discloses.  In public play a period's signal holds one with probability
+    1 - (1 - m_epsilon)^N, m_epsilon the monitor's; in private play a
+    truthful round carries N(N - 1) message bits at the firms' epsilon (none
+    in period 0), so it holds one with probability
+    1 - (1 - epsilon)^(N(N - 1)).  Any finite trigger therefore fires
+    eventually; ``threshold=math.inf`` never triggers and coincides with
+    AlwaysDisclose.
     """
 
     def __init__(self, threshold):
@@ -199,7 +204,6 @@ class PromiseAutomaton(Strategy):
     def _reset_state(self) -> None:
         self._v = self.v0
         self._consumed = 0
-        self._signals: list[int] = []
         self._halted = False
 
     def bind(self, spec, mode, firm):
@@ -211,9 +215,7 @@ class PromiseAutomaton(Strategy):
         self._reset_state()
 
     def clone(self) -> "PromiseAutomaton":
-        twin = copy.copy(self)
-        twin._signals = list(self._signals)
-        return twin
+        return copy.copy(self)
 
     @property
     def promise(self) -> np.ndarray:
@@ -236,26 +238,28 @@ class PromiseAutomaton(Strategy):
             self._consumed += 1
             if self._halted:
                 continue
-            self._signals.append(b)
             v_next = step(self._v, b, self._c)
             if outside(v_next):
                 if self.on_exit == "raise":
                     raise DiscountTooSmallError(
                         period=self._consumed,
                         delta=self.decomp.spec.delta,
-                        delta_suggested=self._suggest_delta(),
+                        delta_suggested=self._suggest_delta(
+                            public_history[:self._consumed]
+                        ),
                     )
                 self._halted = True
                 continue
             self._v = v_next
 
-    def _suggest_delta(self) -> float | None:
-        """Smallest delta keeping the replayed signal sequence admissible.
+    def _suggest_delta(self, signals) -> float | None:
+        """Smallest delta keeping the replayed ``signals`` admissible.
 
-        Bisection over the recorded signals; a diagnostic only, since other
-        signal realizations could still escape at the suggested value.
+        Bisection over the public history walked so far: the raise path
+        raises before any halt, so the automaton stepped on every signal of
+        it.  A diagnostic only, since other signal realizations could still
+        escape at the suggested value.
         """
-        signals = list(self._signals)
         step, outside = self.decomp.step, self.decomp.outside
 
         def stays_inside(d: float) -> bool:

@@ -384,15 +384,6 @@ class PayoffPolytope:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.vertices, dtype=float)
 
-    def contains(self, point, tol: float = 1e-9) -> bool:
-        """Is ``point`` in the polytope?  A convex-combination feasibility LP
-        (``geometry.point_in_hull``); a point that is not N finite numbers
-        raises DomainError."""
-        from .geometry import point_in_hull
-
-        p = validate_vector(point, self.n_firms, "point")
-        return point_in_hull(p, self.as_array(), tol=tol)
-
 
 def feasible_hull(spec: GameSpec, clip_to_ir: bool = False) -> PayoffPolytope:
     """The convex hull of the pure-profile payoffs, its vertices decided

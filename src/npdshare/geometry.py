@@ -6,9 +6,9 @@ them, plus float versions used by the half-space payoff-set approximation.
 ``game.extreme_profiles`` reduces its vertex question to exact 2-D
 membership by symmetry, and the feasible hull reads its N > 2 vertices from
 that answer, so no LP finds a vertex.  The one LP left is ``point_in_hull``
-(a convex-combination feasibility test, used by ``PayoffPolytope.contains``);
-``linprog`` imports scipy on its first call, so importing the package does
-not load it.
+(a convex-combination feasibility test that no package path calls; the
+tests' hull oracle does); ``linprog`` imports scipy on its first call, so
+importing the package does not load it.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Imperfect monitoring: signal kernels, distributions, marginals, sampling.
+"""Imperfect monitoring: signal kernels, distributions, marginals, draw layout.
 
 Each firm's action is observed through a binary kernel: a disclosure is read
 as "0" (looks like concealment) with probability epsilon < 1/2, a concealment
@@ -18,8 +18,8 @@ Draw layout (``signal_streams``): each bit has its own rng counter stream
 j, is drawn in ``rng.DOMAIN_PUBLIC`` from slot j.  Private bits run over
 (observer i, observed j), i != j, observer-major; firm i's bit about firm j
 is drawn in ``rng.DOMAIN_PRIVATE`` from slot i * N + j.  A bit is 1 when its
-uniform is at least its P(bit = 0).  The engine, the promise kernel, the
-trace CSV and the samplers all read this layout.
+uniform is at least its P(bit = 0).  The engine and the promise kernel,
+which draw every bit the package plays, and the trace CSV read this layout.
 """
 
 from __future__ import annotations
@@ -120,15 +120,6 @@ def _held_private_bits(n: int, excluded: tuple[int, ...]) -> tuple[np.ndarray, n
     for a in out:
         a.flags.writeable = False
     return out
-
-
-def signal_bits(index: int, n_bits: int) -> tuple[int, ...]:
-    """Bits (b_1, ..., b_n) of a signal index; b_1 is the least significant."""
-    return tuple((index >> j) & 1 for j in range(n_bits))
-
-
-def signal_index(bits) -> int:
-    return int(sum(int(b) << j for j, b in enumerate(bits)))
 
 
 @dataclass(frozen=True)
@@ -351,46 +342,3 @@ def cross_observation_reduction(
         )
     p0 = signal_kernel(spec, MODE_PRIVATE)[r[observed]]
     return SignalDistribution(probs=np.array([p0, 1.0 - p0]), n_bits=1)
-
-
-# ---------------------------------------------------------------------------
-# sampling
-
-
-def _sample_bits(spec: GameSpec, profile, mode: str, seed: int, periods: int,
-                 replicas: int) -> tuple[np.ndarray, SignalStreams]:
-    """``run_episode``'s ``mode`` bits while ``profile`` is played, int8
-    (periods, replicas, bits) in layout order, and the layout."""
-    r = validate_profile(spec, profile)
-    streams = signal_streams(spec.n_firms, mode)
-    u = streams.uniforms(seed, 0, periods, np.arange(replicas))
-    bits = u >= signal_kernel(spec, mode)[r[streams.observed]][:, None]
-    return bits.transpose(0, 2, 1).astype(np.int8, order="C"), streams
-
-
-def sample_public(
-    spec: GameSpec, profile, seed: int, periods: int = 1, replicas: int = 1
-) -> np.ndarray:
-    """Public monitor bit vectors, int8 (periods, replicas, N)."""
-    return _sample_bits(spec, profile, MODE_PUBLIC, seed, periods, replicas)[0]
-
-
-def sample_public_indices(
-    spec: GameSpec, profile, seed: int, periods: int = 1, replicas: int = 1
-) -> np.ndarray:
-    bits = sample_public(spec, profile, seed, periods, replicas)
-    return bits.astype(np.int64) @ (np.int64(1) << np.arange(spec.n_firms))
-
-
-def sample_private(
-    spec: GameSpec, profile, seed: int, periods: int = 1, replicas: int = 1
-) -> np.ndarray:
-    """Private cross-observation matrices, int8 (periods, replicas, N, N).
-
-    Entry [t, c, i, j] is firm i's bit about firm j; the diagonal is -1.
-    """
-    bits, streams = _sample_bits(spec, profile, MODE_PRIVATE, seed, periods, replicas)
-    n = spec.n_firms
-    out = np.full((periods, replicas, n, n), -1, dtype=np.int8)
-    out[:, :, streams.observer, streams.observed] = bits
-    return out

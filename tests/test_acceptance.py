@@ -12,6 +12,8 @@ import pytest
 from signal_oracle import with_monitor_kernel
 
 from npdshare import (
+    AlwaysConceal,
+    AlwaysDisclose,
     GameSpec,
     LinearGain,
     PromiseAutomaton,
@@ -30,7 +32,6 @@ from npdshare import (
     ppe_payoff_set,
     public_signal_distribution,
     run_episode,
-    sample_public_indices,
     solve_enforceability,
     table2_gamma_bar,
     theorem_preconditions,
@@ -281,15 +282,17 @@ def test_accept_promise_automaton_end_to_end():
 
 
 def test_accept_sampling_statistics():
-    """Empirical signal frequencies within 3 sigma over 1e5 draws for three
-    profiles; every model distribution normalized to 1e-12."""
+    """Empirical frequencies of the signals run_episode draws, within 3 sigma
+    over 1e5 periods for three fixed profiles; every model distribution
+    normalized to 1e-12."""
     spec = _spec()
     n_draws = 100_000
     worst_sigma = 0.0
     for k, profile in enumerate([(1, 1), (0, 0), (1, 0)]):
         probs = public_signal_distribution(spec, profile).probs
-        idx = sample_public_indices(spec, profile, seed=2024 + k, periods=n_draws)
-        counts = np.bincount(idx.ravel(), minlength=4)
+        strategies = [AlwaysDisclose() if a else AlwaysConceal() for a in profile]
+        idx = run_episode(spec, strategies, n_draws, seed=2024 + k).public_signals
+        counts = np.bincount(idx, minlength=4)
         for b in range(4):
             sigma = np.sqrt(n_draws * probs[b] * (1 - probs[b]))
             worst_sigma = max(

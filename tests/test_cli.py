@@ -2,9 +2,11 @@
 
 import csv
 import hashlib
+import importlib
 import io
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -883,10 +885,10 @@ def test_main_builds_its_parser_once(spec2_file, capsys):
 # entry point
 
 
-def test_installed_entry_point_runs():
+def test_installed_entry_point_runs(capsys, monkeypatch):
+    argv = ["sweep", "--alpha-grid", "0.9:0.9:1", "--epsilon-grid", "0.1:0.1:1"]
     proc = subprocess.run(
-        [sys.executable, "-m", "npdshare.cli", "sweep", "--alpha-grid",
-         "0.9:0.9:1", "--epsilon-grid", "0.1:0.1:1"],
+        [sys.executable, "-m", "npdshare.cli", *argv],
         capture_output=True,
         text=True,
     )
@@ -894,3 +896,14 @@ def test_installed_entry_point_runs():
     assert "1.2499999999999998" in proc.stdout
     assert proc.stdout.endswith("\n")
     assert "\r" not in proc.stdout
+    # README's command lines run the console script that [project.scripts]
+    # installs: resolve its "module:function" entry as an installer does and
+    # call it as the script does, with the command line in sys.argv.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    entry = tomllib.loads(pyproject.read_text())["project"]["scripts"]["npdshare"]
+    module, _, function = entry.partition(":")
+    script = getattr(importlib.import_module(module), function)
+    monkeypatch.setattr(sys, "argv", ["npdshare", *argv])
+    assert script() == 0
+    assert capsys.readouterr().out == proc.stdout

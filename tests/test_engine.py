@@ -84,8 +84,9 @@ def test_run_episode_rejects_replicas_outside_64_bits(spec2, replica):
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_run_episode_rejects_seeds_outside_64_bits(spec2, seed):
-    with pytest.raises(DomainError, match="seed must lie in"):
-        run_episode(spec2, [AlwaysDisclose(), AlwaysDisclose()], 5, seed=seed)
+    for mode in ("public", "private"):
+        with pytest.raises(DomainError, match="seed must lie in"):
+            run_episode(spec2, [AlwaysDisclose(), AlwaysDisclose()], 5, seed=seed, mode=mode)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -306,15 +307,49 @@ def test_private_triggers_count_every_delivered_zero():
         assert trace.actions[:, i].tolist() == [int(z < k) for z in zeros], i
 
 
-def test_public_strategy_ignores_private_history(spec3):
-    # feeding a public strategy scrambled private signals must not change
-    # its play: run twice with different seeds but identical message rounds
-    class _EchoConceal(AlwaysConceal):
-        pass
+def _replayed_actions(strategy, spec, mode, firm, history, rows):
+    """The actions a fresh copy of ``strategy``, bound as ``firm``, picks when
+    fed ``history`` and the private ``rows`` period by period, as
+    run_episode feeds them: a private period's messages precede its action."""
+    s = strategy.clone()
+    s.bind(spec, mode, firm)
+    lag = int(mode == "private")
+    return [s.next_action(history[:t + lag], rows[:t]) for t in range(len(rows))]
 
-    t1 = run_episode(spec3, [_EchoConceal() for _ in range(3)], 10, seed=1, mode="private")
-    t2 = run_episode(spec3, [_EchoConceal() for _ in range(3)], 10, seed=2, mode="private")
-    assert np.array_equal(t1.actions, t2.actions)
+
+def test_public_strategy_ignores_private_history(spec3, spec2_patient):
+    # Every public strategy of the package, fed one recorded public history,
+    # must play the same beside the firm's recorded private rows and beside
+    # those rows with every bit flipped.  Public play records no rows, so
+    # there the firm is fed the rows of a private episode.  The triggers
+    # fire and the promise halts within the horizon, so the actions vary.
+    horizon = 600
+    promise = PromiseAutomaton(spec2_patient, (2.0, 2.0), (1.0, 1.0), on_exit="concede")
+    cases = [(spec3, s, ("public", "private")) for s in (
+        AlwaysDisclose(), AlwaysConceal(), SignalTrigger(1), SignalTrigger(4), SignalTrigger(40),
+    )]
+    cases.append((spec2_patient, promise, ("public",)))
+    for spec, strategy, modes in cases:
+        assert strategy.is_public
+        n = spec.n_firms
+        for mode in modes:
+            trace = run_episode(spec, [strategy.clone() for _ in range(n)], horizon,
+                                seed=HALTING_SEED, mode=mode)
+            if mode == "public":
+                history = trace.public_signals.tolist()
+                recorded = run_episode(spec, [AlwaysDisclose() for _ in range(n)], horizon,
+                                       seed=3, mode="private").private_signals
+            else:
+                history, recorded = list(trace.messages), trace.private_signals
+            for i in range(n):
+                rows = list(recorded[:, i])
+                flipped = [np.where(r < 0, r, 1 - r).astype(np.int8) for r in rows]
+                actions = _replayed_actions(strategy, spec, mode, i, history, rows)
+                assert actions == trace.actions[:, i].tolist(), (strategy, mode, i)
+                assert _replayed_actions(strategy, spec, mode, i, history, flipped) == (
+                    actions), (strategy, mode, i)
+                if not isinstance(strategy, (AlwaysDisclose, AlwaysConceal)):
+                    assert set(actions) == {0, 1}, (strategy, mode, i)
 
 
 class _Alternating(Strategy):
@@ -329,33 +364,37 @@ class _Alternating(Strategy):
 @pytest.mark.parametrize("mode", ["public", "private"])
 def test_block_draws_match_per_period_draws_bitwise(mode):
     # A horizon past one draw block, a nonzero replica and a monitor with its
-    # own accuracies: every signal must equal a per-period draw at its
-    # (period, slot, replica) coordinates, and every payoff profile_payoff.
-    spec = GameSpec(3, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9,
-                    monitor_alpha=0.8, monitor_epsilon=0.2)
-    n, seed, replica = 3, 29, 5
+    # own accuracies, at N = 2, 3 and 4: every signal must equal a per-period
+    # draw at its (period, slot, replica) coordinates, every private
+    # diagonal entry is -1, and every payoff is profile_payoff's.
+    seed, replica = 29, 5
     horizon = DRAW_CHUNK_PERIODS + 37
-    trace = run_episode(
-        spec, [_Alternating() for _ in range(n)], horizon, seed=seed,
-        mode=mode, replica=replica,
-    )
-    firms = np.arange(n)
-    for t in range(horizon):
-        a = trace.actions[t]
-        assert np.array_equal(trace.payoffs[t], profile_payoff(spec, a)), t
-        if mode == "public":
-            u = rng.uniforms(seed, rng.DOMAIN_PUBLIC, t, 1, firms, replica)[0]
-            p_zero = np.where(a == 0, spec.m_alpha, spec.m_epsilon)
-            index = int(((u >= p_zero).astype(np.int64) << firms).sum())
-            assert trace.public_signals[t] == index, t
-        else:
-            for i in range(n):
-                others = firms[firms != i]
-                u = rng.uniforms(seed, rng.DOMAIN_PRIVATE, t, 1, i * n + others, replica)[0]
-                p_zero = np.where(a[others] == 0, spec.alpha, spec.epsilon)
-                bits = (u >= p_zero).astype(np.int8)
-                assert np.array_equal(trace.private_signals[t, i, others], bits), t
-    assert set(trace.actions[:, 0].tolist()) == {0, 1}
+    for n in (2, 3, 4):
+        spec = GameSpec(n, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9,
+                        monitor_alpha=0.8, monitor_epsilon=0.2)
+        trace = run_episode(
+            spec, [_Alternating() for _ in range(n)], horizon, seed=seed,
+            mode=mode, replica=replica,
+        )
+        firms = np.arange(n)
+        for t in range(horizon):
+            a = trace.actions[t]
+            assert np.array_equal(trace.payoffs[t], profile_payoff(spec, a)), (n, t)
+            if mode == "public":
+                u = rng.uniforms(seed, rng.DOMAIN_PUBLIC, t, 1, firms, replica)[0]
+                p_zero = np.where(a == 0, spec.m_alpha, spec.m_epsilon)
+                index = int(((u >= p_zero).astype(np.int64) << firms).sum())
+                assert trace.public_signals[t] == index, (n, t)
+            else:
+                for i in range(n):
+                    others = firms[firms != i]
+                    u = rng.uniforms(seed, rng.DOMAIN_PRIVATE, t, 1, i * n + others,
+                                     replica)[0]
+                    p_zero = np.where(a[others] == 0, spec.alpha, spec.epsilon)
+                    bits = (u >= p_zero).astype(np.int8)
+                    assert np.array_equal(trace.private_signals[t, i, others], bits), (n, t)
+                    assert trace.private_signals[t, i, i] == -1, (n, t)
+        assert set(trace.actions[:, 0].tolist()) == {0, 1}, n
 
 
 class _Scattered(Strategy):

@@ -24,6 +24,7 @@ from hull_oracle import lp_extreme_profiles
 
 from npdshare.decompose import _profile_table
 from npdshare.errors import CapacityError, DomainError
+from npdshare.geometry import point_in_hull
 from npdshare.game import (
     all_profile_payoffs,
     deviation_payoffs,
@@ -112,8 +113,8 @@ def test_feasible_hull_square(spec2):
     assert (0.0, 0.0) in verts and (2.0, 2.0) in verts
     assert any(abs(v[0] - 8.0 / 3.0) < 1e-9 and abs(v[1]) < 1e-9 for v in verts)
     assert not hull.degenerate
-    assert hull.contains((1.0, 1.0))
-    assert not hull.contains((3.0, 3.0))
+    assert point_in_hull((1.0, 1.0), hull.as_array())
+    assert not point_in_hull((3.0, 3.0), hull.as_array())
 
 
 def test_all_profiles_count():

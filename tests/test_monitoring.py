@@ -1,4 +1,4 @@
-"""Signal kernels, distributions, factored marginals, and sampling."""
+"""Signal kernels, distributions, factored marginals, and the draw layout."""
 
 from fractions import Fraction
 
@@ -8,23 +8,18 @@ from condition_oracle import scalar_displacement_moments
 from hypothesis import given, settings, strategies as st
 
 from npdshare import (
+    AlwaysConceal,
+    AlwaysDisclose,
     FactoredBernoulli,
     GameSpec,
     LinearGain,
-    Strategy,
     cross_observation_reduction,
     marginal_excluding,
     private_joint_distribution,
     public_signal_distribution,
     run_episode,
-    sample_private,
-    sample_public,
-    sample_public_indices,
-    signal_bits,
-    signal_index,
 )
 from npdshare import rng
-from npdshare.engine import DRAW_CHUNK_PERIODS
 from npdshare.errors import DomainError
 from npdshare.monitoring import (
     displacement_moments,
@@ -57,21 +52,6 @@ def test_signal_streams_layout():
     assert priv.slot.tolist() == [1, 2, 3, 5, 6, 7]  # observer * 3 + observed
     with pytest.raises(DomainError):
         signal_streams(3, "broadcast")
-
-
-@pytest.mark.parametrize("sample", [sample_public, sample_private])
-@pytest.mark.parametrize("seed", [-1, 2**64])
-def test_samplers_reject_seeds_outside_64_bits(spec3, sample, seed):
-    with pytest.raises(DomainError, match="seed must lie in"):
-        sample(spec3, (1, 0, 1), seed=seed)
-
-
-def test_signal_index_round_trip():
-    for idx in range(16):
-        assert signal_index(signal_bits(idx, 4)) == idx
-    # firm 1 is the least significant bit
-    assert signal_index((1, 0, 0)) == 1
-    assert signal_index((0, 0, 1)) == 4
 
 
 def test_public_distribution_full_disclosure(spec2):
@@ -211,66 +191,34 @@ def test_cross_observation_reduction_equals_kernel(spec3):
     assert np.allclose(d2.probs, [0.1, 0.9])
 
 
+def _played_signals(spec, profile, seed, periods, mode="public"):
+    """The signals ``run_episode`` draws while ``profile`` is played."""
+    strategies = [AlwaysDisclose() if a else AlwaysConceal() for a in profile]
+    trace = run_episode(spec, strategies, periods, seed, mode=mode)
+    return trace.public_signals if mode == "public" else trace.private_signals
+
+
 def test_sampling_frequencies_within_3_sigma(spec2):
     n_draws = 100_000
     probs = public_signal_distribution(spec2, (1, 1)).probs
-    idx = sample_public_indices(spec2, (1, 1), seed=2024, periods=n_draws)
-    counts = np.bincount(idx.ravel(), minlength=4)
+    idx = _played_signals(spec2, (1, 1), seed=2024, periods=n_draws)
+    counts = np.bincount(idx, minlength=4)
     for b in range(4):
         expected = n_draws * probs[b]
         sigma = np.sqrt(n_draws * probs[b] * (1 - probs[b]))
         assert abs(counts[b] - expected) < 3 * sigma, (b, counts[b], expected)
 
 
-def test_private_sampling_shape_and_diag(spec3):
-    sig = sample_private(spec3, (1, 0, 1), seed=5, periods=7, replicas=2)
-    assert sig.shape == (7, 2, 3, 3)
-    assert np.all(sig[:, :, range(3), range(3)] == -1)
-    off = sig[:, :, [0, 0, 1, 1, 2, 2], [1, 2, 0, 2, 0, 1]]
-    assert np.all((off == 0) | (off == 1))
-
-
 def test_private_bits_match_kernel_rates(spec3):
-    sig = sample_private(spec3, (1, 0, 1), seed=9, periods=20_000, replicas=1)
+    sig = _played_signals(spec3, (1, 0, 1), seed=9, periods=20_000, mode="private")
     # column j holds everyone's reading of firm j
     for j, action in enumerate((1, 0, 1)):
         p_one = 1.0 - signal_kernel(spec3, "private")[action]
-        obs = [sig[:, 0, i, j] for i in range(3) if i != j]
+        obs = [sig[:, i, j] for i in range(3) if i != j]
         for col in obs:
             rate = float(np.mean(col))
             sigma = np.sqrt(p_one * (1 - p_one) / len(col))
             assert abs(rate - p_one) < 4 * sigma
-
-
-class _Fixed(Strategy):
-    def __init__(self, action):
-        self.action = action
-
-    def next_action(self, public_history, private_history) -> int:
-        return self.action
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_samplers_draw_the_simulators_bits(n):
-    # A fixed profile over more than one draw block, a monitor kernel apart
-    # from the firms' one, and replicas past 0: the sampled bits of replica
-    # c are the bits run_episode draws for replica c.
-    spec = GameSpec(n, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9,
-                    monitor_alpha=0.8, monitor_epsilon=0.2)
-    profile = tuple(i % 2 for i in range(n))
-    seed, horizon, replicas = 41, DRAW_CHUNK_PERIODS + 37, 3
-    public = sample_public(spec, profile, seed, periods=horizon, replicas=replicas)
-    indices = sample_public_indices(spec, profile, seed, periods=horizon, replicas=replicas)
-    private = sample_private(spec, profile, seed, periods=horizon, replicas=replicas)
-    weights = np.int64(1) << np.arange(n)
-    for c in range(1, replicas):
-        pub = run_episode(spec, [_Fixed(a) for a in profile], horizon, seed, replica=c)
-        assert np.array_equal(public[:, c].astype(np.int64) @ weights, pub.public_signals)
-        assert np.array_equal(indices[:, c], pub.public_signals)
-        priv = run_episode(
-            spec, [_Fixed(a) for a in profile], horizon, seed, mode="private", replica=c
-        )
-        assert np.array_equal(private[:, c], priv.private_signals)
 
 
 @settings(max_examples=25)
@@ -282,7 +230,7 @@ def test_samplers_draw_the_simulators_bits(n):
 )
 def test_distribution_always_normalized(alpha, epsilon, n, bits):
     spec = GameSpec(n, LinearGain(3.0), 1.0, alpha, epsilon, 0.9)
-    r = signal_bits(bits % (2**n), n)
+    r = tuple((bits >> j) & 1 for j in range(n))
     probs = public_signal_distribution(spec, r).probs
     assert abs(probs.sum() - 1.0) <= DIST_TOL
     assert np.all(probs > 0)
