@@ -62,7 +62,8 @@ def promise_mc(
     admissible region; halt_periods[r] is the first period whose promise
     left the region, or -1.
     """
-    seed, replicas, horizon, delta = int(seed), int(replicas), int(horizon), float(delta)
+    # The seed reaches the draws as given: ``SignalStreams.uniforms`` checks it.
+    replicas, horizon, delta = int(replicas), int(horizon), float(delta)
     v0, p_zero = (np.asarray(x, dtype=np.float64) for x in (v0, p_zero))
     n = v0.shape[0]
     totals = np.zeros((replicas, n))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import io
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -136,19 +137,10 @@ class SignalTrigger(Strategy):
         self._seen = 0
         self._zeros = 0
 
-    # The last message round counted and its zeros.  In private mode every
-    # firm's public history holds the same round tuple, so the round is
-    # counted once a period, not once per firm.
-    _last_round: tuple = ((), 0)
-
     def _count_zero_bits(self, entry) -> int:
         if isinstance(entry, (int, np.integer)):
             return self.spec.n_firms - int(entry).bit_count()
-        last, zeros = SignalTrigger._last_round
-        if last is not entry or type(entry) is not tuple:
-            zeros = sum([msg.count(0) for msg in entry])
-            SignalTrigger._last_round = (entry, zeros)
-        return zeros
+        return sum([msg.count(0) for msg in entry])
 
     def next_action(self, public_history, private_history) -> int:
         while self._seen < len(public_history):
@@ -341,6 +333,12 @@ _INT = {int}
 _BITS = {0, 1}
 
 
+def _check_count(x, name: str) -> None:
+    """DomainError unless ``x`` is an integer, not a bool, of at least 1."""
+    if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)) or x < 1:
+        raise DomainError(f"{name} must be an integer >= 1, got {x!r}")
+
+
 def _validate_action(a, firm: int, period: int) -> int:
     if isinstance(a, (bool, np.bool_)) or not isinstance(a, (int, np.integer)):
         raise ProtocolError(
@@ -405,8 +403,7 @@ def run_episode(
     """
     if mode not in (MODE_PUBLIC, MODE_PRIVATE):
         raise DomainError(f"mode must be '{MODE_PUBLIC}' or '{MODE_PRIVATE}', got {mode!r}")
-    if horizon < 1:
-        raise DomainError(f"horizon must be >= 1, got {horizon}")
+    _check_count(horizon, "horizon")
     n = spec.n_firms
     supplied = list(strategies)
     if len(supplied) != n:
@@ -430,15 +427,14 @@ def run_episode(
     players = list(enumerate(strategies))
 
     played: list[int] = []  # actions, period-major
-    signals: list[int] = []
     private_signals = (
         None if public else np.full((horizon, n, n), -1, dtype=np.int8)
     )
-    messages: list[tuple] = []
     # The first firm's promise, one tuple per period, when it walks one.
     track = isinstance(strategies[0], PromiseAutomaton)
     promises: list[tuple] = []
 
+    # Signal indices in public mode, message rounds in private mode.
     public_history: list = []
     own_actions: list[list[int]] = [[] for _ in range(n)]
     own_signals: list[list[np.ndarray]] = [[] for _ in range(n)]
@@ -463,11 +459,11 @@ def run_episode(
             if not public:
                 round_msgs = tuple(
                     _validate_message(
-                        s.next_message(own_actions[i], own_signals[i], messages), i, t, n
+                        s.next_message(own_actions[i], own_signals[i], public_history),
+                        i, t, n,
                     )
                     for i, s in players
                 )
-                messages.append(round_msgs)
                 public_history.append(round_msgs)
 
             disclosers = 0
@@ -484,9 +480,7 @@ def run_episode(
                 promises.append(strategies[0]._v)
 
             if public:
-                index = (m1[k] & disclosers) | (m0[k] & ~disclosers)
-                signals.append(index)
-                public_history.append(index)
+                public_history.append((m1[k] & disclosers) | (m0[k] & ~disclosers))
             else:
                 p_zero = p_zero_by_mask.get(disclosers)
                 if p_zero is None:
@@ -509,9 +503,9 @@ def run_episode(
         u_scale=spec.max_abs_payoff(),
         actions=actions,
         payoffs=payoffs,
-        public_signals=np.array(signals, dtype=np.int64) if public else None,
+        public_signals=np.array(public_history, dtype=np.int64) if public else None,
         private_signals=private_signals,
-        messages=None if public else tuple(messages),
+        messages=None if public else tuple(public_history),
         promises=np.array(promises) if track else None,
     )
 
@@ -571,8 +565,7 @@ def monte_carlo(
 ) -> MonteCarloResult:
     """Replicate run_episode over independent substreams (replica = counter
     coordinate, so streams never overlap) and aggregate in replica order."""
-    if replicas < 1:
-        raise DomainError(f"replicas must be >= 1, got {replicas}")
+    _check_count(replicas, "replicas")
     per = np.zeros((replicas, spec.n_firms))
     for r in range(replicas):
         clones = [s.clone() for s in strategies]
@@ -610,14 +603,12 @@ def monte_carlo_promise(
     the halt period on (all-conceal continuation); their partial
     discounted sums still enter the aggregate.
     """
-    if replicas < 1:
-        raise DomainError(f"replicas must be >= 1, got {replicas}")
-    if horizon < 1:
-        raise DomainError(f"horizon must be >= 1, got {horizon}")
+    _check_count(replicas, "replicas")
+    _check_count(horizon, "horizon")
     auto = PromiseAutomaton(spec, v0, direction, on_exit="concede")
     walk = auto.decomp
     totals, halts = promise_mc(
-        seed=int(base_seed),
+        seed=base_seed,
         replicas=replicas,
         horizon=horizon,
         delta=spec.delta,
@@ -643,38 +634,36 @@ def write_trace_csv(trace: EpisodeTrace, path) -> None:
         _write_trace(trace, fh)
 
 
-def _bit_columns(n: int):
-    """Private-mode trace columns ``b_i_j`` in the private bit order, with
-    each column's (observer, observed) firm."""
-    s = signal_streams(n, MODE_PRIVATE)
-    names = [f"b_{i + 1}_{j + 1}" for i, j in zip(s.observer.tolist(), s.observed.tolist())]
-    return names, s.observer, s.observed
+def _header(n: int, mode: str, track: bool) -> list[str]:
+    """The trace CSV's column names for ``n`` firms; private bits ``b_i_j``
+    come in the private bit order, and promises only when ``track``."""
+    firms = range(1, n + 1)
+    header = ["period", *(f"action_{i}" for i in firms)]
+    if mode == MODE_PUBLIC:
+        header.append("signal_index")
+    else:
+        s = signal_streams(n, MODE_PRIVATE)
+        header += [f"b_{i + 1}_{j + 1}" for i, j in zip(s.observer.tolist(), s.observed.tolist())]
+        header += [f"message_{i}" for i in firms]
+    header += [f"payoff_{i}" for i in firms]
+    if track:
+        header += [f"promise_{i}" for i in firms]
+    return header
 
 
 def _write_trace(trace: EpisodeTrace, fh) -> None:
     """Write the trace CSV of write_trace_csv to an open text stream."""
     n = trace.n_firms
     fh.write(
-        f"# mode={trace.mode} delta={trace.delta!r} seed={trace.seed} "
-        f"replica={trace.replica} u_scale={trace.u_scale!r} n_firms={n}\n"
+        f"# mode={trace.mode} delta={float(trace.delta)!r} seed={trace.seed} "
+        f"replica={trace.replica} u_scale={float(trace.u_scale)!r} n_firms={n}\n"
     )
     writer = csv.writer(fh, lineterminator="\n")
-    bit_names, observer, observed = _bit_columns(n)
-    header = ["period"]
-    header += [f"action_{i + 1}" for i in range(n)]
-    if trace.mode == MODE_PUBLIC:
-        header.append("signal_index")
-    else:
-        header += bit_names
-        header += [f"message_{i + 1}" for i in range(n)]
-    header += [f"payoff_{i + 1}" for i in range(n)]
-    if trace.promises is not None:
-        header += [f"promise_{i + 1}" for i in range(n)]
-    writer.writerow(header)
-    writer.writerows(_trace_rows(trace, observer, observed))
+    writer.writerow(_header(n, trace.mode, trace.promises is not None))
+    writer.writerows(_trace_rows(trace))
 
 
-def _trace_rows(trace: EpisodeTrace, observer, observed):
+def _trace_rows(trace: EpisodeTrace):
     """The trace's CSV rows, one per period, built as they are written from
     each array's rows.  csv writes a float with ``repr``, so floats keep full
     precision."""
@@ -682,7 +671,8 @@ def _trace_rows(trace: EpisodeTrace, observer, observed):
     if trace.mode == MODE_PUBLIC:
         signals = ([x] for x in _row_lists(trace.public_signals))
     else:
-        bits = _row_lists(trace.private_signals[:, observer, observed])
+        s = signal_streams(trace.n_firms, MODE_PRIVATE)
+        bits = _row_lists(trace.private_signals[:, s.observer, s.observed])
         signals = (
             b + ["".join(map(str, m)) for m in msgs] for b, msgs in zip(bits, trace.messages)
         )
@@ -691,101 +681,82 @@ def _trace_rows(trace: EpisodeTrace, observer, observed):
         yield [t, *a, *b, *u, *v]
 
 
-_TRACE_META = ("mode", "delta", "seed", "replica", "u_scale", "n_firms")
-
-
 def read_trace_csv(path) -> EpisodeTrace:
     """Inverse of write_trace_csv; numeric fields round-trip bit for bit.
 
-    A file that write_trace_csv could not have written raises DomainError:
-    a metadata key or a column missing, a row whose length is not the
-    header's, periods other than 0, 1, ..., T-1 in order, an action,
-    private bit or message character other than 0 or 1, a message of the
-    wrong length, a public signal index outside [0, 2^N), or a field that
-    does not parse.
+    The file reads only if it is the exact text write_trace_csv writes for
+    the trace it holds: the reader parses it, writes the parsed trace back
+    and compares.  The rewrite cannot see a value it writes as read, so
+    these are checked as well: actions, private bits and message characters
+    are 0 or 1, a message is 0 bits wide at period 0 and N - 1 after, and a
+    public signal index lies in [0, 2^N).  Any other file, a CRLF one
+    included, raises DomainError.
     """
     try:
-        return _read_trace(path)
+        with open(path, newline="") as fh:
+            text = fh.read()
+        trace = _parse_trace(text)
     except DomainError:
         raise
-    except ValueError as exc:
-        raise DomainError(f"malformed trace file: {exc}") from None
+    except (ValueError, KeyError, IndexError, OverflowError) as exc:
+        raise DomainError(f"malformed trace file: {type(exc).__name__}: {exc}") from None
+    out = io.StringIO()
+    _write_trace(trace, out)
+    if out.getvalue() != text:
+        raise DomainError("trace file is not the text write_trace_csv writes for its trace")
+    return trace
 
 
-def _read_trace(path) -> EpisodeTrace:
-    with open(path, newline="") as fh:
-        meta_line = fh.readline()
-        if not meta_line.startswith("#"):
-            raise DomainError("trace file lacks the metadata comment line")
-        meta = dict(item.partition("=")[::2] for item in meta_line[1:].split())
-        missing = [key for key in _TRACE_META if key not in meta]
-        if missing:
-            raise DomainError(f"trace metadata lacks {', '.join(missing)}")
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DomainError("trace file lacks the header row")
-        rows = [row for row in reader if row]
-    n = int(meta["n_firms"])
+def _parse_trace(text: str) -> EpisodeTrace:
+    """The trace a trace file's text holds, its body read by position."""
+    # Every line the writer writes ends in "\n"; a file that does not end so
+    # loses its last line here and fails the rewrite.
+    meta_line, header_line, *lines = text.split("\n")[:-1]
+    if not meta_line.startswith("#"):
+        raise DomainError("trace file lacks the metadata comment line")
+    meta = dict(item.split("=", 1) for item in meta_line[1:].split())
     mode = meta["mode"]
     if mode not in (MODE_PUBLIC, MODE_PRIVATE):
         raise DomainError(
             f"trace mode must be '{MODE_PUBLIC}' or '{MODE_PRIVATE}', got {mode!r}"
         )
+    header = header_line.split(",")
+    n = int(meta["n_firms"])
     # Every firm has an action column, so a larger n cannot fit the header.
     if not 1 <= n <= len(header):
         raise DomainError(f"trace n_firms={n} does not fit its {len(header)} columns")
-    public = mode == MODE_PUBLIC
-    col = {name: k for k, name in enumerate(header)}
-    track = "promise_1" in col
-    firms = range(1, n + 1)
-    bit_names, observer, observed = _bit_columns(n) if not public else ([], None, None)
-    names = ["period", *(f"action_{i}" for i in firms), *(f"payoff_{i}" for i in firms)]
-    names += ["signal_index"] if public else bit_names + [f"message_{i}" for i in firms]
-    names += [f"promise_{i}" for i in firms] if track else []
-    missing = [name for name in names if name not in col]
-    if missing:
-        raise DomainError(f"trace file lacks the columns {', '.join(missing)}")
+    track = len(header) > len(_header(n, mode, False))
+    if header != _header(n, mode, track):
+        raise DomainError(f"trace header is not the one of {n} firms in {mode} mode")
+    horizon = len(lines)
+    body = np.array([line.split(",") for line in lines], dtype=str).reshape(horizon, len(header))
 
-    def columns(prefix):
-        return [col[f"{prefix}_{i}"] for i in firms]
+    def bits(first, count, what):
+        values = body[:, first:first + count].astype(np.int64)
+        if ((values < 0) | (values > 1)).any():
+            raise DomainError(f"trace {what} is not 0 or 1")
+        return values
 
-    horizon = len(rows)
-    actions = np.zeros((horizon, n), dtype=np.int8)
-    payoffs = np.zeros((horizon, n))
-    public_signals = np.zeros(horizon, dtype=np.int64) if public else None
-    private_signals = None if public else np.full((horizon, n, n), -1, dtype=np.int8)
-    messages: list[tuple] = []
-    promises = np.zeros((horizon, n)) if track else None
-    for t, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DomainError(f"trace row {t} has {len(row)} fields, the header {len(header)}")
-        if int(row[col["period"]]) != t:
-            raise DomainError(
-                f"trace row {t} is period {row[col['period']]}: periods must run "
-                "0, 1, ..., T-1 in order"
-            )
-        actions[t] = _trace_bits([row[c] for c in columns("action")], t, "an action")
-        payoffs[t] = [float(row[c]) for c in columns("payoff")]
-        if track:
-            promises[t] = [float(row[c]) for c in columns("promise")]
-        if public:
-            index = int(row[col["signal_index"]])
-            if not 0 <= index < 1 << n:
-                raise DomainError(
-                    f"trace period {t}: signal index {index} is not in [0, 2^{n})"
-                )
-            public_signals[t] = index
-        else:
-            bits = _trace_bits([row[col[name]] for name in bit_names], t, "a private bit")
-            private_signals[t, observer, observed] = bits
+    actions = bits(1, n, "action").astype(np.int8)
+    pay = header.index("payoff_1")
+    payoffs = body[:, pay:pay + n].astype(np.float64)
+    promises = body[:, pay + n:].astype(np.float64) if track else None
+    if mode == MODE_PUBLIC:
+        public_signals = body[:, n + 1].astype(np.int64)
+        if ((public_signals < 0) | (public_signals >= 1 << n)).any():
+            raise DomainError(f"trace signal index is not in [0, 2^{n})")
+        private_signals = messages = None
+    else:
+        public_signals = None
+        s = signal_streams(n, MODE_PRIVATE)
+        private_signals = np.full((horizon, n, n), -1, dtype=np.int8)
+        private_signals[:, s.observer, s.observed] = bits(n + 1, n * (n - 1), "private bit")
+        words = body[:, pay - n:pay].tolist()
+        for t, row in enumerate(words):
             width = 0 if t == 0 else n - 1
-            round_msgs = []
-            for c in columns("message"):
-                if len(row[c]) != width:
-                    raise DomainError(f"trace period {t}: a message is not {width} bits")
-                round_msgs.append(tuple(_trace_bits(row[c], t, "a message bit")))
-            messages.append(tuple(round_msgs))
+            if any(len(m) != width or m.strip("01") for m in row):
+                raise DomainError(f"trace period {t}: a message is not {width} bits of 0 or 1")
+        messages = tuple(tuple(tuple(map(int, m)) for m in row) for row in words)
     return EpisodeTrace(
         mode=mode,
         delta=float(meta["delta"]),
@@ -796,14 +767,6 @@ def _read_trace(path) -> EpisodeTrace:
         payoffs=payoffs,
         public_signals=public_signals,
         private_signals=private_signals,
-        messages=None if public else tuple(messages),
+        messages=messages,
         promises=promises,
     )
-
-
-def _trace_bits(fields, t: int, what: str) -> list[int]:
-    """The fields of period t as ints, each 0 or 1, or DomainError."""
-    bits = [int(x) for x in fields]
-    if not set(bits) <= _BITS:
-        raise DomainError(f"trace period {t}: {what} is not 0 or 1")
-    return bits

@@ -57,6 +57,13 @@ def signal_kernel(spec: GameSpec, mode: str) -> np.ndarray:
     return _p_zero_by_action(spec.alpha, spec.epsilon)
 
 
+def _check_word(x, name: str) -> None:
+    """DomainError unless ``x`` is an integer, not a bool, in [0, 2**64)."""
+    if (isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer))
+            or not 0 <= x < 2**64):
+        raise DomainError(f"{name} must lie in [0, 2**64) and be an integer, got {x!r}")
+
+
 @dataclass(frozen=True)
 class SignalStreams:
     """Where each monitoring bit of a period is drawn, one entry per bit.
@@ -80,15 +87,19 @@ class SignalStreams:
         of ``replicas``: float64 of shape (count, bits, len(replicas)).
 
         ``seed`` is a word of the rng key and each replica a word of the
-        counter, so each must lie in [0, 2**64).  Every draw path checks
-        them here.
+        counter, so each must be an integer, not a bool, in [0, 2**64).
+        Every draw path checks them here.
         """
+        _check_word(seed, "seed")
         replicas = np.atleast_1d(replicas)
-        if not 0 <= int(seed) < 2**64:
-            raise DomainError(f"seed must lie in [0, 2**64), got {seed}")
-        bad = replicas[(replicas < 0) | (replicas >= 2**64)]
-        if bad.size:
-            raise DomainError(f"replica must lie in [0, 2**64), got {bad[0]}")
+        # An integer array is range-checked at once; any other (floats,
+        # bools, Python ints past 64 bits) entry by entry.
+        if replicas.dtype.kind in "iu":
+            suspects = replicas[(replicas < 0) | (replicas >= 2**64)]
+        else:
+            suspects = replicas
+        for r in suspects.tolist():
+            _check_word(r, "replica")
         m = self.slot.size
         u = rng.uniforms(
             seed, self.domain, start, count,

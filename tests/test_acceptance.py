@@ -237,8 +237,9 @@ def test_accept_communication_conditions():
 
 def test_accept_promise_automaton_end_to_end():
     """Promise walk: exact per-period decomposition on a surviving replica,
-    Monte Carlo mean within 2% of the promised payoff at delta = 0.99, and
-    prompt exit at delta = 0.5."""
+    Monte Carlo mean within 2% of the promised payoff at delta = 0.99 with
+    README's halt count and median halt period, and prompt exit at
+    delta = 0.5."""
     t0 = time.monotonic()
     spec = _spec(delta=0.99)
     auto = PromiseAutomaton(spec, (2.0, 2.0), (1.0, 1.0))
@@ -261,6 +262,9 @@ def test_accept_promise_automaton_end_to_end():
     )
     mean_err = float(np.max(np.abs(mc.mean - 2.0)))
     assert mean_err <= 0.04  # 2% of the promised 2.0
+    # README's quick start prints this run's halt count and median halt period.
+    assert mc.n_halted == 9463
+    assert np.median(mc.halt_periods[mc.halt_periods >= 0]) == 611
 
     from npdshare.errors import DiscountTooSmallError
 

@@ -76,25 +76,53 @@ def test_signal_trigger_infinite_never_fires(spec2):
     assert np.array_equal(t1.public_signals, t2.public_signals)
 
 
-@pytest.mark.parametrize("replica", [-1, 2**64])
+@pytest.mark.parametrize("replica", [-1, 2**64, 1.5, True])
 def test_run_episode_rejects_replicas_outside_64_bits(spec2, replica):
     with pytest.raises(DomainError, match="replica must lie in"):
         run_episode(spec2, [AlwaysDisclose(), AlwaysDisclose()], 5, seed=1, replica=replica)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
 def test_run_episode_rejects_seeds_outside_64_bits(spec2, seed):
     for mode in ("public", "private"):
         with pytest.raises(DomainError, match="seed must lie in"):
             run_episode(spec2, [AlwaysDisclose(), AlwaysDisclose()], 5, seed=seed, mode=mode)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
 def test_monte_carlo_promise_rejects_seeds_outside_64_bits(spec2_patient, seed):
     with pytest.raises(DomainError, match="seed must lie in"):
         monte_carlo_promise(
             spec2_patient, (2.0, 2.0), (1.0, 1.0), replicas=2, horizon=5, base_seed=seed
         )
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2.5, True])
+def test_monte_carlo_rejects_seeds_outside_64_bits(spec2, seed):
+    with pytest.raises(DomainError, match="seed must lie in"):
+        monte_carlo(spec2, [AlwaysDisclose(), AlwaysDisclose()], replicas=2, horizon=5,
+                    base_seed=seed)
+
+
+@pytest.mark.parametrize("run, name, value", [
+    pytest.param(run, name, value, id=f"{run}-{name}-{value!r}")
+    for run in ("run_episode", "monte_carlo", "monte_carlo_promise")
+    for name, value in [("replicas", 2.0), ("replicas", True), ("horizon", 5.0),
+                        ("horizon", True), ("horizon", np.True_)]
+    if (run, name) != ("run_episode", "replicas")
+])
+def test_engine_rejects_counts_that_are_not_integers(spec2_patient, run, name, value):
+    # A float or a bool is no count: each was truncated or raised TypeError.
+    kw = {"horizon": 5} if run == "run_episode" else {"replicas": 2, "horizon": 5}
+    kw[name] = value
+    pair = [AlwaysDisclose(), AlwaysDisclose()]
+    with pytest.raises(DomainError, match=f"{name} must be an integer >= 1"):
+        if run == "run_episode":
+            run_episode(spec2_patient, pair, seed=1, **kw)
+        elif run == "monte_carlo":
+            monte_carlo(spec2_patient, pair, base_seed=1, **kw)
+        else:
+            monte_carlo_promise(spec2_patient, (2.0, 2.0), (1.0, 1.0), base_seed=1, **kw)
 
 
 def test_signal_trigger_validates_threshold():
@@ -726,17 +754,29 @@ def test_monte_carlo_promise_records_halts(spec2_patient):
 # serialization
 
 
-def test_public_trace_round_trips_bitwise(spec2, tmp_path):
-    trace = run_episode(spec2, [AlwaysDisclose(), AlwaysConceal()], 25, seed=17)
-    path = tmp_path / "trace.csv"
+def _rewritten(trace, tmp_path) -> str:
+    """The text write_trace_csv writes for ``trace``."""
+    path = tmp_path / "again.csv"
     write_trace_csv(trace, path)
-    back = read_trace_csv(path)
-    assert back.mode == trace.mode and back.delta == trace.delta
-    assert back.seed == trace.seed and back.replica == trace.replica
-    assert np.array_equal(back.actions, trace.actions)
-    assert np.array_equal(back.payoffs, trace.payoffs)
-    assert np.array_equal(back.public_signals, trace.public_signals)
-    assert np.array_equal(back.discounted_average(), trace.discounted_average())
+    return path.read_text()
+
+
+def test_public_trace_round_trips_bitwise(spec2, tmp_path):
+    # A spec built from numpy scalars must write plain floats in the metadata.
+    numpy_spec = GameSpec(2, LinearGain(np.float64(3.0)), np.float64(1.0), np.float64(0.9),
+                          np.float64(0.1), np.float64(0.99))
+    for spec in (spec2, numpy_spec):
+        trace = run_episode(spec, [AlwaysDisclose(), AlwaysConceal()], 25, seed=17)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        back = read_trace_csv(path)
+        assert back.mode == trace.mode and back.delta == trace.delta
+        assert back.seed == trace.seed and back.replica == trace.replica
+        assert np.array_equal(back.actions, trace.actions)
+        assert np.array_equal(back.payoffs, trace.payoffs)
+        assert np.array_equal(back.public_signals, trace.public_signals)
+        assert np.array_equal(back.discounted_average(), trace.discounted_average())
+        assert _rewritten(back, tmp_path) == path.read_text()
 
 
 def test_private_trace_round_trips(spec3, tmp_path):
@@ -748,6 +788,7 @@ def test_private_trace_round_trips(spec3, tmp_path):
     back = read_trace_csv(path)
     assert np.array_equal(back.private_signals, trace.private_signals)
     assert back.messages == trace.messages
+    assert _rewritten(back, tmp_path) == path.read_text()
 
 
 def test_promise_trace_round_trips(spec2_patient, tmp_path):
@@ -757,6 +798,7 @@ def test_promise_trace_round_trips(spec2_patient, tmp_path):
     write_trace_csv(trace, path)
     back = read_trace_csv(path)
     assert np.array_equal(back.promises, trace.promises)
+    assert _rewritten(back, tmp_path) == path.read_text()
 
 
 def test_trace_file_uses_lf_endings(spec2, tmp_path):
@@ -789,12 +831,43 @@ def _malformed(text: str, case: str) -> str:
         rows[0] = rows[0].replace("0,1,", "0,x,", 1)
     elif case == "bad-mode":
         meta = meta.replace("mode=public", "mode=mixed")
+    # Forms the writer never writes, though each holds a readable trace.
+    elif case == "action-01":
+        rows[0] = rows[0].replace("0,1,", "0,01,", 1)
+    elif case == "period-plus":
+        rows[0] = "+" + rows[0]
+    elif case == "period-underscore":
+        rows[0] = "0_" + rows[0]
+    elif case in ("payoff-2.00", "payoff-space", "index-space"):
+        fields = rows[0].split(",")
+        k = header.split(",").index("signal_index" if case == "index-space" else "payoff_1")
+        fields[k] = fields[k] + "0" if case == "payoff-2.00" else " " + fields[k]
+        rows[0] = ",".join(fields)
+    elif case == "crlf":
+        return "\r\n".join([meta, header, *rows]) + "\r\n"
+    elif case == "unknown-key":
+        meta += " colour=red"
+    elif case == "extra-column":
+        header, *rows = (line + ",0" for line in [header, *rows])
+    elif case == "permuted-columns":
+        def swap(line):
+            fields = line.split(",")
+            fields[4], fields[5] = fields[5], fields[4]
+            return ",".join(fields)
+        header, *rows = map(swap, [header, *rows])
+    elif case == "blank-line":
+        rows.insert(1, "")
+    elif case == "delta-0.90":
+        meta = meta.replace(" delta=0.9 ", " delta=0.90 ")
     return "\n".join([meta, header, *rows]) + "\n"
 
 
 @pytest.mark.parametrize("case", [
     "duplicate-period", "action-7", "missing-column", "period-past-end", "no-n_firms",
     "signal-index", "short-row", "not-a-number", "bad-mode",
+    "action-01", "period-plus", "period-underscore", "payoff-2.00", "payoff-space",
+    "index-space", "crlf", "unknown-key", "extra-column", "permuted-columns", "blank-line",
+    "delta-0.90",
 ])
 def test_read_trace_refuses_malformed_public_traces(spec2, tmp_path, case):
     trace = run_episode(spec2, [AlwaysDisclose(), AlwaysDisclose()], 3, seed=0)
@@ -802,7 +875,13 @@ def test_read_trace_refuses_malformed_public_traces(spec2, tmp_path, case):
     write_trace_csv(trace, path)
     text = path.read_text()
     assert text.splitlines()[2].startswith("0,1,")
-    path.write_text(_malformed(text, case))
+    assert text.splitlines()[:2] == [
+        "# mode=public delta=0.9 seed=0 replica=0 u_scale=3.0 n_firms=2",
+        "period,action_1,action_2,signal_index,payoff_1,payoff_2",
+    ]
+    malformed = _malformed(text, case)
+    assert malformed != text
+    path.write_bytes(malformed.encode())
     with pytest.raises(DomainError):
         read_trace_csv(path)
 
@@ -818,6 +897,19 @@ def test_read_trace_refuses_non_bits_in_private_traces(spec3, tmp_path, field, v
     fields = rows[1].split(",")
     fields[k] = value
     rows[1] = ",".join(fields)
+    path.write_text("\n".join([meta, header, *rows]) + "\n")
+    with pytest.raises(DomainError):
+        read_trace_csv(path)
+
+
+def test_read_trace_refuses_a_message_at_period_0(spec3, tmp_path):
+    trace = run_episode(spec3, [AlwaysDisclose() for _ in range(3)], 3, seed=0,
+                        mode="private")
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    meta, header, *rows = path.read_text().splitlines()
+    assert rows[0].count(",,,") == 1
+    rows[0] = rows[0].replace(",,,", ",,1,")
     path.write_text("\n".join([meta, header, *rows]) + "\n")
     with pytest.raises(DomainError):
         read_trace_csv(path)
