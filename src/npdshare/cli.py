@@ -25,11 +25,7 @@ import sys
 import numpy as np
 
 from .conditions import rank_reports, theorem_preconditions
-from .decompose import (
-    kappa,
-    ppe_payoff_set,
-    solve_enforceability,
-)
+from .decompose import ppe_payoff_set, solve_enforceability, table2_gamma_bar
 from .engine import (
     AlwaysConceal,
     AlwaysDisclose,
@@ -359,7 +355,8 @@ def cmd_sweep(args) -> int:
             f"--epsilon-grid must lie inside (0, 1/2), got [{epsilons[0]}, {epsilons[-1]}]"
         )
     rows = [
-        [repr(float(a)), repr(float(e)), repr(float(args.loss / (e * a * kappa(a, e))))]
+        [repr(float(a)), repr(float(e)),
+         repr(float(table2_gamma_bar(args.loss, a, e, (1.0, 1.0))[1, 0]))]
         for a in alphas
         for e in epsilons
     ]

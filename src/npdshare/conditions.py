@@ -61,6 +61,7 @@ from .game import (
     deviation_payoffs,
     extreme_profiles,
     minmax,
+    validate_firm,
     validate_profile,
 )
 from .monitoring import (
@@ -184,15 +185,9 @@ def _stacked_rank(spec: GameSpec, n_tested: int) -> int:
     return 1 + n_tested * int(_kernel_gap(spec, MODE_PUBLIC) > 0)
 
 
-def _check_firms(spec: GameSpec, firms, label: str) -> None:
-    for firm in firms:
-        if not 0 <= firm < spec.n_firms:
-            raise DomainError(f"{label} {firm} out of range")
-
-
 def individual_full_rank(spec: GameSpec, profile, firm: int) -> ConditionReport:
     r = validate_profile(spec, profile)
-    _check_firms(spec, (firm,), "firm index")
+    validate_firm(spec, firm)
     rank = _stacked_rank(spec, 1)
     return ConditionReport(
         condition_id="individual_full_rank",
@@ -224,7 +219,8 @@ def pairwise_full_rank(spec: GameSpec, profile, firm_i: int, firm_j: int) -> Con
     if firm_i == firm_j:
         raise DomainError("pairwise matrix needs two distinct firms")
     r = validate_profile(spec, profile)
-    _check_firms(spec, (firm_i, firm_j), "firm index")
+    validate_firm(spec, firm_i)
+    validate_firm(spec, firm_j)
     return _pairwise_report(r.tolist(), firm_i, firm_j, _stacked_rank(spec, 2))
 
 
@@ -391,7 +387,8 @@ def _validate_pair(spec: GameSpec, profile, firm_i: int, firm_j: int) -> np.ndar
     if firm_i == firm_j:
         raise DomainError("pair must consist of two distinct firms")
     r = validate_profile(spec, profile)
-    _check_firms(spec, (firm_i, firm_j), "excluded firm index")
+    validate_firm(spec, firm_i, "excluded firm index")
+    validate_firm(spec, firm_j, "excluded firm index")
     return r
 
 

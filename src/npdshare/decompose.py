@@ -43,7 +43,8 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 from .game import GameSpec, STRICT_TOL, all_profile_payoffs, deviation_payoffs
-from .game import profile_array, validate_profile, validate_vector
+from .game import profile_array, validate_accuracy, validate_count, validate_positive
+from .game import validate_profile, validate_vector
 from .geometry import ensure_ccw, halfplane_intersection_2d
 from .monitoring import MODE_PUBLIC, public_profile_distribution_raw, signal_kernel
 
@@ -69,10 +70,7 @@ def kappa(alpha: float, epsilon: float) -> float:
     = alpha - epsilon, so punishment magnitudes L/(e a kappa) shrink as the
     monitor sharpens (alpha up, epsilon down).
     """
-    if not (0 < epsilon < 0.5):
-        raise DomainError(f"epsilon must lie in (0, 1/2), got {epsilon}")
-    if not (0.5 < alpha < 1):
-        raise DomainError(f"alpha must lie in (1/2, 1), got {alpha}")
+    validate_accuracy("alpha", alpha, "epsilon", epsilon)
     return (1 - epsilon) / epsilon - (1 - alpha) / alpha
 
 
@@ -84,16 +82,13 @@ def table2_gamma_bar(loss: float, alpha: float, epsilon: float, direction) -> np
     nonzero.  A firm is punished only on signals where it alone looks
     deviant, so the two firms are never punished simultaneously.
     """
-    lam = np.asarray(direction, dtype=float)
-    if lam.shape != (2,):
-        raise DomainError("closed form is for two firms; direction must have length 2")
+    lam = validate_vector(direction, 2, "direction")
+    validate_positive(loss, "loss")
     if lam[0] == 0.0 or lam[1] == 0.0:
         raise DomainError(
             "closed form requires both direction components nonzero; "
             "use k_star / solve_enforceability for coordinate directions"
         )
-    if loss <= 0:
-        raise DomainError(f"loss must be > 0, got {loss}")
     scale = loss / (epsilon * alpha * kappa(alpha, epsilon))
     rho = (1 - epsilon) / epsilon
     g = np.zeros((4, 2))
@@ -380,8 +375,9 @@ def k_star_formula_linear_n2(G: float, L: float, direction) -> float:
     """Closed-form k*(lambda) for two firms with linear gains, positive
     quadrant directions: asymmetric profiles win when the direction is
     lopsided enough, full disclosure in between."""
-    lam = np.asarray(direction, dtype=float)
-    l1, l2 = lam
+    validate_positive(G, "G")
+    validate_positive(L, "L")
+    l1, l2 = validate_vector(direction, 2, "direction")
     if l1 < 0 or l2 < 0:
         raise DomainError("formula covers the positive quadrant only")
     if L * l2 >= G * l1:
@@ -435,8 +431,7 @@ def ppe_payoff_set(spec: GameSpec, n_directions: int = 360) -> PayoffSetApprox:
     N = 3..5 a level can exceed that hull's maximum on the direction by
     close to 1.
     """
-    if n_directions < 8:
-        raise DomainError(f"need at least 8 directions, got {n_directions}")
+    validate_count(n_directions, "n_directions", lo=8)
     if spec.n_firms == 2:
         dirs = _circle_directions(n_directions)
     else:

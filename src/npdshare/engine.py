@@ -32,7 +32,7 @@ import numpy as np
 from ._kernels import backend_name, promise_mc
 from .decompose import REGION_TOL, PromiseDecomposition
 from .errors import CapacityError, DiscountTooSmallError, DomainError, ProtocolError
-from .game import GameSpec, validate_vector
+from .game import GameSpec, validate_count, validate_vector
 from .monitoring import MODE_PRIVATE, MODE_PUBLIC, signal_kernel, signal_streams
 
 # run_episode draws its uniforms in blocks of this many periods, one rng call
@@ -121,13 +121,8 @@ class SignalTrigger(Strategy):
     """
 
     def __init__(self, threshold):
-        if threshold != math.inf and (
-            isinstance(threshold, (bool, np.bool_))
-            or not isinstance(threshold, (int, np.integer)) or threshold < 1
-        ):
-            raise DomainError(
-                f"trigger threshold must be a positive integer or math.inf, got {threshold}"
-            )
+        if threshold != math.inf:
+            validate_count(threshold, "trigger threshold (a positive integer or math.inf)")
         self.threshold = threshold
         self._seen = 0
         self._zeros = 0
@@ -333,12 +328,6 @@ _INT = {int}
 _BITS = {0, 1}
 
 
-def _check_count(x, name: str) -> None:
-    """DomainError unless ``x`` is an integer, not a bool, of at least 1."""
-    if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)) or x < 1:
-        raise DomainError(f"{name} must be an integer >= 1, got {x!r}")
-
-
 def _validate_action(a, firm: int, period: int) -> int:
     if isinstance(a, (bool, np.bool_)) or not isinstance(a, (int, np.integer)):
         raise ProtocolError(
@@ -403,7 +392,7 @@ def run_episode(
     """
     if mode not in (MODE_PUBLIC, MODE_PRIVATE):
         raise DomainError(f"mode must be '{MODE_PUBLIC}' or '{MODE_PRIVATE}', got {mode!r}")
-    _check_count(horizon, "horizon")
+    validate_count(horizon, "horizon")
     n = spec.n_firms
     supplied = list(strategies)
     if len(supplied) != n:
@@ -565,7 +554,7 @@ def monte_carlo(
 ) -> MonteCarloResult:
     """Replicate run_episode over independent substreams (replica = counter
     coordinate, so streams never overlap) and aggregate in replica order."""
-    _check_count(replicas, "replicas")
+    validate_count(replicas, "replicas")
     per = np.zeros((replicas, spec.n_firms))
     for r in range(replicas):
         clones = [s.clone() for s in strategies]
@@ -603,8 +592,8 @@ def monte_carlo_promise(
     the halt period on (all-conceal continuation); their partial
     discounted sums still enter the aggregate.
     """
-    _check_count(replicas, "replicas")
-    _check_count(horizon, "horizon")
+    validate_count(replicas, "replicas")
+    validate_count(horizon, "horizon")
     auto = PromiseAutomaton(spec, v0, direction, on_exit="concede")
     walk = auto.decomp
     totals, halts = promise_mc(
@@ -722,11 +711,11 @@ def _parse_trace(text: str) -> EpisodeTrace:
         )
     header = header_line.split(",")
     n = int(meta["n_firms"])
-    # Every firm has an action column, so a larger n cannot fit the header.
-    if not 1 <= n <= len(header):
-        raise DomainError(f"trace n_firms={n} does not fit its {len(header)} columns")
-    track = len(header) > len(_header(n, mode, False))
-    if header != _header(n, mode, track):
+    # The writer's column count for n, without promises: the header's length
+    # rules out every other n before any column name or layout is built.
+    columns = 2 * n + 2 if mode == MODE_PUBLIC else (n + 1) ** 2
+    track = len(header) == columns + n
+    if n < 1 or not (track or len(header) == columns) or header != _header(n, mode, track):
         raise DomainError(f"trace header is not the one of {n} firms in {mode} mode")
     horizon = len(lines)
     body = np.array([line.split(",") for line in lines], dtype=str).reshape(horizon, len(header))

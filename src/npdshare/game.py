@@ -54,8 +54,7 @@ class LinearGain:
     G: float
 
     def __post_init__(self):
-        if not np.isfinite(self.G) or self.G <= 0:
-            raise DomainError(f"linear gain requires G > 0, got G={self.G}")
+        validate_positive(self.G, "linear gain G")
 
     kind = "linear"
 
@@ -79,8 +78,7 @@ class ConcaveGain:
     f: tuple[float, ...]
 
     def __post_init__(self):
-        if not np.isfinite(self.G) or self.G <= 0:
-            raise DomainError(f"concave gain requires G > 0, got G={self.G}")
+        validate_positive(self.G, "concave gain G")
         f = tuple(float(v) for v in self.f)
         object.__setattr__(self, "f", f)
         if len(f) < 2:
@@ -145,15 +143,13 @@ class GameSpec:
     monitor_epsilon: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.n_firms, (int, np.integer)) or self.n_firms < 2:
-            raise DomainError(f"n_firms must be an integer >= 2, got {self.n_firms}")
-        if not np.isfinite(self.loss) or self.loss <= 0:
-            raise DomainError(f"loss must be > 0, got {self.loss}")
-        _validate_accuracy("alpha", self.alpha, "epsilon", self.epsilon)
+        validate_count(self.n_firms, "n_firms", lo=2)
+        validate_positive(self.loss, "loss")
+        validate_accuracy("alpha", self.alpha, "epsilon", self.epsilon)
         if self.monitor_alpha is not None or self.monitor_epsilon is not None:
             ma = self.alpha if self.monitor_alpha is None else self.monitor_alpha
             me = self.epsilon if self.monitor_epsilon is None else self.monitor_epsilon
-            _validate_accuracy("monitor_alpha", ma, "monitor_epsilon", me)
+            validate_accuracy("monitor_alpha", ma, "monitor_epsilon", me)
         if not np.isfinite(self.delta) or not (0 < self.delta < 1):
             raise DomainError(f"delta must lie in (0, 1), got {self.delta}")
         mi = self.gain.max_index()
@@ -208,7 +204,37 @@ class GameSpec:
         return float(np.nanmax(np.abs(self.stage)))
 
 
-def _validate_accuracy(an: str, a: float, en: str, e: float) -> None:
+def _is_integer(x) -> bool:
+    """Whether ``x`` is a Python or numpy integer; a bool is not."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, (bool, np.bool_))
+
+
+def validate_count(x, name: str, lo: int = 1, hi: int | None = None) -> None:
+    """DomainError unless ``x`` is an integer, not a bool, with lo <= x and,
+    when ``hi`` is given, x < hi: a horizon, a replica count, a seed."""
+    if _is_integer(x) and lo <= x and (hi is None or x < hi):
+        return
+    if hi is None:
+        raise DomainError(f"{name} must be an integer >= {lo}, got {x!r}")
+    raise DomainError(f"{name} must lie in [{lo}, {hi}) and be an integer, got {x!r}")
+
+
+def validate_firm(spec: GameSpec, firm, name: str = "firm index") -> int:
+    """``firm`` as an int if it is an integer, not a bool, in [0, N)."""
+    if not (_is_integer(firm) and 0 <= firm < spec.n_firms):
+        raise DomainError(f"{name} {firm} out of range: not an integer in [0, {spec.n_firms})")
+    return int(firm)
+
+
+def validate_positive(x, name: str) -> None:
+    """DomainError unless ``x`` is a finite number > 0: a loss or a gain."""
+    if not (np.isfinite(x) and x > 0):
+        raise DomainError(f"{name} must be a finite number > 0, got {x}")
+
+
+def validate_accuracy(an: str, a: float, en: str, e: float) -> None:
+    """DomainError unless epsilon ``e`` lies in (0, 1/2) and alpha ``a`` in
+    (1/2, 1): a monitoring accuracy pair."""
     if not np.isfinite(e) or not (0 < e < 0.5):
         raise DomainError(f"{en} must lie in (0, 1/2), got {e}")
     if not np.isfinite(a) or not (0.5 < a < 1):
@@ -355,8 +381,7 @@ def minmax(spec: GameSpec, firm: int) -> MinmaxResult:
     D(1) = -L < 0, so the value is 0 for every spec and the minmax profile is
     all-conceal.
     """
-    if not 0 <= firm < spec.n_firms:
-        raise DomainError(f"firm index must lie in [0, {spec.n_firms}), got {firm}")
+    firm = validate_firm(spec, firm)
     value = float(max(spec.stage[0, 0], spec.stage[1, 1]))
     return MinmaxResult(firm=firm, profile=(0,) * spec.n_firms, value=value)
 

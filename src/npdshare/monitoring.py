@@ -32,7 +32,7 @@ import numpy as np
 
 from . import rng
 from .errors import CapacityError, DomainError
-from .game import GameSpec, validate_profile
+from .game import GameSpec, validate_count, validate_firm, validate_profile
 
 DIST_TOL = 1e-12  # distributions must sum to 1 within this
 DENSE_CAP_BITS = 20  # dense expansion capped at 2**20 outcomes
@@ -55,13 +55,6 @@ def signal_kernel(spec: GameSpec, mode: str) -> np.ndarray:
     if mode == MODE_PUBLIC:
         return _p_zero_by_action(spec.m_alpha, spec.m_epsilon)
     return _p_zero_by_action(spec.alpha, spec.epsilon)
-
-
-def _check_word(x, name: str) -> None:
-    """DomainError unless ``x`` is an integer, not a bool, in [0, 2**64)."""
-    if (isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer))
-            or not 0 <= x < 2**64):
-        raise DomainError(f"{name} must lie in [0, 2**64) and be an integer, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -90,7 +83,7 @@ class SignalStreams:
         counter, so each must be an integer, not a bool, in [0, 2**64).
         Every draw path checks them here.
         """
-        _check_word(seed, "seed")
+        validate_count(seed, "seed", 0, 2**64)
         replicas = np.atleast_1d(replicas)
         # An integer array is range-checked at once; any other (floats,
         # bools, Python ints past 64 bits) entry by entry.
@@ -99,7 +92,7 @@ class SignalStreams:
         else:
             suspects = replicas
         for r in suspects.tolist():
-            _check_word(r, "replica")
+            validate_count(r, "replica", 0, 2**64)
         m = self.slot.size
         u = rng.uniforms(
             seed, self.domain, start, count,
@@ -316,11 +309,7 @@ def marginal_excluding(spec: GameSpec, profile, excluded) -> FactoredBernoulli:
     own signal holdings drop out.
     """
     r = validate_profile(spec, profile)
-    out = set()
-    for i in excluded:
-        if not 0 <= int(i) < spec.n_firms:
-            raise DomainError(f"excluded firm index {i} out of range")
-        out.add(int(i))
+    out = {validate_firm(spec, i, "excluded firm index") for i in excluded}
     if len(out) == spec.n_firms:
         raise DomainError("at least one observer must remain outside the excluded firms")
     observer, observed = _held_private_bits(spec.n_firms, tuple(sorted(out)))
@@ -337,10 +326,12 @@ def cross_observation_reduction(
     Every available observer's bit about ``observed`` has the same kernel,
     so the uniform mixture equals that kernel; communication can therefore
     reproduce public-monitoring statistics from private signals.
+    ``exclude_observer``, a firm index or None, leaves one observer out.
     """
     r = validate_profile(spec, profile)
-    if not 0 <= observed < spec.n_firms:
-        raise DomainError(f"observed firm index {observed} out of range")
+    observed = validate_firm(spec, observed, "observed firm index")
+    if exclude_observer is not None:
+        validate_firm(spec, exclude_observer, "excluded observer index")
     testers = [
         k
         for k in range(spec.n_firms)

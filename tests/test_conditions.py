@@ -93,7 +93,7 @@ def test_rank_is_exact_at_a_tiny_monitor_gap():
     assert theorem_preconditions(spec, "flm").holds
 
 
-@pytest.mark.parametrize("firm", [-1, 2])
+@pytest.mark.parametrize("firm", [-1, 2, 0.5, True])
 def test_rank_rejects_firms_out_of_range(spec2, firm):
     with pytest.raises(DomainError, match="out of range"):
         individual_full_rank(spec2, (1, 1), firm)
@@ -484,12 +484,20 @@ def test_checks_validate_firms_and_profiles(spec3):
         check_c2(spec3, (1, 1, 1), 0, 3)
     with pytest.raises(DomainError, match="out of range"):
         check_c3(spec3, (1, 1, 1), -1, 2)
+    # A firm index is an integer: 1.5 names no firm of a pair.
+    with pytest.raises(DomainError, match="out of range"):
+        check_c2(spec3, (1, 1, 1), 0, 1.5)
+    with pytest.raises(DomainError, match="out of range"):
+        check_c3(spec3, (1, 1, 1), 0, 1.5)
     with pytest.raises(DomainError, match="distinct"):
         check_c3(spec3, (1, 1, 1), 1, 1)
     with pytest.raises(DomainError, match="0 or 1"):
         check_c2(spec3, (1, 0.5, 1), 0, 1)
     with pytest.raises(DomainError):
         check_c1(spec3, 3)
+    # Firm 0.5 is no firm, so no firm can be minmaxed at it.
+    with pytest.raises(DomainError, match="out of range"):
+        check_c1(spec3, 0.5)
 
 
 def test_preconditions_and_rank_run_no_lp(monkeypatch, spec2, spec3):

@@ -363,8 +363,10 @@ def test_contains_refuses_points_that_are_not_n_finite_numbers():
 
 
 def test_payoff_set_requires_enough_directions():
-    with pytest.raises(DomainError):
-        ppe_payoff_set(_spec(), n_directions=4)
+    # A direction count is an integer: 8.5 and 9.0 are refused, not rounded.
+    for bad in (4, 8.5, 9.0, True):
+        with pytest.raises(DomainError, match="n_directions must be an integer >= 8"):
+            ppe_payoff_set(_spec(), n_directions=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +557,22 @@ def test_solver_rejects_non_finite_direction(spec2, direction):
         solve_enforceability(spec2, (1, 1), direction, orthogonal=False)
     with pytest.raises(DomainError, match="finite"):
         k_star(spec2, direction)
+    with pytest.raises(DomainError, match="finite"):
+        table2_gamma_bar(1.0, 0.9, 0.1, direction)
+    with pytest.raises(DomainError, match="finite"):
+        k_star_formula_linear_n2(3.0, 1.0, direction)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: table2_gamma_bar(np.nan, 0.9, 0.1, (1.0, 1.0)), id="table2-loss-nan"),
+    pytest.param(lambda: table2_gamma_bar(np.inf, 0.9, 0.1, (1.0, 1.0)), id="table2-loss-inf"),
+    pytest.param(lambda: k_star_formula_linear_n2(np.nan, 1.0, (1.0, 1.0)), id="formula-G-nan"),
+    pytest.param(lambda: k_star_formula_linear_n2(3.0, -1.0, (1.0, 1.0)), id="formula-L-neg"),
+])
+def test_closed_forms_reject_losses_and_gains_that_are_not_positive(call):
+    # No closed form is read at a loss or gain that is NaN, inf or negative.
+    with pytest.raises(DomainError, match="must be a finite number > 0"):
+        call()
 
 
 def test_solver_rejects_non_finite_target(spec2):

@@ -22,7 +22,7 @@ from npdshare import (
     run_episode,
     write_trace_csv,
 )
-from npdshare import _kernels, rng
+from npdshare import _kernels, engine, rng
 from npdshare.engine import DRAW_CHUNK_PERIODS, PUBLIC_MAX_FIRMS
 from npdshare.errors import CapacityError, DiscountTooSmallError, DomainError, ProtocolError
 
@@ -913,6 +913,28 @@ def test_read_trace_refuses_a_message_at_period_0(spec3, tmp_path):
     path.write_text("\n".join([meta, header, *rows]) + "\n")
     with pytest.raises(DomainError):
         read_trace_csv(path)
+
+
+def test_read_trace_refuses_a_header_too_short_for_its_n_firms(tmp_path, monkeypatch):
+    # 1500 private-mode firms need 1501**2 columns; this header has 1500, so
+    # the reader must refuse it before it builds the layout of 1500 firms.
+    asked = []
+    real = engine.signal_streams
+
+    def recording(n, mode):
+        asked.append(n)
+        return real(n, mode)
+
+    monkeypatch.setattr(engine, "signal_streams", recording)
+    names = ["period", *(f"action_{i}" for i in range(1, 1500))]
+    path = tmp_path / "trace.csv"
+    path.write_text(
+        "# mode=private delta=0.9 seed=0 replica=0 u_scale=3.0 n_firms=1500\n"
+        + ",".join(names) + "\n" + ",".join(["0"] + ["1"] * 1499) + "\n"
+    )
+    with pytest.raises(DomainError):
+        read_trace_csv(path)
+    assert 1500 not in asked
 
 
 def test_read_trace_rejects_missing_metadata(tmp_path):

@@ -107,6 +107,12 @@ def test_minmax_is_all_conceal_at_zero(spec2, spec3):
             assert mm.profile == (0,) * spec.n_firms
 
 
+@pytest.mark.parametrize("firm", [1.5, True])
+def test_minmax_rejects_firms_that_are_not_indices(spec3, firm):
+    with pytest.raises(DomainError, match="out of range"):
+        minmax(spec3, firm)
+
+
 def test_feasible_hull_square(spec2):
     hull = feasible_hull(spec2, clip_to_ir=True)
     verts = set(map(tuple, np.round(hull.as_array(), 12)))

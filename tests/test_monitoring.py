@@ -184,6 +184,23 @@ def test_marginal_excluding_drops_only_holdings(spec3):
     assert fb.labels == ((0, 1), (0, 2), (1, 0), (1, 2))
 
 
+@pytest.mark.parametrize("excluded", [(0.5,), (True,)], ids=["0.5", "True"])
+def test_marginal_excluding_rejects_firms_that_are_not_indices(spec3, excluded):
+    # A float or a bool is not truncated to a firm index.
+    with pytest.raises(DomainError, match="out of range"):
+        marginal_excluding(spec3, (1, 1, 1), excluded)
+
+
+@pytest.mark.parametrize("kw", [
+    {"observed": 1.5}, {"observed": True},
+    {"observed": 0, "exclude_observer": 1.5}, {"observed": 0, "exclude_observer": 3},
+], ids=["observed-1.5", "observed-True", "exclude-1.5", "exclude-3"])
+def test_cross_observation_reduction_rejects_firms_that_are_not_indices(spec3, kw):
+    # The observed firm and an excluded observer are both firm indices.
+    with pytest.raises(DomainError, match="out of range"):
+        cross_observation_reduction(spec3, (1, 1, 0), **kw)
+
+
 def test_cross_observation_reduction_equals_kernel(spec3):
     d = cross_observation_reduction(spec3, (1, 1, 0), observed=2)
     assert np.allclose(d.probs, [0.9, 0.1])  # firm 2 conceals: P(0)=alpha
