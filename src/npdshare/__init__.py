@@ -36,6 +36,8 @@ from .decompose import (
 from .engine import (
     AlwaysConceal,
     AlwaysDisclose,
+    CountAutomaton,
+    CountTable,
     EpisodeTrace,
     MonteCarloResult,
     PromiseAutomaton,
@@ -88,6 +90,8 @@ __all__ = [
     "ConcaveGain",
     "ConditionInapplicableError",
     "ConditionReport",
+    "CountAutomaton",
+    "CountTable",
     "DecompositionCheck",
     "DiscountTooSmallError",
     "DomainError",

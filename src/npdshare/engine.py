@@ -1,4 +1,4 @@
-"""Repeated-play engine: strategies, episodes, Monte Carlo, promise automaton.
+"""Repeated-play engine: strategies, episodes, Monte Carlo, count and promise automata.
 
 An episode runs the stage game for a finite horizon.  Under public
 monitoring the public history is the sequence of realized signal indices;
@@ -16,20 +16,29 @@ All draws are addressed by (seed, period, slot, replica) counters in the
 layout of ``monitoring.signal_streams``, so a trace is reproducible bit for
 bit and every Monte Carlo replica has an independent substream by
 construction.
+
+Monte Carlo runs one of two ways.  ``monte_carlo_promise``, and
+``monte_carlo`` when every firm plays one count automaton table on
+truthful messages, hand all replicas to the numpy driver of ``_kernels``,
+which steps them in groups along one of its two walks, the promise walk or
+the count table; every other ``monte_carlo`` profile runs ``run_episode``
+once per replica.  Either way each row is that replica's
+``discounted_average()`` bit for bit.
 """
 
 from __future__ import annotations
 
 import copy
 import csv
+import functools
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
 
-from ._kernels import backend_name, promise_mc
+from ._kernels import backend_name, count_mc, promise_mc
 from .decompose import REGION_TOL, PromiseDecomposition
 from .errors import CapacityError, DiscountTooSmallError, DomainError, ProtocolError
 from .game import GameSpec, validate_count, validate_vector
@@ -96,17 +105,155 @@ class Strategy:
         return copy.deepcopy(self)
 
 
-class AlwaysDisclose(Strategy):
+# A count automaton's transition table holds at most this many entries
+# (states times counts), 2 MB of intp.
+COUNT_TABLE_MAX_ENTRIES = 2**18
+
+
+@dataclass(frozen=True, eq=False)
+class CountTable:
+    """The rule of a count automaton, checked once and never changed.
+
+    ``action[s]`` (0 or 1) is played in state s, ``next_state[s, c]`` is the
+    state after a history entry with c zero bits, for c = 0 .. max_count,
+    and ``initial`` is the state before any entry.  The arrays are stored
+    read-only, as int8 and intp, so clones of a strategy share the table.
+    """
+
+    action: np.ndarray
+    next_state: np.ndarray
+    initial: int
+    # Tuples for the per-firm step: the actions, and whether each state is
+    # one that every count leaves alone, so it needs no counting.
+    actions: tuple = field(init=False, repr=False)
+    absorbing: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        action = np.asarray(self.action)
+        next_state = np.asarray(self.next_state)
+        states = action.shape[0] if action.ndim == 1 else 0
+        if not (
+            states
+            and ((action == 0) | (action == 1)).all()
+            and next_state.ndim == 2 and next_state.shape[0] == states
+            and next_state.dtype.kind in "iu"
+            and ((next_state >= 0) & (next_state < states)).all()
+        ):
+            raise DomainError(
+                "a count table needs S actions of 0 or 1 and an (S, max_count + 1) "
+                "array of states in [0, S)"
+            )
+        validate_count(self.initial, "count table initial state", 0, states)
+        action, next_state = action.astype(np.int8), next_state.astype(np.intp)
+        action.flags.writeable = next_state.flags.writeable = False
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "next_state", next_state)
+        object.__setattr__(self, "initial", int(self.initial))
+        object.__setattr__(self, "actions", tuple(action.tolist()))
+        object.__setattr__(
+            self, "absorbing",
+            tuple((next_state == np.arange(states)[:, None]).all(axis=1).tolist()),
+        )
+
+    def same(self, other: "CountTable") -> bool:
+        """Whether ``other`` is the same rule, entry for entry."""
+        return self is other or (
+            self.initial == other.initial
+            and np.array_equal(self.action, other.action)
+            and np.array_equal(self.next_state, other.next_state)
+        )
+
+
+class CountAutomaton(Strategy):
+    """Public strategy whose state moves on the zero bits of each history entry.
+
+    An entry is a public signal index (N bits) in public mode and a message
+    round in private mode (N(N - 1) bits when reports are truthful, none in
+    period 0), so an entry holds at most max_count = N or N(N - 1) zero
+    bits.  ``bind`` asks ``table(max_count)`` for the rule, a CountTable
+    with max_count + 1 count columns; a subclass defines ``table``.  Copies
+    share the table and hold the state as plain ints, so ``clone`` is a
+    shallow copy.
+
+    When every firm plays one table and none overrides ``next_action`` or
+    ``next_message``, ``monte_carlo`` steps all replicas at once on it.
+    """
+
+    def table(self, max_count: int) -> CountTable:
+        raise NotImplementedError
+
+    def bind(self, spec, mode, firm):
+        super().bind(spec, mode, firm)
+        n = spec.n_firms
+        max_count = n if mode == MODE_PUBLIC else n * (n - 1)
+        table = self.table(max_count)
+        if not (isinstance(table, CountTable) and table.next_state.shape[1] == max_count + 1):
+            raise DomainError(
+                f"{type(self).__name__}.table({max_count}) must return a CountTable "
+                f"with {max_count + 1} count columns"
+            )
+        self.count_table = table
+        self._actions, self._absorbing = table.actions, table.absorbing
+        self._zeros = _public_zeros if mode == MODE_PUBLIC else _round_zeros
+        self._state = table.initial
+        self._seen = 0
+
+    def clone(self) -> "CountAutomaton":
+        return copy.copy(self)
+
     def next_action(self, public_history, private_history) -> int:
-        return 1
+        z = self._state
+        if self._absorbing[z]:
+            return self._actions[z]
+        n, zeros, step = self.spec.n_firms, self._zeros, self.count_table.next_state.item
+        for entry in public_history[self._seen:]:
+            z = step(z, zeros(entry, n))
+        self._state = z
+        self._seen = len(public_history)
+        return self._actions[z]
 
 
-class AlwaysConceal(Strategy):
-    def next_action(self, public_history, private_history) -> int:
-        return 0
+def _public_zeros(index, n: int) -> int:
+    """Zero bits of an N-bit public signal index."""
+    return n - int(index).bit_count()
 
 
-class SignalTrigger(Strategy):
+def _round_zeros(messages, n: int) -> int:
+    """Zero bits of a message round, one bit tuple per firm."""
+    return sum([m.count(0) for m in messages])
+
+
+@functools.lru_cache(maxsize=64)
+def _constant_table(action: int, max_count: int) -> CountTable:
+    """One state that plays ``action`` whatever it sees."""
+    return CountTable([action], np.zeros((1, max_count + 1), dtype=np.intp), 0)
+
+
+@functools.lru_cache(maxsize=16)
+def _trigger_table(threshold: int, max_count: int) -> CountTable:
+    """States 0 .. K - 1 count the zeros seen and disclose; state K conceals
+    for good."""
+    if (threshold + 1) * (max_count + 1) > COUNT_TABLE_MAX_ENTRIES:
+        raise CapacityError(
+            f"trigger threshold {threshold} needs a count table of {threshold + 1} states by "
+            f"{max_count + 1} counts, over the cap of {COUNT_TABLE_MAX_ENTRIES} entries "
+            "(math.inf never fires)"
+        )
+    s = np.arange(threshold + 1)
+    return CountTable(s < threshold, np.minimum(s[:, None] + np.arange(max_count + 1), threshold), 0)
+
+
+class AlwaysDisclose(CountAutomaton):
+    def table(self, max_count: int) -> CountTable:
+        return _constant_table(1, max_count)
+
+
+class AlwaysConceal(CountAutomaton):
+    def table(self, max_count: int) -> CountTable:
+        return _constant_table(0, max_count)
+
+
+class SignalTrigger(CountAutomaton):
     """Disclose until ``threshold`` cumulative zero bits have been observed
     in the public history, then conceal forever.
 
@@ -118,30 +265,21 @@ class SignalTrigger(Strategy):
     1 - (1 - epsilon)^(N(N - 1)).  Any finite trigger therefore fires
     eventually; ``threshold=math.inf`` never triggers and coincides with
     AlwaysDisclose.
+
+    The table has K + 1 states, K the threshold, or one for ``math.inf``.
+    A table past COUNT_TABLE_MAX_ENTRIES entries raises CapacityError at
+    bind.
     """
 
     def __init__(self, threshold):
         if threshold != math.inf:
             validate_count(threshold, "trigger threshold (a positive integer or math.inf)")
         self.threshold = threshold
-        self._seen = 0
-        self._zeros = 0
 
-    def bind(self, spec, mode, firm):
-        super().bind(spec, mode, firm)
-        self._seen = 0
-        self._zeros = 0
-
-    def _count_zero_bits(self, entry) -> int:
-        if isinstance(entry, (int, np.integer)):
-            return self.spec.n_firms - int(entry).bit_count()
-        return sum([msg.count(0) for msg in entry])
-
-    def next_action(self, public_history, private_history) -> int:
-        while self._seen < len(public_history):
-            self._zeros += self._count_zero_bits(public_history[self._seen])
-            self._seen += 1
-        return 0 if self._zeros >= self.threshold else 1
+    def table(self, max_count: int) -> CountTable:
+        if self.threshold == math.inf:
+            return _constant_table(1, max_count)
+        return _trigger_table(int(self.threshold), max_count)
 
 
 class PromiseAutomaton(Strategy):
@@ -360,6 +498,34 @@ def _validate_message(m, firm: int, period: int, n_firms: int):
     return tuple(int(b) for b in m)
 
 
+def _bind_strategies(spec: GameSpec, strategies, horizon: int, mode: str) -> list:
+    """Check an episode's arguments, as run_episode does before any draw, and
+    return its strategies bound to firms 0 .. N - 1."""
+    if mode not in (MODE_PUBLIC, MODE_PRIVATE):
+        raise DomainError(f"mode must be '{MODE_PUBLIC}' or '{MODE_PRIVATE}', got {mode!r}")
+    validate_count(horizon, "horizon")
+    n = spec.n_firms
+    supplied = list(strategies)
+    if len(supplied) != n:
+        raise DomainError(f"need {n} strategies, got {len(supplied)}")
+    if mode == MODE_PUBLIC and n > PUBLIC_MAX_FIRMS:
+        raise CapacityError(
+            f"public play is capped at N <= {PUBLIC_MAX_FIRMS}: the trace stores "
+            f"an N-bit signal index as int64; got N = {n}"
+        )
+    # A repeated instance would have its bound firm index overwritten, so
+    # clone duplicates; each firm then runs its own copy of the rule.
+    bound = []
+    seen: set[int] = set()
+    for i, s in enumerate(supplied):
+        if id(s) in seen:
+            s = s.clone()
+        seen.add(id(s))
+        s.bind(spec, mode, i)
+        bound.append(s)
+    return bound
+
+
 def run_episode(
     spec: GameSpec,
     strategies,
@@ -390,29 +556,9 @@ def run_episode(
     Private mode compares each period's uniforms with P(bit = 0) of the
     observed firms' actions.
     """
-    if mode not in (MODE_PUBLIC, MODE_PRIVATE):
-        raise DomainError(f"mode must be '{MODE_PUBLIC}' or '{MODE_PRIVATE}', got {mode!r}")
-    validate_count(horizon, "horizon")
+    strategies = _bind_strategies(spec, strategies, horizon, mode)
     n = spec.n_firms
-    supplied = list(strategies)
-    if len(supplied) != n:
-        raise DomainError(f"need {n} strategies, got {len(supplied)}")
     public = mode == MODE_PUBLIC
-    if public and n > PUBLIC_MAX_FIRMS:
-        raise CapacityError(
-            f"public play is capped at N <= {PUBLIC_MAX_FIRMS}: the trace stores "
-            f"an N-bit signal index as int64; got N = {n}"
-        )
-    # A repeated instance would have its bound firm index overwritten, so
-    # clone duplicates; each firm then runs its own copy of the rule.
-    strategies = []
-    seen: set[int] = set()
-    for i, s in enumerate(supplied):
-        if id(s) in seen:
-            s = s.clone()
-        seen.add(id(s))
-        s.bind(spec, mode, i)
-        strategies.append(s)
     players = list(enumerate(strategies))
 
     played: list[int] = []  # actions, period-major
@@ -553,14 +699,65 @@ def monte_carlo(
     mode: str = MODE_PUBLIC,
 ) -> MonteCarloResult:
     """Replicate run_episode over independent substreams (replica = counter
-    coordinate, so streams never overlap) and aggregate in replica order."""
+    coordinate, so streams never overlap) and aggregate in replica order.
+
+    When every firm plays the same count automaton table and none overrides
+    ``next_action`` or ``next_message`` (so reports are truthful), every
+    firm plays the same action in every period, and all replicas are
+    stepped at once on the table by ``_kernels.count_mc`` (backend
+    "numpy").  Its rows equal run_episode's ``discounted_average()`` bit
+    for bit.  Any other strategy list runs run_episode once per replica
+    (backend "python").
+    """
     validate_count(replicas, "replicas")
-    per = np.zeros((replicas, spec.n_firms))
-    for r in range(replicas):
-        clones = [s.clone() for s in strategies]
-        trace = run_episode(spec, clones, horizon, base_seed, mode=mode, replica=r)
-        per[r] = trace.discounted_average()
-    return _result(spec, per, horizon, base_seed, "python")
+    strategies = list(strategies)
+    # Bound clones raise what the first replica's run_episode would.
+    table = _shared_count_table(
+        _bind_strategies(spec, [s.clone() for s in strategies], horizon, mode)
+    )
+    n = spec.n_firms
+    if table is None:
+        per = np.zeros((replicas, n))
+        for r in range(replicas):
+            clones = [s.clone() for s in strategies]
+            trace = run_episode(spec, clones, horizon, base_seed, mode=mode, replica=r)
+            per[r] = trace.discounted_average()
+        return _result(spec, per, horizon, base_seed, "python")
+    initial = table.initial
+    if mode == MODE_PRIVATE:
+        # Period 0's message round is empty: the firms count it as no zeros
+        # before they act.
+        initial = int(table.next_state[initial, 0])
+    totals = count_mc(
+        seed=base_seed,
+        replicas=replicas,
+        horizon=horizon,
+        delta=spec.delta,
+        streams=signal_streams(n, mode),
+        p_zero=signal_kernel(spec, mode),
+        # Every firm earns the stage payoff of the common action.
+        payoff=spec.stage[[0, 1], [0, n]],
+        action=table.action,
+        next_state=table.next_state,
+        initial=initial,
+    )
+    per = np.repeat(((1.0 - spec.delta) * totals)[:, None], n, axis=1)
+    return _result(spec, per, horizon, base_seed, backend_name())
+
+
+def _shared_count_table(strategies) -> CountTable | None:
+    """The table every bound strategy plays, when all are count automata
+    on the package's step and truthful messages; else None."""
+    for s in strategies:
+        cls = type(s)
+        if not (
+            isinstance(s, CountAutomaton)
+            and cls.next_action is CountAutomaton.next_action
+            and cls.next_message is Strategy.next_message
+            and s.count_table.same(strategies[0].count_table)
+        ):
+            return None
+    return strategies[0].count_table
 
 
 def monte_carlo_promise(

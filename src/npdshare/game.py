@@ -227,8 +227,9 @@ def validate_firm(spec: GameSpec, firm, name: str = "firm index") -> int:
 
 
 def validate_positive(x, name: str) -> None:
-    """DomainError unless ``x`` is a finite number > 0: a loss or a gain."""
-    if not (np.isfinite(x) and x > 0):
+    """DomainError unless ``x`` is a finite number > 0, not a bool: a loss or
+    a gain."""
+    if isinstance(x, (bool, np.bool_)) or not (np.isfinite(x) and x > 0):
         raise DomainError(f"{name} must be a finite number > 0, got {x}")
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import DomainError
 from .game import ConcaveGain, GameSpec, LinearGain
@@ -89,7 +90,7 @@ def parse_game_spec(text: str, source: str = "<string>") -> LoadedSpec:
     if kind == "linear":
         if "f" in gain_obj:
             raise DomainError(f"{source}: field 'gain.f' is only valid for kind 'concave'")
-        gain = LinearGain(g_value)
+        make_gain = partial(LinearGain, g_value)
     elif kind == "concave":
         f = _require(gain_obj, "f", source + ": gain")
         if not isinstance(f, list) or not f:
@@ -97,30 +98,24 @@ def parse_game_spec(text: str, source: str = "<string>") -> LoadedSpec:
         table = tuple(
             _number(v, f"gain.f[{k}]", source) for k, v in enumerate(f)
         )
-        gain = ConcaveGain(g_value, table)
+        make_gain = partial(ConcaveGain, g_value, table)
     else:
         raise DomainError(
             f"{source}: field 'gain.kind' must be 'linear' or 'concave', got {kind!r}"
         )
 
+    # Every field is read, and refused with the file name, before the try,
+    # which prefixes the file name to what the gain and GameSpec refuse.
     kwargs = {}
-    for json_name, attr in (
-        ("monitor_alpha", "monitor_alpha"),
-        ("monitor_epsilon", "monitor_epsilon"),
-    ):
+    for json_name in ("monitor_alpha", "monitor_epsilon"):
         if json_name in obj and obj[json_name] is not None:
-            kwargs[attr] = _number(obj[json_name], json_name, source)
+            kwargs[json_name] = _number(obj[json_name], json_name, source)
+    for json_name, attr in (("L", "loss"), ("alpha", "alpha"), ("epsilon", "epsilon"),
+                            ("delta", "delta")):
+        kwargs[attr] = _number(_require(obj, json_name, source), json_name, source)
 
     try:
-        spec = GameSpec(
-            n_firms=n_firms,
-            gain=gain,
-            loss=_number(_require(obj, "L", source), "L", source),
-            alpha=_number(_require(obj, "alpha", source), "alpha", source),
-            epsilon=_number(_require(obj, "epsilon", source), "epsilon", source),
-            delta=_number(_require(obj, "delta", source), "delta", source),
-            **kwargs,
-        )
+        spec = GameSpec(n_firms=n_firms, gain=make_gain(), **kwargs)
     except DomainError as exc:
         raise DomainError(f"{source}: {exc}") from None
 

@@ -66,6 +66,22 @@ def test_check_malformed_spec(spec_file, capsys, tmp_path):
     assert "JSON syntax error" in err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("gain", {"kind": "linear", "G": -1}, "linear gain G must be a finite number > 0, got -1.0"),
+    ("gain", {"kind": "concave", "G": 3.0, "f": [0.0, 1.0, 0.5]},
+     "concave gain table decreases at indices [2]"),
+    ("L", -1, "loss must be a finite number > 0, got -1.0"),
+    ("L", "x", "field 'L' must be a number, got 'x'"),
+])
+def test_spec_file_errors_name_the_file_once(spec_file, capsys, field, value, message):
+    obj = {"n_firms": 2, "gain": {"kind": "linear", "G": 3.0}, "L": 1.0,
+           "alpha": 0.9, "epsilon": 0.1, "delta": 0.9, field: value}
+    path = spec_file(obj, name="g.json")
+    code, out, err = run_cli(["check", "--spec", path], capsys)
+    assert code == 2 and out == ""
+    assert err == f"npdshare check: {path}: {message}\n"
+
+
 def test_rank_exits_zero(spec2_file, capsys):
     code, out, _ = run_cli(["rank", "--spec", spec2_file], capsys)
     assert code == 0
@@ -271,6 +287,18 @@ def test_simulate_public_play_is_capped_at_63_firms(spec_file, capsys, extra):
     assert code == 1
     assert out == ""
     assert "capped at N <= 63" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--replicas", "2"]], ids=["trace", "mc"])
+def test_simulate_trigger_table_cap_exits_one(spec2_file, capsys, extra):
+    # 2**18 states by 3 counts is over the count table cap: CapacityError.
+    code, out, err = run_cli(
+        ["simulate", "--spec", spec2_file, "--strategy", f"signal_trigger:{2**18}",
+         "--T", "3", *extra], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert "count table" in err and "math.inf never fires" in err
 
 
 def test_simulate_public_index_is_exact_at_63_firms(spec_file, capsys):
@@ -483,7 +511,9 @@ _SIMULATE_SPECS = {
 # trace CSVs and Monte Carlo summaries, public and private, N = 2..4, the
 # promise trace, and 1100-period runs that cross a draw block), recorded
 # with numpy 2.4 from the engine that selected each period's bits and summed
-# its payoffs with numpy calls.
+# its payoffs with numpy calls.  A Monte Carlo run also pins the digest of
+# its stderr summary (mean, stderr and truncation bias bound), recorded from
+# the per-replica loop.
 SIMULATE_GOLDEN = {
     "disclose-n2-public": (
         "linear2", "always_disclose --mode public --T 40 --seed 3",
@@ -511,19 +541,23 @@ SIMULATE_GOLDEN = {
     ),
     "mc-disclose-n2-public": (
         "linear2", "always_disclose --mode public --replicas 4 --T 30 --seed 8",
-        (0, 186, "ee2ae50de97e481104cc7e3aa31c281aa0f20b2b75a72d1fcb79f942883f95aa"),
+        (0, 186, "ee2ae50de97e481104cc7e3aa31c281aa0f20b2b75a72d1fcb79f942883f95aa",
+         "e7d0c5ebe5aa334e522f5ccbcbebaa01130e2e20c5a5daefcae2b44a06800984"),
     ),
     "mc-trigger-n2-private": (
         "linear2", "signal_trigger:3 --mode private --replicas 3 --T 40 --seed 12",
-        (0, 144, "626819e1e44a028c091874733be35375da8bcaf69e8c7d462a03303fecdc6254"),
+        (0, 144, "626819e1e44a028c091874733be35375da8bcaf69e8c7d462a03303fecdc6254",
+         "0ef6958dd16fb0f3229a856f5c96312e362f3efb698af0aefa0227c04c86ccca"),
     ),
     "mc-trigger-n3-public": (
         "concave3", "signal_trigger:4 --mode public --replicas 5 --T 40 --seed 7",
-        (0, 318, "fcd2542f03d47a1dee20e6d313d92b1f904f2aaf934b0ac3ccddda3132515ffb"),
+        (0, 318, "fcd2542f03d47a1dee20e6d313d92b1f904f2aaf934b0ac3ccddda3132515ffb",
+         "3a912b5088d763a71914bc7743b232aca97e8d23223aba30ae27d5728b2c6c54"),
     ),
     "mc-trigger-n4-private": (
         "linear4", "signal_trigger:6 --mode private --replicas 3 --T 20 --seed 1",
-        (0, 270, "7f88ca5dc46cc0760e5be9477460fdfee4edf2131efa3e638cef3a833bd1d395"),
+        (0, 270, "7f88ca5dc46cc0760e5be9477460fdfee4edf2131efa3e638cef3a833bd1d395",
+         "9591dfaf4cbe50f602b6709be0f6d35dfc7c1629e39dcc1b64f86bfcda9ee195"),
     ),
     "promise-n2-trace": (
         "patient2", "promise --T 1000 --direction=1.0,1.0 --seed 6",
@@ -543,11 +577,14 @@ SIMULATE_GOLDEN = {
 @pytest.mark.parametrize("name", sorted(SIMULATE_GOLDEN))
 def test_simulate_stdout_matches_recorded_digests(spec_file, capsys, name):
     spec, args, want = SIMULATE_GOLDEN[name]
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         ["simulate", "--spec", spec_file(_SIMULATE_SPECS[spec]), "--strategy", *args.split()],
         capsys,
     )
-    assert (code, len(out), hashlib.sha256(out.encode()).hexdigest()) == want
+    got = (code, len(out), hashlib.sha256(out.encode()).hexdigest())
+    if len(want) == 4:
+        got += (hashlib.sha256(err.encode()).hexdigest(),)
+    assert got == want
 
 
 def test_simulate_single_trace(spec2_file, capsys):

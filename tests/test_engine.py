@@ -1,13 +1,18 @@
 """Episodes, strategies, the promise automaton, and trace serialization."""
 
+import math
+import statistics
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from count_oracle import truncated_value
 
 from npdshare import (
     AlwaysConceal,
     AlwaysDisclose,
+    CountAutomaton,
+    CountTable,
     EpisodeTrace,
     GameSpec,
     LinearGain,
@@ -68,8 +73,6 @@ def test_signal_trigger_fires_and_latches(spec2):
 
 
 def test_signal_trigger_infinite_never_fires(spec2):
-    import math
-
     t1 = run_episode(spec2, [SignalTrigger(math.inf), SignalTrigger(math.inf)], 60, seed=5)
     t2 = run_episode(spec2, [AlwaysDisclose(), AlwaysDisclose()], 60, seed=5)
     assert np.array_equal(t1.actions, t2.actions)
@@ -748,6 +751,164 @@ def test_monte_carlo_promise_records_halts(spec2_patient):
     # halted replicas earn strictly less than the promised level
     halted = mc.per_replica[mc.halt_periods >= 0]
     assert np.all(halted[:, 0] < 2.0)
+
+
+# ---------------------------------------------------------------------------
+# count automata and the vectorized Monte Carlo
+
+
+class _SwapOnEven(CountAutomaton):
+    """Disclose in state 0, conceal in state 1, and swap states on an entry
+    with an even number of zeros: private play's empty first round swaps it
+    before period 0."""
+
+    def table(self, max_count):
+        even = np.arange(max_count + 1) % 2 == 0
+        return CountTable([1, 0], np.array([even, ~even], dtype=int), 0)
+
+
+class _ReportsOnes(SignalTrigger):
+    """A trigger that reports every bit it saw as 1."""
+
+    def next_message(self, own_actions, own_signals, message_history):
+        return (1,) * (self.spec.n_firms - 1) if own_signals else ()
+
+
+class _ConcealsFirst(SignalTrigger):
+    """A trigger that conceals in period 0."""
+
+    def next_action(self, public_history, private_history):
+        action = super().next_action(public_history, private_history)
+        return action if len(public_history) > (self.mode == "private") else 0
+
+
+def _loop_rows(spec, strategies, replicas, horizon, seed, mode):
+    """Each replica's run_episode discounted average: the reference rows."""
+    return np.array([
+        run_episode(spec, [s.clone() for s in strategies], horizon, seed, mode=mode,
+                    replica=r).discounted_average()
+        for r in range(replicas)
+    ])
+
+
+_COUNT_AUTOMATA = {
+    "always_disclose": AlwaysDisclose,
+    "always_conceal": AlwaysConceal,
+    "signal_trigger:1": lambda: SignalTrigger(1),
+    "signal_trigger:4": lambda: SignalTrigger(4),
+    "signal_trigger:inf": lambda: SignalTrigger(math.inf),
+    "swap_on_even": _SwapOnEven,
+}
+
+
+@pytest.mark.parametrize("mode", ["public", "private"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_count_monte_carlo_matches_the_loop_bitwise(monkeypatch, n, mode):
+    # 7 replicas in groups of 3, 40 periods in stream runs of 16, and draw
+    # batches of 2 replicas (4 in the last, 8-period run).
+    bits = n if mode == "public" else n * (n - 1)
+    monkeypatch.setattr(_kernels, "GROUP_REPLICAS", 3)
+    monkeypatch.setattr(_kernels, "STREAM_PERIODS", 16)
+    monkeypatch.setattr(_kernels, "CHUNK_DRAWS", 2 * 16 * bits)
+    spec = GameSpec(n, LinearGain(2.5), 1.2, 0.85, 0.12, 0.95, 0.8, 0.2)
+    for name, make in _COUNT_AUTOMATA.items():
+        strategies = [make() for _ in range(n)]
+        mc = monte_carlo(spec, strategies, 7, 40, base_seed=31, mode=mode)
+        assert mc.backend == "numpy", name
+        assert np.array_equal(mc.per_replica, _loop_rows(spec, strategies, 7, 40, 31, mode)), name
+        if name in ("signal_trigger:4", "swap_on_even"):
+            assert len(set(mc.per_replica[:, 0].tolist())) > 1, name  # the rows differ
+
+
+def test_profiles_off_one_truthful_table_take_the_loop(spec3):
+    cases = {
+        "mixed": [AlwaysDisclose(), SignalTrigger(2), SignalTrigger(2)],
+        "thresholds": [SignalTrigger(2), SignalTrigger(3), SignalTrigger(2)],
+        "misreports": [_ReportsOnes(2) for _ in range(3)],
+        "overrides next_action": [_ConcealsFirst(2) for _ in range(3)],
+    }
+    for mode in ("public", "private"):
+        for name, strategies in cases.items():
+            mc = monte_carlo(spec3, strategies, 4, 30, base_seed=8, mode=mode)
+            assert mc.backend == "python", (name, mode)
+            want = _loop_rows(spec3, strategies, 4, 30, 8, mode)
+            assert np.array_equal(mc.per_replica, want), (name, mode)
+    # Reports of all 1s hide every zero, so the triggers never fire: the
+    # truthful table's rows would be wrong for them.
+    truthful = monte_carlo(spec3, [SignalTrigger(2) for _ in range(3)], 4, 30, base_seed=8,
+                           mode="private")
+    liars = monte_carlo(spec3, cases["misreports"], 4, 30, base_seed=8, mode="private")
+    assert truthful.backend == "numpy"
+    assert np.all(liars.per_replica > truthful.per_replica)
+
+
+def test_count_tables_are_checked(spec2):
+    for bad in (
+        ([2], [[0, 0, 0]], 0),  # an action that is not 0 or 1
+        ([1], [[1, 0, 0]], 0),  # a state out of range
+        ([1], [[0.0, 0.0, 0.0]], 0),  # states that are not integers
+        ([], np.zeros((0, 3), dtype=int), 0),  # no state
+        ([1, 0], [[0, 0, 0]], 0),  # a row short
+        ([1], [[0, 0, 0]], 1),  # an initial state out of range
+        ([1], [[0, 0, 0]], True),
+    ):
+        with pytest.raises(DomainError):
+            CountTable(*bad)
+
+    class Narrow(CountAutomaton):
+        def table(self, max_count):
+            return CountTable([1], [[0, 0]], 0)
+
+    with pytest.raises(DomainError, match="3 count columns"):
+        run_episode(spec2, [Narrow(), Narrow()], 5, seed=1)
+    table = _SwapOnEven().table(2)
+    assert not table.action.flags.writeable and not table.next_state.flags.writeable
+
+
+def test_signal_trigger_table_is_capped(spec2):
+    # 2**18 states by 3 counts: refused before the table is built.
+    with pytest.raises(CapacityError, match="count table"):
+        run_episode(spec2, [SignalTrigger(2**18), AlwaysDisclose()], 5, seed=1)
+    with pytest.raises(CapacityError, match="count table"):
+        monte_carlo(spec2, [SignalTrigger(2**18)] * 2, 2, 5, base_seed=1)
+
+
+def test_count_monte_carlo_agrees_with_the_exact_truncated_value():
+    # signal_trigger:4 on spec2 and, in private play, at N = 3 (delta 0.9
+    # both): the backward recursion reproduces the infinite-horizon values
+    # 1.65437 and 2.50674 (delta^T max|u| < 1e-8), and the Monte Carlo mean
+    # lies within 3 standard errors of it.
+    cases = [
+        (GameSpec(2, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9), "public", 4000, 300, 11, 1.65437),
+        (GameSpec(3, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9), "private", 1500, 200, 17, 2.50674),
+    ]
+    for spec, mode, replicas, horizon, seed, limit in cases:
+        trigger = SignalTrigger(4)
+        trigger.bind(spec, mode, 0)
+        exact = truncated_value(spec, trigger.count_table, horizon, mode)
+        assert exact == pytest.approx(limit, abs=5e-6)
+        mc = monte_carlo(spec, [SignalTrigger(4) for _ in range(spec.n_firms)], replicas,
+                         horizon, base_seed=seed, mode=mode)
+        assert mc.backend == "numpy"
+        assert np.all(np.abs(mc.mean - exact) < 3 * mc.stderr), (mode, mc.mean, exact)
+
+
+@pytest.mark.parametrize("path", ["loop", "count", "promise"])
+def test_monte_carlo_summary_is_the_sample_stderr_and_the_delta_t_bound(spec2, path):
+    # stderr is the ddof = 1 sample deviation over sqrt(R), and the bias
+    # bound is delta^T times spec2's max |stage payoff|, gain(1) = 3.
+    replicas, horizon = 6, 40
+    if path == "promise":
+        mc = monte_carlo_promise(spec2, (2.0, 2.0), (1.0, 1.0), replicas, horizon, base_seed=4)
+    else:
+        first = AlwaysDisclose() if path == "loop" else SignalTrigger(2)
+        mc = monte_carlo(spec2, [first, SignalTrigger(2)], replicas, horizon, base_seed=4)
+        assert mc.backend == ("python" if path == "loop" else "numpy")
+    for i, column in enumerate(mc.per_replica.T.tolist()):
+        assert len(set(column)) > 1, i
+        assert mc.stderr[i] == pytest.approx(
+            statistics.stdev(column) / math.sqrt(replicas), rel=1e-12), i
+    assert mc.truncation_bias_bound == pytest.approx(0.9**horizon * 3.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

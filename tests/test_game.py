@@ -16,9 +16,11 @@ from npdshare import (
     check_assumptions,
     feasible_hull,
     Strategy,
+    k_star_formula_linear_n2,
     minmax,
     profile_payoff,
     run_episode,
+    table2_gamma_bar,
 )
 from hull_oracle import lp_extreme_profiles
 
@@ -75,6 +77,19 @@ def test_spec_validation():
         GameSpec(2, LinearGain(3.0), 1.0, 0.9, 0.6, 0.9)  # epsilon >= 1/2
     with pytest.raises(DomainError):
         GameSpec(2, LinearGain(3.0), 1.0, 0.9, 0.1, 1.0)  # delta < 1
+
+
+def test_gains_and_losses_refuse_bools():
+    # A bool is a number to numpy, but True is no gain or loss of 1.
+    for make in (
+        lambda: LinearGain(True),
+        lambda: ConcaveGain(np.True_, (0.0, 1.0)),
+        lambda: GameSpec(2, LinearGain(3.0), True, 0.9, 0.1, 0.9),
+        lambda: table2_gamma_bar(True, 0.9, 0.1, (1.0, 1.0)),
+        lambda: k_star_formula_linear_n2(3.0, np.True_, (1.0, 1.0)),
+    ):
+        with pytest.raises(DomainError, match="must be a finite number > 0, got True"):
+            make()
 
 
 def test_monitor_override_is_separate(spec2):
