@@ -334,11 +334,23 @@ def _write_mc(fh, mc) -> None:
     if mc.halt_periods is not None:
         header.append("halt_period")
     writer.writerow(header)
-    # Python floats: csv writes each as its repr, so the file round-trips.
-    columns = [range(mc.replicas), *mc.per_replica.T.tolist()]
+    columns = [range(mc.replicas), *map(_reprs, mc.per_replica.T)]
     if mc.halt_periods is not None:
         columns.append(mc.halt_periods.tolist())
     writer.writerows(zip(*columns))
+
+
+def _reprs(values) -> list[str]:
+    """Each float of ``values`` as its repr, the text csv writes for it, so
+    the file round-trips.  Each distinct value is formatted once: values
+    are keyed by their bits, so -0.0 and 0.0 stay apart and every NaN
+    prints as its own repr."""
+    keys = values.view(np.int64).tolist()
+    text = dict.fromkeys(keys)
+    distinct = np.array(list(text), dtype=np.int64).view(np.float64).tolist()
+    for key, x in zip(text, distinct):
+        text[key] = repr(x)
+    return list(map(text.__getitem__, keys))
 
 
 def cmd_sweep(args) -> int:

@@ -43,6 +43,7 @@ from .decompose import REGION_TOL, PromiseDecomposition
 from .errors import CapacityError, DiscountTooSmallError, DomainError, ProtocolError
 from .game import GameSpec, validate_count, validate_vector
 from .monitoring import MODE_PRIVATE, MODE_PUBLIC, signal_kernel, signal_streams
+from .rng import threshold
 
 # run_episode draws its uniforms in blocks of this many periods, one rng call
 # per block, so the block holds at most DRAW_CHUNK_PERIODS * N * (N - 1)
@@ -549,12 +550,13 @@ def run_episode(
     A period is played on Python ints.  In public mode each block is read
     into two signal indices per period, ``m0`` with every firm concealing
     and ``m1`` with every firm disclosing (firm j's bit is 1 when its
-    uniform is at least P(bit = 0) under that action), so a period whose
+    uniform is at least P(bit = 0) under that action, compared as 53-bit
+    integers through ``rng.threshold``), so a period whose
     disclosers form the bit mask A has index (m1 & A) | (m0 & ~A).  The
     index is stored in the trace's int64 column, so public play refuses
     more than PUBLIC_MAX_FIRMS firms with CapacityError before any draw.
     Private mode compares each period's uniforms with P(bit = 0) of the
-    observed firms' actions.
+    observed firms' actions, likewise as integers.
     """
     strategies = _bind_strategies(spec, strategies, horizon, mode)
     n = spec.n_firms
@@ -576,18 +578,19 @@ def run_episode(
 
     streams = signal_streams(n, mode)
     observer, observed = streams.observer, streams.observed
-    p_zero_by_action = signal_kernel(spec, mode)
+    # threshold(P(bit = 0)) by action: a bit is 1 when its draw reaches it.
+    k_zero_by_action = threshold(signal_kernel(spec, mode))
     bit_weights = np.int64(1) << observed
-    # Private mode: P(bit = 0) of every bit, by the mask of disclosers.
-    p_zero_by_mask: dict[int, np.ndarray] = {}
+    # Private mode: every bit's threshold, by the mask of disclosers.
+    k_zero_by_mask: dict[int, np.ndarray] = {}
     observed_list = observed.tolist()
 
     for start in range(0, horizon, DRAW_CHUNK_PERIODS):
         count = min(DRAW_CHUNK_PERIODS, horizon - start)
         block = streams.uniforms(seed, start, count, replica)[:, :, 0]
         if public:
-            m0 = ((block >= p_zero_by_action[0]) @ bit_weights).tolist()
-            m1 = ((block >= p_zero_by_action[1]) @ bit_weights).tolist()
+            m0 = ((block >= k_zero_by_action[0]) @ bit_weights).tolist()
+            m1 = ((block >= k_zero_by_action[1]) @ bit_weights).tolist()
 
         for k in range(count):
             t = start + k
@@ -617,11 +620,11 @@ def run_episode(
             if public:
                 public_history.append((m1[k] & disclosers) | (m0[k] & ~disclosers))
             else:
-                p_zero = p_zero_by_mask.get(disclosers)
-                if p_zero is None:
-                    p_zero = p_zero_by_action[[(disclosers >> j) & 1 for j in observed_list]]
-                    p_zero_by_mask[disclosers] = p_zero
-                private_signals[t, observer, observed] = block[k] >= p_zero
+                k_zero = k_zero_by_mask.get(disclosers)
+                if k_zero is None:
+                    k_zero = k_zero_by_action[[(disclosers >> j) & 1 for j in observed_list]]
+                    k_zero_by_mask[disclosers] = k_zero
+                private_signals[t, observer, observed] = block[k] >= k_zero
                 # One copy of the period's matrix; each firm holds its row.
                 rows = private_signals[t].copy()
                 for i in range(n):
@@ -772,14 +775,15 @@ def monte_carlo_promise(
 
     The automaton's constructor checks v0 (finite, inside the region), and
     its ``PromiseDecomposition`` moves the promises: the numpy kernel in
-    ``_kernels`` calls its ``outside`` and ``step`` on the replicas still
-    inside, together, one period at a time, in groups of
+    ``_kernels`` calls its ``step`` on the replicas still inside, together,
+    one period at a time, and its ``outside`` once per block of
+    ``_kernels.HALT_BLOCK`` periods, in groups of
     ``_kernels.GROUP_REPLICAS``, with the group's promises held firm-major
     as an (N, R) array.  A group draws its signals a stream run of
     ``_kernels.STREAM_PERIODS`` periods ahead, in batches of replicas whose
-    float64 draws stay within ``_kernels.CHUNK_DRAWS`` values (1 MB), and
+    uint64 draws stay within ``_kernels.CHUNK_DRAWS`` values (1 MB), and
     keeps the run as uint8 signal indices (2 MB at the default sizes).  None
-    of the three sizes changes a result: replica trajectories are
+    of the four sizes changes a result: replica trajectories are
     bit-identical to running PromiseAutomaton (``on_exit="concede"``)
     through run_episode with the same spec, seed and replica index, and
     each row equals that trace's ``discounted_average()``.  The walk, the

@@ -18,7 +18,8 @@ Draw layout (``signal_streams``): each bit has its own rng counter stream
 j, is drawn in ``rng.DOMAIN_PUBLIC`` from slot j.  Private bits run over
 (observer i, observed j), i != j, observer-major; firm i's bit about firm j
 is drawn in ``rng.DOMAIN_PRIVATE`` from slot i * N + j.  A bit is 1 when its
-uniform is at least its P(bit = 0).  The engine and the promise kernel,
+uniform is at least its P(bit = 0), that is, when the uniform's 53-bit
+numerator is at least ``rng.threshold`` of it.  The engine and the promise kernel,
 which draw every bit the package plays, and the trace CSV read this layout.
 """
 
@@ -77,7 +78,9 @@ class SignalStreams:
 
     def uniforms(self, seed: int, start: int, count: int, replicas) -> np.ndarray:
         """Periods start ... start + count - 1 of every bit's stream for each
-        of ``replicas``: float64 of shape (count, bits, len(replicas)).
+        of ``replicas``: the uniforms' 53-bit numerators (``rng.uniforms``),
+        uint64 of shape (count, bits, len(replicas)).  Its transpose (1, 2,
+        0), stream-major, is C-contiguous.
 
         ``seed`` is a word of the rng key and each replica a word of the
         counter, so each must be an integer, not a bool, in [0, 2**64).

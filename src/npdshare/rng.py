@@ -24,14 +24,18 @@ word, or, where both are 0, wraps every word to 2**64 - 1; a branch writes
 each case, so no 256-bit integer is formed.
 
 Uniforms use the common 53-bit mapping u = (x >> 11) * 2**-53 on lane 0 of
-the block, so u lies in [0, 1).
+the block, so u lies in [0, 1).  A call returns each uniform as its exact
+53-bit numerator k = x >> 11, a uint64, and never forms the float: every
+consumer asks whether u < p, and ``threshold`` turns that question into
+k < threshold(p) with the same answer for every k.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-U53_INV = 1.0 / 9007199254740992.0  # 2**-53
+# 2**53: a uniform is its numerator k over this, k in [0, 2**53).
+U53 = 9007199254740992.0
 
 # Domain separators keep draw families disjoint even at equal coordinates.
 DOMAIN_PUBLIC = 0x5055424C
@@ -59,13 +63,29 @@ def _state(key: list, ctr: list) -> dict:
     }
 
 
+def threshold(p):
+    """The integer K = ceil(p * 2**53) with k < K exactly when k * 2**-53 < p.
+
+    For every 53-bit numerator k (0 <= k < 2**53) and every float64 p in
+    [0, 1], the uniform u = k * 2**-53 is below p exactly when k < K, and
+    at least p exactly when k >= K.  Both scalings by 2**53 are exact (a
+    power of two, with no overflow for p <= 1), so u < p is k < p * 2**53
+    in real numbers, and an integer k is below a real x exactly when it is
+    below ceil(x).  ``p`` is a float or an array of them; returns uint64 of
+    the same shape.
+    """
+    return np.ceil(np.asarray(p, dtype=np.float64) * U53).astype(np.uint64)
+
+
 def uniforms(seed, domain, start, count, slot, replica):
-    """Uniform [0, 1) draws of ``count`` periods from each of m streams.
+    """Uniform [0, 1) draws of ``count`` periods from each of m streams, as
+    their 53-bit numerators: uint64 k, the uniform being k * 2**-53.
 
     ``slot`` and ``replica`` broadcast to one dimension of length m.  Returns
-    float64 of shape (count, m); column j holds periods start ... start +
+    uint64 of shape (count, m); column j holds periods start ... start +
     count - 1 of the stream (seed, domain, slot[j], replica[j]).  The array
     is the transpose of a (m, count) one, so each column is contiguous.
+    Compare it with ``threshold(p)`` to ask whether a uniform is below p.
     """
     start, count = int(start), int(count)
     slot, replica = np.broadcast_arrays(
@@ -90,6 +110,4 @@ def uniforms(seed, domain, start, count, slot, replica):
         bg.state = state
         raw[j] = bg.random_raw(4 * count)[::4]  # lane 0 of each block
     raw >>= np.uint64(11)
-    u = raw.astype(np.float64)
-    u *= U53_INV
-    return u.T
+    return raw.T

@@ -513,7 +513,9 @@ _SIMULATE_SPECS = {
 # with numpy 2.4 from the engine that selected each period's bits and summed
 # its payoffs with numpy calls.  A Monte Carlo run also pins the digest of
 # its stderr summary (mean, stderr and truncation bias bound), recorded from
-# the per-replica loop.
+# the per-replica loop; the promise Monte Carlo runs (per-replica rows and
+# halt periods, some replicas halting and some not) were recorded from the
+# kernel that tested the region every period on float64 uniforms.
 SIMULATE_GOLDEN = {
     "disclose-n2-public": (
         "linear2", "always_disclose --mode public --T 40 --seed 3",
@@ -559,6 +561,16 @@ SIMULATE_GOLDEN = {
         (0, 270, "7f88ca5dc46cc0760e5be9477460fdfee4edf2131efa3e638cef3a833bd1d395",
          "9591dfaf4cbe50f602b6709be0f6d35dfc7c1629e39dcc1b64f86bfcda9ee195"),
     ),
+    "mc-promise-n2": (
+        "linear2", "promise --replicas 60 --T 30 --seed 5",
+        (0, 2618, "a24948c1ad6ee497ef6849503850b0ed27ddfd2e794f1e71cfb04ce5207cf26c",
+         "92f5fb472e294433315f6364115b9dfea55db47d685bf2c2b604a8787933bf8e"),
+    ),
+    "mc-promise-n3": (
+        "concave3", "promise --replicas 60 --T 40 --seed 5",
+        (0, 3664, "621aa017c08e66bc54ab4825276bc4c27470d093a035ecbcbff9a8d14b49b62f",
+         "ab3eaa6e7e36d51a6c15355d3178b2e1482f95d7442dbadab780179b3b3aa874"),
+    ),
     "promise-n2-trace": (
         "patient2", "promise --T 1000 --direction=1.0,1.0 --seed 6",
         (0, 55238, "f7f3ecf41a3f3b544cb55608b53226e2ce6377f7ae052cf97d05ba0f7d0e389f"),
@@ -585,6 +597,30 @@ def test_simulate_stdout_matches_recorded_digests(spec_file, capsys, name):
     if len(want) == 4:
         got += (hashlib.sha256(err.encode()).hexdigest(),)
     assert got == want
+
+
+def test_mc_csv_formats_each_float_as_its_repr():
+    # Distinct totals are formatted once, keyed by their bits: 0.0 and -0.0
+    # (equal as floats) and NaNs of either sign keep their own repr, and
+    # repeated values print the same text.
+    from npdshare import cli
+    from npdshare.engine import MonteCarloResult
+
+    nan = float("nan")
+    col = [1.5, -0.0, 0.0, 1.5, nan, -nan, 0.1 + 0.2, -0.0, float("inf"), 5e-324]
+    per = np.array([col, col[::-1]]).T
+    mc = MonteCarloResult(
+        mean=np.zeros(2), stderr=np.zeros(2), per_replica=per, replicas=len(col),
+        horizon=1, base_seed=0, truncation_bias_bound=0.0, backend="numpy",
+        halt_periods=np.arange(len(col)) - 1,
+    )
+    fh = io.StringIO()
+    cli._write_mc(fh, mc)
+    want = ["replica,payoff_1,payoff_2,halt_period"] + [
+        f"{r},{a!r},{b!r},{r - 1}" for r, (a, b) in enumerate(zip(col, col[::-1]))
+    ]
+    assert fh.getvalue() == "\n".join(want) + "\n"
+    assert "-0.0" in fh.getvalue() and ",0.0," in fh.getvalue()
 
 
 def test_simulate_single_trace(spec2_file, capsys):

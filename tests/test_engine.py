@@ -29,6 +29,7 @@ from npdshare import (
 )
 from npdshare import _kernels, engine, rng
 from npdshare.engine import DRAW_CHUNK_PERIODS, PUBLIC_MAX_FIRMS
+from npdshare.monitoring import signal_streams
 from npdshare.errors import CapacityError, DiscountTooSmallError, DomainError, ProtocolError
 
 SURVIVOR_SEED = 6  # stays inside the admissible region for 2000 periods
@@ -412,7 +413,7 @@ def test_block_draws_match_per_period_draws_bitwise(mode):
             a = trace.actions[t]
             assert np.array_equal(trace.payoffs[t], profile_payoff(spec, a)), (n, t)
             if mode == "public":
-                u = rng.uniforms(seed, rng.DOMAIN_PUBLIC, t, 1, firms, replica)[0]
+                u = rng.uniforms(seed, rng.DOMAIN_PUBLIC, t, 1, firms, replica)[0] * 2.0**-53
                 p_zero = np.where(a == 0, spec.m_alpha, spec.m_epsilon)
                 index = int(((u >= p_zero).astype(np.int64) << firms).sum())
                 assert trace.public_signals[t] == index, (n, t)
@@ -420,12 +421,50 @@ def test_block_draws_match_per_period_draws_bitwise(mode):
                 for i in range(n):
                     others = firms[firms != i]
                     u = rng.uniforms(seed, rng.DOMAIN_PRIVATE, t, 1, i * n + others,
-                                     replica)[0]
+                                     replica)[0] * 2.0**-53
                     p_zero = np.where(a[others] == 0, spec.alpha, spec.epsilon)
                     bits = (u >= p_zero).astype(np.int8)
                     assert np.array_equal(trace.private_signals[t, i, others], bits), (n, t)
                     assert trace.private_signals[t, i, i] == -1, (n, t)
         assert set(trace.actions[:, 0].tolist()) == {0, 1}, n
+
+
+@pytest.mark.parametrize("action", [0, 1])
+@pytest.mark.parametrize("mode", ["public", "private"])
+def test_a_draw_on_the_threshold_reads_as_a_one_bit(mode, action):
+    # Take the first seed whose replica-0 period-0 draws of the first two
+    # bits are k0 < k1, and set P(bit = 0) under the played action (alpha
+    # for concealment, epsilon for disclosure) to k0's uniform exactly.  That
+    # uniform is not below P(bit = 0), so both bits read 1 in every draw
+    # path: the trace, a trigger that fires on one zero bit, and the
+    # promise walk.
+    streams = signal_streams(2, mode)
+    lo, hi = (0.5, 1.0) if action == 0 else (0.0, 0.5)
+    for seed in range(100):
+        k = streams.uniforms(seed, 0, 1, [0])[0, :2, 0]
+        p = int(k[0]) * 2.0**-53
+        if lo < p < hi and k[0] < k[1]:
+            break
+    else:
+        pytest.fail("no seed below 100 puts its draws in order")
+    assert rng.threshold(p) == k[0]
+    spec = GameSpec(2, LinearGain(3.0), 1.0, p if action == 0 else 0.9,
+                    p if action == 1 else 0.1, 0.9)
+    play = AlwaysDisclose if action else AlwaysConceal
+    trace = run_episode(spec, [play(), play()], 2, seed=seed, mode=mode)
+    if mode == "public":
+        assert trace.public_signals[0] == 3
+    else:
+        assert trace.private_signals[0].tolist() == [[-1, 1], [1, -1]]
+    if action == 0:
+        return
+    mc = monte_carlo(spec, [SignalTrigger(1), SignalTrigger(1)], 1, 2, base_seed=seed, mode=mode)
+    assert np.array_equal(mc.per_replica[0], trace.discounted_average())
+    if mode == "public":
+        part = np.zeros((1, 1), dtype=np.uint8)
+        walk = _kernels._PromiseWalk(None, np.zeros(2), rng.threshold([p, p]), 0.9, None, None)
+        walk.encode(streams.uniforms(seed, 0, 1, [0]), part)
+        assert part[0, 0] == 3
 
 
 class _Scattered(Strategy):
@@ -445,7 +484,7 @@ def test_public_index_is_the_bit_vector_at_every_period_up_to_63_firms():
                         monitor_alpha=0.8, monitor_epsilon=0.2)
         trace = run_episode(spec, [_Scattered() for _ in range(n)], horizon, seed=seed,
                             replica=replica)
-        u = rng.uniforms(seed, rng.DOMAIN_PUBLIC, 0, horizon, np.arange(n), replica)
+        u = rng.uniforms(seed, rng.DOMAIN_PUBLIC, 0, horizon, np.arange(n), replica) * 2.0**-53
         bits = (u >= np.where(trace.actions == 0, 0.8, 0.2)).astype(np.int64)
         weights = np.int64(1) << np.arange(n, dtype=np.int64)
         assert trace.public_signals.tolist() == (bits @ weights).tolist(), n
@@ -691,6 +730,7 @@ def test_kernel_groups_and_chunks_match_strategy_path_bitwise(monkeypatch):
     monkeypatch.setattr(_kernels, "GROUP_REPLICAS", group)
     monkeypatch.setattr(_kernels, "STREAM_PERIODS", run)
     monkeypatch.setattr(_kernels, "CHUNK_DRAWS", 2 * run * batch)  # batch per full run
+    monkeypatch.setattr(_kernels, "HALT_BLOCK", 3)
     spec = GameSpec(2, LinearGain(3.0), 1.0, 0.9, 0.1, 0.95)
     replicas, horizon, seed = 20, 100, 10
     mc = monte_carlo_promise(
@@ -735,9 +775,81 @@ def test_kernel_sizes_do_not_change_results(monkeypatch, n, delta):
     monkeypatch.setattr(_kernels, "GROUP_REPLICAS", 999)
     monkeypatch.setattr(_kernels, "STREAM_PERIODS", 61)
     monkeypatch.setattr(_kernels, "CHUNK_DRAWS", 2**12)
+    monkeypatch.setattr(_kernels, "HALT_BLOCK", 5)
     got = run()
     assert np.array_equal(got.per_replica, ref.per_replica)
     assert np.array_equal(got.halt_periods, halts)
+
+
+def test_kernel_halt_blocks_match_strategy_path_bitwise(monkeypatch):
+    # The region is tested every 3 periods of a 16-period stream run, so
+    # blocks divide neither a run nor T = 70, and 20 replicas fall in groups
+    # of 7.  Replicas halt inside blocks, at the last period of a block, at
+    # a run's first period and at T - 1, in every group, and two never
+    # halt: every row and halt period must equal its own replay, and each
+    # run must draw for exactly the replicas still inside at its start.
+    group, run, block, batch = 7, 16, 3, 2
+    monkeypatch.setattr(_kernels, "GROUP_REPLICAS", group)
+    monkeypatch.setattr(_kernels, "STREAM_PERIODS", run)
+    monkeypatch.setattr(_kernels, "CHUNK_DRAWS", 2 * run * batch)
+    monkeypatch.setattr(_kernels, "HALT_BLOCK", block)
+    draws = []
+    uniforms = rng.uniforms
+
+    def counted(*args):
+        u = uniforms(*args)
+        draws.append(u.size)
+        return u
+
+    monkeypatch.setattr(rng, "uniforms", counted)
+    spec = GameSpec(2, LinearGain(3.0), 1.0, 0.9, 0.1, 0.95)
+    replicas, horizon, seed = 20, 70, 2
+    mc = monte_carlo_promise(
+        spec, (2.0, 2.0), (1.0, 1.0), replicas=replicas, horizon=horizon,
+        base_seed=seed,
+    )
+    drawn = sum(draws)
+    halts = mc.halt_periods
+    row = halts % run
+    assert np.sum(halts < 0) == 2 and np.any(halts == horizon - 1)
+    assert np.any((halts > 0) & (row == 0))  # a run's first period
+    assert np.any((row > 0) & (row % block == 0))  # a block's last period
+    assert np.any((halts > 0) & (row % block != 0))  # inside a block
+    assert all(np.any(halts[g : g + group] >= 0) for g in range(0, replicas, group))
+    for r in range(replicas):
+        auto = PromiseAutomaton(spec, (2.0, 2.0), (1.0, 1.0), on_exit="concede")
+        trace = run_episode(spec, [auto, auto.clone()], horizon, seed=seed, replica=r)
+        assert np.array_equal(mc.per_replica[r], trace.discounted_average()), r
+        on_path = np.all(trace.actions == 1, axis=1)
+        first_off = -1 if on_path.all() else int(np.argmin(on_path))
+        assert first_off == halts[r], r
+    inside = [
+        sum(min(run, horizon - t) * int(np.sum((h < 0) | (h > t)))
+            for t in range(0, horizon, run))
+        for h in (halts[g : g + group] for g in range(0, replicas, group))
+    ]
+    assert drawn == 2 * sum(inside)
+
+
+def _no_draws(*args):
+    raise AssertionError("drew where no replica reads a draw")
+
+
+def test_kernel_halts_every_replica_at_period_0_when_v0_is_outside(monkeypatch, spec2_patient):
+    # The automaton refuses such a v0; the kernel tests v0 before the first
+    # step, so every replica halts at period 0 with nothing accrued and
+    # nothing is drawn.
+    monkeypatch.setattr(rng, "uniforms", _no_draws)
+    monkeypatch.setattr(_kernels, "HALT_BLOCK", 3)
+    walk = PromiseAutomaton(spec2_patient, (2.0, 2.0), (1.0, 1.0)).decomp
+    for v0 in ((5.0, 5.0), (2.0, -0.5)):
+        assert walk.outside(v0)
+        totals, halts = _kernels.promise_mc(
+            seed=4, replicas=5, horizon=10, delta=spec2_patient.delta, v0=v0,
+            p_zero=(0.9, 0.1), walk=walk,
+        )
+        assert halts.tolist() == [0] * 5
+        assert totals.tolist() == [[0.0, 0.0]] * 5
 
 
 def test_monte_carlo_promise_records_halts(spec2_patient):
@@ -818,6 +930,24 @@ def test_count_monte_carlo_matches_the_loop_bitwise(monkeypatch, n, mode):
         assert np.array_equal(mc.per_replica, _loop_rows(spec, strategies, 7, 40, 31, mode)), name
         if name in ("signal_trigger:4", "swap_on_even"):
             assert len(set(mc.per_replica[:, 0].tolist())) > 1, name  # the rows differ
+
+
+@pytest.mark.parametrize("mode", ["public", "private"])
+def test_absorbing_count_tables_draw_nothing(monkeypatch, mode):
+    # A table whose start state no count moves plays one action forever:
+    # count_mc draws nothing, and every row still equals the loop's, over
+    # 40 periods in stream runs of 16.
+    monkeypatch.setattr(_kernels, "STREAM_PERIODS", 16)
+    for n in (2, 3):
+        spec = GameSpec(n, LinearGain(2.5), 1.2, 0.85, 0.12, 0.95, 0.8, 0.2)
+        for name in ("always_disclose", "always_conceal", "signal_trigger:inf"):
+            strategies = [_COUNT_AUTOMATA[name]() for _ in range(n)]
+            want = _loop_rows(spec, strategies, 5, 40, 17, mode)
+            with monkeypatch.context() as m:
+                m.setattr(rng, "uniforms", _no_draws)
+                mc = monte_carlo(spec, strategies, 5, 40, base_seed=17, mode=mode)
+            assert mc.backend == "numpy", name
+            assert np.array_equal(mc.per_replica, want), (n, name)
 
 
 def test_profiles_off_one_truthful_table_take_the_loop(spec3):

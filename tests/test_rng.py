@@ -7,6 +7,7 @@ them against this independent implementation of the cipher.
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from npdshare import rng
 
@@ -57,7 +58,8 @@ def philox4x64(counter, key):
 
 
 def oracle_uniforms(seed, domain, periods, slot, replica):
-    """Uniforms at counters (period, slot, replica, 0), one per period."""
+    """The 53-bit numerators of the uniforms at counters (period, slot,
+    replica, 0), one per period: lane 0 of the block shifted right by 11."""
     periods = np.asarray(periods, dtype=np.uint64)
     ctr = np.zeros((4, periods.size), dtype=np.uint64)
     ctr[0] = periods
@@ -67,7 +69,7 @@ def oracle_uniforms(seed, domain, periods, slot, replica):
     key[0] = np.uint64(seed)
     key[1] = np.uint64(domain)
     lane0 = philox4x64(ctr, key)[0]
-    return (lane0 >> np.uint64(11)).astype(np.float64) * rng.U53_INV
+    return lane0 >> np.uint64(11)
 
 
 def _words(text):
@@ -111,8 +113,8 @@ def test_zero_counter_reaches_uniforms():
     # generator starts one below it, so the borrow crosses all four words.
     block = _words(KNOWN_ANSWERS["zeros"][2])
     u = rng.uniforms(0, 0, 0, 1, 0, 0)
-    assert u.shape == (1, 1)
-    assert u[0, 0] == float(block[0] >> np.uint64(11)) * rng.U53_INV
+    assert u.shape == (1, 1) and u.dtype == np.uint64
+    assert u[0, 0] == block[0] >> np.uint64(11)
 
 
 def test_matches_numpy_philox_block():
@@ -157,7 +159,7 @@ def test_wide_call_matches_oracle_per_column():
     slots = np.array([0, 1, 2, 0, 1, 2])
     replicas = np.array([0, 0, 0, 999, 999, 2**40])
     u = rng.uniforms(17, rng.DOMAIN_PUBLIC, 30, 7, slots, replicas)
-    assert u.shape == (7, 6) and u.dtype == np.float64
+    assert u.shape == (7, 6) and u.dtype == np.uint64
     for j in range(6):
         want = oracle_uniforms(17, rng.DOMAIN_PUBLIC, np.arange(30, 37), slots[j], replicas[j])
         assert u[:, j].tobytes() == want.tobytes(), j
@@ -203,7 +205,7 @@ def test_known_uniform_reproduces():
     u2 = rng.uniforms(3, rng.DOMAIN_PUBLIC, 5, 1, 2, 9)
     assert u1.shape == (1, 1)
     assert u1[0, 0] == u2[0, 0]
-    assert 0.0 <= u1[0, 0] < 1.0
+    assert 0 <= int(u1[0, 0]) < 2**53
 
 
 def test_uniform_batch_matches_scalar():
@@ -229,10 +231,56 @@ def test_streams_differ_across_coordinates():
 
 
 def test_uniforms_cover_unit_interval_evenly():
-    u = rng.uniforms(5, rng.DOMAIN_PUBLIC, 0, 20000, 0, 0)[:, 0]
+    u = rng.uniforms(5, rng.DOMAIN_PUBLIC, 0, 20000, 0, 0)[:, 0] * 2.0**-53
     assert u.min() >= 0.0 and u.max() < 1.0
     # crude uniformity check, 10 bins, 3-sigma on each count
     counts, _ = np.histogram(u, bins=10, range=(0, 1))
     expected = 2000.0
     sigma = np.sqrt(expected * 0.9)
     assert np.all(np.abs(counts - expected) < 3 * sigma)
+
+
+# ---------------------------------------------------------------------------
+# thresholds: a bit compares its draw's numerator k with threshold(p)
+
+K_MAX = 2**53 - 1
+
+
+def _assert_threshold_exact(p):
+    """k >= threshold(p) exactly when the uniform k * 2**-53 is >= p, for
+    the numerators on either side of the threshold and the extremes."""
+    big = int(rng.threshold(p))
+    assert rng.threshold(p).dtype == np.uint64 and 0 <= big <= 2**53
+    for k in {0, 1, big - 2, big - 1, big, big + 1, K_MAX - 1, K_MAX}:
+        if 0 <= k <= K_MAX:
+            assert (k >= big) == (k * 2.0**-53 >= p), (p, k)
+            assert (np.uint64(k) >= rng.threshold(p)) == (k >= big), (p, k)
+
+
+def _grid_cases():
+    """p on the 2**-53 grid, the floats either side of it, 0.5, the ends,
+    the smallest floats and the accuracies the specs and tests use."""
+    cases = [0.0, 1.0, 0.5, 5e-324, 2.0**-1074 * 3, 2.0**-60, 1.0 - 2.0**-53]
+    for j in (1, 2, 3, 2**20 + 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1):
+        on = j * 2.0**-53
+        cases += [on, np.nextafter(on, 0.0), np.nextafter(on, 1.0)]
+    cases += [0.9, 0.1, 0.85, 0.12, 0.8, 0.2, 0.15, 0.95, 0.05, 0.55, 0.45, 0.75, 0.25]
+    return cases
+
+
+@pytest.mark.parametrize("p", _grid_cases())
+def test_threshold_is_exact_on_and_beside_the_grid(p):
+    _assert_threshold_exact(float(p))
+
+
+@given(st.floats(min_value=0.0, max_value=1.0), st.integers(0, K_MAX))
+def test_threshold_is_exact_for_any_probability(p, k):
+    _assert_threshold_exact(p)
+    assert (k >= int(rng.threshold(p))) == (k * 2.0**-53 >= p)
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6))
+def test_threshold_of_an_array_is_each_entrys(ps):
+    got = rng.threshold(np.array(ps))
+    assert got.dtype == np.uint64 and got.shape == (len(ps),)
+    assert got.tolist() == [int(rng.threshold(p)) for p in ps]
