@@ -34,11 +34,12 @@ each numpy op of the period loop works on a group's live replicas.  A group
 draws its signals a stream run of STREAM_PERIODS periods ahead: every bit's
 stream (``monitoring.signal_streams``) of every live replica is read for the
 run with one seek, which spreads the generator's per-stream setup over many
-draws.  A walk is asked which replicas leave at the start of every run and
-every HALT_BLOCK periods into it, so a run draws for exactly the replicas
-still inside.  The draws of a run are made in batches of CHUNK_DRAWS //
-(bits * periods) replicas, at least one, so a batch's uint64 draws stay
-within CHUNK_DRAWS values (1 MB) unless one replica's run alone holds more.
+draws; each Philox block of a stream gives four of its periods.  A walk is
+asked which replicas leave at the start of every run and every HALT_BLOCK
+periods into it, so a run draws for exactly the replicas still inside.  The
+draws of a run are made in batches of CHUNK_DRAWS // (bits * periods)
+replicas, at least one, so a batch's uint64 draws stay within CHUNK_DRAWS
+values (1 MB) unless one replica's run alone holds more.
 A draw is the 53-bit numerator k of its uniform (``rng.uniforms``), and a
 bit is 0 when k < ``rng.threshold(P(bit = 0))``, the same test as the
 uniform below P(bit = 0).  The walk turns each batch at once into what it
@@ -47,10 +48,11 @@ count for the count walk), working stream-major, each stream's periods
 contiguous, and writes it, transposed once, into the batch's columns of the
 run's buffer, 2 MB (promise) or 4 MB (count, up to 255 bits) at the default
 sizes.  A column map into the buffer is compacted together with the live
-replicas.  Draws are addressed by their (period, slot, replica) counter,
-and every sum runs in period order, so neither the grouping nor the runs
-nor the batches nor the blocks nor dropping halted replicas changes any
-replica's trajectory: each is bit for bit as if it ran alone.
+replicas.  Draws are addressed by their (period, slot, replica), not by
+their place in a call, and every sum runs in period order, so neither the
+grouping nor the runs nor the batches nor the blocks nor dropping halted
+replicas changes any replica's trajectory: each is bit for bit as if it
+ran alone.
 """
 
 from __future__ import annotations
@@ -259,8 +261,11 @@ def promise_mc(
     n = v0.shape[0]
     totals = np.zeros((replicas, n))
     halt = np.full(replicas, -1, dtype=np.int64)
-    _drive(seed, replicas, horizon, signal_streams(n, MODE_PUBLIC),
-           _PromiseWalk(walk, v0, threshold(p_zero), delta, totals, halt))
+    # Steps after a replica leaves, up to the end of its block, may overflow
+    # at a tiny delta; the region test reads any non-finite promise as outside.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _drive(seed, replicas, horizon, signal_streams(n, MODE_PUBLIC),
+               _PromiseWalk(walk, v0, threshold(p_zero), delta, totals, halt))
     return totals, halt
 
 

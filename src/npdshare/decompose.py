@@ -37,6 +37,7 @@ reads ``game.profile_array`` and ``game.deviation_payoffs``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -576,14 +577,17 @@ class PromiseDecomposition:
 
     def outside(self, v):
         """Whether promise(s) v left {lam . v <= k* + tol, v_i >= -tol}: a
-        bool for a tuple, a bool array for an ndarray."""
+        bool for a tuple, a bool array for an ndarray.  A promise whose
+        level lam . v is not finite is outside; a NaN or infinite component
+        makes it so, whatever its weight."""
         lam = self._lam
         level = v[0] * lam[0]
         for k in range(1, len(lam)):
             level = level + v[k] * lam[k]
         if type(v) is tuple:
-            return level > self._level_max or min(v) < -REGION_TOL
-        return (level > self._level_max) | (v.min(axis=0) < -REGION_TOL)
+            return not (-math.inf < level <= self._level_max) or min(v) < -REGION_TOL
+        inside = (level > -np.inf) & (level <= self._level_max)
+        return ~inside | (v.min(axis=0) < -REGION_TOL)
 
     def step(self, v, b, c):
         """Promise(s) after public signal(s) b: v + c gamma_bar(v)[b], a

@@ -12,10 +12,11 @@ realized flow.  Every discounted quantity here uses the spec's delta: the
 automaton's step, the Monte Carlo averages and truncation bounds, and a
 trace's ``delta``, which is the delta of the spec that generated it.
 
-All draws are addressed by (seed, period, slot, replica) counters in the
-layout of ``monitoring.signal_streams``, so a trace is reproducible bit for
-bit and every Monte Carlo replica has an independent substream by
-construction.
+All draws are addressed by (seed, period, slot, replica) in the layout of
+``monitoring.signal_streams``; period t is word t % 4 of the Philox block
+at counter (t // 4, slot, replica, 0) (``rng``).  So a trace is
+reproducible bit for bit and every Monte Carlo replica has an independent
+substream by construction.
 
 Monte Carlo runs one of two ways.  ``monte_carlo_promise``, and
 ``monte_carlo`` when every firm plays one count automaton table on

@@ -3,31 +3,34 @@
 Draws come from numpy's Philox bit generator (``np.random.Philox``, the
 Philox4x64-10 block cipher of Salmon et al., SC'11, in C).  Each coordinate
 (seed, domain, slot, replica) names one counter stream, and the stream steps
-through periods: the block of period t has counter (t, slot, replica, 0) and
-key (seed, domain).  A draw is therefore addressed by its coordinates rather
-than by position in a consumed stream.  This makes traces reproducible bit
-for bit regardless of evaluation order, and gives each Monte Carlo replica an
-independent substream by construction.  A draw made as part of a longer or
-wider call (more periods, slots or replicas) is bit-identical to the same
-draw made alone, so callers may prefetch and vectorize freely.
+through periods four at a time: period t is word (lane) t % 4 of the block
+with counter (t // 4, slot, replica, 0) and key (seed, domain), so one
+cipher block gives four consecutive periods.  Periods range over [0, 2**64).
+A draw is therefore addressed by its coordinates rather than by position in
+a consumed stream.  This makes traces reproducible bit for bit regardless of
+evaluation order, and gives each Monte Carlo replica an independent
+substream by construction.  A draw made as part of a longer or wider call
+(more periods, slots or replicas) is bit-identical to the same draw made
+alone, so callers may prefetch and vectorize freely.
 
 ``slot`` identifies the consumer within a period.  Which domain and slot
 carry each monitoring bit is the layout of ``monitoring.signal_streams``.
 
 A call seeks each of its streams in turn.  It makes one generator and one
 state dict (``_state``) whose key and counter are lists of plain ints.  Per
-stream it writes the counter one below (start, slot, replica, 0) into that
-list, sets the generator's state, and reads lane 0 of ``count`` blocks into
-the stream's own contiguous row.  Below counter 0 in lane 0 (start 0) the
-borrow takes one from the slot word, or, where that is 0, from the replica
-word, or, where both are 0, wraps every word to 2**64 - 1; a branch writes
-each case, so no 256-bit integer is formed.
+stream it writes the counter one below (start // 4, slot, replica, 0) into
+that list, sets the generator's state, and reads the ``start % 4 + count``
+words from lane 0 of that block on into the stream's own contiguous row,
+dropping the first ``start % 4``.  Below block 0 (start < 4) the
+borrow takes one from the slot word, or, where that is 0, from the
+replica word, or, where both are 0, wraps every word to 2**64 - 1; a branch
+writes each case, so no 256-bit integer is formed.
 
-Uniforms use the common 53-bit mapping u = (x >> 11) * 2**-53 on lane 0 of
-the block, so u lies in [0, 1).  A call returns each uniform as its exact
-53-bit numerator k = x >> 11, a uint64, and never forms the float: every
-consumer asks whether u < p, and ``threshold`` turns that question into
-k < threshold(p) with the same answer for every k.
+Uniforms use the common 53-bit mapping u = (x >> 11) * 2**-53 on the
+period's word x, so u lies in [0, 1).  A call returns each uniform as its
+exact 53-bit numerator k = x >> 11, a uint64, and never forms the float:
+every consumer asks whether u < p, and ``threshold`` turns that question
+into k < threshold(p) with the same answer for every k.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ _WORD = (1 << 64) - 1
 def _state(key: list, ctr: list) -> dict:
     """A Philox state over plain ints whose next block is at ``ctr`` + 1.
 
-    ``key`` and ``ctr`` are lists of words, lane 0 first.  numpy steps the
+    ``key`` and ``ctr`` are lists of words, word 0 first.  numpy steps the
     counter before it makes a block, and the buffered block is marked spent,
     so setting ``bg.state`` to this dict makes the next block the one at
     counter ``ctr`` + 1.  The lists are held, not copied: rewriting ``ctr``
@@ -93,13 +96,16 @@ def uniforms(seed, domain, start, count, slot, replica):
         np.atleast_1d(np.asarray(replica, dtype=np.uint64)),
     )
     bg = np.random.Philox(key=np.array([seed, domain], dtype=np.uint64))
+    # Period start is word skip of block first; every stream reads from
+    # lane 0 of that block and drops the skip words before start.
+    first, skip = divmod(start, 4)
     # One state for every stream of the call: a seek rewrites its counter.
-    ctr = [(start - 1) & _WORD, 0, 0, 0]
+    ctr = [(first - 1) & _WORD, 0, 0, 0]
     state = _state([int(seed), int(domain)], ctr)
     raw = np.empty((slot.size, count), dtype=np.uint64)
     for j, (s, r) in enumerate(zip(slot.tolist(), replica.tolist())):
-        # Counter (start, s, r, 0) less one; at start 0 the borrow runs on.
-        if start:
+        # Counter (first, s, r, 0) less one; at block 0 the borrow runs on.
+        if first:
             ctr[1:] = s, r, 0
         elif s:
             ctr[1:] = s - 1, r, 0
@@ -108,6 +114,6 @@ def uniforms(seed, domain, start, count, slot, replica):
         else:
             ctr[1:] = _WORD, _WORD, _WORD
         bg.state = state
-        raw[j] = bg.random_raw(4 * count)[::4]  # lane 0 of each block
+        raw[j] = bg.random_raw(skip + count)[skip:]
     raw >>= np.uint64(11)
     return raw.T

@@ -27,6 +27,7 @@ from npdshare.decompose import (
     _circle_directions,
     _direction,
     _profile_levels,
+    _profile_table,
     _solve,
 )
 from npdshare.errors import CapacityError, DomainError
@@ -199,6 +200,64 @@ def test_verify_decomposition_flags_perturbation():
     chk = verify_decomposition(spec, np.array([2.0, 2.0]), (1, 1), g)
     assert not chk.holds
     assert chk.ic_slacks[0] == pytest.approx(-0.0008, abs=1e-12)
+
+
+def _shift_ic_slack(spec, profile, gamma_bar, firm, shift):
+    """gamma_bar with ``firm``'s column moved, along a direction of mean 0
+    under the profile's law, so that its IC slack in verify_decomposition
+    moves by ``shift`` and the decomposition identity does not move."""
+    t = _profile_table(spec, profile)
+    gap = t.pi_eq - t.pi_dev[firm]
+    w = gap - (t.pi_eq @ gap) / (t.pi_eq @ t.pi_eq) * t.pi_eq  # pi_eq . w = 0
+    g = gamma_bar.copy()
+    g[:, firm] += shift / ((1 - spec.delta) * (gap @ w)) * w
+    return g
+
+
+@pytest.mark.parametrize("shift, holds", [(-1e-6, False), (-1e-11, True)])
+def test_verify_decomposition_decides_a_narrow_ic_violation(shift, holds):
+    # The solver's map binds firm 1's incentive; moving its slack by -1e-6
+    # breaks the check, while -1e-11 lies inside SOLVE_TOL and holds.
+    spec = _spec()
+    g = solve_enforceability(spec, (1, 1), (1.0, 1.0)).gamma_bar
+    chk = verify_decomposition(spec, (2.0, 2.0), (1, 1), _shift_ic_slack(spec, (1, 1), g, 0, shift))
+    assert chk.ic_slacks[0] == pytest.approx(shift, rel=1e-6, abs=1e-15)
+    assert chk.equality_residual <= 1e-14
+    assert chk.holds is holds
+
+
+@pytest.mark.parametrize("residual, holds", [(1e-6, False), (1e-11, True)])
+def test_verify_decomposition_decides_a_narrow_equality_residual(residual, holds):
+    # A constant added to firm 1's map moves its identity by (1 - delta)
+    # times it and no incentive slack: a residual of 1e-6 fails the check.
+    spec = _spec()
+    g = solve_enforceability(spec, (1, 1), (1.0, 1.0)).gamma_bar.copy()
+    g[:, 0] += residual / (1 - spec.delta)
+    chk = verify_decomposition(spec, (2.0, 2.0), (1, 1), g)
+    assert chk.equality_residual == pytest.approx(residual, rel=1e-4)
+    assert min(chk.ic_slacks) >= -1e-14
+    assert chk.holds is holds
+
+
+def test_a_slack_of_1e_7_is_not_binding():
+    # Firm 1's slack raised to 1e-7 stays feasible but no longer binds;
+    # firm 2's still does.
+    spec = _spec()
+    g = solve_enforceability(spec, (1, 1), (1.0, 1.0)).gamma_bar
+    chk = verify_decomposition(spec, (2.0, 2.0), (1, 1), _shift_ic_slack(spec, (1, 1), g, 0, 1e-7))
+    assert chk.ic_slacks[0] == pytest.approx(1e-7, rel=1e-6)
+    assert chk.holds and chk.binding == (False, True)
+
+
+def test_k_star_picks_the_higher_of_two_levels_1e_7_apart():
+    # On lambda = (1, 3 - 1e-7), (1, 1) has level 2 + 2 lambda_2 and (1, 0),
+    # lexicographically smaller, -1 + 3 lambda_2: about 1e-7 lower, outside
+    # the SOLVE_TOL tie window, so it is no tie.
+    lam2 = 3.0 - 1e-7
+    ks = k_star(_spec(), (1.0, lam2))
+    assert ks.best_profile == (1, 1)
+    assert ks.value == 2.0 + 2.0 * lam2
+    assert 0.5e-7 < ks.value - (-1.0 + 3.0 * lam2) < 2e-7
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +567,28 @@ def test_promise_walk_is_the_same_in_every_shape(n, kind):
             row = walk.step(v[r], b, c)
             assert row.tobytes() == (v[r] + c * gamma[b]).tobytes(), (r, b)
             assert _hex(walk.step(point, b, c)) == _hex(row), (r, b)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_promise_with_a_non_finite_component_is_outside(n):
+    # The direction weighs some firms negatively, so +inf in such a firm's
+    # promise lowers the level to -inf and leaves every component >= -tol;
+    # a NaN compares false with every bound.  Both are outside, whatever
+    # the component, on the tuple path, the (N,) path and a block's column.
+    spec = GameSpec(n, LinearGain(3.0), 1.0, 0.9, 0.1, 0.99)
+    lam = np.array([1.0, -0.5, 0.75, -0.25, 1.5])[:n]
+    walk = PromiseDecomposition(spec, lam)
+    p = np.maximum(walk.u_r, 1.0)
+    p[0] = (walk.k_star - lam[1:] @ p[1:]) / lam[0]
+    assert not walk.outside(tuple(p.tolist()))
+    for k in range(n):
+        for bad in (np.nan, np.inf, -np.inf):
+            v = p.copy()
+            v[k] = bad
+            assert walk.outside(tuple(v.tolist())) is True, (k, bad)
+            assert walk.outside(v), (k, bad)
+            block = np.ascontiguousarray(np.stack([p, v, p]).T)
+            assert walk.outside(block).tolist() == [False, True, False], (k, bad)
 
 
 def test_promise_walks_sharing_a_decomposition_match_walks_apart():

@@ -58,18 +58,20 @@ def philox4x64(counter, key):
 
 
 def oracle_uniforms(seed, domain, periods, slot, replica):
-    """The 53-bit numerators of the uniforms at counters (period, slot,
-    replica, 0), one per period: lane 0 of the block shifted right by 11."""
+    """The 53-bit numerators of the uniforms of ``periods``, one per period:
+    period t is lane t % 4 of the block at counter (t // 4, slot, replica,
+    0), shifted right by 11."""
     periods = np.asarray(periods, dtype=np.uint64)
     ctr = np.zeros((4, periods.size), dtype=np.uint64)
-    ctr[0] = periods
+    ctr[0] = periods >> np.uint64(2)
     ctr[1] = np.uint64(slot)
     ctr[2] = np.uint64(replica)
     key = np.empty((2, periods.size), dtype=np.uint64)
     key[0] = np.uint64(seed)
     key[1] = np.uint64(domain)
-    lane0 = philox4x64(ctr, key)[0]
-    return lane0 >> np.uint64(11)
+    blocks = philox4x64(ctr, key)
+    lanes = (periods & np.uint64(3)).astype(np.intp)
+    return blocks[lanes, np.arange(periods.size)] >> np.uint64(11)
 
 
 def _words(text):
@@ -115,6 +117,17 @@ def test_zero_counter_reaches_uniforms():
     u = rng.uniforms(0, 0, 0, 1, 0, 0)
     assert u.shape == (1, 1) and u.dtype == np.uint64
     assert u[0, 0] == block[0] >> np.uint64(11)
+
+
+def test_one_block_gives_four_periods():
+    # Periods 0-3 of stream (0, 0, 0, 0) are the four words of the "zeros"
+    # known answer, lane 0 first; period 4 is the next block's lane 0.
+    block = _words(KNOWN_ANSWERS["zeros"][2])
+    u = rng.uniforms(0, 0, 0, 4, 0, 0)
+    assert u.shape == (4, 1)
+    assert u[:, 0].tolist() == (block >> np.uint64(11)).tolist()
+    nxt = philox4x64(np.array([1, 0, 0, 0], dtype=np.uint64), np.zeros(2, dtype=np.uint64))
+    assert rng.uniforms(0, 0, 4, 1, 0, 0)[0, 0] == nxt[0] >> np.uint64(11)
 
 
 def test_matches_numpy_philox_block():
@@ -172,20 +185,45 @@ def _assert_columns_match_oracle(u, seed, domain, start, slots, replicas):
         assert u[:, j].tobytes() == want.tobytes(), j
 
 
-# Streams whose seek at start 0 borrows through lanes 0-3 (slot 0, replica
-# 0), lanes 0-2 (a replica only) and lanes 0-1 (a slot), the last two each
-# right after a full borrow, which leaves lane 3 at 2**64 - 1.
+# Streams whose seek at block 0 borrows through counter words 0-3 (slot 0,
+# replica 0), words 0-2 (a replica only) and words 0-1 (a slot), the last
+# two each right after a full borrow, which leaves word 3 at 2**64 - 1.
 BORROW_SLOTS = np.array([0, 0, 0, 3, WORD, 0, 1, 0], dtype=np.uint64)
 BORROW_REPLICAS = np.array([0, 7, 0, 0, WORD, 2**63, 2**63, 0], dtype=np.uint64)
 
 
 def test_wide_call_at_start_zero_mixes_every_borrow():
     # One call seeks every stream through one reused state; a branch that
-    # left a lane of the previous stream in place would show in a column.
+    # left a counter word of the previous stream in place would show in a
+    # column.
     seed, domain = 2**64 - 3, rng.DOMAIN_PRIVATE
     u = rng.uniforms(seed, domain, 0, 6, BORROW_SLOTS, BORROW_REPLICAS)
     assert u.shape == (6, len(BORROW_SLOTS))
     _assert_columns_match_oracle(u, seed, domain, 0, BORROW_SLOTS, BORROW_REPLICAS)
+
+
+@pytest.mark.parametrize(
+    "start, count",
+    [
+        (1, 1), (2, 1), (3, 1),  # inside block 0: the borrow, then a skip
+        (1, 3), (2, 2), (3, 5),  # to and across the edge of block 0
+        (5, 2), (6, 7), (7, 1), (7, 2), (41, 11), (1022, 3),
+        (2**64 - 3, 3), (2**64 - 2, 2), (2**64 - 1, 1),  # the last periods
+        (2**64 - 7, 6),
+    ],
+)
+def test_unaligned_start_is_a_slice_of_an_aligned_call(start, count):
+    # A call from start % 4 in {1, 2, 3} equals the same periods of a wider
+    # call from the block edge below it, column for column.
+    seed, domain = 2**64 - 3, rng.DOMAIN_PRIVATE
+    skip = start % 4
+    assert skip
+    u = rng.uniforms(seed, domain, start, count, BORROW_SLOTS, BORROW_REPLICAS)
+    aligned = start - skip
+    wide = rng.uniforms(seed, domain, aligned, min(skip + count + 3, 2**64 - aligned),
+                        BORROW_SLOTS, BORROW_REPLICAS)
+    assert u.tobytes() == np.ascontiguousarray(wide[skip : skip + count]).tobytes()
+    _assert_columns_match_oracle(u, seed, domain, start, BORROW_SLOTS, BORROW_REPLICAS)
 
 
 def test_back_to_back_calls_under_different_seeds():
