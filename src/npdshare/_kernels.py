@@ -1,7 +1,10 @@
 """Hot Monte Carlo kernels, vectorized over replicas: one driver, two walks.
 
 The driver ``_drive`` only schedules replicas; a walk holds their state and
-does a period's arithmetic.  It has two walks:
+does a period's arithmetic.  ``engine.monte_carlo`` picks the walk from the
+profile it is given, and each entry reads what its walk needs (delta, the
+signal kernel, the stage payoffs) from the spec and the automaton it runs.
+It has two walks:
 
 * The promise walk (``promise_mc``).  Its arithmetic, the region test
   ``outside`` and the step on a public signal ``step``, is defined once by
@@ -60,7 +63,7 @@ from __future__ import annotations
 import numpy as np
 
 from .game import validate_count
-from .monitoring import MODE_PUBLIC, signal_streams
+from .monitoring import MODE_PRIVATE, MODE_PUBLIC, signal_kernel, signal_streams
 from .rng import threshold
 
 # Replicas stepped together by each numpy op of the period loop.
@@ -240,24 +243,20 @@ class _CountWalk:
         self.totals[live] = self.acc
 
 
-def promise_mc(
-    seed: int,
-    replicas: int,
-    horizon: int,
-    delta: float,
-    v0: np.ndarray,
-    p_zero: np.ndarray,
-    walk,
-):
+def promise_mc(seed: int, replicas: int, horizon: int, v0, walk):
     """Run the promise-automaton Monte Carlo along ``walk``, its decomposition.
 
+    The walk's spec gives delta and the monitor's kernel; each firm's bit
+    is 0 with its chance under the firm's action in ``walk.action``.
     Returns (totals, halt_periods): totals[r] is the delta^t-weighted sum
     sum_t delta^t u(r) over the periods t that replica r spent in the
     admissible region; halt_periods[r] is the first period whose promise
     left the region, or -1.
     """
-    replicas, horizon, delta = int(replicas), int(horizon), float(delta)
-    v0, p_zero = (np.asarray(x, dtype=np.float64) for x in (v0, p_zero))
+    spec = walk.spec
+    replicas, horizon, delta = int(replicas), int(horizon), float(spec.delta)
+    v0 = np.asarray(v0, dtype=np.float64)
+    p_zero = signal_kernel(spec, MODE_PUBLIC)[np.asarray(walk.action)]
     n = v0.shape[0]
     totals = np.zeros((replicas, n))
     halt = np.full(replicas, -1, dtype=np.int64)
@@ -269,27 +268,23 @@ def promise_mc(
     return totals, halt
 
 
-def count_mc(
-    seed: int,
-    replicas: int,
-    horizon: int,
-    delta: float,
-    streams,
-    p_zero: np.ndarray,
-    payoff: np.ndarray,
-    action: np.ndarray,
-    next_state: np.ndarray,
-    initial: int,
-) -> np.ndarray:
-    """Run the Monte Carlo of a count automaton that every firm plays.
+def count_mc(seed: int, replicas: int, horizon: int, spec, mode: str, table) -> np.ndarray:
+    """Run the Monte Carlo of count automaton ``table`` played by every firm.
 
-    ``streams`` is the period's bit layout; a bit is 0 when its uniform is
-    below ``p_zero[a]``, a the common action.  ``payoff[a]`` is each firm's
-    stage payoff when all play a.  Returns totals: totals[r] is replica r's
+    Every firm of ``spec`` plays the table's action, on truthful messages in
+    private mode, so each earns the stage payoff of the common action a and
+    each of ``mode``'s bits is 0 with its chance under a.  In private mode
+    period 0's message round is empty, and the firms count it as no zeros
+    before they act.  Returns totals: totals[r] is replica r's
     sum_t delta^t payoff[a_t], accrued in period order.  When no count
     moves the start state, nothing is drawn and every replica gets the
     start action's sum.
     """
+    n, delta = spec.n_firms, spec.delta
+    payoff = spec.stage[[0, 1], [0, n]]
+    action, next_state, initial = table.action, table.next_state, table.initial
+    if mode == MODE_PRIVATE:
+        initial = int(next_state[initial, 0])
     totals = np.zeros(replicas)
     if np.all(next_state[initial] == initial):
         validate_count(seed, "seed", 0, 2**64)  # as the first draw would
@@ -300,7 +295,7 @@ def count_mc(
             acc = rows[-1]
         totals[:] = acc
         return totals
-    _drive(seed, replicas, horizon, streams,
-           _CountWalk(threshold(p_zero), payoff, action, next_state, initial, delta,
-                      totals))
+    _drive(seed, replicas, horizon, signal_streams(n, mode),
+           _CountWalk(threshold(signal_kernel(spec, mode)), payoff, action, next_state,
+                      initial, delta, totals))
     return totals

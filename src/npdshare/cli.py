@@ -33,7 +33,6 @@ from .engine import (
     SignalTrigger,
     _write_trace,
     monte_carlo,
-    monte_carlo_promise,
     run_episode,
 )
 from .errors import DomainError, NpdShareError
@@ -231,22 +230,36 @@ def _write_halfspaces(fh, approx, n: int) -> None:
         )
 
 
-def _make_strategy(name: str):
+def _make_strategy(args, spec):
+    """The strategy ``--strategy`` names, one instance that every firm plays."""
+    name, n = args.strategy, spec.n_firms
+    if name == "promise":
+        if args.mode != "public":
+            raise _UsageError("the promise strategy runs under public monitoring")
+        direction = ((1.0,) * n if args.direction is None
+                     else _parse_vector(args.direction, "direction", n))
+        v0 = (profile_payoff(spec, (1,) * n) if args.v0 is None
+              else np.asarray(_parse_vector(args.v0, "v0", n)))
+        # A Monte Carlo replica concedes where one episode raises.
+        return PromiseAutomaton(spec, v0, direction,
+                                on_exit="concede" if args.replicas > 1 else "raise")
+    if args.v0 is not None or args.direction is not None:
+        raise _UsageError("--v0 and --direction apply only to the promise strategy")
     if name == "always_disclose":
-        return lambda: AlwaysDisclose()
+        return AlwaysDisclose()
     if name == "always_conceal":
-        return lambda: AlwaysConceal()
+        return AlwaysConceal()
     if name.startswith("signal_trigger:"):
         raw = name.split(":", 1)[1]
         if raw == "inf":
-            return lambda: SignalTrigger(math.inf)
+            return SignalTrigger(math.inf)
         try:
             k = int(raw)
         except ValueError:
             raise _UsageError(
                 f"signal_trigger threshold must be an integer or 'inf', got {raw!r}"
             )
-        return lambda: SignalTrigger(k)
+        return SignalTrigger(k)
     raise _UsageError(
         f"unknown strategy {name!r}; available: {', '.join(_STRATEGY_NAMES)}"
     )
@@ -255,67 +268,34 @@ def _make_strategy(name: str):
 def cmd_simulate(args) -> int:
     loaded = load_game_spec(args.spec)
     spec = loaded.spec
-    n = spec.n_firms
     seed = _resolve_seed(args, loaded)
     if args.horizon < 1:
         raise _UsageError(f"--T must be >= 1, got {args.horizon}")
     if args.replicas < 1:
         raise _UsageError(f"--replicas must be >= 1, got {args.replicas}")
-
-    if args.strategy == "promise":
-        if args.mode != "public":
-            raise _UsageError("the promise strategy runs under public monitoring")
-        direction = ((1.0,) * n if args.direction is None
-                     else _parse_vector(args.direction, "direction", n))
-        v0 = (profile_payoff(spec, (1,) * n) if args.v0 is None
-              else np.asarray(_parse_vector(args.v0, "v0", n)))
-        if args.replicas > 1:
-            mc = monte_carlo_promise(
-                spec, v0, direction, args.replicas, args.horizon, seed
-            )
-            with _output(args) as fh:
-                _write_mc(fh, mc)
-            print(
-                f"simulate: promise MC over {mc.replicas} replicas "
-                f"({mc.backend} backend): mean {_fmt_vec(mc.mean)}, stderr "
-                f"{_fmt_vec(mc.stderr)}, halted {mc.n_halted}, truncation bias "
-                f"bound {mc.truncation_bias_bound:.3g}",
-                file=sys.stderr,
-            )
-            return 0
-        auto = PromiseAutomaton(spec, v0, direction)
-        strategies = [auto.clone() for _ in range(n)]
-        label = "promise run, "
-    else:
-        if args.v0 is not None or args.direction is not None:
-            raise _UsageError("--v0 and --direction apply only to the promise strategy")
-        factory = _make_strategy(args.strategy)
-        if args.replicas > 1:
-            mc = monte_carlo(
-                spec,
-                [factory() for _ in range(n)],
-                args.replicas,
-                args.horizon,
-                seed,
-                mode=args.mode,
-            )
-            with _output(args) as fh:
-                _write_mc(fh, mc)
-            print(
-                f"simulate: MC over {mc.replicas} replicas: mean {_fmt_vec(mc.mean)}, "
-                f"stderr {_fmt_vec(mc.stderr)}, truncation bias bound "
-                f"{mc.truncation_bias_bound:.3g}",
-                file=sys.stderr,
-            )
-            return 0
-        strategies = [factory() for _ in range(n)]
-        label = ""
-
+    # The engine clones the repeated instance for each firm.
+    strategies = [_make_strategy(args, spec)] * spec.n_firms
+    promise = args.strategy == "promise"
+    if args.replicas > 1:
+        mc = monte_carlo(spec, strategies, args.replicas, args.horizon, seed, mode=args.mode)
+        with _output(args) as fh:
+            _write_mc(fh, mc)
+        if promise:
+            what = f"promise MC over {mc.replicas} replicas ({mc.backend} backend)"
+            halted = f", halted {mc.n_halted}"
+        else:
+            what, halted = f"MC over {mc.replicas} replicas", ""
+        print(
+            f"simulate: {what}: mean {_fmt_vec(mc.mean)}, stderr {_fmt_vec(mc.stderr)}"
+            f"{halted}, truncation bias bound {mc.truncation_bias_bound:.3g}",
+            file=sys.stderr,
+        )
+        return 0
     trace = run_episode(spec, strategies, args.horizon, seed, mode=args.mode)
     with _output(args) as fh:
         _write_trace(trace, fh)
     print(
-        f"simulate: {label}discounted average "
+        f"simulate: {'promise run, ' if promise else ''}discounted average "
         f"{_fmt_vec(trace.discounted_average())}, truncation bias bound "
         f"{trace.truncation_bias_bound():.3g}",
         file=sys.stderr,

@@ -581,11 +581,17 @@ class PromiseDecomposition:
         level lam . v is not finite is outside; a NaN or infinite component
         makes it so, whatever its weight."""
         lam = self._lam
-        level = v[0] * lam[0]
-        for k in range(1, len(lam)):
-            level = level + v[k] * lam[k]
         if type(v) is tuple:
+            level = v[0] * lam[0]
+            for k in range(1, len(lam)):
+                level = level + v[k] * lam[k]
             return not (-math.inf < level <= self._level_max) or min(v) < -REGION_TOL
+        # The same sum on arrays, where inf * 0 and overflow would warn; they
+        # give the NaN or infinite level that reads as outside.
+        with np.errstate(over="ignore", invalid="ignore"):
+            level = v[0] * lam[0]
+            for k in range(1, len(lam)):
+                level = level + v[k] * lam[k]
         inside = (level > -np.inf) & (level <= self._level_max)
         return ~inside | (v.min(axis=0) < -REGION_TOL)
 

@@ -18,12 +18,12 @@ at counter (t // 4, slot, replica, 0) (``rng``).  So a trace is
 reproducible bit for bit and every Monte Carlo replica has an independent
 substream by construction.
 
-Monte Carlo runs one of two ways.  ``monte_carlo_promise``, and
-``monte_carlo`` when every firm plays one count automaton table on
-truthful messages, hand all replicas to the numpy driver of ``_kernels``,
-which steps them in groups along one of its two walks, the promise walk or
-the count table; every other ``monte_carlo`` profile runs ``run_episode``
-once per replica.  Either way each row is that replica's
+``monte_carlo`` is the one Monte Carlo entry.  When every firm plays one
+count automaton table on truthful messages, or one conceding promise
+automaton (``monte_carlo_promise`` builds such a profile), it hands all
+replicas to the numpy driver of ``_kernels``, which steps them in groups
+along the count table or the promise walk; every other profile runs
+``run_episode`` once per replica.  Either way each row is that replica's
 ``discounted_average()`` bit for bit.
 """
 
@@ -105,6 +105,17 @@ class Strategy:
 
     def clone(self) -> "Strategy":
         return copy.deepcopy(self)
+
+
+def _shallow_copy(strategy):
+    """A shallow copy of ``strategy``, its attributes set one at a time as
+    ``__init__`` sets them.  ``copy.copy`` fills a new ``__dict__`` instead,
+    and CPython then reads each attribute of the copy on a slower path, in
+    every firm's step of every period."""
+    new = type(strategy).__new__(type(strategy))
+    for name, value in vars(strategy).items():
+        setattr(new, name, value)
+    return new
 
 
 # A count automaton's transition table holds at most this many entries
@@ -201,7 +212,7 @@ class CountAutomaton(Strategy):
         self._seen = 0
 
     def clone(self) -> "CountAutomaton":
-        return copy.copy(self)
+        return _shallow_copy(self)
 
     def next_action(self, public_history, private_history) -> int:
         z = self._state
@@ -308,7 +319,9 @@ class PromiseAutomaton(Strategy):
     across firms or pass per-firm clones; the promise walk is a
     deterministic function of the public history either way.  An episode
     must run on the spec the automaton was built from (an equal one), so
-    the walk and the trace discount at the same delta.
+    the walk and the trace discount at the same delta.  When every firm
+    plays a conceding clone of one automaton, ``monte_carlo`` steps all
+    replicas at once on the decomposition.
     """
 
     is_public = True
@@ -342,7 +355,7 @@ class PromiseAutomaton(Strategy):
         self._reset_state()
 
     def clone(self) -> "PromiseAutomaton":
-        return copy.copy(self)
+        return _shallow_copy(self)
 
     @property
     def promise(self) -> np.ndarray:
@@ -516,15 +529,15 @@ def _bind_strategies(spec: GameSpec, strategies, horizon: int, mode: str) -> lis
             f"an N-bit signal index as int64; got N = {n}"
         )
     # A repeated instance would have its bound firm index overwritten, so
-    # clone duplicates; each firm then runs its own copy of the rule.
-    bound = []
-    seen: set[int] = set()
-    for i, s in enumerate(supplied):
-        if id(s) in seen:
-            s = s.clone()
-        seen.add(id(s))
+    # each firm it is passed for runs its own clone, and the instance itself
+    # stays unbound.  Copying it puts its attributes on CPython's slower
+    # path, so playing it beside its clones would slow every period.
+    uses: dict[int, int] = {}
+    for s in supplied:
+        uses[id(s)] = uses.get(id(s), 0) + 1
+    bound = [s.clone() if uses[id(s)] > 1 else s for s in supplied]
+    for i, s in enumerate(bound):
         s.bind(spec, mode, i)
-        bound.append(s)
     return bound
 
 
@@ -705,48 +718,45 @@ def monte_carlo(
     """Replicate run_episode over independent substreams (replica = counter
     coordinate, so streams never overlap) and aggregate in replica order.
 
-    When every firm plays the same count automaton table and none overrides
-    ``next_action`` or ``next_message`` (so reports are truthful), every
-    firm plays the same action in every period, and all replicas are
-    stepped at once on the table by ``_kernels.count_mc`` (backend
-    "numpy").  Its rows equal run_episode's ``discounted_average()`` bit
-    for bit.  Any other strategy list runs run_episode once per replica
-    (backend "python").
+    Two kinds of profile step all replicas at once in ``_kernels`` (backend
+    "numpy"):
+
+    * every firm plays the same count automaton table and none overrides
+      ``next_action`` or ``next_message`` (so reports are truthful): every
+      firm plays the same action in every period (``_kernels.count_mc``);
+    * every firm plays a PromiseAutomaton with ``on_exit="concede"`` whose
+      class keeps ``next_action``, all on one decomposition and one v0, as
+      clones of one automaton are: the promise walk
+      (``_kernels.promise_mc``), which also returns each replica's halt
+      period.
+
+    Each row equals run_episode's ``discounted_average()`` bit for bit.
+    Any other strategy list runs run_episode once per replica (backend
+    "python").
     """
     validate_count(replicas, "replicas")
     strategies = list(strategies)
     # Bound clones raise what the first replica's run_episode would.
-    table = _shared_count_table(
-        _bind_strategies(spec, [s.clone() for s in strategies], horizon, mode)
-    )
+    bound = _bind_strategies(spec, [s.clone() for s in strategies], horizon, mode)
     n = spec.n_firms
-    if table is None:
-        per = np.zeros((replicas, n))
-        for r in range(replicas):
-            clones = [s.clone() for s in strategies]
-            trace = run_episode(spec, clones, horizon, base_seed, mode=mode, replica=r)
-            per[r] = trace.discounted_average()
-        return _result(spec, per, horizon, base_seed, "python")
-    initial = table.initial
-    if mode == MODE_PRIVATE:
-        # Period 0's message round is empty: the firms count it as no zeros
-        # before they act.
-        initial = int(table.next_state[initial, 0])
-    totals = count_mc(
-        seed=base_seed,
-        replicas=replicas,
-        horizon=horizon,
-        delta=spec.delta,
-        streams=signal_streams(n, mode),
-        p_zero=signal_kernel(spec, mode),
-        # Every firm earns the stage payoff of the common action.
-        payoff=spec.stage[[0, 1], [0, n]],
-        action=table.action,
-        next_state=table.next_state,
-        initial=initial,
-    )
-    per = np.repeat(((1.0 - spec.delta) * totals)[:, None], n, axis=1)
-    return _result(spec, per, horizon, base_seed, backend_name())
+    table = _shared_count_table(bound)
+    if table is not None:
+        totals = count_mc(seed=base_seed, replicas=replicas, horizon=horizon, spec=spec,
+                          mode=mode, table=table)
+        per = np.repeat(((1.0 - spec.delta) * totals)[:, None], n, axis=1)
+        return _result(spec, per, horizon, base_seed, backend_name())
+    auto = _shared_promise(bound)
+    if auto is not None:
+        totals, halts = promise_mc(seed=base_seed, replicas=replicas, horizon=horizon,
+                                   v0=auto.v0, walk=auto.decomp)
+        return _result(spec, (1.0 - spec.delta) * totals, horizon, base_seed,
+                       backend_name(), halts)
+    per = np.zeros((replicas, n))
+    for r in range(replicas):
+        clones = [s.clone() for s in strategies]
+        trace = run_episode(spec, clones, horizon, base_seed, mode=mode, replica=r)
+        per[r] = trace.discounted_average()
+    return _result(spec, per, horizon, base_seed, "python")
 
 
 def _shared_count_table(strategies) -> CountTable | None:
@@ -764,6 +774,22 @@ def _shared_count_table(strategies) -> CountTable | None:
     return strategies[0].count_table
 
 
+def _shared_promise(strategies) -> PromiseAutomaton | None:
+    """The first bound strategy, when all are conceding promise automata on
+    the package's step that share its decomposition and v0; else None."""
+    first = strategies[0]
+    for s in strategies:
+        if not (
+            isinstance(s, PromiseAutomaton)
+            and type(s).next_action is PromiseAutomaton.next_action
+            and s.on_exit == "concede"
+            and s.decomp is first.decomp
+            and s.v0 == first.v0
+        ):
+            return None
+    return first
+
+
 def monte_carlo_promise(
     spec: GameSpec,
     v0,
@@ -772,43 +798,24 @@ def monte_carlo_promise(
     horizon: int,
     base_seed: int,
 ) -> MonteCarloResult:
-    """Vectorized Monte Carlo of the promise automaton.
+    """Monte Carlo of the promise automaton from v0 along ``direction``.
 
-    The automaton's constructor checks v0 (finite, inside the region), and
-    its ``PromiseDecomposition`` moves the promises: the numpy kernel in
-    ``_kernels`` calls its ``step`` on the replicas still inside, together,
-    one period at a time, and its ``outside`` once per block of
-    ``_kernels.HALT_BLOCK`` periods, in groups of
-    ``_kernels.GROUP_REPLICAS``, with the group's promises held firm-major
-    as an (N, R) array.  A group draws its signals a stream run of
-    ``_kernels.STREAM_PERIODS`` periods ahead, in batches of replicas whose
-    uint64 draws stay within ``_kernels.CHUNK_DRAWS`` values (1 MB), and
-    keeps the run as uint8 signal indices (2 MB at the default sizes).  None
-    of the four sizes changes a result: replica trajectories are
-    bit-identical to running PromiseAutomaton (``on_exit="concede"``)
-    through run_episode with the same spec, seed and replica index, and
-    each row equals that trace's ``discounted_average()``.  The walk, the
-    discounting and the truncation bound all use ``spec.delta``; to run at
-    another delta, pass ``dataclasses.replace(spec, delta=d)``.  Replicas
-    whose promise leaves the admissible region stop accruing payoff from
-    the halt period on (all-conceal continuation); their partial
-    discounted sums still enter the aggregate.
+    Checks replicas, then horizon, then builds
+    ``PromiseAutomaton(spec, v0, direction, on_exit="concede")``, which
+    checks v0 (finite, inside the region), and runs ``monte_carlo`` with
+    that automaton for every firm, so all replicas walk together in
+    ``_kernels.promise_mc``.  Each row is bit for bit that replica's
+    run_episode ``discounted_average()``, and ``halt_periods`` holds the
+    first period each replica's promise left the admissible region, or -1.
+    From the halt period on, a replica plays all-conceal and accrues
+    nothing; its partial discounted sum still enters the aggregate.  The
+    walk, the discounting and the truncation bound all use ``spec.delta``;
+    to run at another delta, pass ``dataclasses.replace(spec, delta=d)``.
     """
     validate_count(replicas, "replicas")
     validate_count(horizon, "horizon")
     auto = PromiseAutomaton(spec, v0, direction, on_exit="concede")
-    walk = auto.decomp
-    totals, halts = promise_mc(
-        seed=base_seed,
-        replicas=replicas,
-        horizon=horizon,
-        delta=spec.delta,
-        v0=auto.v0,
-        p_zero=signal_kernel(spec, MODE_PUBLIC)[np.asarray(walk.action)],
-        walk=walk,
-    )
-    per = (1.0 - spec.delta) * totals
-    return _result(spec, per, horizon, base_seed, backend_name(), halts)
+    return monte_carlo(spec, [auto] * spec.n_firms, replicas, horizon, base_seed)
 
 
 # ---------------------------------------------------------------------------

@@ -762,6 +762,60 @@ def test_simulate_promise_monte_carlo(spec2_file, capsys):
     assert len(rows) == 5
 
 
+def test_simulate_promise_raise_without_a_suggested_delta_exits_one(spec_file, capsys):
+    # From v0 = (0, 4) no replayed delta keeps the walk inside, so the
+    # message gives the period and no "replaying" hint.
+    path = spec_file({"n_firms": 2, "gain": {"kind": "linear", "G": 3.0}, "L": 1.0,
+                      "alpha": 0.9, "epsilon": 0.1, "delta": 0.99})
+    code, out, err = run_cli(
+        ["simulate", "--spec", path, "--strategy", "promise", "--v0", "0,4",
+         "--T", "100", "--seed", "0"],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    assert err == (
+        "npdshare simulate: discount too small: promise update at period 3 leaves the "
+        "admissible region at delta=0.99\n"
+    )
+
+
+_SIMULATE = ["simulate", "--strategy", "always_disclose", "--T", "5"]
+_SWEEP = ["sweep", "--alpha-grid", "0.6:0.9:3", "--epsilon-grid", "0.1:0.2:2"]
+
+
+@pytest.mark.parametrize("argv, seed_env, named", [
+    pytest.param(["decompose", "--lambda", "1,1", "--action", "1,2"], None, "--action",
+                 id="action-not-a-bit"),
+    pytest.param(_SWEEP + ["--alpha-grid", "0.6:0.9"], None, "--alpha-grid", id="grid-two-parts"),
+    pytest.param(_SWEEP + ["--alpha-grid", "0.6:x:3"], None, "--alpha-grid", id="grid-not-a-number"),
+    pytest.param(_SWEEP + ["--alpha-grid", "0.6:0.9:0"], None, "--alpha-grid", id="grid-no-steps"),
+    pytest.param(_SWEEP + ["--epsilon-grid", "0.2:0.1:2"], None, "--epsilon-grid",
+                 id="grid-max-below-min"),
+    pytest.param(_SWEEP + ["--epsilon-grid", "0.1:0.6:3"], None, "--epsilon-grid",
+                 id="epsilon-grid-outside"),
+    pytest.param(_SIMULATE, "x", "NPDSHARE_SEED", id="env-seed-not-an-integer"),
+    pytest.param(_SIMULATE + ["--seed=-1"], None, "seed", id="seed-negative"),
+    pytest.param(_SIMULATE + ["--seed", str(2**63)], None, "seed", id="seed-2-63"),
+    pytest.param(["payoffset", "--directions", "7"], None, "--directions", id="directions-7"),
+    pytest.param(_SIMULATE + ["--strategy", "signal_trigger:x"], None, "signal_trigger",
+                 id="trigger-not-a-number"),
+    pytest.param(_SIMULATE + ["--T", "0"], None, "--T", id="horizon-0"),
+    pytest.param(_SIMULATE + ["--replicas", "0"], None, "--replicas", id="replicas-0"),
+    pytest.param(_SIMULATE + ["--strategy", "promise", "--mode", "private"], None, "promise",
+                 id="promise-private"),
+])
+def test_usage_errors_exit_two_and_name_the_flag(spec2_file, capsys, monkeypatch, argv,
+                                                 seed_env, named):
+    if seed_env is None:
+        monkeypatch.delenv("NPDSHARE_SEED", raising=False)
+    else:
+        monkeypatch.setenv("NPDSHARE_SEED", seed_env)
+    spec = [] if argv[0] == "sweep" else ["--spec", spec2_file]
+    code, out, err = run_cli(argv + spec, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"npdshare {argv[0]}: ") and named in err
+
+
 def test_simulate_unknown_strategy_exits_two(spec2_file, capsys):
     code, _, err = run_cli(
         ["simulate", "--spec", spec2_file, "--strategy", "bogus", "--T", "5"],

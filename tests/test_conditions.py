@@ -150,6 +150,16 @@ def test_c2_c3_hold_for_three_and_four_firms():
             assert rep2.holds and rep3.holds, (n, r)
 
 
+def test_c3_holds_at_a_cosine_just_below_one():
+    # At the kernel's edge C3's cosine approaches 1 - 2^-(N - 2): at N = 24
+    # it reads 1 - 2.4e-7, between 1 - 1e-6 and 1 - COLLINEAR_TOL, so the
+    # segments are not positively collinear and C3 holds.
+    spec = GameSpec(24, LinearGain(3.0), 1.0, 0.5 + 1e-9, 1e-9, 0.9)
+    rep = check_c3(spec, (1,) * 24, 0, 1)
+    assert rep.holds
+    assert 1.0 - 1e-6 < rep.evidence["cosine"] < 1.0 - 1e-9
+
+
 KERNELS = [(0.9, 0.1), (0.6, 0.4), (0.501, 0.499), (0.99, 0.01), (0.75, 0.3)]
 
 

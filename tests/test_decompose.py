@@ -591,6 +591,17 @@ def test_promise_with_a_non_finite_component_is_outside(n):
             assert walk.outside(block).tolist() == [False, True, False], (k, bad)
 
 
+def test_promise_with_an_infinite_component_of_zero_weight_is_outside_silently(spec2_patient):
+    # Direction (1, 0) weighs firm 2 by 0, so inf * 0 makes the level NaN.
+    # pyproject turns warnings into errors: the tuple, the (N,) array and a
+    # (2, 1) block must all read the promise as outside without a numpy
+    # RuntimeWarning.
+    walk = PromiseDecomposition(spec2_patient, (1.0, 0.0))
+    assert walk.outside((0.5, np.inf)) is True
+    assert walk.outside(np.array([0.5, np.inf]))
+    assert walk.outside(np.array([[0.5], [np.inf]])).tolist() == [True]
+
+
 def test_promise_walks_sharing_a_decomposition_match_walks_apart():
     # The tuple step remembers its last (v, b, c) and result; walks that
     # alternate on one decomposition, from different promises and on

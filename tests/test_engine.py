@@ -3,7 +3,7 @@
 import math
 import statistics
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -185,6 +185,23 @@ def test_monte_carlo_replica_zero_matches_episode(spec2):
     )
     assert np.array_equal(mc.per_replica[0], trace.discounted_average())
     assert mc.replicas == 4 and mc.backend == "python"
+
+
+def test_a_repeated_instance_plays_one_clone_per_firm(spec3, spec2_patient):
+    # Each firm a repeated instance is passed for runs its own clone, and
+    # the instance itself stays unbound: the trace is the one of separate
+    # instances.
+    cases = [(spec3, mode, make) for mode in ("public", "private")
+             for make in (AlwaysDisclose, lambda: SignalTrigger(2))]
+    cases.append((spec2_patient, "public",
+                  lambda: PromiseAutomaton(spec2_patient, (1.5, 1.5), (1.0, 1.0))))
+    for spec, mode, make in cases:
+        shared = make()
+        trace = run_episode(spec, [shared] * spec.n_firms, 60, seed=3, mode=mode)
+        want = run_episode(spec, [make() for _ in range(spec.n_firms)], 60, seed=3, mode=mode)
+        assert not hasattr(shared, "firm"), (mode, type(shared))
+        for got, ref in zip(astuple(trace), astuple(want)):
+            assert np.array_equal(got, ref) if isinstance(got, np.ndarray) else got == ref
 
 
 def test_public_signal_frequencies_match_distribution(spec2):
@@ -657,6 +674,21 @@ def test_impatient_delta_halts_quickly(spec2):
     assert exc_info.value.period == 21
 
 
+def test_promise_raise_path_without_a_suggested_delta(spec2_patient):
+    # From v0 = (0, 4) the walk leaves at period 3, and no delta up to
+    # 1 - 1e-9 keeps the replayed signals inside: no delta is suggested,
+    # and the message carries no "replaying" hint.
+    auto = PromiseAutomaton(spec2_patient, (0.0, 4.0), (1.0, 1.0))
+    with pytest.raises(DiscountTooSmallError) as exc_info:
+        run_episode(spec2_patient, [auto, auto], 100, seed=0)
+    exc = exc_info.value
+    assert exc.period == 3 and exc.delta_suggested is None
+    assert str(exc) == (
+        "discount too small: promise update at period 3 leaves the admissible region "
+        "at delta=0.99"
+    )
+
+
 # ---------------------------------------------------------------------------
 # kernel cross-validation
 
@@ -845,10 +877,7 @@ def test_kernel_halts_every_replica_at_period_0_when_v0_is_outside(monkeypatch, 
     walk = PromiseAutomaton(spec2_patient, (2.0, 2.0), (1.0, 1.0)).decomp
     for v0 in ((5.0, 5.0), (2.0, -0.5)):
         assert walk.outside(v0)
-        totals, halts = _kernels.promise_mc(
-            seed=4, replicas=5, horizon=10, delta=spec2_patient.delta, v0=v0,
-            p_zero=(0.9, 0.1), walk=walk,
-        )
+        totals, halts = _kernels.promise_mc(seed=4, replicas=5, horizon=10, v0=v0, walk=walk)
         assert halts.tolist() == [0] * 5
         assert totals.tolist() == [[0.0, 0.0]] * 5
 
@@ -870,6 +899,64 @@ def test_kernel_at_a_tiny_delta_warns_nothing_and_matches_strategy_path(spec2):
             assert np.array_equal(mc.per_replica[r], trace.discounted_average()), r
             on_path = np.all(trace.actions == 1, axis=1)
             assert int(np.argmin(on_path)) == mc.halt_periods[r] == 1, r
+
+
+@pytest.mark.parametrize("n, delta, seed", [(2, 0.95, 0), (3, 0.9, 2)])
+def test_monte_carlo_steps_one_conceding_promise_automaton_on_the_kernel(
+    monkeypatch, n, delta, seed
+):
+    # 20 replicas in groups of 7, 70 periods in stream runs of 16, draw
+    # batches of 2 replicas and region tests every 3 periods.  monte_carlo
+    # on one conceding automaton for every firm is monte_carlo_promise, and
+    # each row and halt period is its own run_episode replay.
+    monkeypatch.setattr(_kernels, "GROUP_REPLICAS", 7)
+    monkeypatch.setattr(_kernels, "STREAM_PERIODS", 16)
+    monkeypatch.setattr(_kernels, "CHUNK_DRAWS", 2 * 16 * n)
+    monkeypatch.setattr(_kernels, "HALT_BLOCK", 3)
+    spec = GameSpec(n, LinearGain(3.0), 1.0, 0.9, 0.1, delta)
+    v0, direction = profile_payoff(spec, (1,) * n), (1.0,) * n
+    replicas, horizon = 20, 70
+    auto = PromiseAutomaton(spec, v0, direction, on_exit="concede")
+    mc = monte_carlo(spec, [auto] * n, replicas, horizon, base_seed=seed)
+    ref = monte_carlo_promise(spec, v0, direction, replicas, horizon, base_seed=seed)
+    assert mc.backend == ref.backend == "numpy"
+    for name in ("per_replica", "halt_periods", "mean", "stderr"):
+        assert np.array_equal(getattr(mc, name), getattr(ref, name)), name
+    halts = mc.halt_periods
+    assert np.any(halts < 0) and np.any(halts >= 16) and np.any(halts % 3 != 0)
+    assert all(np.any(halts[g : g + 7] >= 0) for g in range(0, replicas, 7))
+    for r in range(replicas):
+        trace = run_episode(spec, [auto] * n, horizon, seed=seed, replica=r)
+        assert np.array_equal(mc.per_replica[r], trace.discounted_average()), r
+        on_path = np.all(trace.actions == 1, axis=1)
+        assert (-1 if on_path.all() else int(np.argmin(on_path))) == halts[r], r
+
+
+class _ConcedesFirst(PromiseAutomaton):
+    """A promise automaton that conceals in period 0."""
+
+    def next_action(self, public_history, private_history):
+        action = super().next_action(public_history, private_history)
+        return action if public_history else 0
+
+
+def test_promise_profiles_off_one_conceding_walk_take_the_loop(spec2_patient):
+    v0, direction = (1.5, 1.5), (1.0, 1.0)
+    raising = PromiseAutomaton(spec2_patient, v0, direction)
+    conceding = PromiseAutomaton(spec2_patient, v0, direction, on_exit="concede")
+    cases = {
+        "raise": [raising, raising],
+        "built apart": [conceding,
+                        PromiseAutomaton(spec2_patient, v0, direction, on_exit="concede")],
+        "overrides next_action": [_ConcedesFirst(spec2_patient, v0, direction,
+                                                 on_exit="concede")] * 2,
+        "mixed": [conceding, AlwaysDisclose()],
+    }
+    for name, strategies in cases.items():
+        mc = monte_carlo(spec2_patient, strategies, 3, 40, base_seed=1)
+        assert mc.backend == "python" and mc.halt_periods is None, name
+        want = _loop_rows(spec2_patient, strategies, 3, 40, 1, "public")
+        assert np.array_equal(mc.per_replica, want), name
 
 
 def test_monte_carlo_promise_records_halts(spec2_patient):
