@@ -286,7 +286,7 @@ def count_mc(seed: int, replicas: int, horizon: int, spec, mode: str, table) -> 
     if mode == MODE_PRIVATE:
         initial = int(next_state[initial, 0])
     totals = np.zeros(replicas)
-    if np.all(next_state[initial] == initial):
+    if table.absorbing[initial]:
         validate_count(seed, "seed", 0, 2**64)  # as the first draw would
         acc, w = 0.0, 1.0
         for t in range(0, horizon, STREAM_PERIODS):

@@ -36,67 +36,62 @@ from .engine import (
     run_episode,
 )
 from .errors import DomainError, NpdShareError
-from .game import check_assumptions, extreme_profiles, profile_payoff
+from .game import (
+    check_assumptions,
+    extreme_profiles,
+    profile_payoff,
+    validate_accuracy,
+    validate_count,
+    validate_positive,
+    validate_profile,
+    validate_vector,
+)
 from .specfile import MAX_SEED, load_game_spec
 
 _STRATEGY_NAMES = ("always_disclose", "always_conceal", "signal_trigger:K", "promise")
 
 
-class _UsageError(Exception):
-    pass
-
-
-def _parse_vector(text: str, name: str, length: int | None = None):
+def _numbers(text: str, name: str) -> tuple:
+    """The comma-separated numbers of ``--name``'s ``text``."""
     try:
-        vec = tuple(float(part) for part in text.split(","))
+        return tuple(float(part) for part in text.split(","))
     except ValueError:
-        raise _UsageError(f"--{name} must be comma-separated numbers, got {text!r}")
-    if not all(math.isfinite(x) for x in vec):
-        raise _UsageError(f"--{name} must be finite numbers, got {text!r}")
-    if length is not None and len(vec) != length:
-        raise _UsageError(f"--{name} must have {length} components, got {len(vec)}")
-    return vec
-
-def _parse_action(text: str, name: str, length: int):
-    vec = _parse_vector(text, name, length)
-    acts = tuple(int(v) for v in vec)
-    if any(a not in (0, 1) or a != v for a, v in zip(acts, vec)):
-        raise _UsageError(f"--{name} entries must be 0 or 1, got {text!r}")
-    return acts
+        raise DomainError(f"--{name} must be comma-separated numbers, got {text!r}") from None
 
 
-def _parse_grid(text: str, name: str) -> np.ndarray:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise _UsageError(f"--{name} must look like min:max:steps, got {text!r}")
+def _parse_vector(text: str, name: str, length: int) -> tuple:
+    return tuple(validate_vector(_numbers(text, name), length, f"--{name}").tolist())
+
+
+def _parse_grid(text: str, name: str) -> tuple[float, float, int]:
+    """The min, max and steps of a ``min:max:steps`` grid."""
     try:
-        lo, hi = float(parts[0]), float(parts[1])
-        steps = int(parts[2])
+        lo, hi, steps = text.split(":")
+        lo, hi, steps = float(lo), float(hi), int(steps)
     except ValueError:
-        raise _UsageError(f"--{name} must look like min:max:steps, got {text!r}")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise _UsageError(f"--{name} min and max must be finite, got {text!r}")
-    if steps < 1 or hi < lo:
-        raise _UsageError(f"--{name} needs steps >= 1 and max >= min, got {text!r}")
-    return np.linspace(lo, hi, steps)
+        raise DomainError(f"--{name} must look like min:max:steps, got {text!r}") from None
+    validate_count(steps, f"--{name} steps")
+    if hi < lo:
+        raise DomainError(f"--{name} max must be >= min, got {text!r}")
+    return lo, hi, steps
 
 
 def _resolve_seed(args, loaded) -> int:
+    """The seed, refused with the name of the source it came from; a spec
+    file's seed is checked when the file is read."""
     if args.seed is not None:
-        seed = args.seed
-    elif loaded is not None and loaded.seed is not None:
-        seed = loaded.seed
-    elif os.environ.get("NPDSHARE_SEED"):
-        try:
-            seed = int(os.environ["NPDSHARE_SEED"])
-        except ValueError:
-            raise _UsageError(
-                f"NPDSHARE_SEED must be an integer, got {os.environ['NPDSHARE_SEED']!r}"
-            )
-    else:
-        seed = 0
-    if not 0 <= seed <= MAX_SEED:
-        raise _UsageError(f"seed must lie in [0, 2**63), got {seed}")
+        validate_count(args.seed, "--seed", 0, MAX_SEED + 1)
+        return args.seed
+    if loaded.seed is not None:
+        return loaded.seed
+    text = os.environ.get("NPDSHARE_SEED")
+    if not text:
+        return 0
+    try:
+        seed = int(text)
+    except ValueError:
+        raise DomainError(f"NPDSHARE_SEED must be an integer, got {text!r}") from None
+    validate_count(seed, "NPDSHARE_SEED", 0, MAX_SEED + 1)
     return seed
 
 
@@ -105,7 +100,7 @@ def _open_for_write(path):
     try:
         return open(path, "w", newline="", encoding="utf-8")
     except OSError as exc:
-        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 @contextlib.contextmanager
@@ -160,9 +155,8 @@ def cmd_decompose(args) -> int:
     spec = load_game_spec(args.spec).spec
     n = spec.n_firms
     direction = _parse_vector(args.direction, "lambda", n)
-    action = (
-        (1,) * n if args.action is None else _parse_action(args.action, "action", n)
-    )
+    action = ((1,) * n if args.action is None else
+              tuple(validate_profile(spec, _numbers(args.action, "action"), "--action").tolist()))
     res = solve_enforceability(
         spec, action, direction, orthogonal=(args.mode == "orthogonal")
     )
@@ -189,8 +183,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_payoffset(args) -> int:
     spec = load_game_spec(args.spec).spec
-    if args.directions < 8:
-        raise _UsageError(f"--directions must be >= 8, got {args.directions}")
+    validate_count(args.directions, "--directions", lo=8)
     approx = ppe_payoff_set(spec, n_directions=args.directions)
     if args.halfspaces:
         with _open_for_write(args.halfspaces) as fh:
@@ -235,16 +228,16 @@ def _make_strategy(args, spec):
     name, n = args.strategy, spec.n_firms
     if name == "promise":
         if args.mode != "public":
-            raise _UsageError("the promise strategy runs under public monitoring")
+            raise DomainError("the promise strategy runs under public monitoring")
         direction = ((1.0,) * n if args.direction is None
                      else _parse_vector(args.direction, "direction", n))
         v0 = (profile_payoff(spec, (1,) * n) if args.v0 is None
-              else np.asarray(_parse_vector(args.v0, "v0", n)))
+              else validate_vector(_numbers(args.v0, "v0"), n, "--v0"))
         # A Monte Carlo replica concedes where one episode raises.
         return PromiseAutomaton(spec, v0, direction,
                                 on_exit="concede" if args.replicas > 1 else "raise")
     if args.v0 is not None or args.direction is not None:
-        raise _UsageError("--v0 and --direction apply only to the promise strategy")
+        raise DomainError("--v0 and --direction apply only to the promise strategy")
     if name == "always_disclose":
         return AlwaysDisclose()
     if name == "always_conceal":
@@ -256,11 +249,11 @@ def _make_strategy(args, spec):
         try:
             k = int(raw)
         except ValueError:
-            raise _UsageError(
+            raise DomainError(
                 f"signal_trigger threshold must be an integer or 'inf', got {raw!r}"
             )
         return SignalTrigger(k)
-    raise _UsageError(
+    raise DomainError(
         f"unknown strategy {name!r}; available: {', '.join(_STRATEGY_NAMES)}"
     )
 
@@ -269,10 +262,8 @@ def cmd_simulate(args) -> int:
     loaded = load_game_spec(args.spec)
     spec = loaded.spec
     seed = _resolve_seed(args, loaded)
-    if args.horizon < 1:
-        raise _UsageError(f"--T must be >= 1, got {args.horizon}")
-    if args.replicas < 1:
-        raise _UsageError(f"--replicas must be >= 1, got {args.replicas}")
+    validate_count(args.horizon, "--T")
+    validate_count(args.replicas, "--replicas")
     # The engine clones the repeated instance for each firm.
     strategies = [_make_strategy(args, spec)] * spec.n_firms
     promise = args.strategy == "promise"
@@ -334,18 +325,12 @@ def _reprs(values) -> list[str]:
 
 
 def cmd_sweep(args) -> int:
-    alphas = _parse_grid(args.alpha_grid, "alpha-grid")
-    epsilons = _parse_grid(args.epsilon_grid, "epsilon-grid")
-    if not (math.isfinite(args.loss) and args.loss > 0):
-        raise _UsageError(f"--L must be a finite number > 0, got {args.loss}")
-    if not (0.5 < alphas[0] and alphas[-1] < 1):
-        raise _UsageError(
-            f"--alpha-grid must lie inside (1/2, 1), got [{alphas[0]}, {alphas[-1]}]"
-        )
-    if not (0 < epsilons[0] and epsilons[-1] < 0.5):
-        raise _UsageError(
-            f"--epsilon-grid must lie inside (0, 1/2), got [{epsilons[0]}, {epsilons[-1]}]"
-        )
+    a_lo, a_hi, a_steps = _parse_grid(args.alpha_grid, "alpha-grid")
+    e_lo, e_hi, e_steps = _parse_grid(args.epsilon_grid, "epsilon-grid")
+    validate_positive(args.loss, "--L")
+    for end, a, e in (("min", a_lo, e_lo), ("max", a_hi, e_hi)):
+        validate_accuracy(f"--alpha-grid {end}", a, f"--epsilon-grid {end}", e)
+    alphas, epsilons = np.linspace(a_lo, a_hi, a_steps), np.linspace(e_lo, e_hi, e_steps)
     rows = [
         [repr(float(a)), repr(float(e)),
          repr(float(table2_gamma_bar(args.loss, a, e, (1.0, 1.0))[1, 0]))]
@@ -436,7 +421,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_UsageError, DomainError) as exc:
+    except DomainError as exc:
         print(f"npdshare {args.command}: {exc}", file=sys.stderr)
         return 2
     except NpdShareError as exc:

@@ -239,8 +239,9 @@ def _solve(t: _ProfileTable, lam: np.ndarray, target) -> EnforceabilityResult:
     residual = float(np.max(np.abs(a @ x - rhs)))
     if residual <= SOLVE_TOL * max(1.0, float(np.max(np.abs(rhs)))):
         gamma = x.reshape(n, s).T
-        if np.min(_ic_slacks(t, gamma)) >= -SOLVE_TOL:
-            return _result(t, lam, "equality", gamma, float(lam @ v))
+        slacks = _ic_slacks(t, gamma)
+        if np.min(slacks) >= -SOLVE_TOL:
+            return _result(t, lam, "equality", gamma, float(lam @ v), slacks=slacks)
     return _result(t, lam, "per_bit", _per_bit_map(t, lam, v), float(lam @ v))
 
 
@@ -261,14 +262,17 @@ def _per_bit_map(t: _ProfileTable, lam: np.ndarray, v: np.ndarray) -> np.ndarray
 
 
 def _result(t: _ProfileTable, lam: np.ndarray, mode: str, gamma=None, level=None,
-            failure=None) -> EnforceabilityResult:
+            failure=None, slacks=None) -> EnforceabilityResult:
     """The result for t's profile on lam: the map ``gamma`` at ``level``,
-    or, with no map, the failure."""
+    or, with no map, the failure; ``slacks`` are gamma's incentive slacks
+    when the caller has them."""
+    if gamma is not None and slacks is None:
+        slacks = _ic_slacks(t, gamma)
     return EnforceabilityResult(
         feasible=gamma is not None, gamma_bar=gamma, k_star=level,
         orthogonal=mode in ("equality", "per_bit"), mode=mode, action=t.action,
         direction=tuple(lam),
-        binding=None if gamma is None else _binding(_ic_slacks(t, gamma)),
+        binding=None if gamma is None else _binding(slacks),
         failure_reason=failure,
     )
 

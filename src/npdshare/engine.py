@@ -104,16 +104,17 @@ class Strategy:
         return tuple(last)
 
     def clone(self) -> "Strategy":
-        return copy.deepcopy(self)
+        return _copy(self, deep=True)
 
 
-def _shallow_copy(strategy):
-    """A shallow copy of ``strategy``, its attributes set one at a time as
-    ``__init__`` sets them.  ``copy.copy`` fills a new ``__dict__`` instead,
-    and CPython then reads each attribute of the copy on a slower path, in
-    every firm's step of every period."""
+def _copy(strategy, deep: bool = False):
+    """A copy of ``strategy``, shallow or deep, its attributes set one at a
+    time as ``__init__`` sets them.  ``copy.copy`` and ``copy.deepcopy``
+    fill a new ``__dict__`` instead, and CPython then reads each attribute
+    of the copy on a slower path, in every firm's step of every period."""
+    attrs = copy.deepcopy(vars(strategy)) if deep else vars(strategy)
     new = type(strategy).__new__(type(strategy))
-    for name, value in vars(strategy).items():
+    for name, value in attrs.items():
         setattr(new, name, value)
     return new
 
@@ -212,7 +213,7 @@ class CountAutomaton(Strategy):
         self._seen = 0
 
     def clone(self) -> "CountAutomaton":
-        return _shallow_copy(self)
+        return _copy(self)
 
     def next_action(self, public_history, private_history) -> int:
         z = self._state
@@ -355,7 +356,7 @@ class PromiseAutomaton(Strategy):
         self._reset_state()
 
     def clone(self) -> "PromiseAutomaton":
-        return _shallow_copy(self)
+        return _copy(self)
 
     @property
     def promise(self) -> np.ndarray:

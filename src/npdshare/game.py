@@ -237,12 +237,13 @@ def validate_accuracy(an: str, a: float, en: str, e: float) -> None:
     """DomainError unless epsilon ``e`` lies in (0, 1/2) and alpha ``a`` in
     (1/2, 1): a monitoring accuracy pair."""
     if not np.isfinite(e) or not (0 < e < 0.5):
-        raise DomainError(f"{en} must lie in (0, 1/2), got {e}")
+        raise DomainError(f"{en} must be a finite number in (0, 1/2), got {e}")
     if not np.isfinite(a) or not (0.5 < a < 1):
-        raise DomainError(f"{an} must lie in (1/2, 1), got {a}")
+        raise DomainError(f"{an} must be a finite number in (1/2, 1), got {a}")
 
 
-def validate_profile(spec: GameSpec, profile: Iterable[int]) -> np.ndarray:
+def validate_profile(spec: GameSpec, profile: Iterable[int],
+                     name: str = "action profile") -> np.ndarray:
     """The profile as an int64 array of N entries, each equal to 0 or 1.
 
     Entries are compared before the cast, so 0.5 or 1.7 is refused rather
@@ -250,10 +251,10 @@ def validate_profile(spec: GameSpec, profile: Iterable[int]) -> np.ndarray:
     raw = np.asarray(list(profile))
     if raw.shape != (spec.n_firms,):
         raise DomainError(
-            f"action profile must have length {spec.n_firms}, got shape {raw.shape}"
+            f"{name} must have length {spec.n_firms}, got shape {raw.shape}"
         )
     if not ((raw == 0) | (raw == 1)).all():
-        raise DomainError(f"action profile entries must be 0 or 1, got {raw.tolist()}")
+        raise DomainError(f"{name} entries must be 0 or 1, got {raw.tolist()}")
     return raw.astype(np.int64, copy=False)
 
 
@@ -262,7 +263,7 @@ def validate_vector(value, n_firms: int, name: str) -> np.ndarray:
     DomainError naming it: a payoff point, a promise or a direction."""
     v = np.asarray(value, dtype=float)
     if v.shape != (n_firms,):
-        raise DomainError(f"{name} must have length {n_firms}")
+        raise DomainError(f"{name} must have length {n_firms}, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise DomainError(f"{name} must be finite, got {v.tolist()}")
     return v

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import DomainError
-from .game import ConcaveGain, GameSpec, LinearGain
+from .game import ConcaveGain, GameSpec, LinearGain, validate_count
 
 _TOP_FIELDS = {
     "n_firms", "gain", "L", "alpha", "epsilon", "delta",
@@ -121,9 +121,8 @@ def parse_game_spec(text: str, source: str = "<string>") -> LoadedSpec:
 
     seed = None
     if "seed" in obj and obj["seed"] is not None:
-        seed = _integer(obj["seed"], "seed", source)
-        if not 0 <= seed <= MAX_SEED:
-            raise DomainError(f"{source}: field 'seed' must lie in [0, 2**63), got {seed}")
+        seed = obj["seed"]
+        validate_count(seed, f"{source}: field 'seed'", 0, MAX_SEED + 1)
     return LoadedSpec(spec=spec, seed=seed, source=source)
 
 

@@ -359,7 +359,7 @@ def test_decompose_non_finite_lambda_exits_two(spec2_file, lam):
         timeout=60,
     )
     assert proc.returncode == 2
-    assert "--lambda must be finite numbers" in proc.stderr
+    assert "--lambda must be finite, got" in proc.stderr
     assert proc.stdout == ""
 
 
@@ -373,7 +373,7 @@ def test_simulate_non_finite_vectors_exit_two(spec2_file, capsys, extra):
         capsys,
     )
     assert code == 2
-    assert "must be finite numbers" in err
+    assert f"{extra[0]} must be finite, got" in err
     assert out == ""
 
 
@@ -793,9 +793,14 @@ _SWEEP = ["sweep", "--alpha-grid", "0.6:0.9:3", "--epsilon-grid", "0.1:0.2:2"]
                  id="grid-max-below-min"),
     pytest.param(_SWEEP + ["--epsilon-grid", "0.1:0.6:3"], None, "--epsilon-grid",
                  id="epsilon-grid-outside"),
+    pytest.param(_SWEEP + ["--alpha-grid", "0.5:0.9:3"], None, "--alpha-grid",
+                 id="alpha-grid-outside"),
+    pytest.param(_SWEEP + ["--L", "0"], None, "--L", id="loss-0"),
+    pytest.param(_SWEEP + ["--L", "nan"], None, "--L", id="loss-nan"),
     pytest.param(_SIMULATE, "x", "NPDSHARE_SEED", id="env-seed-not-an-integer"),
-    pytest.param(_SIMULATE + ["--seed=-1"], None, "seed", id="seed-negative"),
-    pytest.param(_SIMULATE + ["--seed", str(2**63)], None, "seed", id="seed-2-63"),
+    pytest.param(_SIMULATE, "-5", "NPDSHARE_SEED", id="env-seed-negative"),
+    pytest.param(_SIMULATE + ["--seed=-1"], None, "--seed", id="seed-negative"),
+    pytest.param(_SIMULATE + ["--seed", str(2**63)], None, "--seed", id="seed-2-63"),
     pytest.param(["payoffset", "--directions", "7"], None, "--directions", id="directions-7"),
     pytest.param(_SIMULATE + ["--strategy", "signal_trigger:x"], None, "signal_trigger",
                  id="trigger-not-a-number"),
@@ -803,6 +808,10 @@ _SWEEP = ["sweep", "--alpha-grid", "0.6:0.9:3", "--epsilon-grid", "0.1:0.2:2"]
     pytest.param(_SIMULATE + ["--replicas", "0"], None, "--replicas", id="replicas-0"),
     pytest.param(_SIMULATE + ["--strategy", "promise", "--mode", "private"], None, "promise",
                  id="promise-private"),
+    pytest.param(_SIMULATE + ["--strategy", "promise", "--v0", "1,1,1"], None, "--v0",
+                 id="v0-length"),
+    pytest.param(_SIMULATE + ["--strategy", "promise", "--direction", "1"], None, "--direction",
+                 id="direction-length"),
 ])
 def test_usage_errors_exit_two_and_name_the_flag(spec2_file, capsys, monkeypatch, argv,
                                                  seed_env, named):
@@ -814,6 +823,19 @@ def test_usage_errors_exit_two_and_name_the_flag(spec2_file, capsys, monkeypatch
     code, out, err = run_cli(argv + spec, capsys)
     assert code == 2 and out == ""
     assert err.startswith(f"npdshare {argv[0]}: ") and named in err
+
+
+@pytest.mark.parametrize("source", ["--seed", "NPDSHARE_SEED"])
+def test_an_out_of_range_seed_names_only_its_source(spec2_file, capsys, monkeypatch, source):
+    # The spec has no seed field, so the environment variable is read when
+    # the flag is absent; a spec file's seed is refused with the file's name.
+    other = "NPDSHARE_SEED" if source == "--seed" else "--seed"
+    monkeypatch.setenv("NPDSHARE_SEED", "-5" if source == "NPDSHARE_SEED" else "1")
+    flag = ["--seed=-5"] if source == "--seed" else []
+    code, out, err = run_cli(_SIMULATE + flag + ["--spec", spec2_file], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"npdshare simulate: {source} must lie in [0, ")
+    assert err.endswith("got -5\n") and other not in err
 
 
 def test_simulate_unknown_strategy_exits_two(spec2_file, capsys):

@@ -204,6 +204,30 @@ def test_a_repeated_instance_plays_one_clone_per_firm(spec3, spec2_patient):
             assert np.array_equal(got, ref) if isinstance(got, np.ndarray) else got == ref
 
 
+class _Logger(Strategy):
+    """Discloses until it has seen three bad public signals; logs them."""
+
+    def __init__(self):
+        self.seen = []
+
+    def next_action(self, public_history, private_history):
+        if public_history and public_history[-1] != 3:
+            self.seen.append(public_history[-1])
+        return int(len(self.seen) < 3)
+
+
+def test_a_plain_strategy_clone_is_a_deep_copy(spec2):
+    # A strategy outside the package's automata is deep-copied: each clone
+    # logs into its own list, and the original's list stays empty.
+    shared = _Logger()
+    twin = shared.clone()
+    assert type(twin) is _Logger and twin.seen == [] and twin.seen is not shared.seen
+    trace = run_episode(spec2, [shared] * 2, 80, seed=9)
+    want = run_episode(spec2, [_Logger(), _Logger()], 80, seed=9)
+    assert np.array_equal(trace.actions, want.actions) and shared.seen == []
+    assert trace.actions[:, 0].sum() < 80  # the logs filled up
+
+
 def test_public_signal_frequencies_match_distribution(spec2):
     trace = run_episode(spec2, [AlwaysDisclose(), AlwaysDisclose()], 20_000, seed=21)
     probs = public_signal_distribution(spec2, (1, 1)).probs
