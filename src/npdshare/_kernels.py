@@ -1,5 +1,9 @@
 """Hot Monte Carlo kernels, vectorized over replicas: one driver, two walks.
 
+``_accrual`` is the package's running discounted sum, a trace's
+``discounted_average`` included.  STREAM_PERIODS, read at call time, is how
+far ahead every draw path, ``engine.run_episode`` included, reads a stream.
+
 The driver ``_drive`` only schedules replicas; a walk holds their state and
 does a period's arithmetic.  ``engine.monte_carlo`` picks the walk from the
 profile it is given, and each entry reads what its walk needs (delta, the
@@ -28,7 +32,8 @@ It has two walks:
   all firms play the state's action and earn its stage payoff.  Each
   period it runs ``acc = acc + w * payoff[a]``, ``z = next_state[z, c]``
   and ``w = w * delta``, where c is the period's number of zero bits under
-  the replica's action a.  No replica leaves.  A table whose start state no
+  the replica's action a: ``_accrual``'s sum, a period at a time, as the
+  state picks the payoff.  No replica leaves.  A table whose start state no
   count moves plays one action forever: ``count_mc`` then draws nothing and
   gives every replica the one ``_accrual`` total.
 
@@ -123,14 +128,16 @@ def _accrual(carry, w, delta: float, u, count: int):
     """The running sums of ``count`` periods of payoff ``u`` at weights w,
     w delta, w delta^2, ...: row k is carry plus the first k terms, added
     in period order (row 0 is carry), as a running ``acc = acc + w * u``,
-    ``w = w * delta`` makes them.  Returns (rows, the weight after them)."""
+    ``w = w * delta`` makes them.  ``carry`` is a row of any shape, and ``u``
+    broadcasts to (count,) + its shape.  Returns (rows, the weight after them)."""
     weights = np.empty(count + 1)
     weights[0] = w
     weights[1:] = delta
     weights = np.multiply.accumulate(weights)
-    terms = np.empty((count + 1,) + np.shape(u))
+    shape = np.shape(carry)
+    terms = np.empty((count + 1,) + shape)
     terms[0] = carry
-    np.multiply(weights[:count].reshape((count,) + (1,) * np.ndim(u)), u, out=terms[1:])
+    np.multiply(weights[:count].reshape((count,) + (1,) * len(shape)), u, out=terms[1:])
     return np.add.accumulate(terms, axis=0), weights[count]
 
 

@@ -404,12 +404,6 @@ class PayoffSetApprox:
     vertices: np.ndarray | None  # (m, 2) CCW polygon; None when N > 2
     degenerate: bool = False  # empty interior (polygon collapsed or empty)
 
-    def contains(self, point, tol: float = 1e-9) -> bool:
-        """Is ``point`` in every half-space?  A point that is not N finite
-        numbers raises DomainError."""
-        p = validate_vector(point, self.directions.shape[1], "point")
-        return bool(np.all(self.directions @ p <= self.k_values + tol))
-
 
 def _circle_directions(n: int) -> np.ndarray:
     angles = 2.0 * np.pi * np.arange(n) / n

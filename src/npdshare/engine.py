@@ -24,7 +24,8 @@ automaton (``monte_carlo_promise`` builds such a profile), it hands all
 replicas to the numpy driver of ``_kernels``, which steps them in groups
 along the count table or the promise walk; every other profile runs
 ``run_episode`` once per replica.  Either way each row is that replica's
-``discounted_average()`` bit for bit.
+``discounted_average()`` bit for bit: every sum runs in period order, and a
+trace's is ``_kernels._accrual``, the kernels' own.
 """
 
 from __future__ import annotations
@@ -39,17 +40,13 @@ from itertools import repeat
 
 import numpy as np
 
+from . import _kernels
 from ._kernels import backend_name, count_mc, promise_mc
 from .decompose import REGION_TOL, PromiseDecomposition
 from .errors import CapacityError, DiscountTooSmallError, DomainError, ProtocolError
 from .game import GameSpec, validate_count, validate_vector
 from .monitoring import MODE_PRIVATE, MODE_PUBLIC, signal_kernel, signal_streams
 from .rng import threshold
-
-# run_episode draws its uniforms in blocks of this many periods, one rng call
-# per block, so the block holds at most DRAW_CHUNK_PERIODS * N * (N - 1)
-# draws whatever the horizon.
-DRAW_CHUNK_PERIODS = 1024
 
 # A public signal index of N bits is stored as int64, so public play stops here.
 PUBLIC_MAX_FIRMS = 63
@@ -461,17 +458,13 @@ class EpisodeTrace:
     def discounted_average(self) -> np.ndarray:
         """(1 - delta) sum_t delta^t u(t), the truncated discounted average.
 
-        Accumulated in period order with a running discount product, the
-        same scheme the Monte Carlo kernels use, so recomputation from a
-        trace reproduces kernel output bit for bit.
+        The sum is ``_kernels._accrual``, the kernels' running sum in period
+        order, so a trace recomputes its replica's Monte Carlo row bit for
+        bit.
         """
         d = self.delta
-        acc = [0.0] * self.n_firms
-        w = 1.0
-        for row in _row_lists(self.payoffs):
-            acc = [a + w * x for a, x in zip(acc, row)]
-            w = w * d
-        return (1.0 - d) * np.array(acc)
+        rows, _ = _kernels._accrual(np.zeros(self.n_firms), 1.0, d, self.payoffs, self.horizon)
+        return (1.0 - d) * rows[-1]
 
     def truncation_bias_bound(self) -> float:
         """Upper bound on |infinite-horizon average - truncated average|."""
@@ -556,9 +549,10 @@ def run_episode(
     private mode each period opens with the message round; messages become
     the public history that strategies condition on.
 
-    The signal uniforms are drawn DRAW_CHUNK_PERIODS periods at a time, ahead
-    of play: one call reads that many periods from the stream of every bit
-    of ``monitoring.signal_streams``.  Being addressed by (period, slot,
+    The signal uniforms are drawn ahead of play in the kernels' stream runs
+    of ``_kernels.STREAM_PERIODS`` periods, read at call time: one call
+    reads a run from the stream of every bit of
+    ``monitoring.signal_streams``.  Being addressed by (period, slot,
     replica) they are the same bits a per-period draw would give.  Its
     seeds are every draw path's, [0, 2**64), checked by the first draw.
 
@@ -600,8 +594,9 @@ def run_episode(
     k_zero_by_mask: dict[int, np.ndarray] = {}
     observed_list = observed.tolist()
 
-    for start in range(0, horizon, DRAW_CHUNK_PERIODS):
-        count = min(DRAW_CHUNK_PERIODS, horizon - start)
+    run = _kernels.STREAM_PERIODS
+    for start in range(0, horizon, run):
+        count = min(run, horizon - start)
         block = streams.uniforms(seed, start, count, replica)[:, :, 0]
         if public:
             m0 = ((block >= k_zero_by_action[0]) @ bit_weights).tolist()

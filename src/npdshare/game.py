@@ -79,6 +79,8 @@ class ConcaveGain:
 
     def __post_init__(self):
         validate_positive(self.G, "concave gain G")
+        if not all(_is_real(v) for v in self.f):
+            raise DomainError(f"concave gain table entries must be numbers, got {self.f!r}")
         f = tuple(float(v) for v in self.f)
         object.__setattr__(self, "f", f)
         if len(f) < 2:
@@ -150,7 +152,7 @@ class GameSpec:
             ma = self.alpha if self.monitor_alpha is None else self.monitor_alpha
             me = self.epsilon if self.monitor_epsilon is None else self.monitor_epsilon
             validate_accuracy("monitor_alpha", ma, "monitor_epsilon", me)
-        if not np.isfinite(self.delta) or not (0 < self.delta < 1):
+        if not (_is_real(self.delta) and 0 < self.delta < 1):
             raise DomainError(f"delta must lie in (0, 1), got {self.delta}")
         mi = self.gain.max_index()
         if mi is not None and mi < self.n_firms - 1:
@@ -209,6 +211,11 @@ def _is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, (bool, np.bool_))
 
 
+def _is_real(x) -> bool:
+    """Whether ``x`` is a Python or numpy real number; a bool is not."""
+    return _is_integer(x) or isinstance(x, (float, np.floating))
+
+
 def validate_count(x, name: str, lo: int = 1, hi: int | None = None) -> None:
     """DomainError unless ``x`` is an integer, not a bool, with lo <= x and,
     when ``hi`` is given, x < hi: a horizon, a replica count, a seed."""
@@ -229,16 +236,16 @@ def validate_firm(spec: GameSpec, firm, name: str = "firm index") -> int:
 def validate_positive(x, name: str) -> None:
     """DomainError unless ``x`` is a finite number > 0, not a bool: a loss or
     a gain."""
-    if isinstance(x, (bool, np.bool_)) or not (np.isfinite(x) and x > 0):
+    if not (_is_real(x) and np.isfinite(x) and x > 0):
         raise DomainError(f"{name} must be a finite number > 0, got {x}")
 
 
 def validate_accuracy(an: str, a: float, en: str, e: float) -> None:
-    """DomainError unless epsilon ``e`` lies in (0, 1/2) and alpha ``a`` in
-    (1/2, 1): a monitoring accuracy pair."""
-    if not np.isfinite(e) or not (0 < e < 0.5):
+    """DomainError unless epsilon ``e`` is a real number, not a bool, in
+    (0, 1/2) and alpha ``a`` one in (1/2, 1): a monitoring accuracy pair."""
+    if not (_is_real(e) and 0 < e < 0.5):
         raise DomainError(f"{en} must be a finite number in (0, 1/2), got {e}")
-    if not np.isfinite(a) or not (0.5 < a < 1):
+    if not (_is_real(a) and 0.5 < a < 1):
         raise DomainError(f"{an} must be a finite number in (1/2, 1), got {a}")
 
 
@@ -261,7 +268,10 @@ def validate_profile(spec: GameSpec, profile: Iterable[int],
 def validate_vector(value, n_firms: int, name: str) -> np.ndarray:
     """``value`` as a float array of ``n_firms`` finite entries, else
     DomainError naming it: a payoff point, a promise or a direction."""
-    v = np.asarray(value, dtype=float)
+    try:
+        v = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be {n_firms} numbers, got {value!r}") from None
     if v.shape != (n_firms,):
         raise DomainError(f"{name} must have length {n_firms}, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -407,9 +417,6 @@ class PayoffPolytope:
     n_firms: int
     clipped_to_ir: bool
     degenerate: bool
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.vertices, dtype=float)
 
 
 def feasible_hull(spec: GameSpec, clip_to_ir: bool = False) -> PayoffPolytope:

@@ -151,10 +151,6 @@ class SignalDistribution:
         if np.any(p < 0):
             raise DomainError("signal probabilities must be nonnegative")
 
-    @property
-    def full_support(self) -> bool:
-        return bool(np.all(self.probs > 0))
-
 
 def _product_expansion(p_zero: np.ndarray) -> np.ndarray:
     """Outcome table of independent bits, bit 0 least significant.

@@ -56,12 +56,6 @@ def _number(value, name: str, source: str) -> float:
     return float(value)
 
 
-def _integer(value, name: str, source: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"{source}: field '{name}' must be an integer, got {value!r}")
-    return value
-
-
 def parse_game_spec(text: str, source: str = "<string>") -> LoadedSpec:
     try:
         obj = json.loads(text, parse_constant=_reject_constant)
@@ -78,7 +72,7 @@ def parse_game_spec(text: str, source: str = "<string>") -> LoadedSpec:
     if unknown:
         raise DomainError(f"{source}: unknown field(s) {unknown}")
 
-    n_firms = _integer(_require(obj, "n_firms", source), "n_firms", source)
+    n_firms = _require(obj, "n_firms", source)
     gain_obj = _require(obj, "gain", source)
     if not isinstance(gain_obj, dict):
         raise DomainError(f"{source}: field 'gain' must be an object")
@@ -104,8 +98,9 @@ def parse_game_spec(text: str, source: str = "<string>") -> LoadedSpec:
             f"{source}: field 'gain.kind' must be 'linear' or 'concave', got {kind!r}"
         )
 
-    # Every field is read, and refused with the file name, before the try,
-    # which prefixes the file name to what the gain and GameSpec refuse.
+    # Every float field is read, and refused with the file name, before the
+    # try, which prefixes the file name to what the gain and GameSpec refuse,
+    # n_firms included (GameSpec's validate_count).
     kwargs = {}
     for json_name in ("monitor_alpha", "monitor_epsilon"):
         if json_name in obj and obj[json_name] is not None:

@@ -73,6 +73,9 @@ def test_check_malformed_spec(spec_file, capsys, tmp_path):
      "concave gain table decreases at indices [2]"),
     ("L", -1, "loss must be a finite number > 0, got -1.0"),
     ("L", "x", "field 'L' must be a number, got 'x'"),
+    ("n_firms", 2.5, "n_firms must be an integer >= 2, got 2.5"),
+    ("n_firms", True, "n_firms must be an integer >= 2, got True"),
+    ("n_firms", "2", "n_firms must be an integer >= 2, got '2'"),
 ])
 def test_spec_file_errors_name_the_file_once(spec_file, capsys, field, value, message):
     obj = {"n_firms": 2, "gain": {"kind": "linear", "G": 3.0}, "L": 1.0,

@@ -364,7 +364,7 @@ def test_payoff_set_inside_ir_feasible_hull():
     from npdshare.geometry import point_in_hull, point_polygon_distance
 
     spec = _spec()
-    hull_poly = feasible_hull(spec, clip_to_ir=True).as_array()
+    hull_poly = np.asarray(feasible_hull(spec, clip_to_ir=True).vertices, dtype=float)
     approx = ppe_payoff_set(spec, n_directions=360)
     for v in approx.vertices:
         inside = point_in_hull(v, hull_poly)
@@ -374,9 +374,13 @@ def test_payoff_set_inside_ir_feasible_hull():
 def test_payoff_set_contains_full_disclosure_payoff():
     spec = _spec()
     approx = ppe_payoff_set(spec, n_directions=120)
-    assert approx.contains((2.0, 2.0))
-    assert approx.contains((0.0, 0.0))
-    assert not approx.contains((2.9, 2.9))
+
+    def contains(p):
+        return bool(np.all(approx.directions @ np.asarray(p) <= approx.k_values + 1e-9))
+
+    assert contains((2.0, 2.0))
+    assert contains((0.0, 0.0))
+    assert not contains((2.9, 2.9))
 
 
 def test_payoff_set_three_firms_halfspaces_only():
@@ -407,18 +411,8 @@ def test_folk_theorem_halfspaces_at_three_to_eight_firms(spec):
     assert np.all(np.count_nonzero(approx.directions, axis=1) >= 2)
     full = feasible_hull(spec)
     assert not full.degenerate and check_assumptions(spec).a2_holds
-    support = np.max(approx.directions @ full.as_array().T, axis=1)
+    support = np.max(approx.directions @ np.asarray(full.vertices, dtype=float).T, axis=1)
     assert np.max(np.abs(support - approx.k_values)) <= SOLVE_TOL
-
-
-def test_contains_refuses_points_that_are_not_n_finite_numbers():
-    approx = ppe_payoff_set(_spec(), n_directions=16)
-    assert approx.contains((1.0, 1.0))
-    with pytest.raises(DomainError, match="point must have length 2"):
-        approx.contains((1.0, 1.0, 1.0))
-    for bad in ((float("nan"), 1.0), (1.0, float("inf"))):
-        with pytest.raises(DomainError, match="point must be finite"):
-            approx.contains(bad)
 
 
 def test_payoff_set_requires_enough_directions():

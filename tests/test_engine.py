@@ -29,7 +29,7 @@ from npdshare import (
     write_trace_csv,
 )
 from npdshare import _kernels, engine, rng
-from npdshare.engine import DRAW_CHUNK_PERIODS, PUBLIC_MAX_FIRMS
+from npdshare.engine import PUBLIC_MAX_FIRMS
 from npdshare.monitoring import signal_streams
 from npdshare.errors import CapacityError, DiscountTooSmallError, DomainError, ProtocolError
 
@@ -156,6 +156,16 @@ def _running_sum(payoffs, delta):
     return (1.0 - delta) * acc
 
 
+def _payoff_trace(payoffs, delta):
+    horizon, n = payoffs.shape
+    return EpisodeTrace(
+        mode="public", delta=delta, seed=0, replica=0, u_scale=1.0,
+        actions=np.zeros((horizon, n), dtype=np.int8), payoffs=payoffs,
+        public_signals=np.zeros(horizon, dtype=np.int64), private_signals=None,
+        messages=None, promises=None,
+    )
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_discounted_average_matches_numpy_running_sum_bitwise(n):
     gen = np.random.default_rng(100 + n)
@@ -167,15 +177,58 @@ def test_discounted_average_matches_numpy_running_sum_bitwise(n):
         payoffs[gen.random((horizon, n)) < 0.1] = -0.0
         payoffs[gen.random(horizon) < 0.3] = payoffs[0]
         for delta in (0.5, float(gen.uniform(0.9, 0.9999)), 0.999):
-            trace = EpisodeTrace(
-                mode="public", delta=delta, seed=0, replica=0, u_scale=1.0,
-                actions=np.zeros((horizon, n), dtype=np.int8), payoffs=payoffs,
-                public_signals=np.zeros(horizon, dtype=np.int64), private_signals=None,
-                messages=None, promises=None,
-            )
-            got = trace.discounted_average()
+            got = _payoff_trace(payoffs, delta).discounted_average()
             assert isinstance(got, np.ndarray) and got.dtype == np.float64
             assert got.tobytes() == _running_sum(payoffs, delta).tobytes(), (horizon, delta)
+
+
+def _loop_average(payoffs, delta):
+    """A Python loop over the periods, in period order, on Python floats:
+    the oracle of discounted_average."""
+    acc = [0.0] * payoffs.shape[1]
+    w = 1.0
+    for row in payoffs.tolist():
+        acc = [a + w * x for a, x in zip(acc, row)]
+        w = w * delta
+    return (1.0 - delta) * np.array(acc)
+
+
+def test_discounted_average_is_the_loop_bitwise_on_random_traces():
+    # 1000 traces with T from 1 to 3000 (log-uniform, both ends included),
+    # N from 1 to 6 and delta across (0, 1), many near 1.  Payoffs mix
+    # magnitudes near 1e-300 (weighted terms can go subnormal), near 1 and
+    # near 1e300 (no sum overflows), with exact zeros, negative zeros and
+    # repeated rows.
+    gen = np.random.default_rng(2024)
+    bands = np.array([-300, 0, 290])
+    for k in range(1000):
+        horizon = (1, 3000)[k] if k < 2 else int(round(3000.0 ** gen.random()))
+        n = int(gen.integers(1, 7))
+        if gen.random() < 0.5:
+            delta = float(gen.uniform(1e-9, 1.0))
+        else:
+            delta = 1.0 - 10.0 ** -gen.uniform(1.0, 9.0)
+        exponent = gen.choice(bands, (horizon, n)) + gen.integers(0, 11, (horizon, n))
+        payoffs = gen.normal(size=(horizon, n)) * 10.0 ** exponent.astype(float)
+        payoffs[gen.random((horizon, n)) < 0.1] = 0.0
+        payoffs[gen.random((horizon, n)) < 0.1] = -0.0
+        payoffs[gen.random(horizon) < 0.2] = payoffs[0]
+        got = _payoff_trace(payoffs, delta).discounted_average()
+        assert got.tobytes() == _loop_average(payoffs, delta).tobytes(), (k, horizon, n, delta)
+
+
+def test_discounted_average_of_a_header_only_trace_file(tmp_path):
+    # A trace file with no period rows reads as a zero-row trace, whose
+    # average is the loop's zero vector.
+    path = tmp_path / "empty.csv"
+    path.write_text(
+        "# mode=public delta=0.99 seed=0 replica=0 u_scale=3.0 n_firms=2\n"
+        "period,action_1,action_2,signal_index,payoff_1,payoff_2\n"
+    )
+    trace = read_trace_csv(path)
+    assert trace.horizon == 0
+    got = trace.discounted_average()
+    assert got.tobytes() == _loop_average(trace.payoffs, 0.99).tobytes()
 
 
 def test_monte_carlo_replica_zero_matches_episode(spec2):
@@ -437,12 +490,12 @@ class _Alternating(Strategy):
 
 @pytest.mark.parametrize("mode", ["public", "private"])
 def test_block_draws_match_per_period_draws_bitwise(mode):
-    # A horizon past one draw block, a nonzero replica and a monitor with its
+    # A horizon past one stream run, a nonzero replica and a monitor with its
     # own accuracies, at N = 2, 3 and 4: every signal must equal a per-period
     # draw at its (period, slot, replica) coordinates, every private
     # diagonal entry is -1, and every payoff is profile_payoff's.
     seed, replica = 29, 5
-    horizon = DRAW_CHUNK_PERIODS + 37
+    horizon = _kernels.STREAM_PERIODS + 37
     for n in (2, 3, 4):
         spec = GameSpec(n, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9,
                         monitor_alpha=0.8, monitor_epsilon=0.2)
@@ -469,6 +522,36 @@ def test_block_draws_match_per_period_draws_bitwise(mode):
                     assert np.array_equal(trace.private_signals[t, i, others], bits), (n, t)
                     assert trace.private_signals[t, i, i] == -1, (n, t)
         assert set(trace.actions[:, 0].tolist()) == {0, 1}, n
+
+
+@pytest.mark.parametrize("mode", ["public", "private"])
+def test_episode_does_not_depend_on_the_stream_run(monkeypatch, mode):
+    # run_episode reads _kernels.STREAM_PERIODS when called: in runs of 16
+    # periods, 69 periods end inside a fifth run, and the trace is the
+    # default one.
+    spec = GameSpec(3, LinearGain(3.0), 1.0, 0.9, 0.1, 0.95,
+                    monitor_alpha=0.8, monitor_epsilon=0.2)
+
+    def play():
+        firms = [SignalTrigger(5), _Alternating(), SignalTrigger(9)]
+        return run_episode(spec, firms, 69, seed=7, mode=mode, replica=3)
+
+    want = play()
+    draws = []
+    uniforms = rng.uniforms
+
+    def counted(*args):
+        draws.append(args)
+        return uniforms(*args)
+
+    monkeypatch.setattr(_kernels, "STREAM_PERIODS", 16)
+    monkeypatch.setattr(rng, "uniforms", counted)
+    got = play()
+    assert len(draws) == 5
+    for name in ("actions", "payoffs", "public_signals", "private_signals"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.messages == want.messages
+    assert got.discounted_average().tobytes() == want.discounted_average().tobytes()
 
 
 @pytest.mark.parametrize("action", [0, 1])

@@ -33,6 +33,7 @@ from npdshare.game import (
     extreme_profiles,
     profile_array,
     validate_profile,
+    validate_vector,
 )
 
 
@@ -92,6 +93,25 @@ def test_gains_and_losses_refuse_bools():
             make()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: LinearGain("3"), "linear gain G must be a finite number > 0"),
+    (lambda: LinearGain(None), "linear gain G must be a finite number > 0"),
+    (lambda: GameSpec(2, LinearGain(3.0), 1.0, 0.9, 0.1, "0.5"), "delta must lie in"),
+    (lambda: GameSpec(2, LinearGain(3.0), 1.0, "0.9", 0.1, 0.9), "alpha must be a finite"),
+    (lambda: GameSpec(2, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9, monitor_alpha="0.9"),
+     "monitor_alpha must be a finite"),
+    (lambda: validate_vector(["a", 1], 2, "v"), "v must be 2 numbers"),
+    (lambda: ConcaveGain(3.0, ("x", 1.0)), "concave gain table entries must be numbers"),
+    (lambda: ConcaveGain(3.0, ("0", "1", "1.5")), "concave gain table entries must be numbers"),
+], ids=["G-str", "G-None", "delta-str", "alpha-str", "monitor_alpha-str", "vector-str",
+        "f-word", "f-digits"])
+def test_validators_refuse_what_is_not_a_real_number(make, message):
+    # A string or None is refused with DomainError, not a numpy TypeError
+    # or a bare ValueError, and a string of digits is not read as a number.
+    with pytest.raises(DomainError, match=message):
+        make()
+
+
 def test_monitor_override_is_separate(spec2):
     spec = GameSpec(2, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9,
                     monitor_alpha=0.8, monitor_epsilon=0.2)
@@ -130,12 +150,13 @@ def test_minmax_rejects_firms_that_are_not_indices(spec3, firm):
 
 def test_feasible_hull_square(spec2):
     hull = feasible_hull(spec2, clip_to_ir=True)
-    verts = set(map(tuple, np.round(hull.as_array(), 12)))
+    poly = np.asarray(hull.vertices, dtype=float)
+    verts = set(map(tuple, np.round(poly, 12)))
     assert (0.0, 0.0) in verts and (2.0, 2.0) in verts
     assert any(abs(v[0] - 8.0 / 3.0) < 1e-9 and abs(v[1]) < 1e-9 for v in verts)
     assert not hull.degenerate
-    assert point_in_hull((1.0, 1.0), hull.as_array())
-    assert not point_in_hull((3.0, 3.0), hull.as_array())
+    assert point_in_hull((1.0, 1.0), poly)
+    assert not point_in_hull((3.0, 3.0), poly)
 
 
 def test_all_profiles_count():

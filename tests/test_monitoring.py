@@ -57,7 +57,6 @@ def test_signal_streams_layout():
 def test_public_distribution_full_disclosure(spec2):
     d = public_signal_distribution(spec2, (1, 1))
     assert np.allclose(d.probs, [0.01, 0.09, 0.09, 0.81], atol=1e-15)
-    assert d.full_support
 
 
 def test_public_distribution_all_conceal(spec2):
