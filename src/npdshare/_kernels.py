@@ -69,7 +69,7 @@ import numpy as np
 
 from .game import validate_count
 from .monitoring import MODE_PRIVATE, MODE_PUBLIC, signal_kernel, signal_streams
-from .rng import threshold
+from .rng import WORDS, threshold
 
 # Replicas stepped together by each numpy op of the period loop.
 GROUP_REPLICAS = 8192
@@ -294,7 +294,7 @@ def count_mc(seed: int, replicas: int, horizon: int, spec, mode: str, table) -> 
         initial = int(next_state[initial, 0])
     totals = np.zeros(replicas)
     if table.absorbing[initial]:
-        validate_count(seed, "seed", 0, 2**64)  # as the first draw would
+        validate_count(seed, "seed", 0, WORDS)  # as the first draw would
         acc, w = 0.0, 1.0
         for t in range(0, horizon, STREAM_PERIODS):
             rows, w = _accrual(acc, w, delta, payoff[action[initial]],

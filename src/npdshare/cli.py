@@ -46,7 +46,8 @@ from .game import (
     validate_profile,
     validate_vector,
 )
-from .specfile import MAX_SEED, load_game_spec
+from .rng import WORDS
+from .specfile import load_game_spec
 
 _STRATEGY_NAMES = ("always_disclose", "always_conceal", "signal_trigger:K", "promise")
 
@@ -80,7 +81,7 @@ def _resolve_seed(args, loaded) -> int:
     """The seed, refused with the name of the source it came from; a spec
     file's seed is checked when the file is read."""
     if args.seed is not None:
-        validate_count(args.seed, "--seed", 0, MAX_SEED + 1)
+        validate_count(args.seed, "--seed", 0, WORDS)
         return args.seed
     if loaded.seed is not None:
         return loaded.seed
@@ -91,7 +92,7 @@ def _resolve_seed(args, loaded) -> int:
         seed = int(text)
     except ValueError:
         raise DomainError(f"NPDSHARE_SEED must be an integer, got {text!r}") from None
-    validate_count(seed, "NPDSHARE_SEED", 0, MAX_SEED + 1)
+    validate_count(seed, "NPDSHARE_SEED", 0, WORDS)
     return seed
 
 
@@ -395,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run episodes or Monte Carlo")
     add_common(p)
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (u63)")
+    p.add_argument("--seed", type=int, default=None, help="RNG seed, an integer in [0, 2**64)")
     p.add_argument("--strategy", required=True,
                    help=f"one of: {', '.join(_STRATEGY_NAMES)}")
     p.add_argument("--T", dest="horizon", type=int, default=1000)

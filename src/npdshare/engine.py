@@ -44,9 +44,10 @@ from . import _kernels
 from ._kernels import backend_name, count_mc, promise_mc
 from .decompose import REGION_TOL, PromiseDecomposition
 from .errors import CapacityError, DiscountTooSmallError, DomainError, ProtocolError
-from .game import GameSpec, validate_count, validate_vector
-from .monitoring import MODE_PRIVATE, MODE_PUBLIC, signal_kernel, signal_streams
-from .rng import threshold
+from .game import (GameSpec, validate_count, validate_discount, validate_positive,
+                   validate_vector)
+from .monitoring import MODE_PRIVATE, MODE_PUBLIC, signal_kernel, signal_streams, validate_mode
+from .rng import WORDS, threshold
 
 # A public signal index of N bits is stored as int64, so public play stops here.
 PUBLIC_MAX_FIRMS = 63
@@ -510,8 +511,7 @@ def _validate_message(m, firm: int, period: int, n_firms: int):
 def _bind_strategies(spec: GameSpec, strategies, horizon: int, mode: str) -> list:
     """Check an episode's arguments, as run_episode does before any draw, and
     return its strategies bound to firms 0 .. N - 1."""
-    if mode not in (MODE_PUBLIC, MODE_PRIVATE):
-        raise DomainError(f"mode must be '{MODE_PUBLIC}' or '{MODE_PRIVATE}', got {mode!r}")
+    validate_mode(mode)
     validate_count(horizon, "horizon")
     n = spec.n_firms
     supplied = list(strategies)
@@ -554,7 +554,8 @@ def run_episode(
     reads a run from the stream of every bit of
     ``monitoring.signal_streams``.  Being addressed by (period, slot,
     replica) they are the same bits a per-period draw would give.  Its
-    seeds are every draw path's, [0, 2**64), checked by the first draw.
+    seeds and replicas are every draw path's, [0, ``rng.WORDS``), checked
+    by the first draw.
 
     A period is played on Python ints.  In public mode each block is read
     into two signal indices per period, ``m0`` with every firm concealing
@@ -881,10 +882,13 @@ def read_trace_csv(path) -> EpisodeTrace:
     The file reads only if it is the exact text write_trace_csv writes for
     the trace it holds: the reader parses it, writes the parsed trace back
     and compares.  The rewrite cannot see a value it writes as read, so
-    these are checked as well: actions, private bits and message characters
-    are 0 or 1, a message is 0 bits wide at period 0 and N - 1 after, and a
-    public signal index lies in [0, 2^N).  Any other file, a CRLF one
-    included, raises DomainError.
+    these are checked as well: the metadata line passes the checks of a
+    run (the mode ``validate_mode``'s, N >= 2 and delta in (0, 1) GameSpec's,
+    a finite u_scale > 0, and seed and replica in [0, ``rng.WORDS``), the
+    draws'), actions, private bits and message characters are 0 or 1, a
+    message is 0 bits wide at period 0 and N - 1 after, and a public signal
+    index lies in [0, 2^N).  Any other file, a CRLF one included, raises
+    DomainError.
     """
     try:
         with open(path, newline="") as fh:
@@ -909,18 +913,22 @@ def _parse_trace(text: str) -> EpisodeTrace:
     if not meta_line.startswith("#"):
         raise DomainError("trace file lacks the metadata comment line")
     meta = dict(item.split("=", 1) for item in meta_line[1:].split())
-    mode = meta["mode"]
-    if mode not in (MODE_PUBLIC, MODE_PRIVATE):
-        raise DomainError(
-            f"trace mode must be '{MODE_PUBLIC}' or '{MODE_PRIVATE}', got {mode!r}"
-        )
+    # A file no run could have written is refused by the rules a run obeys.
+    mode, n = meta["mode"], int(meta["n_firms"])
+    delta, u_scale = float(meta["delta"]), float(meta["u_scale"])
+    seed, replica = int(meta["seed"]), int(meta["replica"])
+    validate_mode(mode, "trace mode")
+    validate_count(n, "trace n_firms", lo=2)
+    validate_discount(delta, "trace delta")
+    validate_positive(u_scale, "trace u_scale")
+    validate_count(seed, "trace seed", 0, WORDS)
+    validate_count(replica, "trace replica", 0, WORDS)
     header = header_line.split(",")
-    n = int(meta["n_firms"])
     # The writer's column count for n, without promises: the header's length
     # rules out every other n before any column name or layout is built.
     columns = 2 * n + 2 if mode == MODE_PUBLIC else (n + 1) ** 2
     track = len(header) == columns + n
-    if n < 1 or not (track or len(header) == columns) or header != _header(n, mode, track):
+    if not (track or len(header) == columns) or header != _header(n, mode, track):
         raise DomainError(f"trace header is not the one of {n} firms in {mode} mode")
     horizon = len(lines)
     body = np.array([line.split(",") for line in lines], dtype=str).reshape(horizon, len(header))
@@ -953,10 +961,10 @@ def _parse_trace(text: str) -> EpisodeTrace:
         messages = tuple(tuple(tuple(map(int, m)) for m in row) for row in words)
     return EpisodeTrace(
         mode=mode,
-        delta=float(meta["delta"]),
-        seed=int(meta["seed"]),
-        replica=int(meta["replica"]),
-        u_scale=float(meta["u_scale"]),
+        delta=delta,
+        seed=seed,
+        replica=replica,
+        u_scale=u_scale,
         actions=actions,
         payoffs=payoffs,
         public_signals=public_signals,

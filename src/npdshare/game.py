@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -79,13 +80,13 @@ class ConcaveGain:
 
     def __post_init__(self):
         validate_positive(self.G, "concave gain G")
-        if not all(_is_real(v) for v in self.f):
+        f = tuple(map(_real, self.f))
+        if None in f:
             raise DomainError(f"concave gain table entries must be numbers, got {self.f!r}")
-        f = tuple(float(v) for v in self.f)
         object.__setattr__(self, "f", f)
         if len(f) < 2:
             raise DomainError("concave gain table needs at least two entries")
-        if not all(np.isfinite(v) for v in f):
+        if not all(map(math.isfinite, f)):
             raise DomainError("concave gain table contains non-finite entries")
         if f[0] != 0.0:
             raise DomainError(
@@ -130,9 +131,10 @@ class GameSpec:
     (0, 1/2), a concealment is read as concealment with probability alpha in
     (1/2, 1).  ``monitor_alpha`` / ``monitor_epsilon`` optionally give the
     public monitor its own accuracy pair; by default it matches the firms'.
-    ``delta`` in (0, 1) is the discount factor; this constructor is the only
-    place that validates it, and every function of the package that
-    discounts reads it from the spec (or from a trace's ``delta``).
+    ``delta`` in (0, 1) is the discount factor, checked by
+    ``validate_discount`` here and in the trace reader; every function of
+    the package that discounts reads it from the spec (or from a trace's
+    ``delta``).
     """
 
     n_firms: int
@@ -152,8 +154,7 @@ class GameSpec:
             ma = self.alpha if self.monitor_alpha is None else self.monitor_alpha
             me = self.epsilon if self.monitor_epsilon is None else self.monitor_epsilon
             validate_accuracy("monitor_alpha", ma, "monitor_epsilon", me)
-        if not (_is_real(self.delta) and 0 < self.delta < 1):
-            raise DomainError(f"delta must lie in (0, 1), got {self.delta}")
+        validate_discount(self.delta)
         mi = self.gain.max_index()
         if mi is not None and mi < self.n_firms - 1:
             raise DomainError(
@@ -211,9 +212,22 @@ def _is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, (bool, np.bool_))
 
 
-def _is_real(x) -> bool:
-    """Whether ``x`` is a Python or numpy real number; a bool is not."""
-    return _is_integer(x) or isinstance(x, (float, np.floating))
+def _real(x) -> float | None:
+    """``x`` as a float if it is a Python or numpy real number, not a bool,
+    else None: the one way the validators read a number.  An integer past
+    the float range reads as inf or -inf, so a finiteness test refuses it."""
+    if not (_is_integer(x) or isinstance(x, (float, np.floating))):
+        return None
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _inside(x, lo: float, hi: float) -> bool:
+    """Whether ``x`` is a real number, not a bool, in the open (lo, hi)."""
+    v = _real(x)
+    return v is not None and lo < v < hi
 
 
 def validate_count(x, name: str, lo: int = 1, hi: int | None = None) -> None:
@@ -234,19 +248,26 @@ def validate_firm(spec: GameSpec, firm, name: str = "firm index") -> int:
 
 
 def validate_positive(x, name: str) -> None:
-    """DomainError unless ``x`` is a finite number > 0, not a bool: a loss or
-    a gain."""
-    if not (_is_real(x) and np.isfinite(x) and x > 0):
+    """DomainError unless ``x`` is a finite number > 0, not a bool: a loss, a
+    gain or a trace's payoff scale."""
+    if not _inside(x, 0, math.inf):
         raise DomainError(f"{name} must be a finite number > 0, got {x}")
 
 
 def validate_accuracy(an: str, a: float, en: str, e: float) -> None:
     """DomainError unless epsilon ``e`` is a real number, not a bool, in
     (0, 1/2) and alpha ``a`` one in (1/2, 1): a monitoring accuracy pair."""
-    if not (_is_real(e) and 0 < e < 0.5):
+    if not _inside(e, 0, 0.5):
         raise DomainError(f"{en} must be a finite number in (0, 1/2), got {e}")
-    if not (_is_real(a) and 0.5 < a < 1):
+    if not _inside(a, 0.5, 1):
         raise DomainError(f"{an} must be a finite number in (1/2, 1), got {a}")
+
+
+def validate_discount(x, name: str = "delta") -> None:
+    """DomainError unless ``x`` is a real number, not a bool, in (0, 1): a
+    discount factor, the firms' patience."""
+    if not _inside(x, 0, 1):
+        raise DomainError(f"{name} must lie in (0, 1), got {x}")
 
 
 def validate_profile(spec: GameSpec, profile: Iterable[int],
@@ -269,7 +290,10 @@ def validate_vector(value, n_firms: int, name: str) -> np.ndarray:
     """``value`` as a float array of ``n_firms`` finite entries, else
     DomainError naming it: a payoff point, a promise or a direction."""
     try:
-        v = np.asarray(value, dtype=float)
+        try:
+            v = np.asarray(value, dtype=float)
+        except OverflowError:  # an integer past the float range: read as _real does
+            v = np.array([_real(x) if _is_integer(x) else x for x in value], dtype=float)
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be {n_firms} numbers, got {value!r}") from None
     if v.shape != (n_firms,):

@@ -47,12 +47,20 @@ def _p_zero_by_action(alpha: float, epsilon: float) -> np.ndarray:
     return np.array([alpha, epsilon], dtype=float)
 
 
+def validate_mode(mode, name: str = "mode") -> None:
+    """DomainError unless ``mode`` is MODE_PUBLIC or MODE_PRIVATE: the one
+    check of a monitoring mode, for play, draws and trace files alike."""
+    if mode not in (MODE_PUBLIC, MODE_PRIVATE):
+        raise DomainError(f"{name} must be '{MODE_PUBLIC}' or '{MODE_PRIVATE}', got {mode!r}")
+
+
 def signal_kernel(spec: GameSpec, mode: str) -> np.ndarray:
     """P(bit = 0) of ``mode``'s bits, indexed by the observed firm's action.
 
     Public bits use the monitor's kernel (m_alpha, m_epsilon), private
     cross-observations the firms' own (alpha, epsilon).
     """
+    validate_mode(mode)
     if mode == MODE_PUBLIC:
         return _p_zero_by_action(spec.m_alpha, spec.m_epsilon)
     return _p_zero_by_action(spec.alpha, spec.epsilon)
@@ -83,19 +91,19 @@ class SignalStreams:
         0), stream-major, is C-contiguous.
 
         ``seed`` is a word of the rng key and each replica a word of the
-        counter, so each must be an integer, not a bool, in [0, 2**64).
-        Every draw path checks them here.
+        counter, so each must be an integer, not a bool, in [0,
+        ``rng.WORDS``).  Every draw path checks them here.
         """
-        validate_count(seed, "seed", 0, 2**64)
+        validate_count(seed, "seed", 0, rng.WORDS)
         replicas = np.atleast_1d(replicas)
         # An integer array is range-checked at once; any other (floats,
         # bools, Python ints past 64 bits) entry by entry.
         if replicas.dtype.kind in "iu":
-            suspects = replicas[(replicas < 0) | (replicas >= 2**64)]
+            suspects = replicas[(replicas < 0) | (replicas >= rng.WORDS)]
         else:
             suspects = replicas
         for r in suspects.tolist():
-            validate_count(r, "replica", 0, 2**64)
+            validate_count(r, "replica", 0, rng.WORDS)
         m = self.slot.size
         u = rng.uniforms(
             seed, self.domain, start, count,
@@ -107,13 +115,12 @@ class SignalStreams:
 @functools.lru_cache(maxsize=32)
 def signal_streams(n: int, mode: str) -> SignalStreams:
     """The draw layout of one period's bits among ``n`` firms (module doc)."""
+    validate_mode(mode)
     if mode == MODE_PUBLIC:
         observed = np.arange(n)
         return SignalStreams(rng.DOMAIN_PUBLIC, observed, np.full(n, -1), observed)
-    if mode == MODE_PRIVATE:
-        observer, observed = np.nonzero(~np.eye(n, dtype=bool))
-        return SignalStreams(rng.DOMAIN_PRIVATE, observer * n + observed, observer, observed)
-    raise DomainError(f"mode must be '{MODE_PUBLIC}' or '{MODE_PRIVATE}', got {mode!r}")
+    observer, observed = np.nonzero(~np.eye(n, dtype=bool))
+    return SignalStreams(rng.DOMAIN_PRIVATE, observer * n + observed, observer, observed)
 
 
 @functools.lru_cache(maxsize=256)

@@ -5,11 +5,13 @@ Philox4x64-10 block cipher of Salmon et al., SC'11, in C).  Each coordinate
 (seed, domain, slot, replica) names one counter stream, and the stream steps
 through periods four at a time: period t is word (lane) t % 4 of the block
 with counter (t // 4, slot, replica, 0) and key (seed, domain), so one
-cipher block gives four consecutive periods.  Periods range over [0, 2**64).
-A draw is therefore addressed by its coordinates rather than by position in
-a consumed stream.  This makes traces reproducible bit for bit regardless of
-evaluation order, and gives each Monte Carlo replica an independent
-substream by construction.  A draw made as part of a longer or wider call
+cipher block gives four consecutive periods.  Seeds, replicas and periods
+each lie in [0, WORDS), the values of one 64-bit key or counter word; the
+package states that range here and nowhere else.  A draw is therefore
+addressed by its coordinates rather than by position in a consumed stream.
+This makes traces reproducible bit for bit regardless of evaluation order,
+and gives each Monte Carlo replica an independent substream by
+construction.  A draw made as part of a longer or wider call
 (more periods, slots or replicas) is bit-identical to the same draw made
 alone, so callers may prefetch and vectorize freely.
 
@@ -23,7 +25,7 @@ that list, sets the generator's state, and reads the ``start % 4 + count``
 words from lane 0 of that block on into the stream's own contiguous row,
 dropping the first ``start % 4``.  Below block 0 (start < 4) the
 borrow takes one from the slot word, or, where that is 0, from the
-replica word, or, where both are 0, wraps every word to 2**64 - 1; a branch
+replica word, or, where both are 0, wraps every word to WORDS - 1; a branch
 writes each case, so no 256-bit integer is formed.
 
 Uniforms use the common 53-bit mapping u = (x >> 11) * 2**-53 on the
@@ -44,7 +46,9 @@ U53 = 9007199254740992.0
 DOMAIN_PUBLIC = 0x5055424C
 DOMAIN_PRIVATE = 0x50524956
 
-_WORD = (1 << 64) - 1
+# The values of one key or counter word, the range of seeds and replicas.
+WORDS = 1 << 64
+_WORD = WORDS - 1
 
 
 def _state(key: list, ctr: list) -> dict:

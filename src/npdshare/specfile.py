@@ -11,26 +11,29 @@ A spec file is a JSON object with the fields
     delta     discount factor, in (0, 1)
 
 plus optional ``monitor_alpha`` / ``monitor_epsilon`` overrides for the
-public monitor and an optional ``seed``.  Numbers must be finite decimals:
-NaN and Infinity tokens are rejected.  Errors name the offending field;
-syntax errors carry the line and column from the JSON parser.
+public monitor and an optional ``seed``, an integer in [0, 2^64) like every
+seed of the package (``rng.WORDS``).  Numbers must be finite decimals: NaN
+and Infinity tokens are rejected, and so is a number too large for a float.
+Errors name the offending field; syntax errors carry the line and column
+from the JSON parser.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import partial
 
 from .errors import DomainError
-from .game import ConcaveGain, GameSpec, LinearGain, validate_count
+from .game import ConcaveGain, GameSpec, LinearGain, _real, validate_count
+from .rng import WORDS
 
 _TOP_FIELDS = {
     "n_firms", "gain", "L", "alpha", "epsilon", "delta",
     "monitor_alpha", "monitor_epsilon", "seed",
 }
 _GAIN_FIELDS = {"kind", "G", "f"}
-MAX_SEED = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -51,9 +54,15 @@ def _require(obj: dict, name: str, source: str):
 
 
 def _number(value, name: str, source: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A JSON number as a float (a JSON int too, which sets report bytes),
+    refused with its field's name when it is no number or too large for a
+    float."""
+    number = _real(value)
+    if number is None:
         raise DomainError(f"{source}: field '{name}' must be a number, got {value!r}")
-    return float(value)
+    if not math.isfinite(number):
+        raise DomainError(f"{source}: field '{name}' must be a number within the float range")
+    return number
 
 
 def parse_game_spec(text: str, source: str = "<string>") -> LoadedSpec:
@@ -66,6 +75,8 @@ def parse_game_spec(text: str, source: str = "<string>") -> LoadedSpec:
         ) from None
     except DomainError as exc:
         raise DomainError(f"{source}: {exc}") from None
+    except ValueError:  # an integer literal past Python's digit limit
+        raise DomainError(f"{source}: a JSON number has too many digits to read") from None
     if not isinstance(obj, dict):
         raise DomainError(f"{source}: top level must be a JSON object")
     unknown = sorted(set(obj) - _TOP_FIELDS)
@@ -117,7 +128,7 @@ def parse_game_spec(text: str, source: str = "<string>") -> LoadedSpec:
     seed = None
     if "seed" in obj and obj["seed"] is not None:
         seed = obj["seed"]
-        validate_count(seed, f"{source}: field 'seed'", 0, MAX_SEED + 1)
+        validate_count(seed, f"{source}: field 'seed'", 0, WORDS)
     return LoadedSpec(spec=spec, seed=seed, source=source)
 
 

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import importlib
 import io
+import re
 import subprocess
 import sys
 import warnings
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from npdshare import SignalTrigger, load_game_spec, run_episode, write_trace_csv
 from npdshare.cli import main
 
 
@@ -76,12 +78,30 @@ def test_check_malformed_spec(spec_file, capsys, tmp_path):
     ("n_firms", 2.5, "n_firms must be an integer >= 2, got 2.5"),
     ("n_firms", True, "n_firms must be an integer >= 2, got True"),
     ("n_firms", "2", "n_firms must be an integer >= 2, got '2'"),
+    ("L", 10**400, "field 'L' must be a number within the float range"),
+    ("gain", {"kind": "concave", "G": 3.0, "f": [0, 1, -10**400]},
+     "field 'gain.f[2]' must be a number within the float range"),
 ])
 def test_spec_file_errors_name_the_file_once(spec_file, capsys, field, value, message):
     obj = {"n_firms": 2, "gain": {"kind": "linear", "G": 3.0}, "L": 1.0,
            "alpha": 0.9, "epsilon": 0.1, "delta": 0.9, field: value}
     path = spec_file(obj, name="g.json")
     code, out, err = run_cli(["check", "--spec", path], capsys)
+    assert code == 2 and out == ""
+    assert err == f"npdshare check: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("literal, message", [
+    ("1e400", "field 'L' must be a number within the float range"),
+    ("1" * 5000, "a JSON number has too many digits to read"),
+])
+def test_spec_file_numbers_past_the_float_range_exit_two(tmp_path, capsys, literal, message):
+    # json reads 1e400 as inf, and refuses an integer past Python's digit
+    # limit with a bare ValueError.
+    path = tmp_path / "g.json"
+    path.write_text('{"n_firms": 2, "gain": {"kind": "linear", "G": 3.0}, "L": ' + literal
+                    + ', "alpha": 0.9, "epsilon": 0.1, "delta": 0.9}')
+    code, out, err = run_cli(["check", "--spec", str(path)], capsys)
     assert code == 2 and out == ""
     assert err == f"npdshare check: {path}: {message}\n"
 
@@ -803,7 +823,7 @@ _SWEEP = ["sweep", "--alpha-grid", "0.6:0.9:3", "--epsilon-grid", "0.1:0.2:2"]
     pytest.param(_SIMULATE, "x", "NPDSHARE_SEED", id="env-seed-not-an-integer"),
     pytest.param(_SIMULATE, "-5", "NPDSHARE_SEED", id="env-seed-negative"),
     pytest.param(_SIMULATE + ["--seed=-1"], None, "--seed", id="seed-negative"),
-    pytest.param(_SIMULATE + ["--seed", str(2**63)], None, "--seed", id="seed-2-63"),
+    pytest.param(_SIMULATE + ["--seed", str(2**64)], None, "--seed", id="seed-2-64"),
     pytest.param(["payoffset", "--directions", "7"], None, "--directions", id="directions-7"),
     pytest.param(_SIMULATE + ["--strategy", "signal_trigger:x"], None, "signal_trigger",
                  id="trigger-not-a-number"),
@@ -839,6 +859,49 @@ def test_an_out_of_range_seed_names_only_its_source(spec2_file, capsys, monkeypa
     assert code == 2 and out == ""
     assert err.startswith(f"npdshare simulate: {source} must lie in [0, ")
     assert err.endswith("got -5\n") and other not in err
+
+
+def test_simulate_at_the_last_seed_prints_its_episode(spec2_file, capsys, tmp_path):
+    last = 2**64 - 1
+    code, out, _ = run_cli(["simulate", "--spec", spec2_file, "--strategy", "signal_trigger:2",
+                            "--T", "20", "--seed", str(last)], capsys)
+    assert code == 0
+    path = tmp_path / "trace.csv"
+    write_trace_csv(run_episode(load_game_spec(spec2_file).spec,
+                                [SignalTrigger(2), SignalTrigger(2)], 20, last), path)
+    assert out == path.read_text()
+    assert out.startswith(f"# mode=public delta=0.9 seed={last} replica=0 ")
+
+
+def _readme_quote(start: str) -> str:
+    """The backquoted text in README that begins with ``start``, its line
+    breaks read as spaces."""
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    quoted = re.findall(r"`([^`]*)`", readme)
+    found = [q for q in quoted if q.startswith(start)]
+    assert len(found) == 1, f"README quotes {len(found)} messages starting {start!r}"
+    return found[0]
+
+
+@pytest.mark.parametrize("argv, seed_env, start", [
+    pytest.param(["simulate", "--strategy", "promise", "--v0", "1,nan"], None, "--v0 must",
+                 id="v0-nan"),
+    pytest.param(_SIMULATE[:3] + ["--T", "0"], None, "--T must", id="horizon-0"),
+    pytest.param(["sweep", "--alpha-grid", "0.6:1.5:2", "--epsilon-grid", "0.1:0.2:2"], None,
+                 "--alpha-grid max must", id="alpha-grid-max-1.5"),
+    pytest.param(_SIMULATE, "-5", "NPDSHARE_SEED must", id="env-seed-negative"),
+])
+def test_readme_refusal_examples_are_what_the_cli_prints(spec2_file, capsys, monkeypatch, argv,
+                                                         seed_env, start):
+    # README's exit-code paragraph quotes these messages word for word.
+    if seed_env is None:
+        monkeypatch.delenv("NPDSHARE_SEED", raising=False)
+    else:
+        monkeypatch.setenv("NPDSHARE_SEED", seed_env)
+    spec = [] if argv[0] == "sweep" else ["--spec", spec2_file]
+    code, out, err = run_cli(argv + spec, capsys)
+    assert code == 2 and out == ""
+    assert err == f"npdshare {argv[0]}: {_readme_quote(start)}\n"
 
 
 def test_simulate_unknown_strategy_exits_two(spec2_file, capsys):

@@ -1296,6 +1296,21 @@ def test_private_trace_round_trips(spec3, tmp_path):
     assert _rewritten(back, tmp_path) == path.read_text()
 
 
+@pytest.mark.parametrize("mode", ["public", "private"])
+def test_trace_round_trips_at_the_last_seed_and_replica(spec3, tmp_path, mode):
+    last = rng.WORDS - 1
+    trace = run_episode(spec3, [SignalTrigger(2) for _ in range(3)], 9, seed=last,
+                        mode=mode, replica=last)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    assert path.read_text().startswith(
+        f"# mode={mode} delta=0.9 seed={last} replica={last} "
+    )
+    back = read_trace_csv(path)
+    assert (back.seed, back.replica) == (last, last)
+    assert _rewritten(back, tmp_path) == path.read_text()
+
+
 def test_promise_trace_round_trips(spec2_patient, tmp_path):
     auto = PromiseAutomaton(spec2_patient, (2.0, 2.0), (1.0, 1.0))
     trace = run_episode(spec2_patient, [auto, auto.clone()], 40, seed=SURVIVOR_SEED)
@@ -1364,6 +1379,19 @@ def _malformed(text: str, case: str) -> str:
         rows.insert(1, "")
     elif case == "delta-0.90":
         meta = meta.replace(" delta=0.9 ", " delta=0.90 ")
+    # Metadata that the writer writes as read, though no run could have
+    # written it: each breaks a rule that a run's spec or draws obey.
+    elif case.startswith(("delta=", "u_scale=", "seed=", "replica=")):
+        key = case.split("=")[0]
+        meta = " ".join(case if item.startswith(key + "=") else item
+                        for item in meta.split(" "))
+    elif case == "one-firm":
+        # The text written for a one-firm trace: firm 1's columns, with its
+        # bit of the signal index.
+        meta = meta.replace(" n_firms=2", " n_firms=1")
+        header = "period,action_1,signal_index,payoff_1"
+        rows = [f"{t},{a},{int(b) % 2},{u}"
+                for t, a, _, b, u, _ in (row.split(",") for row in rows)]
     return "\n".join([meta, header, *rows]) + "\n"
 
 
@@ -1372,7 +1400,8 @@ def _malformed(text: str, case: str) -> str:
     "signal-index", "short-row", "not-a-number", "bad-mode",
     "action-01", "period-plus", "period-underscore", "payoff-2.00", "payoff-space",
     "index-space", "crlf", "unknown-key", "extra-column", "permuted-columns", "blank-line",
-    "delta-0.90",
+    "delta-0.90", "delta=1.5", "delta=nan", "u_scale=inf", "u_scale=-1.0", "seed=-5",
+    "seed=18446744073709551616", "replica=-1", "one-firm",
 ])
 def test_read_trace_refuses_malformed_public_traces(spec2, tmp_path, case):
     trace = run_episode(spec2, [AlwaysDisclose(), AlwaysDisclose()], 3, seed=0)

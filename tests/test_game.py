@@ -32,6 +32,7 @@ from npdshare.game import (
     deviation_payoffs,
     extreme_profiles,
     profile_array,
+    validate_discount,
     validate_profile,
     validate_vector,
 )
@@ -103,13 +104,42 @@ def test_gains_and_losses_refuse_bools():
     (lambda: validate_vector(["a", 1], 2, "v"), "v must be 2 numbers"),
     (lambda: ConcaveGain(3.0, ("x", 1.0)), "concave gain table entries must be numbers"),
     (lambda: ConcaveGain(3.0, ("0", "1", "1.5")), "concave gain table entries must be numbers"),
+    (lambda: LinearGain(10**400), "linear gain G must be a finite number > 0"),
+    (lambda: GameSpec(2, LinearGain(3.0), 10**400, 0.9, 0.1, 0.9),
+     "loss must be a finite number > 0"),
+    (lambda: GameSpec(2, LinearGain(3.0), 1.0, 0.9, 0.1, -10**400), "delta must lie in"),
+    (lambda: ConcaveGain(3.0, (0, 1, 10**400)), "concave gain table contains non-finite"),
+    (lambda: validate_vector([10**400, 1], 2, "v"), r"v must be finite, got \[inf, 1.0\]"),
 ], ids=["G-str", "G-None", "delta-str", "alpha-str", "monitor_alpha-str", "vector-str",
-        "f-word", "f-digits"])
+        "f-word", "f-digits", "G-10**400", "loss-10**400", "delta--10**400", "f-10**400",
+        "vector-10**400"])
 def test_validators_refuse_what_is_not_a_real_number(make, message):
     # A string or None is refused with DomainError, not a numpy TypeError
     # or a bare ValueError, and a string of digits is not read as a number.
+    # An integer too large for a float reads as infinite, not as an
+    # OverflowError or a TypeError.
     with pytest.raises(DomainError, match=message):
         make()
+
+
+def test_a_finite_integer_past_int64_is_a_number():
+    # numpy cannot hold 2**70 as an integer; as a float it is finite.
+    spec = GameSpec(2, LinearGain(2**70), 1.0, 0.9, 0.1, 0.9)
+    assert spec.stage[0, 1] == 2.0**70
+    assert ConcaveGain(3.0, (0, 2**70)).f == (0.0, 2.0**70)
+    assert validate_vector([2**70, 1], 2, "v").tolist() == [2.0**70, 1.0]
+
+
+@pytest.mark.parametrize("delta", [0, 1, 1.5, -0.5, float("nan"), float("inf"), True, "0.5",
+                                   None, 10**400])
+def test_validate_discount_refuses_what_is_not_in_0_1(delta):
+    with pytest.raises(DomainError, match=r"^d must lie in \(0, 1\), got "):
+        validate_discount(delta, "d")
+
+
+def test_validate_discount_takes_every_real_in_0_1():
+    for delta in (0.5, np.float32(0.25), np.float64(1 - 2**-53), 5e-324):
+        validate_discount(delta)
 
 
 def test_monitor_override_is_separate(spec2):

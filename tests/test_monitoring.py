@@ -17,6 +17,7 @@ from npdshare import (
     marginal_excluding,
     private_joint_distribution,
     public_signal_distribution,
+    read_trace_csv,
     run_episode,
 )
 from npdshare import rng
@@ -37,6 +38,24 @@ def test_signal_kernel_by_mode_and_action():
     # index 0: the observed firm conceals, 1: it discloses
     assert signal_kernel(spec, "public").tolist() == [0.8, 0.2]
     assert signal_kernel(spec, "private").tolist() == [0.9, 0.1]
+
+
+def test_one_mode_check_serves_every_reader(spec2, tmp_path):
+    # An unknown mode is refused, never read as private, and in the same
+    # words wherever it arrives.
+    trace = tmp_path / "trace.csv"
+    trace.write_text("# mode=Public delta=0.9 seed=0 replica=0 u_scale=3.0 n_firms=2\n"
+                     "period,action_1,action_2,signal_index,payoff_1,payoff_2\n")
+    for call, name in [
+        (lambda: signal_kernel(spec2, "Public"), "mode"),
+        (lambda: signal_streams(2, "Public"), "mode"),
+        (lambda: run_episode(spec2, [AlwaysDisclose(), AlwaysDisclose()], 3, 0, mode="Public"),
+         "mode"),
+        (lambda: read_trace_csv(trace), "trace mode"),
+    ]:
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == f"{name} must be 'public' or 'private', got 'Public'"
 
 
 def test_signal_streams_layout():

@@ -94,11 +94,12 @@ def test_boolean_is_not_a_number():
 
 def test_seed_bounds():
     assert parse_game_spec(json.dumps(_base(seed=0)), "x").seed == 0
-    assert parse_game_spec(json.dumps(_base(seed=2**63 - 1)), "x").seed == 2**63 - 1
+    # Every seed of the package lies in [0, 2**64), as the draws take them.
+    assert parse_game_spec(json.dumps(_base(seed=2**64 - 1)), "x").seed == 2**64 - 1
     with pytest.raises(DomainError):
         parse_game_spec(json.dumps(_base(seed=-1)), "x")
     with pytest.raises(DomainError):
-        parse_game_spec(json.dumps(_base(seed=2**63)), "x")
+        parse_game_spec(json.dumps(_base(seed=2**64)), "x")
     with pytest.raises(DomainError):
         parse_game_spec(json.dumps(_base(seed=1.5)), "x")
 
