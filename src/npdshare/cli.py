@@ -173,7 +173,7 @@ def cmd_decompose(args) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["signal_index"] + [f"gamma_bar_{i + 1}" for i in range(n)])
         for b in range(2**n):
-            writer.writerow([b] + [repr(float(x)) for x in res.gamma_bar[b]])
+            writer.writerow([b, *res.gamma_bar[b].tolist()])
     print(
         f"decompose: k*={res.k_star!r} at action={action}, mode={res.mode}, "
         f"binding={list(res.binding)}",
@@ -196,8 +196,7 @@ def cmd_payoffset(args) -> int:
             fh.write(f"# payoff-set polygon, {args.directions} directions\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["v_1", "v_2"])
-            for v in approx.vertices:
-                writer.writerow([repr(float(v[0])), repr(float(v[1]))])
+            writer.writerows(approx.vertices.tolist())
     print(
         f"payoffset: {args.directions} directions, "
         + (
@@ -218,10 +217,7 @@ def _write_halfspaces(fh, approx, n: int) -> None:
         [f"lambda_{i + 1}" for i in range(n)] + ["k", "best_action"]
     )
     for lam, kv, prof in zip(approx.directions, approx.k_values, approx.best_profiles):
-        writer.writerow(
-            [repr(float(x)) for x in lam]
-            + [repr(float(kv)), "".join(str(a) for a in prof)]
-        )
+        writer.writerow([*lam.tolist(), float(kv), "".join(str(a) for a in prof)])
 
 
 def _make_strategy(args, spec):
@@ -333,10 +329,9 @@ def cmd_sweep(args) -> int:
         validate_accuracy(f"--alpha-grid {end}", a, f"--epsilon-grid {end}", e)
     alphas, epsilons = np.linspace(a_lo, a_hi, a_steps), np.linspace(e_lo, e_hi, e_steps)
     rows = [
-        [repr(float(a)), repr(float(e)),
-         repr(float(table2_gamma_bar(args.loss, a, e, (1.0, 1.0))[1, 0]))]
-        for a in alphas
-        for e in epsilons
+        [a, e, float(table2_gamma_bar(args.loss, a, e, (1.0, 1.0))[1, 0])]
+        for a in alphas.tolist()
+        for e in epsilons.tolist()
     ]
     with _output(args) as fh:
         fh.write(

@@ -216,11 +216,7 @@ def pairwise_full_rank(spec: GameSpec, profile, firm_i: int, firm_j: int) -> Con
     Both firms' prescribed-action rows equal the equilibrium signal
     distribution, so one row is always redundant.
     """
-    if firm_i == firm_j:
-        raise DomainError("pairwise matrix needs two distinct firms")
-    r = validate_profile(spec, profile)
-    validate_firm(spec, firm_i)
-    validate_firm(spec, firm_j)
+    r = _validate_pair(spec, profile, firm_i, firm_j)
     return _pairwise_report(r.tolist(), firm_i, firm_j, _stacked_rank(spec, 2))
 
 
@@ -378,18 +374,24 @@ def _c3_reports(spec: GameSpec, profiles: np.ndarray, pairs) -> list:
 
 
 def _validate_pair(spec: GameSpec, profile, firm_i: int, firm_j: int) -> np.ndarray:
+    """The validated profile of one (profile, pair): each firm index is
+    checked before the two are compared."""
+    r = validate_profile(spec, profile)
+    if validate_firm(spec, firm_i, "pair firm index") == validate_firm(
+        spec, firm_j, "pair firm index"
+    ):
+        raise DomainError(f"a pair must be two distinct firms, got firm index {firm_i} twice")
+    return r
+
+
+def _validate_attribution_pair(spec: GameSpec, profile, firm_i: int, firm_j: int) -> np.ndarray:
     """The validated profile of one C2/C3 (profile, pair)."""
     if spec.n_firms <= 2:
         raise ConditionInapplicableError(
             "pairwise attribution conditions quantify over firms outside the "
             "pair and require N > 2"
         )
-    if firm_i == firm_j:
-        raise DomainError("pair must consist of two distinct firms")
-    r = validate_profile(spec, profile)
-    validate_firm(spec, firm_i, "excluded firm index")
-    validate_firm(spec, firm_j, "excluded firm index")
-    return r
+    return _validate_pair(spec, profile, firm_i, firm_j)
 
 
 def check_c2(spec: GameSpec, profile, firm_i: int, firm_j: int) -> ConditionReport:
@@ -403,7 +405,7 @@ def check_c2(spec: GameSpec, profile, firm_i: int, firm_j: int) -> ConditionRepo
     max per-bit |delta P(bit = 0)| between the marginals: the private
     kernel gap (``_c2_report``).
     """
-    r = _validate_pair(spec, profile, firm_i, firm_j)
+    r = _validate_attribution_pair(spec, profile, firm_i, firm_j)
     return _c2_report(r.tolist(), firm_i, firm_j, _kernel_gap(spec, MODE_PRIVATE))
 
 
@@ -422,7 +424,7 @@ def check_c3(spec: GameSpec, profile, firm_i: int, firm_j: int) -> ConditionRepo
     ||q - p|| are over the joint outcomes of all held bits.  Both come
     from ``displacement_moments``.
     """
-    r = _validate_pair(spec, profile, firm_i, firm_j)
+    r = _validate_attribution_pair(spec, profile, firm_i, firm_j)
     return _c3_reports(spec, r[None], [(firm_i, firm_j)])[0]
 
 

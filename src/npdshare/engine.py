@@ -44,8 +44,8 @@ from . import _kernels
 from ._kernels import backend_name, count_mc, promise_mc
 from .decompose import REGION_TOL, PromiseDecomposition
 from .errors import CapacityError, DiscountTooSmallError, DomainError, ProtocolError
-from .game import (GameSpec, validate_count, validate_discount, validate_positive,
-                   validate_vector)
+from .game import (GameSpec, _shown, validate_bits, validate_count, validate_discount,
+                   validate_positive, validate_vector)
 from .monitoring import MODE_PRIVATE, MODE_PUBLIC, signal_kernel, signal_streams, validate_mode
 from .rng import WORDS, threshold
 
@@ -141,19 +141,21 @@ class CountTable:
     absorbing: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        action = np.asarray(self.action)
+        action = validate_bits(self.action, "count table action")
+        if action.ndim != 1 or not action.size:
+            raise DomainError(
+                f"count table action must hold one bit per state, got shape {action.shape}"
+            )
+        states = action.size
         next_state = np.asarray(self.next_state)
-        states = action.shape[0] if action.ndim == 1 else 0
         if not (
-            states
-            and ((action == 0) | (action == 1)).all()
-            and next_state.ndim == 2 and next_state.shape[0] == states
+            next_state.ndim == 2 and next_state.shape[0] == states
             and next_state.dtype.kind in "iu"
             and ((next_state >= 0) & (next_state < states)).all()
         ):
             raise DomainError(
-                "a count table needs S actions of 0 or 1 and an (S, max_count + 1) "
-                "array of states in [0, S)"
+                f"count table next_state must be an ({states}, max_count + 1) integer "
+                f"array of states in [0, {states})"
             )
         validate_count(self.initial, "count table initial state", 0, states)
         action, next_state = action.astype(np.int8), next_state.astype(np.intp)
@@ -327,7 +329,7 @@ class PromiseAutomaton(Strategy):
 
     def __init__(self, spec: GameSpec, v0, direction, on_exit: str = "raise"):
         if on_exit not in ("raise", "concede"):
-            raise DomainError(f"on_exit must be 'raise' or 'concede', got {on_exit!r}")
+            raise DomainError(f"on_exit must be 'raise' or 'concede', got {_shown(on_exit)}")
         self.decomp = PromiseDecomposition(spec, direction)
         self.on_exit = on_exit
         self.v0 = tuple(validate_vector(v0, spec.n_firms, "v0").tolist())
@@ -934,10 +936,7 @@ def _parse_trace(text: str) -> EpisodeTrace:
     body = np.array([line.split(",") for line in lines], dtype=str).reshape(horizon, len(header))
 
     def bits(first, count, what):
-        values = body[:, first:first + count].astype(np.int64)
-        if ((values < 0) | (values > 1)).any():
-            raise DomainError(f"trace {what} is not 0 or 1")
-        return values
+        return validate_bits(body[:, first:first + count].astype(np.int64), f"trace {what}")
 
     actions = bits(1, n, "action").astype(np.int8)
     pay = header.index("payoff_1")

@@ -80,12 +80,12 @@ class ConcaveGain:
 
     def __post_init__(self):
         validate_positive(self.G, "concave gain G")
-        f = tuple(map(_real, self.f))
-        if None in f:
-            raise DomainError(f"concave gain table entries must be numbers, got {self.f!r}")
+        f = _reals(self.f, "concave gain table")
+        if f.ndim != 1 or f.size < 2:
+            raise DomainError(f"concave gain table needs a list of at least two entries, "
+                              f"got shape {f.shape}")
+        f = tuple(f.tolist())
         object.__setattr__(self, "f", f)
-        if len(f) < 2:
-            raise DomainError("concave gain table needs at least two entries")
         if not all(map(math.isfinite, f)):
             raise DomainError("concave gain table contains non-finite entries")
         if f[0] != 0.0:
@@ -111,7 +111,7 @@ class ConcaveGain:
     def gain(self, z: int) -> float:
         if z >= len(self.f):
             raise DomainError(
-                f"concave gain table has {len(self.f)} entries; index {z} requested"
+                f"concave gain table has {len(self.f)} entries; index {_shown(z)} requested"
             )
         return self.f[z] * self.G
 
@@ -176,7 +176,7 @@ class GameSpec:
         """Payoff to a disclosing firm when x firms disclose in total, 1 <= x <= N."""
         if not 1 <= x <= self.n_firms:
             raise DomainError(
-                f"disclose_payoff domain is 1 <= x <= {self.n_firms}, got x={x}"
+                f"disclose_payoff domain is 1 <= x <= {self.n_firms}, got x={_shown(x)}"
             )
         return self.gain.gain(x - 1) - self.loss
 
@@ -184,7 +184,7 @@ class GameSpec:
         """Payoff to a concealing firm when x other firms disclose, 0 <= x <= N-1."""
         if not 0 <= x <= self.n_firms - 1:
             raise DomainError(
-                f"conceal_payoff domain is 0 <= x <= {self.n_firms - 1}, got x={x}"
+                f"conceal_payoff domain is 0 <= x <= {self.n_firms - 1}, got x={_shown(x)}"
             )
         return self.gain.gain(x)
 
@@ -224,6 +224,18 @@ def _real(x) -> float | None:
         return math.inf if x > 0 else -math.inf
 
 
+def _shown(x) -> str:
+    """``x`` as a refusal prints it: a string with its quotes, any other
+    value as ``str`` prints it.  A value that cannot be printed, such as an
+    integer past Python's 4300-digit limit, is described instead."""
+    try:
+        return repr(x) if isinstance(x, str) else str(x)
+    except ValueError:  # Python's limit on the digits of an integer's text
+        if isinstance(x, int):
+            return f"an integer of {x.bit_length()} bits"
+        return f"an unprintable {type(x).__name__}"
+
+
 def _inside(x, lo: float, hi: float) -> bool:
     """Whether ``x`` is a real number, not a bool, in the open (lo, hi)."""
     v = _real(x)
@@ -236,14 +248,16 @@ def validate_count(x, name: str, lo: int = 1, hi: int | None = None) -> None:
     if _is_integer(x) and lo <= x and (hi is None or x < hi):
         return
     if hi is None:
-        raise DomainError(f"{name} must be an integer >= {lo}, got {x!r}")
-    raise DomainError(f"{name} must lie in [{lo}, {hi}) and be an integer, got {x!r}")
+        raise DomainError(f"{name} must be an integer >= {lo}, got {_shown(x)}")
+    raise DomainError(f"{name} must lie in [{lo}, {hi}) and be an integer, got {_shown(x)}")
 
 
 def validate_firm(spec: GameSpec, firm, name: str = "firm index") -> int:
     """``firm`` as an int if it is an integer, not a bool, in [0, N)."""
     if not (_is_integer(firm) and 0 <= firm < spec.n_firms):
-        raise DomainError(f"{name} {firm} out of range: not an integer in [0, {spec.n_firms})")
+        raise DomainError(
+            f"{name} {_shown(firm)} out of range: not an integer in [0, {spec.n_firms})"
+        )
     return int(firm)
 
 
@@ -251,51 +265,94 @@ def validate_positive(x, name: str) -> None:
     """DomainError unless ``x`` is a finite number > 0, not a bool: a loss, a
     gain or a trace's payoff scale."""
     if not _inside(x, 0, math.inf):
-        raise DomainError(f"{name} must be a finite number > 0, got {x}")
+        raise DomainError(f"{name} must be a finite number > 0, got {_shown(x)}")
 
 
 def validate_accuracy(an: str, a: float, en: str, e: float) -> None:
     """DomainError unless epsilon ``e`` is a real number, not a bool, in
     (0, 1/2) and alpha ``a`` one in (1/2, 1): a monitoring accuracy pair."""
     if not _inside(e, 0, 0.5):
-        raise DomainError(f"{en} must be a finite number in (0, 1/2), got {e}")
+        raise DomainError(f"{en} must be a finite number in (0, 1/2), got {_shown(e)}")
     if not _inside(a, 0.5, 1):
-        raise DomainError(f"{an} must be a finite number in (1/2, 1), got {a}")
+        raise DomainError(f"{an} must be a finite number in (1/2, 1), got {_shown(a)}")
 
 
 def validate_discount(x, name: str = "delta") -> None:
     """DomainError unless ``x`` is a real number, not a bool, in (0, 1): a
     discount factor, the firms' patience."""
     if not _inside(x, 0, 1):
-        raise DomainError(f"{name} must lie in (0, 1), got {x}")
+        raise DomainError(f"{name} must lie in (0, 1), got {_shown(x)}")
+
+
+def _as_array(values, name: str, dtype=None) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=dtype)
+    except ValueError:  # a ragged nesting of sequences
+        raise DomainError(f"{name} must be an array, not a ragged sequence") from None
+
+
+def _refuse_entry(values: np.ndarray, ok, name: str, rule: str):
+    """DomainError naming the first entry of ``values`` whose flat ``ok`` is
+    False, and its index: a count table or a trace holds too many entries
+    to print them all."""
+    k = int(np.argmin(ok, axis=None))
+    index = tuple(map(int, np.unravel_index(k, values.shape)))
+    at = f" at index {index[0] if len(index) == 1 else index}" if index else ""
+    x = values.ravel()[k:k + 1].tolist()[0]
+    raise DomainError(f"{name} entries must be {rule}, got {_shown(x)}{at}")
+
+
+def _reals(values, name: str) -> np.ndarray:
+    """``values`` as a float array, each entry read as ``_real`` reads a
+    number.  An int or float array goes through one cast; anything else (a
+    list, a tuple, an object array) entry by entry, so a bool or a string
+    is refused even where numpy would read it as a number."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return values.astype(float, copy=False)
+    raw = _as_array(values, name, object)
+    reals = [_real(x) for x in raw.ravel().tolist()]
+    if None in reals:
+        _refuse_entry(raw, [r is not None for r in reals], name, "numbers")
+    return np.array(reals, dtype=float).reshape(raw.shape)
+
+
+def validate_bits(values, name: str) -> np.ndarray:
+    """``values`` as an int64 array of 0s and 1s: an action profile, a count
+    table's actions, a trace's bits.  A number equal to 0 or 1 is a bit,
+    True and 1.0 too; entries are compared before the cast, so 0.5 or 1.7
+    is refused rather than truncated."""
+    raw = _as_array(values, name)
+    ok = (raw == 0) | (raw == 1) if raw.dtype.kind in "biufO" else np.zeros(raw.shape, bool)
+    if not ok.all():
+        _refuse_entry(raw, ok, name, "0 or 1")
+    return raw.astype(np.int64, copy=False)
+
+
+def validate_probabilities(values, name: str) -> np.ndarray:
+    """``values`` as a float array of numbers (``_reals``) in [0, 1]: a
+    kernel's P(bit = 0) pair, a product measure's bit laws, a
+    distribution's outcome probabilities."""
+    p = _reals(values, name)
+    ok = (p >= 0) & (p <= 1)
+    if not ok.all():
+        _refuse_entry(p, ok, name, "probabilities in [0, 1]")
+    return p
 
 
 def validate_profile(spec: GameSpec, profile: Iterable[int],
                      name: str = "action profile") -> np.ndarray:
-    """The profile as an int64 array of N entries, each equal to 0 or 1.
-
-    Entries are compared before the cast, so 0.5 or 1.7 is refused rather
-    than truncated."""
-    raw = np.asarray(list(profile))
-    if raw.shape != (spec.n_firms,):
-        raise DomainError(
-            f"{name} must have length {spec.n_firms}, got shape {raw.shape}"
-        )
-    if not ((raw == 0) | (raw == 1)).all():
-        raise DomainError(f"{name} entries must be 0 or 1, got {raw.tolist()}")
-    return raw.astype(np.int64, copy=False)
+    """The profile as an int64 array of N bits (``validate_bits``)."""
+    r = validate_bits(list(profile), name)
+    if r.shape != (spec.n_firms,):
+        raise DomainError(f"{name} must have length {spec.n_firms}, got shape {r.shape}")
+    return r
 
 
 def validate_vector(value, n_firms: int, name: str) -> np.ndarray:
-    """``value`` as a float array of ``n_firms`` finite entries, else
-    DomainError naming it: a payoff point, a promise or a direction."""
-    try:
-        try:
-            v = np.asarray(value, dtype=float)
-        except OverflowError:  # an integer past the float range: read as _real does
-            v = np.array([_real(x) if _is_integer(x) else x for x in value], dtype=float)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be {n_firms} numbers, got {value!r}") from None
+    """``value`` as a float array of ``n_firms`` finite numbers, read as
+    ``_reals`` reads them, else DomainError naming it: a payoff point, a
+    promise or a direction."""
+    v = _reals(value, name)
     if v.shape != (n_firms,):
         raise DomainError(f"{name} must have length {n_firms}, got shape {v.shape}")
     if not np.all(np.isfinite(v)):

@@ -33,7 +33,8 @@ import numpy as np
 
 from . import rng
 from .errors import CapacityError, DomainError
-from .game import GameSpec, validate_count, validate_firm, validate_profile
+from .game import (GameSpec, _shown, validate_bits, validate_count, validate_firm,
+                   validate_probabilities, validate_profile)
 
 DIST_TOL = 1e-12  # distributions must sum to 1 within this
 DENSE_CAP_BITS = 20  # dense expansion capped at 2**20 outcomes
@@ -51,7 +52,9 @@ def validate_mode(mode, name: str = "mode") -> None:
     """DomainError unless ``mode`` is MODE_PUBLIC or MODE_PRIVATE: the one
     check of a monitoring mode, for play, draws and trace files alike."""
     if mode not in (MODE_PUBLIC, MODE_PRIVATE):
-        raise DomainError(f"{name} must be '{MODE_PUBLIC}' or '{MODE_PRIVATE}', got {mode!r}")
+        raise DomainError(
+            f"{name} must be '{MODE_PUBLIC}' or '{MODE_PRIVATE}', got {_shown(mode)}"
+        )
 
 
 def signal_kernel(spec: GameSpec, mode: str) -> np.ndarray:
@@ -144,7 +147,7 @@ class SignalDistribution:
     n_bits: int
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
+        p = validate_probabilities(self.probs, "signal distribution")
         object.__setattr__(self, "probs", p)
         if p.shape != (2**self.n_bits,):
             raise DomainError(
@@ -155,8 +158,6 @@ class SignalDistribution:
             raise DomainError(
                 f"signal probabilities sum to {p.sum()!r}, off by more than {DIST_TOL}"
             )
-        if np.any(p < 0):
-            raise DomainError("signal probabilities must be nonnegative")
 
 
 def _product_expansion(p_zero: np.ndarray) -> np.ndarray:
@@ -179,17 +180,13 @@ def public_profile_distribution_raw(
 
     No range validation beyond [0, 1]: diagnostics and tests use this to
     probe degenerate kernels (e.g. alpha == epsilon).  Spec-level callers go
-    through :func:`public_signal_distribution`.  Entries other than 0 and 1
-    are refused before the cast, as in ``validate_profile``.
+    through :func:`public_signal_distribution`.  The actions are bits and
+    the kernel a pair of probabilities, as ``game``'s validators read them.
     """
-    raw = np.asarray(actions)
-    if not set(raw.ravel().tolist()) <= {0, 1}:
-        raise DomainError(f"action profile entries must be 0 or 1, got {raw.tolist()}")
-    actions = raw.astype(np.int64, copy=False)
-    if not (0 <= epsilon <= 1 and 0 <= alpha <= 1):
-        raise DomainError("kernel probabilities must lie in [0, 1]")
+    actions = validate_bits(actions, "action profile")
+    p_zero = validate_probabilities((alpha, epsilon), "kernel (alpha, epsilon)")
     # firm 1 varies fastest (least significant bit)
-    return _product_expansion(_p_zero_by_action(alpha, epsilon)[actions])
+    return _product_expansion(p_zero[actions])
 
 
 def public_signal_distribution(spec: GameSpec, profile) -> SignalDistribution:
@@ -269,12 +266,10 @@ class FactoredBernoulli:
     p_zero: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.p_zero, dtype=float)
+        p = validate_probabilities(self.p_zero, "p_zero")
         object.__setattr__(self, "p_zero", p)
         if p.shape != (len(self.labels),):
             raise DomainError("one P(bit=0) entry per label required")
-        if np.any((p < 0) | (p > 1)):
-            raise DomainError("bit probabilities must lie in [0, 1]")
 
     @property
     def n_bits(self) -> int:

@@ -510,6 +510,18 @@ def test_checks_validate_firms_and_profiles(spec3):
         check_c1(spec3, 0.5)
 
 
+@pytest.mark.parametrize("check", [pairwise_full_rank, check_c2, check_c3])
+def test_pair_checks_share_one_pair_rule(spec3, check):
+    # Each firm index is checked before the two are compared: True and 1.0
+    # equal 1, but neither is a firm index.
+    for i, j in ((True, 1), (1.0, 1), (1, np.True_)):
+        with pytest.raises(DomainError, match=r"^pair firm index .* out of range"):
+            check(spec3, (1, 1, 1), i, j)
+    with pytest.raises(DomainError,
+                       match=r"^a pair must be two distinct firms, got firm index 2 twice$"):
+        check(spec3, (1, 1, 1), 2, 2)
+
+
 def test_preconditions_and_rank_run_no_lp(monkeypatch, spec2, spec3):
     def fail(*args, **kwargs):
         raise AssertionError("an LP ran")

@@ -1199,6 +1199,13 @@ def test_count_tables_are_checked(spec2):
         with pytest.raises(DomainError):
             CountTable(*bad)
 
+    # A refusal names the first bad entry of a large table, not the table.
+    action = np.ones(2**17, dtype=np.int64)
+    action[-1] = 2
+    with pytest.raises(DomainError) as err:
+        CountTable(action, np.zeros((2**17, 2), dtype=np.intp), 0)
+    assert str(err.value) == "count table action entries must be 0 or 1, got 2 at index 131071"
+
     class Narrow(CountAutomaton):
         def table(self, max_count):
             return CountTable([1], [[0, 0]], 0)
@@ -1420,8 +1427,11 @@ def test_read_trace_refuses_malformed_public_traces(spec2, tmp_path, case):
         read_trace_csv(path)
 
 
-@pytest.mark.parametrize("field, value", [("b_1_2", "2"), ("message_2", "21")])
-def test_read_trace_refuses_non_bits_in_private_traces(spec3, tmp_path, field, value):
+@pytest.mark.parametrize("field, value, message", [
+    ("b_1_2", "2", r"^trace private bit entries must be 0 or 1, got 2 at index \(1, 0\)$"),
+    ("message_2", "21", "a message is not 2 bits"),
+], ids=["b_1_2-2", "message_2-21"])
+def test_read_trace_refuses_non_bits_in_private_traces(spec3, tmp_path, field, value, message):
     trace = run_episode(spec3, [AlwaysDisclose() for _ in range(3)], 3, seed=0,
                         mode="private")
     path = tmp_path / "trace.csv"
@@ -1432,7 +1442,7 @@ def test_read_trace_refuses_non_bits_in_private_traces(spec3, tmp_path, field, v
     fields[k] = value
     rows[1] = ",".join(fields)
     path.write_text("\n".join([meta, header, *rows]) + "\n")
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=message):
         read_trace_csv(path)
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from npdshare import (
+    AlwaysDisclose,
     ConcaveGain,
     GameSpec,
     LinearGain,
@@ -32,10 +33,17 @@ from npdshare.game import (
     deviation_payoffs,
     extreme_profiles,
     profile_array,
+    validate_accuracy,
+    validate_bits,
+    validate_count,
     validate_discount,
+    validate_firm,
+    validate_positive,
+    validate_probabilities,
     validate_profile,
     validate_vector,
 )
+from npdshare.rng import WORDS
 
 
 def test_linear_gain_values():
@@ -101,7 +109,7 @@ def test_gains_and_losses_refuse_bools():
     (lambda: GameSpec(2, LinearGain(3.0), 1.0, "0.9", 0.1, 0.9), "alpha must be a finite"),
     (lambda: GameSpec(2, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9, monitor_alpha="0.9"),
      "monitor_alpha must be a finite"),
-    (lambda: validate_vector(["a", 1], 2, "v"), "v must be 2 numbers"),
+    (lambda: validate_vector(["a", 1], 2, "v"), "v entries must be numbers, got 'a' at index 0"),
     (lambda: ConcaveGain(3.0, ("x", 1.0)), "concave gain table entries must be numbers"),
     (lambda: ConcaveGain(3.0, ("0", "1", "1.5")), "concave gain table entries must be numbers"),
     (lambda: LinearGain(10**400), "linear gain G must be a finite number > 0"),
@@ -128,6 +136,60 @@ def test_a_finite_integer_past_int64_is_a_number():
     assert spec.stage[0, 1] == 2.0**70
     assert ConcaveGain(3.0, (0, 2**70)).f == (0.0, 2.0**70)
     assert validate_vector([2**70, 1], 2, "v").tolist() == [2.0**70, 1.0]
+
+
+_SPEC2 = GameSpec(2, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9)
+
+# Every validator of game, fed one hostile value as a scalar or as the first
+# entry of an array.  A bit may be True, so bits take no bool case.
+_VALIDATORS = {
+    "count": lambda x: validate_count(x, "seed", 0, WORDS),
+    "firm": lambda x: validate_firm(_SPEC2, x),
+    "positive": lambda x: validate_positive(x, "loss"),
+    "accuracy-epsilon": lambda x: validate_accuracy("alpha", 0.9, "epsilon", x),
+    "accuracy-alpha": lambda x: validate_accuracy("alpha", x, "epsilon", 0.1),
+    "discount": lambda x: validate_discount(x),
+    "vector": lambda x: validate_vector([x, 1.0], 2, "v"),
+    "vector-array": lambda x: validate_vector(np.array([x, 1.0], dtype=object), 2, "v"),
+    "probabilities": lambda x: validate_probabilities((x, 0.5), "p"),
+    "bits": lambda x: validate_bits([x, 1], "b"),
+    "profile": lambda x: validate_profile(_SPEC2, [x, 1]),
+}
+_HOSTILE = {"bool": True, "numpy-bool": np.True_, "digits": "1", "nan": float("nan"),
+            "inf": float("inf"), "-inf": -float("inf"), "10**400": 10**400,
+            "10**5000": 10**5000}
+
+
+@pytest.mark.parametrize("validator, value", [
+    (validator, value) for validator in _VALIDATORS for value in _HOSTILE
+    if not (validator in ("bits", "profile") and "bool" in value)
+])
+def test_every_validator_refuses_every_hostile_entry(validator, value):
+    # A DomainError, not a TypeError, an OverflowError or the ValueError of
+    # an integer too long to print.
+    with pytest.raises(DomainError):
+        _VALIDATORS[validator](_HOSTILE[value])
+
+
+def test_a_refused_value_that_cannot_be_printed_is_described():
+    with pytest.raises(DomainError, match="got an integer of 16610 bits$"):
+        validate_count(10**5000, "seed", 0, WORDS)
+    with pytest.raises(DomainError, match="linear gain G must be a finite number > 0"):
+        LinearGain(10**5000)
+    with pytest.raises(DomainError, match="seed must lie in"):
+        run_episode(_SPEC2, [AlwaysDisclose(), AlwaysDisclose()], 3, 10**5000)
+
+
+def test_bits_and_probabilities_keep_their_accepted_sets():
+    assert validate_bits([[True, 0.0], [1.0, np.int8(0)]], "b").tolist() == [[1, 0], [1, 0]]
+    assert validate_bits(np.array([1, 0], dtype=np.uint8), "b").dtype == np.int64
+    p = validate_probabilities((0, 1, 0.25, np.float32(0.5)), "p")
+    assert p.dtype == float and p.tolist() == [0.0, 1.0, 0.25, 0.5]
+    with pytest.raises(DomainError, match=r"^b entries must be 0 or 1, got 2 at index \(1, 0\)$"):
+        validate_bits([[0, 1], [2, 0]], "b")
+    with pytest.raises(DomainError, match=r"^p entries must be probabilities in \[0, 1\], "
+                                          r"got -0.5 at index 1$"):
+        validate_probabilities(np.array([0.5, -0.5]), "p")
 
 
 @pytest.mark.parametrize("delta", [0, 1, 1.5, -0.5, float("nan"), float("inf"), True, "0.5",

@@ -23,6 +23,7 @@ from npdshare import (
 from npdshare import rng
 from npdshare.errors import DomainError
 from npdshare.monitoring import (
+    SignalDistribution,
     displacement_moments,
     public_profile_distribution_raw,
     signal_kernel,
@@ -110,6 +111,31 @@ def test_raw_distribution_refuses_actions_other_than_zero_and_one(actions):
     assert public_profile_distribution_raw([1.0, 0.0], 0.9, 0.1).tobytes() == (
         public_profile_distribution_raw([1, 0], 0.9, 0.1).tobytes()
     )
+
+
+@pytest.mark.parametrize("alpha, epsilon", [
+    ("0.5", 0.1), (0.9, True), (np.False_, 0.1), (float("nan"), 0.1), (0.9, -0.1), (1.5, 0.1),
+    (10**5000, 0.1),
+], ids=["str", "bool", "numpy-bool", "nan", "negative", "above-1", "10**5000"])
+def test_raw_distribution_refuses_kernels_that_are_not_probabilities(alpha, epsilon):
+    # A string was a bare TypeError, and True passed as probability 1.
+    with pytest.raises(DomainError, match=r"^kernel \(alpha, epsilon\) entries must be "):
+        public_profile_distribution_raw([1, 0], alpha, epsilon)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SignalDistribution(np.array([np.nan, 1.0]), 1),
+    lambda: SignalDistribution(np.array([1.5, -0.5]), 1),
+    lambda: SignalDistribution([True, False], 1),
+    lambda: FactoredBernoulli(((0, 1),), [np.nan]),
+    lambda: FactoredBernoulli(((0, 1), (1, 0)), np.array([0.5, np.inf])),
+    lambda: FactoredBernoulli(((0, 1),), ["0.5"]),
+], ids=["signal-nan", "signal-negative", "signal-bools", "bernoulli-nan", "bernoulli-inf",
+        "bernoulli-str"])
+def test_distributions_refuse_entries_that_are_not_probabilities(make):
+    # NaN passed both the sum test and the sign test.
+    with pytest.raises(DomainError, match="must be probabilities in \\[0, 1\\]|must be numbers"):
+        make()
 
 
 def _kron_chain(p_zero):
