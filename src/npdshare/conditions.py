@@ -35,7 +35,8 @@ whole profile: they are accumulated bit by bit from the per-bit differences
 check expands the 2**bits outcome table, and no distance is compared with a
 tolerance; only C3's collinearity test uses one (``COLLINEAR_TOL``).
 
-The bundle validates each extreme profile once.  ``check_c1`` and
+The bundle and ``rank_reports`` read the profiles as ``minmax`` and
+``extreme_profiles`` build them, and check none again.  ``check_c1`` and
 ``check_c2`` read the kernel gap alone; ``check_c3`` and
 ``pairwise_full_rank`` validate their arguments and return the bundle's
 report for their one (profile, pair).
@@ -188,11 +189,14 @@ def _stacked_rank(spec: GameSpec, n_tested: int) -> int:
 def individual_full_rank(spec: GameSpec, profile, firm: int) -> ConditionReport:
     r = validate_profile(spec, profile)
     validate_firm(spec, firm)
-    rank = _stacked_rank(spec, 1)
+    return _individual_report(r.tolist(), firm, _stacked_rank(spec, 1))
+
+
+def _individual_report(profile: list, firm, rank: int) -> ConditionReport:
     return ConditionReport(
         condition_id="individual_full_rank",
         holds=rank == 2,
-        context={"profile": r.tolist(), "firm": firm + 1},
+        context={"profile": list(profile), "firm": firm + 1},
         evidence={"rank": rank, "required": 2},
     )
 
@@ -228,15 +232,17 @@ def rank_reports(spec: GameSpec, extremes):
     """Individual rank at each firm's minmax profile, then pairwise rank at
     every profile of ``extremes`` for every pair, in that order.
 
-    The pairwise rank is the same at every profile, so it is decided once,
-    and each profile is validated once for all its pairs.
+    Each rank is the same at every profile, so it is decided once.  The
+    profiles are read as ``minmax`` and ``extreme_profiles`` build them,
+    tuples of N bits, and not checked again.
     """
+    rank = _stacked_rank(spec, 1)
     for i in range(spec.n_firms):
-        yield individual_full_rank(spec, minmax(spec, i).profile, i)
+        yield _individual_report(minmax(spec, i).profile, i, rank)
     rank = _stacked_rank(spec, 2)
     pairs = _pairs(spec.n_firms)
     for r in extremes:
-        profile = validate_profile(spec, r).tolist()
+        profile = list(r)
         for i, j in pairs:
             yield _pairwise_report(profile, i, j, rank)
 
@@ -257,7 +263,7 @@ def check_c1(spec: GameSpec, minmaxed_firm: int) -> ConditionReport:
     deviation is undetectable-and-profitable only if the pure one is.
     """
     mm = minmax(spec, minmaxed_firm)
-    base = validate_profile(spec, mm.profile)
+    base = np.array(mm.profile)
     gains = deviation_payoffs(spec, base) - spec.stage[base, base.sum()]
     gap = _kernel_gap(spec, MODE_PRIVATE)
     detectable = gap > 0
@@ -474,7 +480,7 @@ def theorem_preconditions(spec: GameSpec, theorem: str) -> ConditionReport:
         subs.append(support)
         for i in range(spec.n_firms):
             subs.append(check_c1(spec, i))
-        profiles = np.array([validate_profile(spec, r) for r in extremes])
+        profiles = np.array(extremes)
         pairs = _pairs(spec.n_firms)
         for start in range(0, len(profiles), _PROFILE_BLOCK):
             block = profiles[start:start + _PROFILE_BLOCK]

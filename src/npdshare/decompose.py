@@ -24,7 +24,8 @@ and elsewhere the orthogonal map at u(r) reaches the bound lambda . u(r).
 ``PromiseDecomposition`` read one private table per profile r: the laws and
 payoffs that no direction changes, that is P(bit j = 0) at r and after j
 deviates, the N + 1 signal distributions (r and its N unilateral
-deviations), the payoffs and the deviation gains.  The orthogonal equality
+deviations, expanded together from the spec's checked monitor kernel), the
+payoffs and the deviation gains.  The orthogonal equality
 solve builds the rows of the system over the 2^N public signals
 (``_system``): profitable deviations bind (the construction behind the
 two-firm closed form), and gamma_bar is pinned to zero at the all-ones
@@ -33,6 +34,10 @@ profitable firm on its own bit and a partner firm offsets it in lambda, so
 orthogonal mode fails exactly where k* punishes the profile.  No solve runs
 an LP.  The table stops at SYSTEM_MAX_FIRMS firms.  k* builds none: it
 reads ``game.profile_array`` and ``game.deviation_payoffs``.
+
+A value is checked where it enters: ``k_star`` checks its direction, while
+``ppe_payoff_set``, with unit directions of its own, and
+``PromiseDecomposition``, with a direction it has checked, call k*'s body.
 """
 
 from __future__ import annotations
@@ -43,11 +48,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .game import GameSpec, STRICT_TOL, all_profile_payoffs, deviation_payoffs
+from .game import GameSpec, STRICT_TOL, _reals, all_profile_payoffs, deviation_payoffs
 from .game import profile_array, validate_accuracy, validate_count, validate_positive
 from .game import validate_profile, validate_vector
 from .geometry import ensure_ccw, halfplane_intersection_2d
-from .monitoring import MODE_PUBLIC, public_profile_distribution_raw, signal_kernel
+from .monitoring import MODE_PUBLIC, _product_expansion, signal_kernel
 
 SOLVE_TOL = 1e-9
 SYSTEM_MAX_FIRMS = 8
@@ -148,12 +153,11 @@ def _profile_table(spec: GameSpec, profile) -> _ProfileTable:
         )
     r = validate_profile(spec, profile)
     kernel = signal_kernel(spec, MODE_PUBLIC)
-    pi_eq = public_profile_distribution_raw(r, spec.m_alpha, spec.m_epsilon)
+    # The laws at r and, row i + 1 of r ^ I, where firm i alone deviates.
+    laws = _product_expansion(kernel[np.vstack((r, r ^ np.eye(n, dtype=np.int64)))])
+    pi_eq, pi_dev = laws[0], laws[1:]
     u_r = spec.stage[r, r.sum()]
     u_dev = deviation_payoffs(spec, r)
-    # Row i of r ^ I is the profile where firm i alone deviates.
-    pi_dev = np.array([public_profile_distribution_raw(d, spec.m_alpha, spec.m_epsilon)
-                       for d in r ^ np.eye(n, dtype=np.int64)])
     gains = u_dev - u_r
     profitable = gains > STRICT_TOL
     return _ProfileTable(
@@ -336,7 +340,11 @@ def k_star(spec: GameSpec, direction) -> KStarResult:
     and more than PROFILE_MAX_FIRMS firms ``game.profile_array``'s
     CapacityError.
     """
-    lam = _direction(direction, spec.n_firms)
+    return _k_star(spec, _direction(direction, spec.n_firms))
+
+
+def _k_star(spec: GameSpec, lam: np.ndarray) -> KStarResult:
+    """``k_star`` on a checked direction array."""
     profiles, levels, orthogonal = _profile_levels(spec, lam)
     i = int(np.flatnonzero(levels >= levels.max() - SOLVE_TOL)[0])
     best = tuple(profiles[i].tolist())
@@ -435,7 +443,7 @@ def ppe_payoff_set(spec: GameSpec, n_directions: int = 360) -> PayoffSetApprox:
         dirs = _circle_directions(n_directions)
     else:
         dirs = _sphere_directions(n_directions, spec.n_firms)
-    results = [k_star(spec, lam) for lam in dirs]
+    results = [_k_star(spec, lam) for lam in dirs]
     ks = np.array([res.value for res in results])
     best = [res.best_profile for res in results]
     if spec.n_firms != 2:
@@ -488,7 +496,7 @@ def verify_decomposition(
     t = _profile_table(spec, profile)
     n, s = spec.n_firms, 2**spec.n_firms
     v = validate_vector(v, n, "v")
-    gamma_bar = np.asarray(gamma_bar, dtype=float)
+    gamma_bar = _reals(gamma_bar, "gamma_bar")
     if gamma_bar.shape != (s, n) or not np.all(np.isfinite(gamma_bar)):
         raise DomainError(f"gamma_bar must be a finite ({s}, {n}) array")
     gamma = v + (1 - delta) / delta * gamma_bar
@@ -528,7 +536,7 @@ class PromiseDecomposition:
 
     def __init__(self, spec: GameSpec, direction):
         lam = _direction(direction, spec.n_firms)
-        ks = k_star(spec, lam)
+        ks = _k_star(spec, lam)
         self.spec = spec
         self.direction = lam
         self.k_star = ks.value

@@ -44,8 +44,8 @@ from . import _kernels
 from ._kernels import backend_name, count_mc, promise_mc
 from .decompose import REGION_TOL, PromiseDecomposition
 from .errors import CapacityError, DiscountTooSmallError, DomainError, ProtocolError
-from .game import (GameSpec, _shown, validate_bits, validate_count, validate_discount,
-                   validate_positive, validate_vector)
+from .game import (GameSpec, _as_array, _listed, _shown, validate_bits, validate_count,
+                   validate_discount, validate_positive, validate_vector)
 from .monitoring import MODE_PRIVATE, MODE_PUBLIC, signal_kernel, signal_streams, validate_mode
 from .rng import WORDS, threshold
 
@@ -147,7 +147,7 @@ class CountTable:
                 f"count table action must hold one bit per state, got shape {action.shape}"
             )
         states = action.size
-        next_state = np.asarray(self.next_state)
+        next_state = _as_array(self.next_state, "count table next_state")
         if not (
             next_state.ndim == 2 and next_state.shape[0] == states
             and next_state.dtype.kind in "iu"
@@ -516,7 +516,7 @@ def _bind_strategies(spec: GameSpec, strategies, horizon: int, mode: str) -> lis
     validate_mode(mode)
     validate_count(horizon, "horizon")
     n = spec.n_firms
-    supplied = list(strategies)
+    supplied = _listed(strategies, "strategies", f"a sequence of {n} strategies")
     if len(supplied) != n:
         raise DomainError(f"need {n} strategies, got {len(supplied)}")
     if mode == MODE_PUBLIC and n > PUBLIC_MAX_FIRMS:
@@ -734,7 +734,7 @@ def monte_carlo(
     "python").
     """
     validate_count(replicas, "replicas")
-    strategies = list(strategies)
+    strategies = _listed(strategies, "strategies", f"a sequence of {spec.n_firms} strategies")
     # Bound clones raise what the first replica's run_episode would.
     bound = _bind_strategies(spec, [s.clone() for s in strategies], horizon, mode)
     n = spec.n_firms

@@ -339,10 +339,20 @@ def validate_probabilities(values, name: str) -> np.ndarray:
     return p
 
 
+def _listed(values, name: str, what: str) -> list:
+    """``values`` as a list, else DomainError naming it: an argument that
+    must be ``what`` and cannot be iterated."""
+    try:
+        entries = iter(values)
+    except TypeError:
+        raise DomainError(f"{name} must be {what}, got {_shown(values)}") from None
+    return list(entries)
+
+
 def validate_profile(spec: GameSpec, profile: Iterable[int],
                      name: str = "action profile") -> np.ndarray:
     """The profile as an int64 array of N bits (``validate_bits``)."""
-    r = validate_bits(list(profile), name)
+    r = validate_bits(_listed(profile, name, f"a sequence of {spec.n_firms} bits"), name)
     if r.shape != (spec.n_firms,):
         raise DomainError(f"{name} must have length {spec.n_firms}, got shape {r.shape}")
     return r
@@ -536,8 +546,10 @@ def _hull_2d(spec: GameSpec, clip_to_ir: bool) -> PayoffPolytope:
 
 def _hull_nd(spec: GameSpec) -> PayoffPolytope:
     # Every vertex is some profile's payoff, and extreme_profiles keeps
-    # exactly the profiles whose payoff is one.
-    verts = np.unique([profile_payoff(spec, r) for r in extreme_profiles(spec)], axis=0)
+    # exactly the profiles whose payoff is one.  Profile r is row
+    # sum_i r_i 2^(N - 1 - i) of all_profile_payoffs.
+    rows = np.array(extreme_profiles(spec)) @ (1 << np.arange(spec.n_firms)[::-1])
+    verts = np.unique(all_profile_payoffs(spec)[rows], axis=0)
     degenerate = np.linalg.matrix_rank(verts - verts[0], tol=1e-9) < spec.n_firms
     return PayoffPolytope(
         vertices=tuple(tuple(float(c) for c in v) for v in verts),

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import rng
 from .errors import CapacityError, DomainError
-from .game import (GameSpec, _shown, validate_bits, validate_count, validate_firm,
+from .game import (GameSpec, _listed, _shown, validate_bits, validate_count, validate_firm,
                    validate_probabilities, validate_profile)
 
 DIST_TOL = 1e-12  # distributions must sum to 1 within this
@@ -147,6 +147,7 @@ class SignalDistribution:
     n_bits: int
 
     def __post_init__(self):
+        validate_count(self.n_bits, "n_bits", lo=0)
         p = validate_probabilities(self.probs, "signal distribution")
         object.__setattr__(self, "probs", p)
         if p.shape != (2**self.n_bits,):
@@ -161,15 +162,19 @@ class SignalDistribution:
 
 
 def _product_expansion(p_zero: np.ndarray) -> np.ndarray:
-    """Outcome table of independent bits, bit 0 least significant.
+    """Outcome table of independent bits, bit 0 least significant: the
+    (..., 2**n) laws of the (..., n) rows of P(bit = 0) in ``p_zero``.
 
     Equal bit for bit to the kron chain over (p0, 1 - p0) pairs from the
     last bit to the first: each outer-product entry is the same product,
-    taken in the same order.
+    taken in the same order, and every row is expanded as it would be
+    alone.
     """
-    probs = np.array([1.0])
-    for k in range(len(p_zero) - 1, -1, -1):
-        probs = (probs[:, None] * np.array([p_zero[k], 1.0 - p_zero[k]])).ravel()
+    lead = p_zero.shape[:-1]
+    probs = np.ones(lead + (1,))
+    for k in range(p_zero.shape[-1] - 1, -1, -1):
+        pair = np.stack((p_zero[..., k], 1.0 - p_zero[..., k]), axis=-1)
+        probs = (probs[..., :, None] * pair[..., None, :]).reshape(lead + (-1,))
     return probs
 
 
@@ -179,9 +184,11 @@ def public_profile_distribution_raw(
     """Probability vector over public signals for raw kernel parameters.
 
     No range validation beyond [0, 1]: diagnostics and tests use this to
-    probe degenerate kernels (e.g. alpha == epsilon).  Spec-level callers go
-    through :func:`public_signal_distribution`.  The actions are bits and
-    the kernel a pair of probabilities, as ``game``'s validators read them.
+    probe degenerate kernels (e.g. alpha == epsilon).  The package itself
+    expands the checked kernel of a spec with ``_product_expansion``
+    (:func:`public_signal_distribution`, ``decompose``'s profile tables).
+    The actions are bits and the kernel a pair of probabilities, as
+    ``game``'s validators read them.
     """
     actions = validate_bits(actions, "action profile")
     p_zero = validate_probabilities((alpha, epsilon), "kernel (alpha, epsilon)")
@@ -192,7 +199,7 @@ def public_profile_distribution_raw(
 def public_signal_distribution(spec: GameSpec, profile) -> SignalDistribution:
     """Distribution of the public monitor's N-bit signal given a pure profile."""
     r = validate_profile(spec, profile)
-    probs = public_profile_distribution_raw(r, spec.m_alpha, spec.m_epsilon)
+    probs = _product_expansion(signal_kernel(spec, MODE_PUBLIC)[r])
     return SignalDistribution(probs=probs, n_bits=spec.n_firms)
 
 
@@ -310,7 +317,8 @@ def marginal_excluding(spec: GameSpec, profile, excluded) -> FactoredBernoulli:
     own signal holdings drop out.
     """
     r = validate_profile(spec, profile)
-    out = {validate_firm(spec, i, "excluded firm index") for i in excluded}
+    out = {validate_firm(spec, i, "excluded firm index")
+           for i in _listed(excluded, "excluded", "a sequence of firm indices")}
     if len(out) == spec.n_firms:
         raise DomainError("at least one observer must remain outside the excluded firms")
     observer, observed = _held_private_bits(spec.n_firms, tuple(sorted(out)))

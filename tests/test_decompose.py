@@ -32,6 +32,7 @@ from npdshare.decompose import (
 )
 from npdshare.errors import CapacityError, DomainError
 from npdshare.game import all_profiles, profile_array
+from npdshare.monitoring import _product_expansion, public_profile_distribution_raw
 from npdshare.geometry import hausdorff_distance_polygons
 
 from k_star_oracle import _profile_tables, exhaustive_k_star, general_lp
@@ -1049,6 +1050,16 @@ def test_verify_decomposition_refuses_malformed_inputs(spec2):
             verify_decomposition(spec2, (2.0, 2.0), (1, 1), h)
     with pytest.raises(DomainError, match=r"gamma_bar must be a finite \(4, 2\) array"):
         verify_decomposition(spec2, (2.0, 2.0), (1, 1), g[:, :1])
+    # np.asarray read bools as 1.0 and raised a bare ValueError for a string.
+    for bad, message in (
+        ([[True] * 2] * 4, "gamma_bar entries must be numbers, got True at index (0, 0)"),
+        ("x", "gamma_bar entries must be numbers, got 'x'"),
+    ):
+        with pytest.raises(DomainError) as err:
+            verify_decomposition(spec2, (2.0, 2.0), (1, 1), bad)
+        assert str(err.value) == message
+    assert verify_decomposition(spec2, (2.0, 2.0), (1, 1), np.zeros((4, 2), dtype=int)) == (
+        verify_decomposition(spec2, (2.0, 2.0), (1, 1), np.zeros((4, 2))))
 
 
 @pytest.mark.parametrize("n,n_directions", [(2, 24), (3, 16)])
@@ -1073,16 +1084,18 @@ def test_payoff_set_levels_match_exhaustive_oracle_bitwise(n, n_directions, conc
 
 
 def _count_distribution_builds(monkeypatch):
+    """The shape of the P(bit = 0) rows of each law build in decompose: a
+    profile table expands its N + 1 laws in one (N + 1, N) build."""
     from npdshare import decompose
 
     calls = []
-    inner = decompose.public_profile_distribution_raw
+    inner = decompose._product_expansion
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return inner(*args, **kwargs)
+    def counting(p_zero):
+        calls.append(p_zero.shape)
+        return inner(p_zero)
 
-    monkeypatch.setattr(decompose, "public_profile_distribution_raw", counting)
+    monkeypatch.setattr(decompose, "_product_expansion", counting)
     return calls
 
 
@@ -1098,10 +1111,34 @@ def test_promise_setup_builds_each_distribution_once(monkeypatch, spec3):
     # One table, for k*'s best profile: its distribution and N deviations'.
     calls = _count_distribution_builds(monkeypatch)
     PromiseDecomposition(_spec(delta=0.99), (1.0, 1.0))
-    assert len(calls) == 2 + 1
+    assert calls == [(2 + 1, 2)]
     calls.clear()
     PromiseDecomposition(spec3, (1.0, 1.0, 1.0))
-    assert len(calls) == 3 + 1
+    assert calls == [(3 + 1, 3)]
+
+
+def test_profile_table_laws_are_the_per_profile_laws_bitwise():
+    # The N + 1 laws of a table come from one row-wise expansion; each row
+    # is the law of its profile built alone, by the raw builder and by
+    # public_signal_distribution, to the bit.
+    gen = np.random.default_rng(39)
+    for n in range(2, 9):
+        for spec in _random_specs(n, 3, seed=3900 + n):
+            r = gen.integers(0, 2, size=n)
+            t = _profile_table(spec, r)
+            profiles = np.vstack((r, r ^ np.eye(n, dtype=np.int64)))
+            kernel = np.array([spec.m_alpha, spec.m_epsilon])
+            laws = np.vstack((t.pi_eq, t.pi_dev))
+            assert laws.shape == (n + 1, 2**n)
+            for d, law in zip(profiles, laws):
+                for alone in (_product_expansion(kernel[d]),
+                              public_profile_distribution_raw(d, spec.m_alpha, spec.m_epsilon),
+                              public_signal_distribution(spec, d).probs):
+                    assert alone.tobytes() == law.tobytes(), (n, r, d)
+        p_zero = gen.uniform(0.0, 1.0, size=(n + 1, n))
+        rows = _product_expansion(p_zero)
+        for p, row in zip(p_zero, rows):
+            assert _product_expansion(p).tobytes() == row.tobytes()
 
 
 def test_single_profile_systems_share_the_n_cap():

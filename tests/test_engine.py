@@ -1191,6 +1191,7 @@ def test_count_tables_are_checked(spec2):
         ([2], [[0, 0, 0]], 0),  # an action that is not 0 or 1
         ([1], [[1, 0, 0]], 0),  # a state out of range
         ([1], [[0.0, 0.0, 0.0]], 0),  # states that are not integers
+        ([1], [[0], [0, 1]], 0),  # ragged states: numpy's ValueError escaped
         ([], np.zeros((0, 3), dtype=int), 0),  # no state
         ([1, 0], [[0, 0, 0]], 0),  # a row short
         ([1], [[0, 0, 0]], 1),  # an initial state out of range

@@ -18,9 +18,12 @@ from npdshare import (
     feasible_hull,
     Strategy,
     k_star_formula_linear_n2,
+    marginal_excluding,
     minmax,
+    monte_carlo,
     profile_payoff,
     run_episode,
+    solve_enforceability,
     table2_gamma_bar,
 )
 from hull_oracle import lp_extreme_profiles
@@ -178,6 +181,29 @@ def test_a_refused_value_that_cannot_be_printed_is_described():
         LinearGain(10**5000)
     with pytest.raises(DomainError, match="seed must lie in"):
         run_episode(_SPEC2, [AlwaysDisclose(), AlwaysDisclose()], 3, 10**5000)
+
+
+_SPEC3 = GameSpec(3, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: validate_profile(_SPEC3, 5), "action profile must be a sequence of 3 bits, got 5"),
+    (lambda: profile_payoff(_SPEC3, None),
+     "action profile must be a sequence of 3 bits, got None"),
+    (lambda: solve_enforceability(_SPEC3, 3, (1, 1, 1)),
+     "action profile must be a sequence of 3 bits, got 3"),
+    (lambda: marginal_excluding(_SPEC3, (1, 1, 1), 5),
+     "excluded must be a sequence of firm indices, got 5"),
+    (lambda: run_episode(_SPEC3, 5, 10, 0), "strategies must be a sequence of 3 strategies, got 5"),
+    (lambda: monte_carlo(_SPEC3, None, 2, 10, 0),
+     "strategies must be a sequence of 3 strategies, got None"),
+], ids=["validate_profile", "profile_payoff", "solve_enforceability", "marginal_excluding",
+        "run_episode", "monte_carlo"])
+def test_arguments_that_cannot_be_iterated_are_refused(call, message):
+    # Each raised a bare TypeError: '...' object is not iterable.
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_bits_and_probabilities_keep_their_accepted_sets():

@@ -138,6 +138,15 @@ def test_distributions_refuse_entries_that_are_not_probabilities(make):
         make()
 
 
+@pytest.mark.parametrize("n_bits", [1.5, True, -1, "1", None])
+def test_signal_distribution_checks_n_bits(n_bits):
+    # 1.5 asked for 2.8284271247461903 entries, and True passed as one bit.
+    with pytest.raises(DomainError) as err:
+        SignalDistribution([0.5, 0.5], n_bits)
+    assert str(err.value).startswith("n_bits must be an integer >= 0, got ")
+    assert SignalDistribution([1.0], 0).n_bits == 0
+
+
 def _kron_chain(p_zero):
     probs = np.array([1.0])
     for p0 in reversed(p_zero):
