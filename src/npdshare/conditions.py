@@ -31,8 +31,9 @@ function of one suspect's action, read from a two-entry table.  Only C3's
 displacement norms, over the joint outcomes of all held bits, depend on the
 whole profile: they are accumulated bit by bit from the per-bit differences
 (``monitoring.displacement_moments``) in one array pass over every
-(profile, pair), on arrays of P(bit = 0) laid out by ``_pair_layout``.  No
-check expands the 2**bits outcome table, and no distance is compared with a
+(profile, pair), on arrays of P(bit = 0) laid out as
+``monitoring._held_private_bits`` lists each pair's held bits.  No check
+expands the 2**bits outcome table, and no distance is compared with a
 tolerance; only C3's collinearity test uses one (``COLLINEAR_TOL``).
 
 The bundle and ``rank_reports`` read the profiles as ``minmax`` and
@@ -48,7 +49,6 @@ their Python counterparts.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -293,19 +293,6 @@ def check_c1(spec: GameSpec, minmaxed_firm: int) -> ConditionReport:
     )
 
 
-@functools.lru_cache(maxsize=16)
-def _pair_layout(n: int) -> np.ndarray:
-    """``observed[i, j]``, the observed firm of each private bit held by the
-    firms outside {i, j} among ``n`` firms, in layout order ((n - 2)(n - 1)
-    bits, the bits of ``marginal_excluding(spec, r, (i, j))``); read-only.
-    Diagonal entries are unused."""
-    observed = np.zeros((n, n, (n - 2) * (n - 1)), dtype=np.int64)
-    for i, j in itertools.permutations(range(n), 2):
-        observed[i, j] = _held_private_bits(n, (min(i, j), max(i, j)))[1]
-    observed.flags.writeable = False
-    return observed
-
-
 def _c2_report(profile: list, firm_i, firm_j, gap: float) -> ConditionReport:
     """C2 for one (profile, pair) from the private kernel ``gap``.
 
@@ -348,7 +335,9 @@ def _c3_reports(spec: GameSpec, profiles: np.ndarray, pairs) -> list:
     report is degenerate.
     """
     fi, fj = np.array(pairs).T
-    observed = _pair_layout(spec.n_firms)[fi, fj]
+    observed = np.array(
+        [_held_private_bits(spec.n_firms, (min(i, j), max(i, j)))[1] for i, j in pairs]
+    )
     kernel = signal_kernel(spec, MODE_PRIVATE)
     p = kernel[profiles[:, observed]]
     q_i = np.where(observed == fi[:, None], kernel[1 - profiles[:, fi]][..., None], p)

@@ -451,7 +451,7 @@ def ppe_payoff_set(spec: GameSpec, n_directions: int = 360) -> PayoffSetApprox:
             directions=dirs, k_values=ks, best_profiles=tuple(best), vertices=None
         )
     bound = 10.0 * (1.0 + float(np.max(np.abs(ks))) + spec.max_abs_payoff())
-    poly = halfplane_intersection_2d(dirs, ks, bound=bound, tol=1e-9)
+    poly = halfplane_intersection_2d(dirs, ks, bound=bound)
     degenerate = len(poly) < 3
     if not degenerate:
         poly = ensure_ccw(poly)
@@ -496,7 +496,9 @@ def verify_decomposition(
     t = _profile_table(spec, profile)
     n, s = spec.n_firms, 2**spec.n_firms
     v = validate_vector(v, n, "v")
-    gamma_bar = _reals(gamma_bar, "gamma_bar")
+    # One (C) layout, so the slacks do not depend on the memory order of
+    # the map: the einsum sums in an order that follows it.
+    gamma_bar = np.ascontiguousarray(_reals(gamma_bar, "gamma_bar"))
     if gamma_bar.shape != (s, n) or not np.all(np.isfinite(gamma_bar)):
         raise DomainError(f"gamma_bar must be a finite ({s}, {n}) array")
     gamma = v + (1 - delta) / delta * gamma_bar

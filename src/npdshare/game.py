@@ -527,16 +527,20 @@ def feasible_hull(spec: GameSpec, clip_to_ir: bool = False) -> PayoffPolytope:
 
 
 def _hull_2d(spec: GameSpec, clip_to_ir: bool) -> PayoffPolytope:
-    from .geometry import clip_polygon_halfplane_exact, convex_hull_2d_exact
+    from .geometry import clip_polygon_halfplane, convex_hull_2d_exact, dedup_vertices
 
-    # Fraction(float) is exact, so the chain and the clip are exact rational
-    # arithmetic on whatever binary rationals the payoffs happen to be.
+    # Fraction(float) is exact, and the clip only adds, multiplies, divides
+    # and compares, so the chain and the clip are exact rational arithmetic
+    # on whatever binary rationals the payoffs happen to be.
     pts = [(Fraction(float(a)), Fraction(float(b))) for a, b in all_profile_payoffs(spec)]
     poly = convex_hull_2d_exact(pts)
     if clip_to_ir:
-        # v_1 >= 0 then v_2 >= 0
-        poly = clip_polygon_halfplane_exact(poly, (Fraction(1), Fraction(0)), Fraction(0))
-        poly = clip_polygon_halfplane_exact(poly, (Fraction(0), Fraction(1)), Fraction(0))
+        # v_1 >= 0 then v_2 >= 0, as normal . v <= 0; a vertex on an axis
+        # can come out twice.
+        poly = np.array(poly, dtype=object)
+        for normal in ((-1, 0), (0, -1)):
+            poly = clip_polygon_halfplane(poly, normal, 0)
+        poly = dedup_vertices(poly, 0)
     verts = tuple((float(a), float(b)) for a, b in poly)
     degenerate = len(verts) < 3
     return PayoffPolytope(

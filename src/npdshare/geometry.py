@@ -1,8 +1,12 @@
 """Convex geometry helpers.
 
-Two-firm payoff sets are polygons, so this module carries exact rational
-monotone-chain hulls, hull membership and Sutherland-Hodgman clipping for
-them, plus float versions used by the half-space payoff-set approximation.
+Two-firm payoff sets are polygons, so this module carries an exact rational
+monotone-chain hull and hull membership for them, one Sutherland-Hodgman
+clip and one inside-a-convex-polygon test.  The clip only adds, multiplies,
+divides and compares, so it serves the float half-space payoff-set
+approximation and, on an object array of Fractions, the exact clip of the
+feasible hull to the individually rational orthant.  The inside test serves
+exact hull membership and the float point-to-polygon distance.
 ``game.extreme_profiles`` reduces its vertex question to exact 2-D
 membership by symmetry, and the feasible hull reads its N > 2 vertices from
 that answer, so no LP finds a vertex.  The one LP left is ``point_in_hull``
@@ -12,8 +16,6 @@ importing the package does not load it.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -57,6 +59,17 @@ def convex_hull_2d_exact(points):
     return lower[:-1] + upper[:-1]
 
 
+def _inside_ccw(p, poly) -> bool:
+    """Is ``p`` on or left of every edge of the CCW polygon ``poly``?  Exact
+    on ints or Fractions.  Written as "no cross product is negative", so a
+    NaN cross product counts as inside."""
+    m = len(poly)
+    return not any(
+        (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) < 0
+        for a, b in ((poly[k], poly[(k + 1) % m]) for k in range(m))
+    )
+
+
 def in_convex_hull_2d_exact(point, points) -> bool:
     """Is ``point`` in conv(points), boundary included?  Exact on pairs of
     ints or Fractions; a hull of one or two vertices is a point or a
@@ -64,63 +77,26 @@ def in_convex_hull_2d_exact(point, points) -> bool:
     hull = convex_hull_2d_exact(points)
     if len(hull) == 1:
         return point == hull[0]
-    px, py = point
-
-    def cross(o, a):
-        return (a[0] - o[0]) * (py - o[1]) - (a[1] - o[1]) * (px - o[0])
-
-    if len(hull) == 2:
-        a, b = hull
-        return (
-            cross(a, b) == 0
-            and min(a[0], b[0]) <= px <= max(a[0], b[0])
-            and min(a[1], b[1]) <= py <= max(a[1], b[1])
-        )
-    return bool(hull) and all(
-        cross(hull[k], hull[(k + 1) % len(hull)]) >= 0 for k in range(len(hull))
-    )
-
-
-def clip_polygon_halfplane_exact(poly, normal, offset):
-    """Keep the part of a CCW polygon with normal . p >= offset (exact)."""
-    if not poly:
-        return []
-    nx, ny = normal
-
-    def side(p):
-        return nx * p[0] + ny * p[1] - offset
-
-    out = []
-    m = len(poly)
-    for i in range(m):
-        cur, nxt = poly[i], poly[(i + 1) % m]
-        s_cur, s_nxt = side(cur), side(nxt)
-        if s_cur >= 0:
-            out.append(cur)
-        if (s_cur > 0 and s_nxt < 0) or (s_cur < 0 and s_nxt > 0):
-            t = s_cur / (s_cur - s_nxt)
-            out.append(
-                (
-                    cur[0] + t * (nxt[0] - cur[0]),
-                    cur[1] + t * (nxt[1] - cur[1]),
-                )
-            )
-    # drop exact duplicates introduced when a vertex lies on the boundary
-    dedup = []
-    for p in out:
-        if not dedup or p != dedup[-1]:
-            dedup.append(p)
-    if len(dedup) > 1 and dedup[0] == dedup[-1]:
-        dedup.pop()
-    return dedup
+    if len(hull) == 2 and not all(
+        min(a, b) <= c <= max(a, b) for a, b, c in zip(*hull, point)
+    ):
+        return False
+    # A segment's two edges run both ways, so inside means on its line.
+    return bool(hull) and _inside_ccw(point, hull)
 
 
 # ---------------------------------------------------------------------------
-# float polygon operations (2-D)
+# polygon clipping (2-D; float, or exact on Fractions)
 
 
-def _clip_float(poly: np.ndarray, normal, offset: float) -> np.ndarray:
-    """Keep the part of a CCW polygon with normal . p <= offset."""
+def clip_polygon_halfplane(poly: np.ndarray, normal, offset) -> np.ndarray:
+    """Keep the part of a CCW polygon with normal . p <= offset.
+
+    ``poly`` is an (m, 2) array.  The body only adds, multiplies, divides
+    and compares, so on an object array of Fractions the clip is exact.  A
+    vertex on the boundary line can come out twice; ``dedup_vertices``
+    merges it.
+    """
     if len(poly) == 0:
         return poly
     s = poly @ np.asarray(normal) - offset
@@ -137,7 +113,8 @@ def _clip_float(poly: np.ndarray, normal, offset: float) -> np.ndarray:
 
 
 def dedup_vertices(poly: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Merge consecutive vertices closer than tol (cyclically)."""
+    """Merge consecutive vertices within ``tol`` in every coordinate
+    (cyclically); with ``tol`` 0, on Fractions too, only equal ones."""
     if len(poly) == 0:
         return poly
     out = [poly[0]]
@@ -150,7 +127,7 @@ def dedup_vertices(poly: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 
 
 def halfplane_intersection_2d(
-    normals: np.ndarray, offsets: np.ndarray, bound: float, tol: float = 1e-9
+    normals: np.ndarray, offsets: np.ndarray, bound: float
 ) -> np.ndarray:
     """Intersect half-planes {v : normal_k . v <= offset_k} within a bounding box.
 
@@ -162,10 +139,10 @@ def halfplane_intersection_2d(
         dtype=float,
     )
     for nrm, off in zip(np.asarray(normals, dtype=float), np.asarray(offsets, dtype=float)):
-        poly = _clip_float(poly, nrm, float(off))
+        poly = clip_polygon_halfplane(poly, nrm, float(off))
         if len(poly) == 0:
             return poly
-    return dedup_vertices(poly, tol)
+    return dedup_vertices(poly)
 
 
 def polygon_area(poly: np.ndarray) -> float:
@@ -195,16 +172,8 @@ def point_polygon_distance(p: np.ndarray, poly: np.ndarray) -> float:
         return float("inf")
     if m == 1:
         return float(np.linalg.norm(p - poly[0]))
-    if m >= 3:
-        inside = True
-        for i in range(m):
-            a, b = poly[i], poly[(i + 1) % m]
-            cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-            if cross < 0:
-                inside = False
-                break
-        if inside:
-            return 0.0
+    if m >= 3 and _inside_ccw(p, poly):
+        return 0.0
     return min(
         point_segment_distance(p, poly[i], poly[(i + 1) % m]) for i in range(m)
     )

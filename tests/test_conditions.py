@@ -2,6 +2,7 @@
 
 import decimal
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from condition_oracle import c1_evidence, c2_c3_evidence, per_bit_gap
 from signal_oracle import numeric_rank, signal_matrix, with_monitor_kernel, with_private_kernel
 
 from npdshare import (
+    ConcaveGain,
     FactoredBernoulli,
     GameSpec,
     LinearGain,
@@ -595,3 +597,18 @@ def test_report_text_nests_reports_and_mappings():
         "      b:",
         "        c: d",
     ])
+
+
+def test_km_bundle_runs_c3_in_profile_blocks():
+    # At N = 8 one C3 pass over every extreme profile peaks near 63 MiB;
+    # passes of _PROFILE_BLOCK profiles keep the bundle near 16 MiB.  The
+    # spec is test_cli.py's concave8.
+    f = (0.0, 1.0, 1.6, 2.0, 2.3, 2.5, 2.65, 2.75, 2.8)
+    spec = GameSpec(8, ConcaveGain(2.8, f), 1.05, 0.84, 0.14, 0.92, 0.79, 0.17)
+    tracemalloc.start()
+    try:
+        theorem_preconditions(spec, "km")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20

@@ -203,6 +203,19 @@ def test_verify_decomposition_flags_perturbation():
     assert chk.ic_slacks[0] == pytest.approx(-0.0008, abs=1e-12)
 
 
+def test_verify_decomposition_does_not_depend_on_memory_layout():
+    # The solver's map is Fortran-ordered; summed in its own order, its
+    # slacks differed in the last bits from those of a C-ordered copy.
+    spec = GameSpec(3, LinearGain(3.0), 1.0, 0.9, 0.1, 0.9)
+    g = solve_enforceability(spec, (1, 1, 1), (1.0, 1.0, 1.0)).gamma_bar
+    checks = [
+        verify_decomposition(spec, (2.0, 2.0, 2.0), (1, 1, 1), layout(g))
+        for layout in (np.asfortranarray, np.ascontiguousarray)
+    ]
+    assert checks[0].ic_slacks == checks[1].ic_slacks
+    assert checks[0].binding == checks[1].binding
+
+
 def _shift_ic_slack(spec, profile, gamma_bar, firm, shift):
     """gamma_bar with ``firm``'s column moved, along a direction of mean 0
     under the profile's law, so that its IC slack in verify_decomposition

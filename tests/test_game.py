@@ -277,6 +277,17 @@ def test_feasible_hull_square(spec2):
     assert not point_in_hull((3.0, 3.0), poly)
 
 
+def test_collinear_two_firm_hull_is_a_segment_and_clips_to_a_point():
+    # G = L puts every payoff on v_1 + v_2 = 0.  Clipped to v >= 0 the
+    # segment leaves only the origin, which the clip emits once per axis
+    # crossing; the hull keeps it once.
+    spec = GameSpec(2, LinearGain(1.0), 1.0, 0.9, 0.1, 0.9)
+    hull = feasible_hull(spec)
+    assert hull.vertices == ((-1.0, 1.0), (1.0, -1.0)) and hull.degenerate
+    clipped = feasible_hull(spec, clip_to_ir=True)
+    assert clipped.vertices == ((0.0, 0.0),) and clipped.degenerate
+
+
 def test_all_profiles_count():
     assert len(list(all_profiles(4))) == 16
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 
 from npdshare.geometry import (
-    clip_polygon_halfplane_exact,
+    clip_polygon_halfplane,
     convex_hull_2d_exact,
     ensure_ccw,
     halfplane_intersection_2d,
@@ -29,12 +29,11 @@ def test_hull_drops_interior_points():
 
 def test_clip_square_to_triangle():
     square = _frac_points([(0, 0), (2, 0), (2, 2), (0, 2)])
-    poly = convex_hull_2d_exact(square)
-    # x + y <= 2, i.e. -x - y >= -2
-    clipped = clip_polygon_halfplane_exact(
-        poly, (Fraction(-1), Fraction(-1)), Fraction(-2)
-    )
-    assert set(clipped) == {(0, 0), (2, 0), (0, 2)}
+    poly = np.array(convex_hull_2d_exact(square), dtype=object)
+    # x + y <= 2, exact on an object array of Fractions
+    clipped = clip_polygon_halfplane(poly, (1, 1), 2)
+    assert set(map(tuple, clipped)) == {(0, 0), (2, 0), (0, 2)}
+    assert all(isinstance(c, Fraction) for c in clipped.flat)
 
 
 def test_halfplane_intersection_unit_square():
